@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint lint-json check bench bench-compare faults-smoke resume-smoke parallel-smoke fleet-smoke traffic-smoke
+.PHONY: build test race vet lint lint-json check bench bench-compare fuzz-smoke faults-smoke resume-smoke parallel-smoke fleet-smoke traffic-smoke
 
 build:
 	$(GO) build ./...
@@ -34,6 +34,14 @@ lint-json:
 # cmd/benchreport. CI runs this and uploads the report as an artifact.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x . | tee /dev/stderr | $(GO) run ./cmd/benchreport -o BENCH.json
+
+# Fuzz smoke: each fuzz target explores for 10 s beyond its seed corpus
+# (which plain `go test` already runs). A short minimization budget keeps
+# the fuzzer executing instead of shrinking every new corpus entry.
+# `go test -fuzz` accepts one target per run.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzTable$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/hello
+	$(GO) test -run '^$$' -fuzz '^FuzzGilbertElliott$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/channel
 
 # Tiny deterministic fault-injection sweep: the loss/delay/churn and
 # buffer-zone experiments at smoke scale, run twice and compared — any

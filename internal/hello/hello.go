@@ -17,17 +17,26 @@ import (
 
 // Message is one "Hello" advertisement: a node's id, the position it
 // advertises, the send timestamp, and a per-sender version number
-// (1 for the sender's first message, incrementing by 1). Neighbors and
-// Marked are the optional 2-hop payload used by CDS-based broadcasting
-// (references [34]/[35]): the sender's current neighbor ids and its own
-// Wu-Li marked status. MPRs is the optional OLSR payload: the multipoint
-// relays the sender selected from its neighborhood — a receiver listed
-// there knows the sender is one of its MPR selectors.
+// (1 for the sender's first message, incrementing by 1). Payload is the
+// optional 2-hop gossip, nil unless the run's forwarding or routing layer
+// reads it; keeping it behind one pointer keeps the stored message at
+// 48 bytes on flood-only runs.
 type Message struct {
-	From      int
-	Pos       geom.Point
-	SentAt    float64
-	Version   uint64
+	From    int
+	Pos     geom.Point
+	SentAt  float64
+	Version uint64
+	Payload *Payload
+}
+
+// Payload is the 2-hop gossip a "Hello" may carry. Neighbors and Marked
+// serve CDS-based broadcasting (references [34]/[35]): the sender's current
+// neighbor ids and its own Wu-Li marked status. Neighbors and MPRs serve
+// OLSR: the sender's logical neighbors and the multipoint relays it
+// selected among them — a receiver listed in MPRs knows the sender is one
+// of its MPR selectors. A payload is shared by every receiver's stored
+// copy of the message and is never mutated after sending.
+type Payload struct {
 	Neighbors []int
 	MPRs      []int
 	Marked    bool
@@ -37,58 +46,64 @@ type Message struct {
 // neighbor (newest first) and expires neighbors whose newest message is
 // older than Expiry.
 //
-// Two backing representations share the same semantics: NewTable builds a
-// map-keyed table accepting arbitrary sender ids, and NewTableN builds a
-// dense table preallocated for ids in [0, n) — one flat backing array, no
-// per-sender allocation on first contact and none in steady state, with
-// ascending-id iteration falling out of the layout instead of a sort. The
-// simulator uses the dense form (senders are node indices); the map form
-// remains for callers without a known id universe.
+// Storage is sized to the neighborhood, not the id universe: an id-sorted
+// vector with one entry per sender heard (binary search on Observe, scans
+// in ascending id order) and a parallel message vector holding k slots per
+// entry. A sender's history keeps its slots until it is forgotten, collected
+// or reclaimed, so a sender that expires and returns still resolves its old
+// versions (AsOf, History) exactly as before it left.
+//
+// Reclaim: with k = 1 a stored history that is expired at the send instant
+// of an incoming message from a new sender is dropped when room is needed
+// for it. A message is observed no earlier than it was sent, queries run
+// at non-decreasing instants, and a sender never sends a lower version
+// after a higher one (all hold for any simulation clock), so such a
+// history stays invisible to every later query and the sender's next
+// newer message would replace it whole — dropping it early changes no
+// answer. With k > 1 the
+// history's older versions would survive that next message, so expired
+// histories are kept.
 type Table struct {
 	k      int
 	expiry float64
-	m      map[int][]Message // nil iff dense
-	dense  [][]Message       // per-id history views into store (dense form)
-	store  []Message         // flat backing, n slots of capacity k+1
-	live_  int               // dense form: number of non-empty histories
-	ver    uint64            // monotone mutation counter (see Version)
+	n      int       // sender ids lie in [0, n); -1 when unbounded (NewTable)
+	ents   []entry   // one per stored history, ascending by sender id
+	msgs   []Message // k slots per entry: entry i owns msgs[i*k : (i+1)*k]
+	ver    uint64    // monotone mutation counter (see Version)
 }
+
+// entry is one sender's stored history: its newest n messages, newest
+// first, in the entry's k message slots.
+type entry struct {
+	from int
+	n    int
+}
+
+// windowCap is the per-table entry capacity NewTablesN preallocates. At
+// the paper's density a node has ~20-25 nodes in range, and about 31
+// senders live within the expiry window at 40 m/s, so most k = 1 tables
+// never outgrow the window. A table that does reallocates storage of its
+// own.
+const windowCap = 48
 
 // NewTable creates a table keeping k >= 1 recent messages per neighbor;
 // entries expire once their newest message is older than expiry seconds
-// (expiry <= 0 disables expiry).
+// (expiry <= 0 disables expiry). Storage grows on demand.
 func NewTable(k int, expiry float64) *Table {
 	if k < 1 {
 		panic(fmt.Sprintf("hello: table with k = %d", k))
 	}
-	return &Table{k: k, expiry: expiry, m: make(map[int][]Message)}
+	return &Table{k: k, expiry: expiry, n: -1}
 }
 
-// NewTableN creates a dense table for sender ids in [0, n): all storage is
-// preallocated, so Observe never allocates. Observing an id outside [0, n)
-// panics.
-func NewTableN(k int, expiry float64, n int) *Table {
-	if k < 1 {
-		panic(fmt.Sprintf("hello: table with k = %d", k))
-	}
-	if n < 0 {
-		panic(fmt.Sprintf("hello: table with n = %d", n))
-	}
-	// The capacity bound keeps a slot's append from spilling into its
-	// neighbor; Observe inserts in place once a slot is full, so capacity
-	// k suffices.
-	t := &Table{k: k, expiry: expiry, dense: make([][]Message, n), store: make([]Message, n*k)}
-	for i := range t.dense {
-		t.dense[i] = t.store[i*k : i*k : (i+1)*k]
-	}
-	return t
-}
-
-// NewTablesN returns count dense tables, each for sender ids in [0, n),
-// with bulk-allocated shared backing: O(1) allocations for the whole batch
-// instead of O(count). This is the per-node table set of a simulation —
-// package manet allocates one table per node and the per-table constructor
-// cost used to dominate network setup.
+// NewTablesN returns count tables for sender ids in [0, n) with
+// bulk-allocated shared backing: every table gets a fixed window of
+// min(n, windowCap) entries cut from two shared arrays — O(1) allocations
+// for the whole batch instead of O(count). This is the per-node table set
+// of a simulation. A table outgrowing its window reallocates its own
+// storage (never a neighbor's window, and never from shared allocator
+// state, so tables of different nodes can be written concurrently).
+// Observing a sender id outside [0, n) panics.
 func NewTablesN(k int, expiry float64, n, count int) []*Table {
 	if k < 1 {
 		panic(fmt.Sprintf("hello: table with k = %d", k))
@@ -96,19 +111,16 @@ func NewTablesN(k int, expiry float64, n, count int) []*Table {
 	if n < 0 || count < 0 {
 		panic(fmt.Sprintf("hello: tables with n = %d, count = %d", n, count))
 	}
+	w := min(n, windowCap)
 	tables := make([]Table, count)
 	out := make([]*Table, count)
-	store := make([]Message, count*n*k)
-	dense := make([][]Message, count*n)
-	for c := 0; c < count; c++ {
+	ents := make([]entry, count*w)
+	msgs := make([]Message, count*w*k)
+	for c := range tables {
 		t := &tables[c]
-		t.k = k
-		t.expiry = expiry
-		t.store = store[c*n*k : (c+1)*n*k]
-		t.dense = dense[c*n : (c+1)*n]
-		for i := range t.dense {
-			t.dense[i] = t.store[i*k : i*k : (i+1)*k]
-		}
+		t.k, t.expiry, t.n = k, expiry, n
+		t.ents = ents[c*w : c*w : (c+1)*w]
+		t.msgs = msgs[c*w*k : c*w*k : (c+1)*w*k]
 		out[c] = t
 	}
 	return out
@@ -118,10 +130,11 @@ func NewTablesN(k int, expiry float64, n, count int) []*Table {
 func (t *Table) K() int { return t.k }
 
 // Version returns the table's monotone mutation counter: it increases on
-// every state change (message stored or replaced, neighbor forgotten,
-// expired entry collected, reset) and never otherwise. Together with an
-// expiry horizon (StableUntil) it is an O(1) fingerprint of the table's
-// visible contents — the cache key of package manet's selection cache.
+// every visible state change (message stored or replaced, neighbor
+// forgotten, expired entry collected, reset) and never otherwise. Together
+// with an expiry horizon (StableUntil) it is an O(1) fingerprint of the
+// table's visible contents — the cache key of package manet's selection
+// cache.
 func (t *Table) Version() uint64 { return t.ver }
 
 // StableUntil returns the latest instant through which the table's visible
@@ -137,20 +150,9 @@ func (t *Table) StableUntil(now float64) float64 {
 	if t.expiry <= 0 {
 		return horizon
 	}
-	if t.m == nil {
-		for _, h := range t.dense {
-			if t.live(h, now) {
-				if d := h[0].SentAt + t.expiry; d < horizon {
-					horizon = d
-				}
-			}
-		}
-		return horizon
-	}
-	//lint:order-independent
-	for _, h := range t.m {
-		if t.live(h, now) {
-			if d := h[0].SentAt + t.expiry; d < horizon {
+	for i := range t.ents {
+		if t.live(i, now) {
+			if d := t.msgs[i*t.k].SentAt + t.expiry; d < horizon {
 				horizon = d
 			}
 		}
@@ -165,39 +167,89 @@ func (t *Table) StableUntil(now float64) float64 {
 func (t *Table) Reset(expiry float64) {
 	t.expiry = expiry
 	t.ver++
-	if t.m != nil {
-		clear(t.m)
-		return
-	}
-	for i := range t.dense {
-		t.dense[i] = t.dense[i][:0]
-	}
-	t.live_ = 0
+	clear(t.msgs) // drop payload references
+	t.ents, t.msgs = t.ents[:0], t.msgs[:0]
 }
 
-// history returns the stored (possibly expired) history for id, or nil.
-func (t *Table) history(id int) []Message {
-	if t.m != nil {
-		return t.m[id]
+// find returns the index of id's entry, or the index it would be inserted
+// at and false.
+func (t *Table) find(id int) (int, bool) {
+	lo, hi := 0, len(t.ents)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if t.ents[mid].from < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	if id < 0 || id >= len(t.dense) {
-		return nil
-	}
-	return t.dense[id]
+	return lo, lo < len(t.ents) && t.ents[lo].from == id
 }
 
-// setHistory stores the updated history for id.
-func (t *Table) setHistory(id int, h []Message) {
-	if t.m != nil {
-		t.m[id] = h
-		return
+// history returns entry i's stored (possibly expired) messages, newest
+// first, capped at the entry's k slots.
+func (t *Table) history(i int) []Message {
+	return t.msgs[i*t.k : i*t.k+t.ents[i].n : (i+1)*t.k]
+}
+
+// insert opens an empty entry for id at index i, reclaiming histories
+// expired at the given send instant (k = 1) before growing the storage. It
+// returns the entry's index, which reclaim may have shifted.
+func (t *Table) insert(i, id int, sentAt float64) int {
+	if len(t.ents) == cap(t.ents) && t.reclaim(sentAt) {
+		i, _ = t.find(id)
 	}
-	if len(t.dense[id]) == 0 && len(h) > 0 {
-		t.live_++
-	} else if len(t.dense[id]) > 0 && len(h) == 0 {
-		t.live_--
+	if len(t.ents) == cap(t.ents) {
+		t.grow()
 	}
-	t.dense[id] = h
+	k := t.k
+	t.ents = t.ents[:len(t.ents)+1]
+	copy(t.ents[i+1:], t.ents[i:])
+	t.ents[i] = entry{from: id}
+	t.msgs = t.msgs[:len(t.msgs)+k]
+	copy(t.msgs[(i+1)*k:], t.msgs[i*k:])
+	return i
+}
+
+// grow doubles the entry capacity into storage of the table's own.
+func (t *Table) grow() {
+	c := max(2*cap(t.ents), 4)
+	ents := make([]entry, len(t.ents), c)
+	copy(ents, t.ents)
+	msgs := make([]Message, len(t.msgs), c*t.k)
+	copy(msgs, t.msgs)
+	t.ents, t.msgs = ents, msgs
+}
+
+// remove compacts away the entries whose keep reports false and returns
+// how many went. The vacated message slots are zeroed to drop payload
+// references.
+func (t *Table) remove(keep func(i int) bool) int {
+	k, w := t.k, 0
+	for i := range t.ents {
+		if !keep(i) {
+			continue
+		}
+		if w != i {
+			t.ents[w] = t.ents[i]
+			copy(t.msgs[w*k:(w+1)*k], t.msgs[i*k:(i+1)*k])
+		}
+		w++
+	}
+	dropped := len(t.ents) - w
+	clear(t.msgs[w*k:])
+	t.ents, t.msgs = t.ents[:w], t.msgs[:w*k]
+	return dropped
+}
+
+// reclaim drops the histories expired at the given instant when that is
+// invisible (k = 1, see Table) and reports whether any went. It does not
+// bump Version: no query can tell.
+func (t *Table) reclaim(at float64) bool {
+	if t.k != 1 || t.expiry <= 0 {
+		return false
+	}
+	return t.remove(func(i int) bool { return t.live(i, at) }) > 0
 }
 
 // Observe records a received message, evicting the oldest stored message
@@ -205,10 +257,14 @@ func (t *Table) setHistory(id int, h []Message) {
 // of order; the table keeps the k highest versions. A duplicate version
 // replaces the stored copy.
 func (t *Table) Observe(msg Message) {
-	h := t.history(msg.From)
-	if t.m == nil && (msg.From < 0 || msg.From >= len(t.dense)) {
-		panic(fmt.Sprintf("hello: dense table for %d senders observed id %d", len(t.dense), msg.From))
+	i, ok := t.find(msg.From)
+	if !ok {
+		if t.n >= 0 && uint(msg.From) >= uint(t.n) {
+			panic(fmt.Sprintf("hello: sender %d outside [0, %d)", msg.From, t.n))
+		}
+		i = t.insert(i, msg.From, msg.SentAt)
 	}
+	h := t.history(i)
 	// Insert by descending version. Linear scan: h holds at most k entries
 	// (small), so this beats sort.Search's closure calls on the hot path.
 	idx := 0
@@ -219,51 +275,36 @@ func (t *Table) Observe(msg Message) {
 	case idx < len(h) && h[idx].Version == msg.Version:
 		h[idx] = msg // duplicate version: replace in place
 	case len(h) < t.k:
-		h = append(h, Message{})
+		h = h[:len(h)+1]
 		copy(h[idx+1:], h[idx:])
 		h[idx] = msg
+		t.ents[i].n++
 	case idx < t.k:
 		// Full history: shift the tail right in place, dropping the
-		// lowest stored version — equivalent to insert-then-truncate but
-		// without growing past capacity k.
+		// lowest stored version.
 		copy(h[idx+1:], h[idx:t.k-1])
 		h[idx] = msg
 	default:
 		return // older than all k stored versions of a full history
 	}
 	t.ver++
-	t.setHistory(msg.From, h)
 }
 
 // Forget removes all state for the given neighbor.
 func (t *Table) Forget(id int) {
-	if t.m != nil {
-		if _, ok := t.m[id]; ok {
-			t.ver++
-			delete(t.m, id)
-		}
-		return
-	}
-	if id >= 0 && id < len(t.dense) {
-		if len(t.dense[id]) > 0 {
-			t.ver++
-		}
-		t.setHistory(id, t.dense[id][:0])
+	if _, ok := t.find(id); ok {
+		t.ver++
+		t.remove(func(i int) bool { return t.ents[i].from != id })
 	}
 }
 
-// Len returns the number of neighbors with at least one stored message
-// (expired or not; call GC first for a live count).
-func (t *Table) Len() int {
-	if t.m != nil {
-		return len(t.m)
-	}
-	return t.live_
-}
+// Len returns the number of neighbors with at least one stored message:
+// live ones, plus expired ones not yet collected (GC) or reclaimed.
+func (t *Table) Len() int { return len(t.ents) }
 
-// live reports whether a history is unexpired at the given time.
-func (t *Table) live(h []Message, now float64) bool {
-	return len(h) > 0 && (t.expiry <= 0 || now-h[0].SentAt <= t.expiry)
+// live reports whether entry i is unexpired at the given time.
+func (t *Table) live(i int, now float64) bool {
+	return t.expiry <= 0 || now-t.msgs[i*t.k].SentAt <= t.expiry
 }
 
 // Latest returns the newest stored message per live neighbor, ascending by
@@ -275,49 +316,33 @@ func (t *Table) Latest(now float64) []Message {
 // LatestInto is Latest appending into dst (which may be nil), for hot paths
 // that reuse a scratch buffer across calls. Appended entries ascend by
 // neighbor id; dst's existing contents are untouched.
+//
 //manet:noalloc
 func (t *Table) LatestInto(dst []Message, now float64) []Message {
-	if t.m == nil {
-		// Dense layout iterates ids ascending; no sort needed.
-		for _, h := range t.dense {
-			if t.live(h, now) {
-				dst = append(dst, h[0])
-			}
-		}
-		return dst
-	}
-	start := len(dst)
-	//lint:order-independent
-	for _, h := range t.m {
-		if t.live(h, now) {
-			dst = append(dst, h[0])
+	for i := range t.ents {
+		if t.live(i, now) {
+			dst = append(dst, t.msgs[i*t.k])
 		}
 	}
-	sortByFrom(dst[start:])
 	return dst
 }
 
 // History returns up to k stored messages for the given neighbor, newest
 // first, or nil if the neighbor is absent or expired.
 func (t *Table) History(id int, now float64) []Message {
-	h := t.history(id)
-	if !t.live(h, now) {
-		return nil
-	}
-	out := make([]Message, len(h))
-	copy(out, h)
-	return out
+	return t.HistoryInto(nil, id, now)
 }
 
 // HistoryInto is History appending into dst (which may be nil); it appends
 // nothing when the neighbor is absent or expired.
+//
 //manet:noalloc
 func (t *Table) HistoryInto(dst []Message, id int, now float64) []Message {
-	h := t.history(id)
-	if !t.live(h, now) {
+	i, ok := t.find(id)
+	if !ok || !t.live(i, now) {
 		return dst
 	}
-	return append(dst, h...)
+	return append(dst, t.history(i)...)
 }
 
 // Versioned returns, per live neighbor, the stored message with exactly the
@@ -329,36 +354,20 @@ func (t *Table) Versioned(version uint64, now float64) []Message {
 }
 
 // VersionedInto is Versioned appending into dst (which may be nil).
+//
 //manet:noalloc
 func (t *Table) VersionedInto(dst []Message, version uint64, now float64) []Message {
-	if t.m == nil {
-		for _, h := range t.dense {
-			if !t.live(h, now) {
-				continue
-			}
-			for _, msg := range h {
-				if msg.Version == version {
-					dst = append(dst, msg)
-					break
-				}
-			}
-		}
-		return dst
-	}
-	start := len(dst)
-	//lint:order-independent
-	for _, h := range t.m {
-		if !t.live(h, now) {
+	for i := range t.ents {
+		if !t.live(i, now) {
 			continue
 		}
-		for _, msg := range h {
+		for _, msg := range t.history(i) {
 			if msg.Version == version {
 				dst = append(dst, msg)
 				break
 			}
 		}
 	}
-	sortByFrom(dst[start:])
 	return dst
 }
 
@@ -373,75 +382,28 @@ func (t *Table) AsOf(v uint64, now float64) []Message {
 }
 
 // AsOfInto is AsOf appending into dst (which may be nil).
+//
 //manet:noalloc
 func (t *Table) AsOfInto(dst []Message, v uint64, now float64) []Message {
-	if t.m == nil {
-		for _, h := range t.dense {
-			if !t.live(h, now) {
-				continue
-			}
-			// h is sorted by descending version; pick the first <= v.
-			for _, msg := range h {
-				if msg.Version <= v {
-					dst = append(dst, msg)
-					break
-				}
-			}
-		}
-		return dst
-	}
-	start := len(dst)
-	//lint:order-independent
-	for _, h := range t.m {
-		if !t.live(h, now) {
+	for i := range t.ents {
+		if !t.live(i, now) {
 			continue
 		}
-		// h is sorted by descending version; pick the first <= v.
-		for _, msg := range h {
+		// The history is sorted by descending version; pick the first <= v.
+		for _, msg := range t.history(i) {
 			if msg.Version <= v {
 				dst = append(dst, msg)
 				break
 			}
 		}
 	}
-	sortByFrom(dst[start:])
 	return dst
-}
-
-// sortByFrom orders messages ascending by sender id. Insertion sort: the
-// slices are small (one entry per live neighbor) and, unlike sort.Slice,
-// it allocates nothing — these calls sit on the per-Hello hot path.
-func sortByFrom(msgs []Message) {
-	for i := 1; i < len(msgs); i++ {
-		for j := i; j > 0 && msgs[j].From < msgs[j-1].From; j-- {
-			msgs[j], msgs[j-1] = msgs[j-1], msgs[j]
-		}
-	}
 }
 
 // GC drops neighbors whose newest message is expired and returns how many
 // were dropped.
 func (t *Table) GC(now float64) int {
-	dropped := 0
-	if t.m == nil {
-		for id, h := range t.dense {
-			if len(h) > 0 && !t.live(h, now) {
-				t.setHistory(id, h[:0])
-				dropped++
-			}
-		}
-		if dropped > 0 {
-			t.ver++
-		}
-		return dropped
-	}
-	//lint:order-independent
-	for id, h := range t.m {
-		if !t.live(h, now) {
-			delete(t.m, id)
-			dropped++
-		}
-	}
+	dropped := t.remove(func(i int) bool { return t.live(i, now) })
 	if dropped > 0 {
 		t.ver++
 	}

@@ -187,6 +187,19 @@ func TestNewTablePanics(t *testing.T) {
 	NewTable(0, 1)
 }
 
+func TestTablesNRejectOutOfRangeSender(t *testing.T) {
+	for _, id := range []int{-1, 4} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("expected panic observing sender %d on a table for [0, 4)", id)
+				}
+			}()
+			NewTablesN(1, 0, 4, 1)[0].Observe(msg(id, 0, 0, 1))
+		}()
+	}
+}
+
 func TestHistoryIsCopy(t *testing.T) {
 	tb := NewTable(2, 0)
 	tb.Observe(msg(1, 10, 0, 1))

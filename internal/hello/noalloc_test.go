@@ -14,7 +14,7 @@ import (
 // against the annotation scan in both directions.
 func TestNoallocAnnotationsConform(t *testing.T) {
 	const n, k = 16, 3
-	tbl := NewTableN(k, 30, n)
+	tbl := NewTablesN(k, 30, n, 1)[0]
 	ver := tbl.Version()
 	for round := 0; round < k+1; round++ {
 		for id := 0; id < n; id++ {

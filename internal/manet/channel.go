@@ -63,8 +63,8 @@ func (nw *Network) newHelloDelivery() *helloDelivery {
 	return &helloDelivery{nw: nw}
 }
 
-// releaseHelloDelivery clears d's payload (dropping the message's Neighbors
-// reference) and pushes it back on the freelist.
+// releaseHelloDelivery clears d (dropping the message's 2-hop payload
+// reference, if any) and pushes it back on the freelist.
 func (nw *Network) releaseHelloDelivery(d *helloDelivery) {
 	*d = helloDelivery{nw: nw, next: nw.freeHello}
 	nw.freeHello = d

@@ -103,7 +103,7 @@ func (nw *Network) transmit(fl *flood, sender int, now sim.Time) {
 		if fl.accepted[rid] {
 			continue
 		}
-		if !nw.cfg.Mech.PhysicalNeighbors && !nd.isLogical[rid] {
+		if !nw.cfg.Mech.PhysicalNeighbors && !nd.hasLogical(rid) {
 			continue // dropped at the topology layer
 		}
 		d := nw.newDelivery()

@@ -2,6 +2,7 @@ package manet
 
 import (
 	"math"
+	"slices"
 
 	"mstc/internal/cds"
 	"mstc/internal/channel"
@@ -26,7 +27,6 @@ type node struct {
 	ownLen        int                         // live entries in ownHist
 	ownHist       [ownHistDepth]hello.Message // own recent advertisements, newest first
 	logical       []int                       // current logical neighbor ids (ascending)
-	isLogical     []bool                      // membership mask, len = n
 	actualRange   float64
 	txRange       float64 // actual + buffer, clamped
 	cdsMarked     bool    // own Wu-Li marked status (CDSForward mechanism)
@@ -36,6 +36,14 @@ type node struct {
 
 // isDown reports whether the node is failed at time t.
 func (nd *node) isDown(t float64) bool { return t < nd.downUntil }
+
+// hasLogical reports whether id is one of nd's logical neighbors: a binary
+// search of the ascending logical set (2-8 entries for every protocol in
+// the registry).
+func (nd *node) hasLogical(id int) bool {
+	_, ok := slices.BinarySearch(nd.logical, id)
+	return ok
+}
 
 // ownHistDepth bounds the per-node history of own advertisements kept for
 // pinned-version (proactive) selection.
@@ -224,12 +232,12 @@ func NewNetwork(model mobility.Model, cfg Config) (*Network, error) {
 		k = 3
 		expiry = math.Max(expiry, 3*cfg.HelloMax)
 	}
-	// Bulk-allocate the per-node state: one node array, one shared hello
-	// table backing, one flat membership mask — O(1) allocations where the
-	// per-node constructors cost O(n).
+	// Bulk-allocate the per-node state: one node array and one shared
+	// hello-table backing — O(1) allocations where the per-node
+	// constructors cost O(n). Tables are sized to the neighborhood, so
+	// the whole set is O(n).
 	backing := make([]node, n)
 	tables := hello.NewTablesN(k, expiry, n, n)
-	masks := make([]bool, n*n)
 	// Logical neighbor sets are small (2-8 for every protocol in the
 	// registry), so per-node selection storage — the live set plus the
 	// cache's replay copy — comes from three shared backing arrays, each
@@ -246,7 +254,6 @@ func NewNetwork(model mobility.Model, cfg Config) (*Network, error) {
 		nd.id = i
 		nd.interval = sub.Uniform(cfg.HelloMin, cfg.HelloMax)
 		nd.table = tables[i]
-		nd.isLogical = masks[i*n : (i+1)*n : (i+1)*n]
 		nd.logical = logBack[i*selCap : i*selCap : (i+1)*selCap]
 		nd.cache.sel = selBack[i*selCap : i*selCap : (i+1)*selCap]
 		nd.cache.selPos = posBack[i*selCap : i*selCap : (i+1)*selCap]
@@ -405,19 +412,19 @@ func (nw *Network) sendHello(nd *node, now sim.Time) {
 	msg := hello.Message{From: nd.id, Pos: pos, SentAt: now, Version: nd.version}
 	if nw.cfg.Mech.CDSForward {
 		nd.cdsMarked = nw.wuLiMarked(nd, now)
-		msg.Marked = nd.cdsMarked
 		nw.msgBuf = nd.table.LatestInto(nw.msgBuf[:0], now)
-		// The neighbor list travels in the stored message, so it must be
-		// freshly allocated (exact-sized) rather than scratch-backed.
-		msg.Neighbors = make([]int, 0, len(nw.msgBuf))
+		// The payload travels in every receiver's stored message, so it
+		// must be freshly allocated (exact-sized) rather than scratch-backed.
+		p := &hello.Payload{Neighbors: make([]int, 0, len(nw.msgBuf)), Marked: nd.cdsMarked}
 		for _, m := range nw.msgBuf {
-			msg.Neighbors = append(msg.Neighbors, m.From)
+			p.Neighbors = append(p.Neighbors, m.From)
 		}
+		msg.Payload = p
 	}
 	if nw.traf != nil {
 		// Traffic excludes CDSForward, so the assignment never clobbers a
 		// CDS payload; outside OLSR mode it is nil over nil.
-		msg.Neighbors, msg.MPRs = nw.traf.helloPayload(nd, now)
+		msg.Payload = nw.traf.helloPayload(nd, now)
 	}
 	nd.recordOwn(msg)
 	nd.advertisedPos = pos
@@ -521,8 +528,10 @@ func (nw *Network) wuLiMarked(nd *node, now sim.Time) bool {
 	nw.cdsNbrBuf = nw.cdsNbrBuf[:0]
 	for _, m := range nw.msgBuf {
 		nw.cdsNbrBuf = append(nw.cdsNbrBuf, m.From)
-		nw.cdsNbrOf[m.From] = m.Neighbors
-		nw.cdsMarkBuf[m.From] = m.Marked
+		if m.Payload != nil { // absent keys read as nil / unmarked
+			nw.cdsNbrOf[m.From] = m.Payload.Neighbors
+			nw.cdsMarkBuf[m.From] = m.Payload.Marked
+		}
 	}
 	v := cds.View{Self: nd.id, Neighbors: nw.cdsNbrBuf, NeighborsOf: nw.cdsNbrOf}
 	if !cds.Marked(v) {
@@ -720,13 +729,7 @@ func (sc *selCtx) applySelection(nd *node, v topology.View, sel []int) {
 }
 
 func (sc *selCtx) setSelection(nd *node, sel []int, actual float64) {
-	for _, id := range nd.logical {
-		nd.isLogical[id] = false
-	}
 	nd.logical = append(nd.logical[:0], sel...)
-	for _, id := range nd.logical {
-		nd.isLogical[id] = true
-	}
 	nd.actualRange = actual
 	nd.txRange = topology.ExtendedRange(actual, sc.cfg.Mech.Buffer, sc.cfg.NormalRange)
 }
@@ -753,7 +756,7 @@ func (nw *Network) EffectiveDigraphAt(t float64) *graph.Directed {
 	for _, nd := range nw.nodes {
 		buf = nw.med.ReceiversAt(t, nd.id, nd.txRange, buf[:0])
 		for _, v := range buf {
-			if nw.cfg.Mech.PhysicalNeighbors || nd.isLogical[v] {
+			if nw.cfg.Mech.PhysicalNeighbors || nd.hasLogical(v) {
 				d.AddArc(nd.id, v)
 			}
 		}

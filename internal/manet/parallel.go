@@ -819,7 +819,7 @@ func (pr *parRun) processFloodScan(pd *domainCtx, d int) {
 		if fl.accepted[rid] {
 			continue
 		}
-		if !nw.cfg.Mech.PhysicalNeighbors && !snd.isLogical[rid] {
+		if !nw.cfg.Mech.PhysicalNeighbors && !snd.hasLogical(rid) {
 			continue // dropped at the topology layer
 		}
 		pd.fout = append(pd.fout, floodOut{at: at + nw.floodDelay(fl, sender, rid, 0), rid: rid})

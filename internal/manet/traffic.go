@@ -312,7 +312,7 @@ func (nw *Network) sendTo(p trafficPacket, u, target int, now sim.Time) bool {
 	if !found {
 		return false
 	}
-	if !nw.cfg.Mech.PhysicalNeighbors && !nd.isLogical[target] {
+	if !nw.cfg.Mech.PhysicalNeighbors && !nd.hasLogical(target) {
 		return false // dropped at the topology layer
 	}
 	nw.scheduleTraffic(p, target, now)
@@ -334,7 +334,7 @@ func (nw *Network) broadcastCtrl(p trafficPacket, u int, now sim.Time) {
 	_, receivers := nw.med.Transmit(now, u, nd.txRange, nw.recvBuf[:0])
 	nw.recvBuf = receivers
 	for _, rid := range receivers {
-		if !nw.cfg.Mech.PhysicalNeighbors && !nd.isLogical[rid] {
+		if !nw.cfg.Mech.PhysicalNeighbors && !nd.hasLogical(rid) {
 			continue
 		}
 		nw.scheduleTraffic(p, rid, now)
@@ -721,7 +721,7 @@ func (ts *trafficState) originateTC(nd *node, now sim.Time) {
 	ts.msgBuf = nd.table.LatestInto(ts.msgBuf[:0], now)
 	count := 0
 	for _, m := range ts.msgBuf {
-		if containsInt(m.MPRs, nd.id) {
+		if namesMPR(m, nd.id) {
 			count++
 		}
 	}
@@ -732,7 +732,7 @@ func (ts *trafficState) originateTC(nd *node, now sim.Time) {
 	// copied on ingestion), so it must be freshly allocated, exact-sized.
 	sel := make([]int, 0, count)
 	for _, m := range ts.msgBuf {
-		if containsInt(m.MPRs, nd.id) {
+		if namesMPR(m, nd.id) {
 			sel = append(sel, m.From)
 		}
 	}
@@ -764,27 +764,31 @@ func (nw *Network) handleTC(p trafficPacket, u int, now sim.Time) {
 // selectedBy reports whether s's latest hello in u's table names u as MPR.
 func (ts *trafficState) selectedBy(u, s int, now float64) bool {
 	ts.histBuf = ts.nw.nodes[u].table.HistoryInto(ts.histBuf[:0], s, now)
-	return len(ts.histBuf) > 0 && containsInt(ts.histBuf[0].MPRs, u)
+	return len(ts.histBuf) > 0 && namesMPR(ts.histBuf[0], u)
 }
 
 // helloPayload builds the OLSR gossip of an outgoing hello: the sender's
 // current neighbor list and its MPR selection over the gossiped 2-hop
-// neighborhood (nil, nil outside OLSR mode). Both slices travel in the
-// stored message, so they are freshly allocated (exact-sized) rather than
-// scratch-backed — the same rule sendHello's CDSForward payload follows.
-// Returning the slices (instead of filling the message through a pointer)
-// keeps the message itself off the heap on the hello fast path.
-func (ts *trafficState) helloPayload(nd *node, now float64) (neighbors, mprs []int) {
+// neighborhood (nil outside OLSR mode). The payload travels in every
+// receiver's stored message, so it is freshly allocated (exact-sized)
+// rather than scratch-backed — the same rule sendHello's CDSForward
+// payload follows.
+func (ts *trafficState) helloPayload(nd *node, now float64) *hello.Payload {
 	if ts.cfg.Mode != traffic.OLSR {
-		return nil, nil
+		return nil
 	}
 	// Gossip the *logical* selection (one beacon stale: sendHello builds
 	// the payload before re-selecting), so 2-hop sets, MPRs, and the
 	// link-state graph all describe links data can traverse.
-	neighbors = append(make([]int, 0, len(nd.logical)), nd.logical...)
-	mprs = ts.computeMPRs(nd, now)
+	p := &hello.Payload{Neighbors: append(make([]int, 0, len(nd.logical)), nd.logical...)}
+	p.MPRs = ts.computeMPRs(nd, now)
 	ts.ls[nd.id].MarkDirty() // our own links may have changed
-	return neighbors, mprs
+	return p
+}
+
+// namesMPR reports whether hello m names u among the sender's MPRs.
+func namesMPR(m hello.Message, u int) bool {
+	return m.Payload != nil && containsInt(m.Payload.MPRs, u)
 }
 
 // computeMPRs selects nd's multipoint relays from its current *logical*
@@ -807,7 +811,10 @@ func (ts *trafficState) computeMPRs(nd *node, now float64) []int {
 			if m.From != id {
 				continue
 			}
-			for _, x := range m.Neighbors {
+			if m.Payload == nil {
+				break
+			}
+			for _, x := range m.Payload.Neighbors {
 				if !ts.nbrMask[x] {
 					lst = append(lst, x)
 				}

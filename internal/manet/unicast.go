@@ -141,7 +141,7 @@ func (nw *Network) greedyNext(nd *node, dst int, target geom.Point, now sim.Time
 	best := -1
 	bestD := nd.advertisedPos.Dist2(target)
 	for _, m := range nd.table.Latest(now) {
-		if !nw.cfg.Mech.PhysicalNeighbors && !nd.isLogical[m.From] {
+		if !nw.cfg.Mech.PhysicalNeighbors && !nd.hasLogical(m.From) {
 			continue
 		}
 		if m.From == dst {

@@ -43,7 +43,9 @@ func NewRegions(domains, workers int, run func(domain int)) *Regions {
 	if workers > 1 {
 		r.work = make(chan int, domains)
 		for w := 0; w < workers; w++ {
-			go r.worker()
+			// The channel is passed in, not read from r: Close clears
+			// r.work, possibly before a worker has started.
+			go r.worker(r.work)
 		}
 	}
 	return r
@@ -55,8 +57,8 @@ func (r *Regions) Domains() int { return r.domains }
 // Workers returns the effective worker count.
 func (r *Regions) Workers() int { return r.workers }
 
-func (r *Regions) worker() {
-	for d := range r.work {
+func (r *Regions) worker(work <-chan int) {
+	for d := range work {
 		r.run(d)
 		r.wg.Done()
 	}
