@@ -122,7 +122,7 @@ func main() {
 	log.Printf("serving %s (%d tasks, %d store hits, %d pending) on http://%s",
 		*exp, status.Total, status.Hits, status.Pending, bound)
 
-	srv := &http.Server{Handler: c.Handler()}
+	srv := fleet.NewServer(c)
 
 	// Lifecycle: SIGINT/SIGTERM flushes an interrupted checkpoint and
 	// exits 130 (matching paperfig's drain contract — workers' in-flight

@@ -166,6 +166,17 @@ func (r Rect) Area() float64 {
 // Empty reports whether r contains no points.
 func (r Rect) Empty() bool { return r.Max.X < r.Min.X || r.Max.Y < r.Min.Y }
 
+// Extend returns the smallest rectangle containing both r and p. Extending
+// a rectangle with Min at +Inf and Max at -Inf yields the point itself,
+// so a bounding box can start from that empty rectangle.
+func (r Rect) Extend(p Point) Rect {
+	r.Min.X = math.Min(r.Min.X, p.X)
+	r.Min.Y = math.Min(r.Min.Y, p.Y)
+	r.Max.X = math.Max(r.Max.X, p.X)
+	r.Max.Y = math.Max(r.Max.Y, p.Y)
+	return r
+}
+
 // Center returns the center point of r.
 func (r Rect) Center() Point { return r.Min.Mid(r.Max) }
 

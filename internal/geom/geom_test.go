@@ -156,6 +156,29 @@ func TestRectEmptyAndClamp(t *testing.T) {
 	}
 }
 
+func TestRectExtend(t *testing.T) {
+	empty := Rect{Min: Pt(math.Inf(1), math.Inf(1)), Max: Pt(math.Inf(-1), math.Inf(-1))}
+	if !empty.Empty() {
+		t.Fatal("the starting box should be Empty")
+	}
+	box := empty
+	pts := []Point{Pt(3, -2), Pt(-1, 7), Pt(2, 2)}
+	for _, p := range pts {
+		box = box.Extend(p)
+	}
+	if want := NewRect(Pt(-1, -2), Pt(3, 7)); box != want {
+		t.Errorf("Extend box = %+v, want %+v", box, want)
+	}
+	for _, p := range pts {
+		if !p.In(box) {
+			t.Errorf("%v not In its bounding box %+v", p, box)
+		}
+	}
+	if got := empty.Extend(Pt(4, 5)); got != NewRect(Pt(4, 5), Pt(4, 5)) {
+		t.Errorf("one-point box = %+v, want the point", got)
+	}
+}
+
 func TestSquare(t *testing.T) {
 	r := Square(900)
 	if r.Min != Pt(0, 0) || r.Max != Pt(900, 900) {

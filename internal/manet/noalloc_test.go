@@ -30,7 +30,7 @@ func TestNoallocAnnotationsConform(t *testing.T) {
 		"delivery.Act", "domainCtx.popDel", "domainCtx.pushDel",
 		"helloDelivery.Act", "parRun.processDomain", "parRun.processFloodScan",
 		"parRun.processRecord", "parRun.processSegment", "parRun.processSettle",
-		"trafficDelivery.Act", "trafficState.olsrNextHop",
+		"parRun.receivers", "sortInts", "trafficDelivery.Act", "trafficState.olsrNextHop",
 	}
 	if !reflect.DeepEqual(annotated, want) {
 		t.Fatalf("//manet:noalloc set changed: got %v, want %v — update this conformance test with the new path", annotated, want)
@@ -147,9 +147,10 @@ func TestTrafficSteadyStateAllocs(t *testing.T) {
 }
 
 // TestParallelStepNoalloc pins the region-parallel hot path (//manet:noalloc
-// on parRun.processDomain and parRun.processRecord): after warm-up, a full
-// synchronization window — batched resolve, domain assignment, record
-// dispatch, and the inline single-worker barrier — must allocate nothing.
+// on parRun.processDomain, parRun.processRecord and parRun.receivers): after
+// warm-up, a full synchronization window — batched resolve, grid rebuild,
+// domain assignment, record dispatch, and the inline single-worker barrier
+// — must allocate nothing.
 func TestParallelStepNoalloc(t *testing.T) {
 	model := parWaypoint(t, 48, 20, 60, 5)
 	cfg := Config{Protocol: topology.RNG{}, Domains: 2, ParallelWorkers: 1, Seed: 7}

@@ -7,6 +7,16 @@ package manet
 // guard halo provably cover every receiver (the same argument as the radio
 // medium's staleness grid and the paper's buffer zone, Theorem 5).
 //
+// Every snapshot (window start, or a fence-time flood transmit past the
+// window) resolves all positions once, re-indexes them in a spatial grid
+// and assigns owners. Receiver scans — a beacon's or a flood transmit's,
+// in each domain its halo reaches — query that grid instead of resolving
+// every owned node: within Δ of the snapshot no node has moved more than
+// vmax·Δ, so a query of radius r + vmax·Δ around the sender's exact
+// position, clipped to the domain's owned nodes' bounding box, holds every
+// owned receiver, and the exact-distance filter over positions at the
+// transmit instant keeps exactly the serial radio's set (see receivers).
+//
 // Inside a window the dispatcher (the calling goroutine) advances a merged
 // timeline of four item kinds, interleaving serial steps with parallel
 // barrier passes over the domains:
@@ -18,14 +28,14 @@ package manet
 //     per node in beacon order. Records are merged into (time, sender)
 //     order — the serial event order, since each sender beacons at most
 //     once per instant — queued to every domain their halo disc can
-//     reach, and processed by a segment barrier: each domain scans its
-//     owned nodes per record with the exact-distance filter, the keyed
-//     radio loss draw, and the per-receiver channel loss chains, then
-//     delivers (or, under channel delay, defers) and re-selects the
-//     sender in its owner domain. Dispatch never outruns the processing
-//     horizon, so anything the dispatcher reads at a boundary instant —
-//     a flood forwarder's advertised position, its own-advertisement
-//     history — is exactly the state the serial engine would see there.
+//     reach, and processed by a segment barrier: each domain runs the
+//     snapshot-grid receiver scan per record (exact-distance filter, keyed
+//     radio loss draw, per-receiver channel loss chains), then delivers
+//     (or, under channel delay, defers) and re-selects the sender in its
+//     owner domain. Dispatch never outruns the processing horizon, so
+//     anything the dispatcher reads at a boundary instant — a flood
+//     forwarder's advertised position, its own-advertisement history — is
+//     exactly the state the serial engine would see there.
 //   - Deferred receptions. Under channel delay each reception becomes a
 //     (deliver-at, seq) item on its receiver's owner-domain min-heap,
 //     drained by the same segment barriers in time order. seq reproduces
@@ -43,12 +53,12 @@ package manet
 //     self-pruning cover check — the serial delivery.Act sequence), and
 //     on a forward runs the sender-side transmit serially (selection,
 //     counters, cover capture) followed by one scan barrier: every
-//     domain inside the sender's halo box scans its owned nodes with the
-//     same exact-distance + keyed-loss + loss-chain filter and emits
-//     accepting receivers to a per-domain outbox with their keyed
-//     delivery delays. Outboxes merge in ascending receiver order — the
-//     serial per-transmit schedule order — onto the global heap. Every
-//     random component of a flood reception (radio loss, channel loss
+//     domain runs the same snapshot-grid receiver scan (a domain beside
+//     the sender's disc finds no cells to scan) and emits accepting
+//     receivers to a per-domain outbox with their keyed delivery delays.
+//     Outboxes merge in ascending receiver order — the serial
+//     per-transmit schedule order — onto the global heap. Every random
+//     component of a flood reception (radio loss, channel loss
 //     chains, forward jitter, channel delay) is either a pure function
 //     of the reception's identity or a per-receiver chain advanced in
 //     chronological order, so the heap replays the serial engine's
@@ -76,6 +86,7 @@ import (
 	"mstc/internal/mobility"
 	"mstc/internal/radio"
 	"mstc/internal/sim"
+	"mstc/internal/spatial"
 )
 
 // helloRecord is one dispatched beacon: the send instant, the sender, its
@@ -134,11 +145,14 @@ const (
 
 // domainCtx is the per-domain mutable state: a private position cursor, a
 // private selection context (scratch + cursor-backed position source), the
-// receiver scratch list, the deferred-reception heap, and the flood-scan
+// bounding box of the owned nodes' snapshot positions, the candidate and
+// receiver scratch lists, the deferred-reception heap, and the flood-scan
 // outbox. Nothing in it is ever touched by another domain's worker.
 type domainCtx struct {
 	cur  *mobility.Cursor
 	sel  selCtx
+	box  geom.Rect // owned snapshot positions' bounding box (empty if none)
+	cand []int
 	recv []int
 	del  []delItem  // deferred receptions, (at, seq) min-heap
 	fout []floodOut // flood-scan outbox
@@ -157,12 +171,13 @@ type parRun struct {
 	nextHello []float64 // per-node next beacon instant (serial Every chain)
 	nextDue   float64   // next undispatched beacon/round instant
 	records   []helloRecord
-	sortBase  int          // records[sortBase:] is the batch being sorted
-	gRec      int          // records before gRec are processed
-	posT      []geom.Point // snapshot positions (batched resolve)
-	domainOf  []int        // snapshot ownership per node
-	owned     [][]int      // per-domain owned node ids, ascending
-	queues    [][]int32    // per-domain record indices, dispatch order
+	sortBase  int            // records[sortBase:] is the batch being sorted
+	gRec      int            // records before gRec are processed
+	posT      []geom.Point   // snapshot positions (batched resolve)
+	index     *spatial.Index // grid over posT, rebuilt with every snapshot
+	domainOf  []int          // snapshot ownership per node
+	owned     [][]int        // per-domain owned node ids, ascending
+	queues    [][]int32      // per-domain record indices, dispatch order
 
 	reactive  bool    // reactive scheme: rounds + settle passes
 	roundIvl  float64 // common round interval
@@ -184,11 +199,7 @@ type parRun struct {
 	scanSender int
 	scanAt     float64
 	scanPos    geom.Point
-	scanR2     float64
-	scanX0     int // halo bounds of the current flood scan
-	scanY0     int
-	scanX1     int
-	scanY1     int
+	scanR      float64
 
 	rehome []delItem  // snapshot re-homing scratch
 	fmerge []floodOut // flood outbox merge scratch
@@ -199,7 +210,7 @@ type parRun struct {
 
 	window float64 // synchronization window length W (may be +Inf)
 	haloR  float64 // NormalRange + grid guard
-	r2     float64 // NormalRange² (exact receiver filter)
+	vmax   float64 // maximum node speed (receiver-scan inflation)
 	t      float64 // parallel clock: hellos before t are processed
 }
 
@@ -218,6 +229,7 @@ func (nw *Network) newParRun() *parRun {
 		nextHello: make([]float64, n),
 		nextDue:   math.Inf(1),
 		posT:      make([]geom.Point, 0, n),
+		index:     spatial.MustIndex(nw.model.Arena(), nw.cfg.NormalRange/2),
 		domainOf:  make([]int, 0, n),
 		owned:     make([][]int, doms),
 		queues:    make([][]int32, doms),
@@ -225,15 +237,11 @@ func (nw *Network) newParRun() *parRun {
 		roundIvl:  (nw.cfg.HelloMin + nw.cfg.HelloMax) / 2,
 		window:    grid.Window(nw.model.MaxSpeed()),
 		haloR:     nw.cfg.NormalRange + grid.Guard(),
-		r2:        nw.cfg.NormalRange * nw.cfg.NormalRange,
+		vmax:      nw.model.MaxSpeed(),
 	}
 	for d := range pr.doms {
 		cur := mobility.NewCursor(nw.model)
-		pr.doms[d] = domainCtx{
-			cur:  cur,
-			sel:  selCtx{cfg: &nw.cfg, pos: cur},
-			recv: make([]int, 0, n),
-		}
+		pr.doms[d] = domainCtx{cur: cur, sel: selCtx{cfg: &nw.cfg, pos: cur}}
 	}
 	if pr.reactive {
 		// Rounds start at time 0, like the serial Every(0, interval).
@@ -408,18 +416,22 @@ func (pr *parRun) runWindow(start, end float64, incl bool) {
 }
 
 // snapshot re-resolves every position at the given instant in one batched
-// cursor sweep, reassigns domain ownership, and re-homes pending deferred
-// receptions to their receivers' (possibly new) owner domains in (at, seq)
-// order — a deterministic permutation, so worker scheduling cannot leak
-// into heap contents.
+// cursor sweep, re-indexes the positions for the receiver scans, reassigns
+// domain ownership (owned lists and bounding boxes), and re-homes pending
+// deferred receptions to their receivers' (possibly new) owner domains in
+// (at, seq) order — a deterministic permutation, so worker scheduling
+// cannot leak into heap contents.
 func (pr *parRun) snapshot(at float64) {
 	pr.posT = pr.cur.ResolveAllInto(pr.posT[:0], at)
+	pr.index.Build(pr.posT)
 	pr.domainOf = pr.grid.AssignInto(pr.posT, pr.domainOf[:0])
 	for d := range pr.owned {
 		pr.owned[d] = pr.owned[d][:0]
+		pr.doms[d].box = geom.Rect{Min: geom.Pt(math.Inf(1), math.Inf(1)), Max: geom.Pt(math.Inf(-1), math.Inf(-1))}
 	}
 	for i, d := range pr.domainOf {
 		pr.owned[d] = append(pr.owned[d], i)
+		pr.doms[d].box = pr.doms[d].box.Extend(pr.posT[i])
 	}
 	pr.rehome = pr.rehome[:0]
 	for d := range pr.doms {
@@ -640,8 +652,7 @@ func (pr *parRun) floodTransmit(fl *flood, sender int, now float64) {
 	pr.ensureSnapshot(now)
 	pr.scanFl, pr.scanSender, pr.scanAt = fl, sender, now
 	pr.scanPos = nw.med.PositionAt(sender, now)
-	pr.scanR2 = r * r
-	pr.scanX0, pr.scanY0, pr.scanX1, pr.scanY1 = pr.grid.HaloBounds(pr.scanPos, r+pr.grid.Guard())
+	pr.scanR = r
 	pr.mode = modeFloodScan
 	pr.pool.Barrier()
 	pr.mode = modeSegment
@@ -709,39 +720,16 @@ func (pr *parRun) processSegment(pd *domainCtx, d int) {
 	}
 }
 
-// processRecord delivers one beacon inside one domain: exact-distance
-// receiver scan over the owned nodes (bit-identical to the serial radio's
-// filter), the keyed radio loss draw, per-receiver channel loss chains in
-// ascending-id order (the serial FilterLost order restricted to this
-// domain — chains are per-receiver, so the restriction changes nothing),
-// then synchronous delivery, deferral onto the domain heap (channel
-// delay), or the reactive ideal path — and the sender's re-selection in
-// its owner domain.
+// processRecord delivers one beacon inside one domain: the domain's
+// receivers from the snapshot-grid scan, then synchronous delivery,
+// deferral onto the domain heap (channel delay), or the reactive ideal
+// path — and the sender's re-selection in its owner domain.
 //
 //manet:noalloc
 func (pr *parRun) processRecord(pd *domainCtx, d int, ri int) {
 	nw := pr.nw
 	rec := &pr.records[ri]
-	pd.recv = pd.recv[:0]
-	for _, v := range pr.owned[d] {
-		if v == rec.sender {
-			continue
-		}
-		if pd.cur.PositionAt(v, rec.at).Dist2(rec.truePos) > pr.r2 {
-			continue
-		}
-		if nw.med.LostAt(rec.at, rec.sender, v) {
-			continue
-		}
-		pd.recv = append(pd.recv, v)
-	}
-	recv := pd.recv
-	if nw.ch.LossEnabled() {
-		// Chains advance for every in-range radio-surviving receiver, down
-		// or not — the serial Transmit does the same before the isDown
-		// delivery check.
-		recv = nw.ch.FilterLost(recv)
-	}
+	recv := pr.receivers(pd, d, rec.sender, rec.truePos, rec.at, nw.cfg.NormalRange)
 	switch {
 	case nw.ch.DelayEnabled():
 		sent := math.Float64bits(rec.msg.SentAt)
@@ -784,38 +772,17 @@ func (pr *parRun) processSettle(pd *domainCtx, d int) {
 }
 
 // processFloodScan emits this domain's accepting receivers for the current
-// flood transmit: the same exact-distance + keyed-loss + loss-chain filter
-// as a beacon scan, then the forwarding-rule checks of the serial
-// transmit's receiver loop, with each survivor's keyed delivery delay.
+// flood transmit: the same snapshot-grid receiver scan as a beacon, then
+// the forwarding-rule checks of the serial transmit's receiver loop, with
+// each survivor's keyed delivery delay.
 //
 //manet:noalloc
 func (pr *parRun) processFloodScan(pd *domainCtx, d int) {
 	pd.fout = pd.fout[:0]
-	side := pr.grid.Side()
-	if ix, iy := d%side, d/side; ix < pr.scanX0 || ix > pr.scanX1 || iy < pr.scanY0 || iy > pr.scanY1 {
-		return // outside the sender's halo box: no owned node can receive
-	}
 	nw := pr.nw
 	fl, sender, at := pr.scanFl, pr.scanSender, pr.scanAt
 	snd := nw.nodes[sender]
-	pd.recv = pd.recv[:0]
-	for _, v := range pr.owned[d] {
-		if v == sender {
-			continue
-		}
-		if pd.cur.PositionAt(v, at).Dist2(pr.scanPos) > pr.scanR2 {
-			continue
-		}
-		if nw.med.LostAt(at, sender, v) {
-			continue
-		}
-		pd.recv = append(pd.recv, v)
-	}
-	recv := pd.recv
-	if nw.ch.LossEnabled() {
-		recv = nw.ch.FilterLost(recv)
-	}
-	for _, rid := range recv {
+	for _, rid := range pr.receivers(pd, d, sender, pr.scanPos, at, pr.scanR) {
 		if fl.accepted[rid] {
 			continue
 		}
@@ -823,6 +790,64 @@ func (pr *parRun) processFloodScan(pd *domainCtx, d int) {
 			continue // dropped at the topology layer
 		}
 		pd.fout = append(pd.fout, floodOut{at: at + nw.floodDelay(fl, sender, rid, 0), rid: rid})
+	}
+}
+
+// receivers returns the receivers owned by domain d of a transmission by
+// sender from its exact position pos at instant at with range r, in
+// ascending id order, after the keyed radio loss draw and the channel loss
+// chains — the serial Transmit's receiver set restricted to the domain.
+//
+// Candidates come from the snapshot grid. A node indexed at its snapAt
+// position is at most vmax·|at−snapAt| away from where it is at at, and pos
+// is exact, so every node within r of pos at at is indexed within
+// r + vmax·|at−snapAt| of it: the bounded-displacement argument of the
+// radio's staleness grid and the paper's buffer zone (Theorem 5), one-sided
+// because only the receiver's position is stale. The query is clipped to
+// the bounding box of the domain's owned snapshot positions, so a disc
+// spanning several domains is scanned about once in total. The exact
+// filter over positions at at is the serial radio's, so the set is exact.
+// Radio loss is a pure function of the reception and chains are
+// per-receiver, advanced here in ascending-id order as the serial
+// FilterLost does — restricting either to one domain changes nothing.
+// Chains advance for every in-range radio-surviving receiver, down or not,
+// as the serial Transmit does before its isDown delivery check.
+//
+//manet:noalloc
+func (pr *parRun) receivers(pd *domainCtx, d, sender int, pos geom.Point, at, r float64) []int {
+	nw := pr.nw
+	pd.cand = pr.index.WithinClipped(pos, r+pr.vmax*math.Abs(at-pr.snapAt), pd.box, pd.cand[:0])
+	r2 := r * r
+	recv := pd.recv[:0]
+	for _, v := range pd.cand {
+		if v == sender || pr.domainOf[v] != d {
+			continue
+		}
+		if pd.cur.PositionAt(v, at).Dist2(pos) > r2 {
+			continue
+		}
+		recv = append(recv, v)
+	}
+	pd.recv = recv
+	sortInts(recv)
+	kept := recv[:0]
+	for _, v := range recv {
+		if !nw.med.LostAt(at, sender, v) {
+			kept = append(kept, v)
+		}
+	}
+	return nw.ch.FilterLost(kept)
+}
+
+// sortInts is an allocation-free insertion sort for the small per-domain
+// receiver lists, as in the radio's ReceiversAt.
+//
+//manet:noalloc
+func sortInts(a []int) {
+	for i := 1; i < len(a); i++ {
+		for j := i; j > 0 && a[j] < a[j-1]; j-- {
+			a[j], a[j-1] = a[j-1], a[j]
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -46,12 +47,12 @@ func runDigest(tb testing.TB, model mobility.Model, cfg Config, dur float64) str
 	}
 	res := nw.Run(dur)
 	// Vacuity guard matched to the configured probe workload: traffic runs
-	// flood nothing by construction.
+	// and FloodRate 0 runs flood nothing by construction.
 	if cfg.Traffic.Enabled() {
 		if res.HelloTx == 0 || res.Traffic.Sent == 0 {
 			tb.Fatalf("degenerate run: hellos=%d traffic sent=%d", res.HelloTx, res.Traffic.Sent)
 		}
-	} else if res.HelloTx == 0 || res.Floods == 0 {
+	} else if res.HelloTx == 0 || (cfg.FloodRate > 0 && res.Floods == 0) {
 		tb.Fatalf("degenerate run: hellos=%d floods=%d", res.HelloTx, res.Floods)
 	}
 	h := sha256.New()
@@ -63,10 +64,13 @@ func runDigest(tb testing.TB, model mobility.Model, cfg Config, dur float64) str
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// gridWorker is one (domain side, worker count) cell of the matrix.
+type gridWorker struct{ side, workers int }
+
 // gridWorkers is the (domain side, worker count) matrix: single-domain
 // degenerate grids, square grids with fewer/equal/more workers than cores,
 // and a deliberately odd worker count that does not divide the domain count.
-var gridWorkers = []struct{ side, workers int }{
+var gridWorkers = []gridWorker{
 	{1, 1}, {1, 2},
 	{2, 1}, {2, 2}, {2, 4}, {2, 7},
 	{4, 1}, {4, 4}, {4, 7},
@@ -79,9 +83,9 @@ func TestParallelMatchesSerialMatrix(t *testing.T) {
 		speed = 20.0
 	)
 	variants := []struct {
-		name string
-		cfg  Config
-		full bool // run the full grid×worker matrix
+		name   string
+		cfg    Config
+		matrix []gridWorker // nil: the full gridWorkers matrix
 	}{
 		{
 			name: "ideal",
@@ -89,7 +93,6 @@ func TestParallelMatchesSerialMatrix(t *testing.T) {
 				Protocol: topology.RNG{}, FloodRate: 5,
 				SnapshotEvery: 2.5, Seed: 7,
 			},
-			full: true,
 		},
 		{
 			name: "faulty",
@@ -104,7 +107,6 @@ func TestParallelMatchesSerialMatrix(t *testing.T) {
 				c.Channel.Churn = channel.ChurnConfig{MeanUp: 6, MeanDown: 1}
 				return c
 			}(),
-			full: true,
 		},
 		{
 			name: "mechanisms",
@@ -113,6 +115,7 @@ func TestParallelMatchesSerialMatrix(t *testing.T) {
 				Mech: Mechanisms{Buffer: 10, ViewSync: true, PhysicalNeighbors: true, Proactive: true},
 				Seed: 13,
 			},
+			matrix: []gridWorker{{2, 2}, {4, 7}},
 		},
 		{
 			// Non-ideal channel delay: every reception defers by its own
@@ -129,7 +132,6 @@ func TestParallelMatchesSerialMatrix(t *testing.T) {
 				c.Channel.Churn = channel.ChurnConfig{MeanUp: 6, MeanDown: 1}
 				return c
 			}(),
-			full: true,
 		},
 		{
 			// Radio-medium loss (keyed per-reception draws) stacked with
@@ -146,7 +148,6 @@ func TestParallelMatchesSerialMatrix(t *testing.T) {
 				c.Channel.Loss = channel.LossConfig{Model: channel.Bernoulli, Rate: 0.1}
 				return c
 			}(),
-			full: true,
 		},
 		{
 			// Reactive strong-consistency rounds on the ideal channel:
@@ -156,7 +157,6 @@ func TestParallelMatchesSerialMatrix(t *testing.T) {
 				Protocol: topology.RNG{}, FloodRate: 5,
 				Mech: Mechanisms{Reactive: true, Buffer: 10}, Seed: 29,
 			},
-			full: true,
 		},
 		{
 			// Reactive rounds on a faulty channel: down nodes skip their
@@ -179,7 +179,6 @@ func TestParallelMatchesSerialMatrix(t *testing.T) {
 				c.Channel.Churn = channel.ChurnConfig{MeanUp: 8, MeanDown: 1}
 				return c
 			}(),
-			full: true,
 		},
 		{
 			// Weak consistency end to end. The first engine fence sits at
@@ -198,7 +197,19 @@ func TestParallelMatchesSerialMatrix(t *testing.T) {
 				Mech: Mechanisms{WeakK: 3},
 				Seed: 17,
 			},
-			full: true,
+		},
+		{
+			// Maximal staleness: no floods and metric samples 5 s apart
+			// leave the only engine fences at 2.5 s and 7.5 s, so windows
+			// run to the full guard/(2·vmax) on the 2×2 and 4×4 grids (and
+			// to the fence on 1×1). Beacons late in a window are scanned
+			// with the largest query-radius inflation the snapshot grid
+			// must absorb; an inflation too small loses receivers here.
+			name: "max-staleness",
+			cfg: Config{
+				Protocol: topology.RNG{}, SampleRate: 0.2, Seed: 37,
+			},
+			matrix: []gridWorker{{1, 1}, {2, 2}, {4, 4}},
 		},
 	}
 	for _, v := range variants {
@@ -207,9 +218,9 @@ func TestParallelMatchesSerialMatrix(t *testing.T) {
 			t.Parallel()
 			model := parWaypoint(t, n, speed, dur, 40+v.cfg.Seed)
 			want := runDigest(t, model, v.cfg, dur)
-			matrix := gridWorkers
-			if !v.full {
-				matrix = []struct{ side, workers int }{{2, 2}, {4, 7}}
+			matrix := v.matrix
+			if matrix == nil {
+				matrix = gridWorkers
 			}
 			for _, gw := range matrix {
 				cfg := v.cfg
@@ -224,6 +235,60 @@ func TestParallelMatchesSerialMatrix(t *testing.T) {
 					t.Errorf("%dx%d domains, %d workers: digest %s != serial %s",
 						gw.side, gw.side, gw.workers, got[:16], want[:16])
 				}
+			}
+		})
+	}
+}
+
+// TestReceiverScanMatchesOwnedScan compares the region-parallel receiver
+// scan, served from the snapshot grid, with the owned-node scan it
+// replaced: for every sender and every domain, the grid scan must return
+// exactly the owned nodes (other than the sender) within range at the
+// query instant. Queries run at 0, W/2 and W after the snapshot — W is the
+// synchronization window, the largest staleness a scan sees — and each
+// grid must have lost receivers to an uninflated query, so an inflation
+// that is too small fails here.
+func TestReceiverScanMatchesOwnedScan(t *testing.T) {
+	const dur = 12.0
+	model := parWaypoint(t, 80, 20, dur, 53)
+	r := 250.0
+	for _, side := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("%dx%d", side, side), func(t *testing.T) {
+			nw, err := NewNetwork(model, Config{Protocol: topology.RNG{}, Domains: side, ParallelWorkers: 1, Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pr := nw.newParRun()
+			defer pr.close()
+			W := math.Min(pr.window, 4)
+			stale, total := 0, 0
+			for _, t0 := range []float64{0.5, 3.25, 7} {
+				pr.snapshot(t0)
+				for _, at := range []float64{t0, t0 + W/2, t0 + W} {
+					for s := 0; s < model.N(); s++ {
+						pos := model.PositionAt(s, at)
+						for d := range pr.doms {
+							var want []int
+							for _, v := range pr.owned[d] {
+								if v != s && model.PositionAt(v, at).Dist2(pos) <= r*r {
+									want = append(want, v)
+									if pr.posT[v].Dist2(pos) > r*r {
+										stale++
+									}
+								}
+							}
+							got := append([]int(nil), pr.receivers(&pr.doms[d], d, s, pos, at, r)...)
+							if !reflect.DeepEqual(got, want) {
+								t.Fatalf("snapshot %g, query %g, sender %d, domain %d: grid scan %v, owned scan %v",
+									t0, at, s, d, got, want)
+							}
+							total += len(want)
+						}
+					}
+				}
+			}
+			if total == 0 || stale == 0 {
+				t.Fatalf("vacuous: %d receivers, %d outside r at their snapshot positions", total, stale)
 			}
 		})
 	}

@@ -116,7 +116,7 @@ func (dg *DomainGrid) AssignInto(pos []geom.Point, dst []int) []int {
 // rectangle intersects the disc lies inside the box. The box is a
 // conservative superset (corner domains of the box may miss the disc);
 // over-delivery is harmless — a domain that receives a transmission it has
-// no receivers for does no work beyond scanning its owned nodes.
+// no receivers for does no work beyond one receiver query that finds none.
 func (dg *DomainGrid) HaloBounds(p geom.Point, r float64) (ix0, iy0, ix1, iy1 int) {
 	ix0 = dg.clampX(int(math.Floor((p.X - r - dg.arena.Min.X) / dg.cw)))
 	ix1 = dg.clampX(int(math.Floor((p.X + r - dg.arena.Min.X) / dg.cw)))

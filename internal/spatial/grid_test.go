@@ -1,6 +1,7 @@
 package spatial
 
 import (
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -205,6 +206,68 @@ func TestPointsOutsideArenaStillIndexed(t *testing.T) {
 	}
 	if got := ix.Within(geom.Pt(950, 950), 1, nil); !reflect.DeepEqual(got, []int{1}) {
 		t.Errorf("outside-arena point lost: %v", got)
+	}
+}
+
+// TestWithinClippedMatchesBruteForce: every point within r of the query
+// that lies inside the clip is returned, once, and nothing farther than r
+// is. Half the clips are the bounding box of a random subset of the
+// points, so subset points sit exactly on the clip's edges.
+func TestWithinClippedMatchesBruteForce(t *testing.T) {
+	f := func(seed uint64, cellSel, radSel uint8) bool {
+		rng := xrand.New(seed)
+		n := 1 + rng.Intn(200)
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			pts[i] = geom.Pt(rng.Uniform(-50, 950), rng.Uniform(-50, 950))
+		}
+		cell := []float64{25, 50, 125, 250, 500, 2000}[int(cellSel)%6]
+		r := []float64{0, 10, 50, 250, 900, 1500}[int(radSel)%6]
+		ix := MustIndex(arena, cell)
+		ix.Build(pts)
+		for trial := 0; trial < 10; trial++ {
+			q := geom.Pt(rng.Uniform(-100, 1000), rng.Uniform(-100, 1000))
+			clip := geom.NewRect(geom.Pt(rng.Uniform(-100, 1000), rng.Uniform(-100, 1000)),
+				geom.Pt(rng.Uniform(-100, 1000), rng.Uniform(-100, 1000)))
+			if trial%2 == 1 {
+				clip = geom.Rect{Min: geom.Pt(math.Inf(1), math.Inf(1)), Max: geom.Pt(math.Inf(-1), math.Inf(-1))}
+				for i, p := range pts {
+					if i%3 == trial%3 {
+						clip = clip.Extend(p)
+					}
+				}
+			}
+			got := ix.WithinClipped(q, r, clip, nil)
+			seen := make(map[int]bool, len(got))
+			for _, id := range got {
+				if seen[id] || pts[id].Dist2(q) > r*r {
+					t.Logf("n=%d cell=%v r=%v q=%v clip=%v: id %d duplicated or out of range", n, cell, r, q, clip, id)
+					return false
+				}
+				seen[id] = true
+			}
+			for _, id := range BruteWithin(pts, q, r, nil) {
+				if pts[id].In(clip) && !seen[id] {
+					t.Logf("n=%d cell=%v r=%v q=%v clip=%v: missed id %d at %v", n, cell, r, q, clip, id, pts[id])
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestRebuildDoesNotAllocate: re-indexing the same number of points
+// reuses the index's arrays.
+func TestRebuildDoesNotAllocate(t *testing.T) {
+	ix := MustIndex(arena, 125)
+	pts := mobility.UniformPoints(arena, 300, xrand.New(3))
+	ix.Build(pts)
+	if allocs := testing.AllocsPerRun(50, func() { ix.Build(pts) }); allocs != 0 {
+		t.Errorf("Build: %.1f allocs per rebuild, want 0", allocs)
 	}
 }
 
