@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint lint-json check bench bench-compare fuzz-smoke faults-smoke resume-smoke parallel-smoke fleet-smoke traffic-smoke
+.PHONY: build test race vet lint lint-json check bench bench-compare bench-test fuzz-smoke faults-smoke resume-smoke parallel-smoke fleet-smoke traffic-smoke
 
 build:
 	$(GO) build ./...
@@ -163,5 +163,11 @@ BASELINE ?= BENCH_8.json
 bench-compare:
 	$(GO) test -run '^$$' -bench '^BenchmarkSingleRun$$' -count 3 . | tee /dev/stderr | \
 		$(GO) run ./cmd/benchreport -baseline $(BASELINE) -gate BenchmarkSingleRun -o /dev/null
+
+# The benchmark harness (bench/) is a module of its own, which the root
+# `go test ./...` never builds: vet and test it separately, so an API change
+# in internal/ that breaks its wrappers fails here.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 check: build vet lint test race

@@ -8,9 +8,10 @@ import (
 // PrimMST computes a minimum spanning forest of g with Prim's algorithm
 // restarted per component. It returns the forest edges (sorted by (U, V))
 // and whether the forest spans a single component (a true spanning tree).
-// Ties in edge weight are broken deterministically toward the smaller
-// (node, neighbor) pair, matching the total-order assumption of the paper's
-// framework (§3.1: unique costs, IDs break ties).
+// Every step commits the candidate edge smallest under less — weight, then
+// the canonical endpoint pair — so the result is the unique minimum
+// spanning forest under that strict total order, matching the total-order
+// assumption of the paper's framework (§3.1: unique costs, IDs break ties).
 func PrimMST(g *Undirected) (edges []Edge, spanning bool) {
 	n := g.N()
 	if n == 0 {
@@ -89,14 +90,15 @@ type keyItem struct {
 	from int
 }
 
+// keyHeap orders items by less over (key, from, node): a Prim item is its
+// candidate edge, so the heap pops edges in the strict total order and a
+// node's newest entry (its best edge) precedes its stale ones even at
+// equal weight. Dijkstra items carry from = -1 and so order by (key, node).
 type keyHeap []keyItem
 
 func (h keyHeap) Len() int { return len(h) }
 func (h keyHeap) Less(i, j int) bool {
-	if h[i].key != h[j].key { //lint:ignore float-eq exact compare keeps the heap's total order deterministic
-		return h[i].key < h[j].key
-	}
-	return h[i].node < h[j].node
+	return less(h[i].key, h[i].from, h[i].node, h[j].key, h[j].from, h[j].node)
 }
 func (h keyHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *keyHeap) Push(x any)   { *h = append(*h, x.(keyItem)) }
@@ -128,7 +130,7 @@ func Dijkstra(g *Undirected, src int) (dist []float64, pred []int) {
 			if nd < dist[h.To] || (nd == dist[h.To] && !done[h.To] && (pred[h.To] == -1 || u < pred[h.To])) { //lint:ignore float-eq exact tie-break selects the lowest-id predecessor deterministically
 				dist[h.To] = nd
 				pred[h.To] = u
-				heap.Push(pq, keyItem{node: h.To, key: nd, from: u})
+				heap.Push(pq, keyItem{node: h.To, key: nd, from: -1})
 			}
 		}
 	}

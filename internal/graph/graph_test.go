@@ -260,6 +260,33 @@ func TestPrimMSTWeightOptimal(t *testing.T) {
 }
 
 // kruskal is an independent MST implementation for differential testing.
+// TestPrimMSTMatchesKruskalOnTies checks that Prim commits the unique
+// minimum spanning forest under the strict total order (weight, min end,
+// max end): with weights drawn from three values nearly every cut has
+// equal-weight candidates, so the edge sets must match Kruskal's exactly,
+// not just in total weight.
+func TestPrimMSTMatchesKruskalOnTies(t *testing.T) {
+	f := func(seed uint64) bool {
+		rng := xrand.New(seed)
+		n := 2 + rng.Intn(14)
+		g := NewUndirected(n)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if rng.Float64() < 0.5 {
+					g.AddEdge(i, j, float64(1+rng.Intn(3))*25)
+				}
+			}
+		}
+		prim, primSpan := PrimMST(g)
+		kru, kruSpan := kruskal(g)
+		sortEdges(kru)
+		return primSpan == kruSpan && reflect.DeepEqual(prim, kru)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Error(err)
+	}
+}
+
 func kruskal(g *Undirected) ([]Edge, bool) {
 	es := g.Edges()
 	// simple selection sort by weight then pair

@@ -18,8 +18,40 @@ func benchView() View {
 	return viewOf(pts, 0, normalRange)
 }
 
-func benchSelect(b *testing.B, p Protocol) {
+// denseBenchView is a crowded view: 100 nodes in a 540 m square with the
+// observer at its center: 65 neighbors within the 250 m range. The
+// dense kernels are quadratic in the view size, so this is where their
+// per-step cost shows.
+func denseBenchView() View {
+	rng := xrand.New(9)
+	pts := make([]geom.Point, 100)
+	pts[0] = geom.Pt(270, 270)
+	for i := 1; i < len(pts); i++ {
+		pts[i] = geom.Pt(rng.Uniform(0, 540), rng.Uniform(0, 540))
+	}
+	return viewOf(pts, 0, normalRange)
+}
+
+// benchMultiView gives every node of benchView a k = 3 history: its
+// position and two earlier ones up to 10 m away.
+func benchMultiView() MultiView {
+	rng := xrand.New(10)
+	hist := func(p geom.Point) []geom.Point {
+		return []geom.Point{p,
+			geom.Pt(p.X+rng.Uniform(-5, 5), p.Y+rng.Uniform(-5, 5)),
+			geom.Pt(p.X+rng.Uniform(-10, 10), p.Y+rng.Uniform(-10, 10))}
+	}
 	v := benchView()
+	mv := MultiView{Self: MultiNodeInfo{ID: v.Self.ID, Positions: hist(v.Self.Pos)}}
+	for _, nb := range v.Neighbors {
+		mv.Neighbors = append(mv.Neighbors, MultiNodeInfo{ID: nb.ID, Positions: hist(nb.Pos)})
+	}
+	return mv
+}
+
+func benchSelect(b *testing.B, p Protocol) { benchSelectView(b, p, benchView()) }
+
+func benchSelectView(b *testing.B, p Protocol, v View) {
 	s := &Scratch{}
 	var dst []int
 	b.ReportAllocs()
@@ -32,8 +64,38 @@ func benchSelect(b *testing.B, p Protocol) {
 	}
 }
 
+func benchSelectWeak(b *testing.B, p WeakProtocol) {
+	mv := benchMultiView()
+	s := &Scratch{}
+	var dst []int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = SelectWeakInto(p, mv, dst[:0], s)
+	}
+	if len(dst) == 0 {
+		b.Fatal("selected nothing")
+	}
+}
+
 func BenchmarkRNGSelect(b *testing.B)     { benchSelect(b, RNG{}) }
 func BenchmarkGabrielSelect(b *testing.B) { benchSelect(b, Gabriel{}) }
 func BenchmarkMSTSelect(b *testing.B)     { benchSelect(b, MST{Range: normalRange}) }
 func BenchmarkSPTSelect(b *testing.B)     { benchSelect(b, SPT{Alpha: 2, Range: normalRange}) }
+func BenchmarkSPT4Select(b *testing.B)    { benchSelect(b, SPT{Alpha: 4, Range: normalRange}) }
 func BenchmarkYaoSelect(b *testing.B)     { benchSelect(b, Yao{K: 6}) }
+func BenchmarkWeakMSTSelect(b *testing.B) { benchSelectWeak(b, WeakMST{Range: normalRange}) }
+func BenchmarkWeakSPTSelect(b *testing.B) { benchSelectWeak(b, WeakSPT{Alpha: 2, Range: normalRange}) }
+
+// BenchmarkDenseSelect runs the quadratic kernels on denseBenchView.
+func BenchmarkDenseSelect(b *testing.B) {
+	v := denseBenchView()
+	for _, p := range []Protocol{
+		RNG{},
+		MST{Range: normalRange},
+		SPT{Alpha: 2, Range: normalRange},
+		SPT{Alpha: 4, Range: normalRange},
+	} {
+		b.Run(p.Name(), func(b *testing.B) { benchSelectView(b, p, v) })
+	}
+}

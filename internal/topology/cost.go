@@ -30,7 +30,27 @@ func EnergyCost(alpha, fixed float64) CostFn {
 	if alpha < 1 {
 		panic(fmt.Sprintf("topology: EnergyCost alpha %g < 1", alpha))
 	}
-	return func(d float64) float64 { return math.Pow(d, alpha) + fixed }
+	return func(d float64) float64 { return energy(d, alpha) + fixed }
+}
+
+// energy returns math.Pow(d, alpha), bit for bit. For the paper's path-loss
+// exponents 2 and 4 and 2⁻²⁰⁰ < d < 2²⁰⁰ it multiplies directly: d*d and
+// (d*d)*(d*d) round exactly as the square-and-multiply steps math.Pow runs
+// on d's mantissa (the power-of-two exponent scales out of each rounding,
+// and d⁴ stays normal), without Pow's special-case ladder and
+// Frexp/Ldexp. The explicit conversions keep the compiler from fusing the
+// last product into a caller's "+ fixed". TestEnergyMatchesPow pins it.
+func energy(d, alpha float64) float64 {
+	if d > 0x1p-200 && d < 0x1p200 {
+		switch alpha {
+		case 2:
+			return float64(d * d)
+		case 4:
+			s := d * d
+			return float64(s * s)
+		}
+	}
+	return math.Pow(d, alpha)
 }
 
 // LinkLess is the strict total order over links required by the framework:

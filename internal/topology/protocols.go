@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"mstc/internal/geom"
-	"mstc/internal/graph"
 )
 
 // Protocol selects logical neighbors from a consistent local view.
@@ -123,15 +122,17 @@ func (m MST) Select(v View) []int {
 	return m.SelectInto(v, make([]int, 0, 4), &Scratch{})
 }
 
-// SelectInto implements ScratchSelector. The kernel is graph.PrimMST
-// replayed over a dense scratch weight matrix: the per-vertex candidate
-// comparison (mstLess), the heap's (key, node) order with sift operations
-// matching container/heap's, the ascending-index relaxation order (the
-// historical adjacency lists list neighbors ascending), and the
-// per-component restart are all replicated, so the kernel commits exactly
-// the tree edges the historical viewGraph + graph.PrimMST implementation
-// commits — including which of several equal-weight candidates wins.
-// TestMSTKernelMatchesPrim pins the equivalence on tie-heavy inputs.
+// SelectInto implements ScratchSelector. The kernel is dense Prim over a
+// scratch weight matrix. Each step commits the candidate edge that is
+// smallest under mstLess, the §3.1 strict total order (cost, min id, max
+// id) — view indices ascend with ids — so it builds the unique total-order
+// minimum spanning forest of the view: the tree every node computing over
+// the same view agrees on. The next tree node is found by a scan fused
+// with the relaxation of the last node's row, O(n²) like filling the
+// matrix, with no heap; when no candidate edge leaves the tree, the next
+// component starts at the lowest-index node outside it.
+// TestMSTKernelMatchesKruskal pins the result against an independent
+// Kruskal oracle on tie-heavy inputs.
 //manet:noalloc
 func (m MST) SelectInto(v View, dst []int, s *Scratch) []int {
 	selfIdx := s.viewNodes(v)
@@ -159,49 +160,43 @@ func (m MST) SelectInto(v View, dst []int, s *Scratch) []int {
 		bestFrom[i] = -1
 		inTree[i] = false
 	}
-	s.heap = s.heap[:0]
 	start := len(dst)
-	for st := 0; st < n; st++ {
-		if inTree[st] {
+	for root := 0; root < n; root++ {
+		if inTree[root] {
 			continue
 		}
-		bestW[st] = 0
-		s.heap.push(nodeKey{key: 0, node: int32(st), from: -1})
-		for len(s.heap) > 0 {
-			it := s.heap.pop()
-			u := int(it.node)
-			if inTree[u] {
-				continue
-			}
+		for u := root; u != -1; {
 			inTree[u] = true
-			if it.from != -1 {
-				if int(it.from) == selfIdx {
-					dst = append(dst, s.ids[u])
-				} else if u == selfIdx {
-					dst = append(dst, s.ids[it.from])
-				}
+			if from := int(bestFrom[u]); from == selfIdx {
+				dst = append(dst, s.ids[u])
+			} else if u == selfIdx && from != -1 {
+				dst = append(dst, s.ids[from])
 			}
 			row := s.w[u*n : u*n+n]
+			next := -1
 			for nb := 0; nb < n; nb++ {
-				w := row[nb]
-				if math.IsInf(w, 1) || inTree[nb] {
+				if inTree[nb] {
 					continue
 				}
-				if mstLess(w, u, nb, bestW[nb], int(bestFrom[nb]), nb) {
+				if w := row[nb]; !math.IsInf(w, 1) && mstLess(w, u, nb, bestW[nb], int(bestFrom[nb]), nb) {
 					bestW[nb] = w
 					bestFrom[nb] = int32(u)
-					s.heap.push(nodeKey{key: w, node: int32(nb), from: int32(u)})
+				}
+				if !math.IsInf(bestW[nb], 1) && (next == -1 ||
+					mstLess(bestW[nb], int(bestFrom[nb]), nb, bestW[next], int(bestFrom[next]), next)) {
+					next = nb
 				}
 			}
+			u = next
 		}
 	}
 	sortInts(dst[start:])
 	return dst
 }
 
-// mstLess is graph.PrimMST's candidate-edge order: primarily by weight,
-// then by the canonical endpoint pair — a strict total order even with
-// equal weights.
+// mstLess is the candidate-edge order of MST and graph.PrimMST: primarily
+// by weight, then by the canonical endpoint pair — a strict total order
+// even with equal weights.
 func mstLess(w1 float64, a1, b1 int, w2 float64, a2, b2 int) bool {
 	if w1 != w2 { //lint:ignore float-eq exact compare is the documented strict total order over edge weights
 		return w1 < w2
@@ -245,12 +240,10 @@ func (s SPT) Select(v View) []int {
 	return s.SelectInto(v, make([]int, 0, 4), &Scratch{})
 }
 
-// SelectInto implements ScratchSelector. The kernel runs Dijkstra over a
-// dense scratch weight matrix instead of Select's historical viewGraph +
-// graph.Dijkstra, replicating that implementation's relaxation conditions
-// (including the equal-distance predecessor tie-break) verbatim: the pop
-// order under the (key, node) total order and therefore every computed
-// distance is identical, and TestSPTKernelMatchesDijkstra pins it.
+// SelectInto implements ScratchSelector. The kernel runs Dijkstra
+// (densePaths) over a dense scratch matrix of energy costs; the direct cost
+// of each in-range link is read back from Self's row of that matrix.
+// TestSPTKernelMatchesDijkstra pins it against graph.Dijkstra.
 //manet:noalloc
 func (sp SPT) SelectInto(v View, dst []int, s *Scratch) []int {
 	if sp.Alpha < 1 {
@@ -266,18 +259,23 @@ func (sp SPT) SelectInto(v View, dst []int, s *Scratch) []int {
 		for j := i + 1; j < n; j++ {
 			c := inf
 			if s.pts[i].Dist2(s.pts[j]) <= r2 {
-				c = math.Pow(s.pts[i].Dist(s.pts[j]), sp.Alpha) + sp.Fixed
+				c = energy(s.pts[i].Dist(s.pts[j]), sp.Alpha) + sp.Fixed
 			}
 			s.w[i*n+j] = c
 			s.w[j*n+i] = c
 		}
 	}
-	dist := s.denseDijkstra(n, selfIdx)
+	dist := s.densePaths(n, selfIdx, false)
+	self := s.w[selfIdx*n : selfIdx*n+n]
 	for i, nb := range v.Neighbors {
-		direct := math.Pow(v.Self.Pos.Dist(nb.Pos), sp.Alpha) + sp.Fixed
 		idx := i
 		if i >= selfIdx {
 			idx = i + 1
+		}
+		// A neighbor beyond Range has no matrix entry, only a direct cost.
+		direct := self[idx]
+		if math.IsInf(direct, 1) {
+			direct = energy(v.Self.Pos.Dist(nb.Pos), sp.Alpha) + sp.Fixed
 		}
 		// Keep the link unless a strictly cheaper indirect path exists.
 		// dist includes the direct edge, so dist <= direct always holds
@@ -287,43 +285,6 @@ func (sp SPT) SelectInto(v View, dst []int, s *Scratch) []int {
 		}
 	}
 	return dst
-}
-
-// denseDijkstra is graph.Dijkstra over the scratch's dense n×n weight
-// matrix (+Inf = no edge), with identical relaxation and tie-breaking.
-func (s *Scratch) denseDijkstra(n, src int) []float64 {
-	s.dist = grown(s.dist, n)
-	s.pred = grown(s.pred, n)
-	s.done = grown(s.done, n)
-	inf := math.Inf(1)
-	for i := 0; i < n; i++ {
-		s.dist[i] = inf
-		s.pred[i] = -1
-		s.done[i] = false
-	}
-	s.dist[src] = 0
-	s.heap = append(s.heap[:0], nodeKey{key: 0, node: int32(src)})
-	pq := &s.heap
-	for len(*pq) > 0 {
-		u := int(pq.pop().node)
-		if s.done[u] {
-			continue
-		}
-		s.done[u] = true
-		for v := 0; v < n; v++ {
-			w := s.w[u*n+v]
-			if math.IsInf(w, 1) {
-				continue
-			}
-			nd := s.dist[u] + w
-			if nd < s.dist[v] || (nd == s.dist[v] && !s.done[v] && (s.pred[v] == -1 || int32(u) < s.pred[v])) { //lint:ignore float-eq exact tie-break selects the lowest-id predecessor deterministically
-				s.dist[v] = nd
-				s.pred[v] = int32(u)
-				pq.push(nodeKey{key: nd, node: int32(v)})
-			}
-		}
-	}
-	return s.dist
 }
 
 // Yao is the Yao-graph-based protocol: the disk around u is divided into K
@@ -395,50 +356,6 @@ func (None) SelectInto(v View, dst []int, _ *Scratch) []int {
 		dst = append(dst, n.ID)
 	}
 	return dst
-}
-
-// viewGraph builds the local-view graph used by MST and SPT selection.
-// View nodes are indexed in ascending real-id order so that the index-based
-// tie-breaking inside graph.PrimMST and graph.Dijkstra coincides with the
-// paper's global id-based total order — essential for different nodes'
-// local computations to agree on equal-cost links (Theorem 1 needs a single
-// total order shared by all nodes). An edge joins two view nodes iff their
-// distance is at most maxRange (maxRange <= 0 or +Inf means unbounded),
-// weighted by fn(distance). It returns the index→id table, Self's index,
-// and the graph.
-func viewGraph(v View, maxRange float64, fn CostFn) (ids []int, selfIdx int, g *graph.Undirected) {
-	n := len(v.Neighbors) + 1
-	ids = make([]int, 0, n)
-	pts := make([]geom.Point, 0, n)
-	selfIdx = -1
-	// v is canonical: neighbors ascend by id. Insert Self in id order.
-	for _, nb := range v.Neighbors {
-		if selfIdx == -1 && v.Self.ID < nb.ID {
-			selfIdx = len(ids)
-			ids = append(ids, v.Self.ID)
-			pts = append(pts, v.Self.Pos)
-		}
-		ids = append(ids, nb.ID)
-		pts = append(pts, nb.Pos)
-	}
-	if selfIdx == -1 {
-		selfIdx = len(ids)
-		ids = append(ids, v.Self.ID)
-		pts = append(pts, v.Self.Pos)
-	}
-	g = graph.NewUndirected(n)
-	r2 := maxRange * maxRange
-	if maxRange <= 0 || math.IsInf(maxRange, 1) {
-		r2 = math.Inf(1)
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if pts[i].Dist2(pts[j]) <= r2 {
-				g.AddEdge(i, j, fn(pts[i].Dist(pts[j])))
-			}
-		}
-	}
-	return ids, selfIdx, g
 }
 
 func sortInts(a []int) {

@@ -8,11 +8,10 @@ import (
 
 // Scratch holds the reusable working storage of the allocation-free
 // selection kernels (SelectInto / SelectWeakInto): witness-cost caches,
-// view index tables, dense weight matrices and the Prim/Dijkstra heap.
-// The zero value is ready to use; buffers
-// grow on demand and are retained across calls, so a long-lived caller
-// (one per simulated network in package manet) reaches a steady state
-// where selection allocates nothing.
+// view index tables, dense weight matrices and per-node search labels.
+// The zero value is ready to use; buffers grow on demand and are retained
+// across calls, so a long-lived caller (one per simulated network in
+// package manet) reaches a steady state where selection allocates nothing.
 //
 // A Scratch may be shared by any number of protocol values but never
 // across goroutines — it is caller-owned mutable state, which is exactly
@@ -26,9 +25,8 @@ type Scratch struct {
 	pos   [][]geom.Point // weak: per-node position sets in index order
 	w     []float64      // MST/SPT/weak: dense n×n weight matrix, +Inf = no edge
 	dist  []float64      // per-node keys (distance / bottleneck / best weight)
-	pred  []int32        // SPT: Dijkstra predecessors; MST: best tree edge source
+	pred  []int32        // MST: source of each node's best candidate edge
 	done  []bool
-	heap  nodeKeyHeap
 }
 
 // ScratchSelector is implemented by protocols with an allocation-free
@@ -76,9 +74,11 @@ func grown[T any](buf []T, n int) []T {
 }
 
 // viewNodes lays the view's nodes out in ascending real-id order (Self
-// inserted at its id rank) into the scratch index tables, mirroring
-// viewGraph's indexing so index-based tie-breaking matches the global
-// id-based total order. It returns Self's index.
+// inserted at its id rank) into the scratch index tables, so index-based
+// tie-breaking matches the global id-based total order — essential for
+// different nodes' local computations to agree on equal-cost links
+// (Theorem 1 needs a single total order shared by all nodes). It returns
+// Self's index.
 func (s *Scratch) viewNodes(v View) (selfIdx int) {
 	n := len(v.Neighbors) + 1
 	s.ids = grown(s.ids, n)[:0]
@@ -101,68 +101,52 @@ func (s *Scratch) viewNodes(v View) (selfIdx int) {
 	return selfIdx
 }
 
-// nodeKeyHeap is a hand-rolled binary min-heap over (key, node) items,
-// ordered by key then node index — the same comparator as graph.keyHeap and
-// graph.f64Heap — with sift-up/sift-down operations that perform exactly
-// container/heap's swap sequences. Identical comparators and identical sift
-// behavior mean identical layouts and pop orders even among fully equal
-// items, which is what lets the kernels replay the historical algorithms'
-// tie behavior bit-for-bit without container/heap's per-Push interface
-// boxing. The from field is payload (Prim's candidate edge source), never
-// compared.
-type nodeKeyHeap []nodeKey
-
-type nodeKey struct {
-	key  float64
-	node int32
-	from int32
-}
-
-func (h nodeKeyHeap) less(i, j int) bool {
-	if h[i].key != h[j].key { //lint:ignore float-eq exact compare keeps the heap's total order deterministic
-		return h[i].key < h[j].key
+// densePaths returns, per node, the cost of the best path from src over
+// the scratch's dense n×n weight matrix (+Inf = no edge): the sum of its
+// edge weights (Dijkstra: SPT, WeakSPT) or, when bottleneck is set, their
+// maximum (minimax: WeakMST). Edge weights must be non-negative.
+//
+// Each step settles the unsettled node with the smallest finite
+// (key, index), found by a scan fused with the relaxation of the last
+// settled node's row: O(n²), the cost of filling the matrix, with no heap.
+// That is the order a lazy (key, node) heap pops in — a stale entry never
+// holds a key below its node's current one — so the keys are bit-identical
+// to the heap form's (TestSPTKernelMatchesDijkstra and
+// TestWeakKernelsMatchReference pin both against heap references).
+func (s *Scratch) densePaths(n, src int, bottleneck bool) []float64 {
+	s.dist = grown(s.dist, n)
+	s.done = grown(s.done, n)
+	dist, done := s.dist, s.done
+	for i := 0; i < n; i++ {
+		dist[i] = math.Inf(1)
+		done[i] = false
 	}
-	return h[i].node < h[j].node
-}
-
-func (h *nodeKeyHeap) push(it nodeKey) {
-	*h = append(*h, it)
-	q := *h
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
+	dist[src] = 0
+	for u := src; u != -1; {
+		done[u] = true
+		du := dist[u]
+		row := s.w[u*n : u*n+n]
+		next := -1
+		for v := 0; v < n; v++ {
+			if done[v] {
+				continue
+			}
+			if w := row[v]; !math.IsInf(w, 1) {
+				nd := du + w
+				if bottleneck {
+					nd = math.Max(du, w)
+				}
+				if nd < dist[v] {
+					dist[v] = nd
+				}
+			}
+			if !math.IsInf(dist[v], 1) && (next == -1 || dist[v] < dist[next]) {
+				next = v
+			}
 		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
+		u = next
 	}
-}
-
-func (h *nodeKeyHeap) pop() nodeKey {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	*h = q[:n]
-	q = q[:n]
-	i := 0
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		child := left
-		if right := left + 1; right < n && q.less(right, left) {
-			child = right
-		}
-		if !q.less(child, i) {
-			break
-		}
-		q[i], q[child] = q[child], q[i]
-		i = child
-	}
-	return top
+	return dist
 }
 
 // rangeBound converts a maximum range into the squared-distance bound used

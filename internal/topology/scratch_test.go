@@ -48,23 +48,6 @@ func randMultiView(rng *xrand.Source, maxNbrs, k int) MultiView {
 	return mv
 }
 
-// refMSTSelect is the historical MST.Select implementation (viewGraph +
-// graph.PrimMST), kept as the reference the Prim-replay kernel must match.
-func refMSTSelect(m MST, v View) []int {
-	ids, selfIdx, g := viewGraph(v, m.Range, DistanceCost)
-	edges, _ := graph.PrimMST(g)
-	out := make([]int, 0, 4)
-	for _, e := range edges {
-		if e.U == selfIdx {
-			out = append(out, ids[e.V])
-		} else if e.V == selfIdx {
-			out = append(out, ids[e.U])
-		}
-	}
-	sortInts(out)
-	return out
-}
-
 // refSPTSelect is the historical SPT.Select implementation (viewGraph +
 // graph.Dijkstra), kept as the reference the dense-Dijkstra kernel must
 // match.
@@ -129,12 +112,12 @@ func sameSet(t *testing.T, label string, got, want []int) {
 	}
 }
 
-// TestMSTKernelMatchesPrim pins the kernel against graph.PrimMST. The
-// kernel is a literal replay of Prim over a dense matrix, so it must
-// reproduce Prim's tie behavior exactly — including stale heap entries
-// committing their recorded edge source — which the grid-snapped
-// coordinates (forcing equal edge weights) exercise.
-func TestMSTKernelMatchesPrim(t *testing.T) {
+// TestMSTKernelMatchesKruskal pins the kernel against the Kruskal oracle:
+// under the §3.1 strict total order (cost, min id, max id) the minimum
+// spanning forest of a view is unique, so the kernel's selection must equal
+// Self's neighbors in it exactly. Grid-snapped coordinates force equal edge
+// weights, so the tie-break is exercised on every trial.
+func TestMSTKernelMatchesKruskal(t *testing.T) {
 	rng := xrand.New(71)
 	s := &Scratch{}
 	for trial := 0; trial < 400; trial++ {
@@ -142,14 +125,41 @@ func TestMSTKernelMatchesPrim(t *testing.T) {
 		for _, r := range []float64{0, 120, 275, 1e9} {
 			m := MST{Range: r}
 			got := m.SelectInto(v, nil, s)
-			sameSet(t, fmt.Sprintf("trial %d range %g", trial, r), got, refMSTSelect(m, v))
+			sameSet(t, fmt.Sprintf("trial %d range %g", trial, r), got, kruskalMSTSelect(m, v))
+		}
+	}
+}
+
+// TestMSTSelectionMatchesGlobalKruskal checks the global view of Theorem 1's
+// shared order: on tie-heavy grids with unbounded range every node sees
+// every other node, so each node's local MST is the global one, and its
+// selection must equal its adjacency in the global Kruskal MST.
+func TestMSTSelectionMatchesGlobalKruskal(t *testing.T) {
+	rng := xrand.New(76)
+	s := &Scratch{}
+	for trial := 0; trial < 60; trial++ {
+		n := 2 + rng.Intn(30)
+		ids := rng.Perm(3 * n)[:n]
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			pts[i] = geom.Pt(float64(rng.Intn(6))*50, float64(rng.Intn(6))*50)
+		}
+		tree := kruskalMST(ids, pts, 0)
+		for u := range pts {
+			v := View{Self: NodeInfo{ID: ids[u], Pos: pts[u]}}
+			for i := range pts {
+				if i != u {
+					v.Neighbors = append(v.Neighbors, NodeInfo{ID: ids[i], Pos: pts[i]})
+				}
+			}
+			got := MST{}.SelectInto(v.Canon(), nil, s)
+			sameSet(t, fmt.Sprintf("trial %d node %d", trial, ids[u]), got, treeNeighbors(tree, ids[u]))
 		}
 	}
 }
 
 // TestSPTKernelMatchesDijkstra pins the dense-Dijkstra kernel against the
-// historical viewGraph + graph.Dijkstra path, including the equal-distance
-// predecessor tie-break.
+// historical viewGraph + graph.Dijkstra path.
 func TestSPTKernelMatchesDijkstra(t *testing.T) {
 	rng := xrand.New(72)
 	s := &Scratch{}

@@ -1,11 +1,8 @@
 package topology
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
-
-	"mstc/internal/geom"
 )
 
 // WeakProtocol selects logical neighbors from a weakly consistent view
@@ -83,7 +80,7 @@ func (m WeakMST) SelectWeak(v MultiView) []int {
 func (m WeakMST) SelectWeakInto(v MultiView, dst []int, s *Scratch) []int {
 	selfIdx := s.multiViewNodes(v)
 	s.fillWeakMatrix(m.Range, DistanceCost)
-	bottleneck := s.denseMinimax(len(s.pos), selfIdx)
+	bottleneck := s.densePaths(len(s.pos), selfIdx, true)
 	start := len(dst)
 	for i, n := range v.Neighbors {
 		idx := i
@@ -129,10 +126,10 @@ func (sp WeakSPT) SelectWeakInto(v MultiView, dst []int, s *Scratch) []int {
 		panic(fmt.Sprintf("topology: EnergyCost alpha %g < 1", sp.Alpha))
 	}
 	//lint:ignore noalloc the closure captures only sp (by value) and does not escape fillWeakMatrix, so it stays on the stack; the conformance test pins zero allocs
-	cost := func(d float64) float64 { return math.Pow(d, sp.Alpha) + sp.Fixed }
+	cost := func(d float64) float64 { return energy(d, sp.Alpha) + sp.Fixed }
 	selfIdx := s.multiViewNodes(v)
 	s.fillWeakMatrix(sp.Range, cost)
-	dist := s.denseShortest(len(s.pos), selfIdx)
+	dist := s.densePaths(len(s.pos), selfIdx, false)
 	start := len(dst)
 	for i, n := range v.Neighbors {
 		idx := i
@@ -149,9 +146,8 @@ func (sp WeakSPT) SelectWeakInto(v MultiView, dst []int, s *Scratch) []int {
 }
 
 // multiViewNodes lays the view's position sets out in ascending real-id
-// order (Self inserted at its id rank), mirroring newMultiGraph's entry
-// order so neighbor i sits at index i (i < selfIdx) or i+1. It returns
-// Self's index.
+// order (Self inserted at its id rank), so neighbor i sits at index i
+// (i < selfIdx) or i+1. It returns Self's index.
 func (s *Scratch) multiViewNodes(v MultiView) (selfIdx int) {
 	n := len(v.Neighbors) + 1
 	s.pos = grown(s.pos, n)[:0]
@@ -172,7 +168,7 @@ func (s *Scratch) multiViewNodes(v MultiView) (selfIdx int) {
 
 // fillWeakMatrix fills the scratch dense matrix with the pessimistic (cMax)
 // pairwise costs over s.pos, +Inf where even the maximal cost cannot
-// certify the link exists — the same weights newMultiGraph builds.
+// certify the link exists (the conservative existence test).
 func (s *Scratch) fillWeakMatrix(maxRange float64, fn CostFn) {
 	n := len(s.pos)
 	s.w = grown(s.w, n*n)
@@ -192,212 +188,3 @@ func (s *Scratch) fillWeakMatrix(maxRange float64, fn CostFn) {
 		}
 	}
 }
-
-// denseMinimax is minimaxFromSelf over the scratch matrix: the relaxation
-// and the heap's (key, node) total order are identical, so it pops the same
-// node sequence and returns bit-identical keys.
-func (s *Scratch) denseMinimax(n, src int) []float64 {
-	s.dist = grown(s.dist, n)
-	s.done = grown(s.done, n)
-	for i := 0; i < n; i++ {
-		s.dist[i] = math.Inf(1)
-		s.done[i] = false
-	}
-	s.dist[src] = 0
-	s.heap = s.heap[:0]
-	s.heap.push(nodeKey{key: 0, node: int32(src)})
-	for len(s.heap) > 0 {
-		it := s.heap.pop()
-		u := int(it.node)
-		if s.done[u] {
-			continue
-		}
-		s.done[u] = true
-		row := s.w[u*n : u*n+n]
-		for v := 0; v < n; v++ {
-			if v == u || s.done[v] {
-				continue
-			}
-			nk := math.Max(s.dist[u], row[v])
-			if nk < s.dist[v] {
-				s.dist[v] = nk
-				s.heap.push(nodeKey{key: nk, node: int32(v)})
-			}
-		}
-	}
-	return s.dist
-}
-
-// denseShortest is shortestFromSelf over the scratch matrix, with the same
-// +Inf-edge skip and strict-improvement relaxation.
-func (s *Scratch) denseShortest(n, src int) []float64 {
-	s.dist = grown(s.dist, n)
-	s.done = grown(s.done, n)
-	for i := 0; i < n; i++ {
-		s.dist[i] = math.Inf(1)
-		s.done[i] = false
-	}
-	s.dist[src] = 0
-	s.heap = s.heap[:0]
-	s.heap.push(nodeKey{key: 0, node: int32(src)})
-	for len(s.heap) > 0 {
-		it := s.heap.pop()
-		u := int(it.node)
-		if s.done[u] {
-			continue
-		}
-		s.done[u] = true
-		row := s.w[u*n : u*n+n]
-		for v := 0; v < n; v++ {
-			if v == u || s.done[v] || math.IsInf(row[v], 1) {
-				continue
-			}
-			if nd := s.dist[u] + row[v]; nd < s.dist[v] {
-				s.dist[v] = nd
-				s.heap.push(nodeKey{key: nd, node: int32(v)})
-			}
-		}
-	}
-	return s.dist
-}
-
-// multiGraph is the dense pessimistic-cost graph over a MultiView: nodes in
-// ascending id order, edge weight = cMax, edges restricted to pairs whose
-// cMax certifies the link exists (cMax <= fn(Range)). It is the reference
-// implementation the scratch kernels above are tested against.
-type multiGraph struct {
-	ids     []int
-	idx     map[int]int
-	selfIdx int
-	w       [][]float64 // cMax, +Inf if unusable
-}
-
-func newMultiGraph(v MultiView, maxRange float64, fn CostFn) *multiGraph {
-	n := len(v.Neighbors) + 1
-	type entry struct {
-		id  int
-		pos []geom.Point
-	}
-	entries := make([]entry, 0, n)
-	placed := false
-	for _, nb := range v.Neighbors {
-		if !placed && v.Self.ID < nb.ID {
-			entries = append(entries, entry{v.Self.ID, v.Self.Positions})
-			placed = true
-		}
-		entries = append(entries, entry{nb.ID, nb.Positions})
-	}
-	if !placed {
-		entries = append(entries, entry{v.Self.ID, v.Self.Positions})
-	}
-	mg := &multiGraph{
-		ids: make([]int, n),
-		idx: make(map[int]int, n),
-		w:   make([][]float64, n),
-	}
-	limit := math.Inf(1)
-	if maxRange > 0 && !math.IsInf(maxRange, 1) {
-		limit = fn(maxRange)
-	}
-	for i, e := range entries {
-		mg.ids[i] = e.id
-		mg.idx[e.id] = i
-		if e.id == v.Self.ID {
-			mg.selfIdx = i
-		}
-		mg.w[i] = make([]float64, n)
-	}
-	for i := 0; i < n; i++ {
-		mg.w[i][i] = 0
-		for j := i + 1; j < n; j++ {
-			_, cMax := CostRange(entries[i].pos, entries[j].pos, fn)
-			if cMax > limit {
-				cMax = math.Inf(1)
-			}
-			mg.w[i][j] = cMax
-			mg.w[j][i] = cMax
-		}
-	}
-	return mg
-}
-
-// minimaxFromSelf returns, per node index, the minimal over paths from self
-// of the maximal edge weight along the path (bottleneck shortest path).
-func (mg *multiGraph) minimaxFromSelf() []float64 {
-	n := len(mg.ids)
-	key := make([]float64, n)
-	done := make([]bool, n)
-	for i := range key {
-		key[i] = math.Inf(1)
-	}
-	key[mg.selfIdx] = 0
-	pq := &f64Heap{{node: mg.selfIdx, key: 0}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(f64Item)
-		u := it.node
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		for v := 0; v < n; v++ {
-			if v == u || done[v] {
-				continue
-			}
-			nk := math.Max(key[u], mg.w[u][v])
-			if nk < key[v] {
-				key[v] = nk
-				heap.Push(pq, f64Item{node: v, key: nk})
-			}
-		}
-	}
-	return key
-}
-
-// shortestFromSelf returns additive shortest-path distances from self over
-// the pessimistic weights.
-func (mg *multiGraph) shortestFromSelf() []float64 {
-	n := len(mg.ids)
-	dist := make([]float64, n)
-	done := make([]bool, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	dist[mg.selfIdx] = 0
-	pq := &f64Heap{{node: mg.selfIdx, key: 0}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(f64Item)
-		u := it.node
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		for v := 0; v < n; v++ {
-			if v == u || done[v] || math.IsInf(mg.w[u][v], 1) {
-				continue
-			}
-			if nd := dist[u] + mg.w[u][v]; nd < dist[v] {
-				dist[v] = nd
-				heap.Push(pq, f64Item{node: v, key: nd})
-			}
-		}
-	}
-	return dist
-}
-
-type f64Item struct {
-	node int
-	key  float64
-}
-
-type f64Heap []f64Item
-
-func (h f64Heap) Len() int { return len(h) }
-func (h f64Heap) Less(i, j int) bool {
-	if h[i].key != h[j].key { //lint:ignore float-eq exact compare keeps the heap's total order deterministic
-		return h[i].key < h[j].key
-	}
-	return h[i].node < h[j].node
-}
-func (h f64Heap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *f64Heap) Push(x any)   { *h = append(*h, x.(f64Item)) }
-func (h *f64Heap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
