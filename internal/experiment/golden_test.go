@@ -3,6 +3,7 @@ package experiment
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"mstc/internal/manet"
@@ -99,5 +100,37 @@ func TestIdealChannelFig6BitIdentical(t *testing.T) {
 	if got := hex.EncodeToString(sum[:]); got != goldenFig6Digest {
 		t.Errorf("ideal-channel Fig6 render drifted from the pre-channel golden digest:\n got %s\nwant %s",
 			got, goldenFig6Digest)
+	}
+}
+
+// TestRoutingGoldenDigest pins the FigRouting render for both protocols
+// paperfig plots (GG, RNG) plus the %#v form of every task's
+// Result.Unicast. The unicast probe workload rides Network.Run like the
+// flood and traffic workloads; moving it between entry points must move
+// neither a probe draw nor a figure byte.
+func TestRoutingGoldenDigest(t *testing.T) {
+	const goldenRoutingDigest = "0e4542945d26bc322d87f0c6ab64a0c0b184e472eee09fe39deaa4b07f202986"
+	o := goldenOptions()
+	h := sha256.New()
+	for _, p := range []string{"GG", "RNG"} {
+		f, err := FigRouting(o, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s\n%s\n", f.String(), f.Dat())
+		results, err := Execute(o, routingTasks(o, p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range results {
+			if r.Unicast.Probes == 0 {
+				t.Fatalf("%s task %d scored no probes; the digest would pin nothing", p, i)
+			}
+			fmt.Fprintf(h, "%s|%d|%#v\n", p, i, r.Unicast)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != goldenRoutingDigest {
+		t.Errorf("FigRouting render or unicast results drifted from the golden digest:\n got %s\nwant %s",
+			got, goldenRoutingDigest)
 	}
 }
