@@ -96,16 +96,15 @@ parallel-smoke:
 	cmp /tmp/par_faults_serial.txt /tmp/par_faults_domains.txt
 
 # Distributed-sweep smoke: a sweepd coordinator hands the same quick fig6
-# sweep to two sweepworkers over HTTP; one worker is SIGKILLed mid-lease
-# (its leased tasks are stolen after -lease-ttl and recomputed by the
-# survivor), and the finished fleet store must be sha256-identical,
+# sweep to two `paperfig -worker` processes over HTTP; one worker is
+# SIGKILLed mid-lease (its leased tasks are stolen after -lease-ttl and
+# recomputed by the survivor), and the finished fleet store must be sha256-identical,
 # record for record, to a single-process `paperfig -store` sweep — the
 # lease/steal/duplicate machinery may cost time but never bytes.
 FLEET := /tmp/mstc_fleet_smoke
 fleet-smoke:
 	rm -rf $(FLEET) && mkdir -p $(FLEET)
 	$(GO) build -o $(FLEET)/sweepd ./cmd/sweepd
-	$(GO) build -o $(FLEET)/sweepworker ./cmd/sweepworker
 	$(GO) build -o $(FLEET)/paperfig ./cmd/paperfig
 	set -e; \
 	$(FLEET)/sweepd $(PFLAGS) -store $(FLEET)/fleet -addr 127.0.0.1:0 \
@@ -113,10 +112,10 @@ fleet-smoke:
 	SWEEPD=$$!; \
 	for i in $$(seq 100); do test -s $(FLEET)/addr && break; sleep 0.1; done; \
 	ADDR=$$(cat $(FLEET)/addr); \
-	$(FLEET)/sweepworker -url http://$$ADDR -name doomed 2> $(FLEET)/doomed.log & \
+	$(FLEET)/paperfig -worker http://$$ADDR 2> $(FLEET)/doomed.log & \
 	DOOMED=$$!; \
 	sleep 0.4; kill -9 $$DOOMED 2> /dev/null || true; \
-	$(FLEET)/sweepworker -url http://$$ADDR -name survivor 2> $(FLEET)/survivor.log & \
+	$(FLEET)/paperfig -worker http://$$ADDR 2> $(FLEET)/survivor.log & \
 	SURVIVOR=$$!; \
 	wait $$SWEEPD; \
 	wait $$SURVIVOR
@@ -129,14 +128,13 @@ fleet-smoke:
 # over controlled vs unit-disk topology) run twice and byte-compared —
 # any nondeterminism in route discovery, TC flooding, or flow scheduling
 # fails the diff. The second leg computes the same task set through a
-# sweepd coordinator and one worker; the fleet store must be
+# sweepd coordinator and one `paperfig -worker`; the fleet store must be
 # sha256-identical, record for record, to a single-process sweep.
 TRAFFIC := /tmp/mstc_traffic_smoke
 TRAFFLAGS := -exp traffic -quick -reps 2 -duration 8
 traffic-smoke:
 	rm -rf $(TRAFFIC) && mkdir -p $(TRAFFIC)
 	$(GO) build -o $(TRAFFIC)/sweepd ./cmd/sweepd
-	$(GO) build -o $(TRAFFIC)/sweepworker ./cmd/sweepworker
 	$(GO) build -o $(TRAFFIC)/paperfig ./cmd/paperfig
 	$(TRAFFIC)/paperfig $(TRAFFLAGS) > $(TRAFFIC)/a.txt
 	$(TRAFFIC)/paperfig $(TRAFFLAGS) > $(TRAFFIC)/b.txt
@@ -147,7 +145,7 @@ traffic-smoke:
 	SWEEPD=$$!; \
 	for i in $$(seq 100); do test -s $(TRAFFIC)/addr && break; sleep 0.1; done; \
 	ADDR=$$(cat $(TRAFFIC)/addr); \
-	$(TRAFFIC)/sweepworker -url http://$$ADDR -name smoke 2> $(TRAFFIC)/worker.log & \
+	$(TRAFFIC)/paperfig -worker http://$$ADDR 2> $(TRAFFIC)/worker.log & \
 	WORKER=$$!; \
 	wait $$SWEEPD; \
 	wait $$WORKER

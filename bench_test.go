@@ -388,32 +388,6 @@ func BenchmarkAblationCollisionMAC(b *testing.B) {
 	}
 }
 
-// BenchmarkEpidemic measures the store-carry-forward dissemination layer.
-func BenchmarkEpidemic(b *testing.B) {
-	b.ReportAllocs()
-	lo, hi := mobility.SpeedSetdest(20)
-	model, err := mobility.NewRandomWaypoint(geom.Square(900), mobility.WaypointConfig{
-		N: 100, SpeedMin: lo, SpeedMax: hi, Horizon: 20,
-	}, xrand.New(42))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var res manet.EpidemicResult
-	for i := 0; i < b.N; i++ {
-		nw, err := manet.NewNetwork(model, manet.Config{
-			Protocol: topology.MST{Range: 250}, Seed: uint64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err = nw.RunEpidemic(20, manet.EpidemicConfig{Window: 10, Messages: 3})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.Delivered, "delivered/ratio")
-}
-
 // BenchmarkAblationSelfPruning measures the forwarding-overhead reduction
 // of neighborhood-aware self-pruning at two densities.
 func BenchmarkAblationSelfPruning(b *testing.B) {

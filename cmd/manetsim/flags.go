@@ -21,10 +21,10 @@ type channelFlags struct {
 }
 
 // buildChannel turns the flag values into a channel configuration. The
-// legacy knobs that overlap with the channel — direct churn (-churn-up /
-// -churn-down) and the collision MAC (-txdur) — are passed in so conflicts
-// fail here, at flag level, with the flag names in the message.
-func (f channelFlags) buildChannel(legacyChurnUp, legacyChurnDown, txDur float64) (channel.Config, error) {
+// collision MAC's airtime (-txdur) is passed in so its conflict with
+// delayed delivery fails here, at flag level, with the flag names in the
+// message.
+func (f channelFlags) buildChannel(txDur float64) (channel.Config, error) {
 	var cfg channel.Config
 	switch f.LossModel {
 	case "", "bernoulli":
@@ -51,9 +51,6 @@ func (f channelFlags) buildChannel(legacyChurnUp, legacyChurnDown, txDur float64
 		cfg.Delay = channel.DelayConfig{Min: f.DelayMin, Max: f.DelayMax}
 	}
 	if f.Churn > 0 {
-		if legacyChurnUp > 0 || legacyChurnDown > 0 {
-			return cfg, fmt.Errorf("-churn conflicts with -churn-up/-churn-down (pick one churn interface)")
-		}
 		if f.Churn >= 1 {
 			return cfg, fmt.Errorf("-churn %g is an expected down fraction, want (0, 1)", f.Churn)
 		}

@@ -93,7 +93,6 @@ func main() {
 		trafficFlows = flag.Int("traffic-flows", 0, "concurrent CBR flows (default 8)")
 		trafficRate  = flag.Float64("traffic-rate", 0, "CBR packets per second per flow (default 2)")
 		trafficPkts  = flag.Int("traffic-packets", 0, "per-flow packet budget (0 = unlimited)")
-		epidemicWin  = flag.Float64("epidemic", 0, "epidemic delivery window in seconds (replaces flooding when > 0)")
 		lossRate     = flag.Float64("loss", 0, "channel per-packet loss probability")
 		lossModel    = flag.String("loss-model", "", "loss model: bernoulli (default) or gilbert (bursty)")
 		lossBurst    = flag.Float64("loss-burst", 0, "Gilbert-Elliott mean burst length in packets (default 8)")
@@ -107,24 +106,12 @@ func main() {
 		snapshotDt   = flag.Float64("snapshots", 0, "strict-connectivity snapshot period (s); 0 = off")
 		domains      = flag.Int("domains", 0, "region-parallel engine: domains x domains spatial grid (0 = serial engine)")
 		workers      = flag.Int("workers", 0, "region-parallel worker goroutines (requires -domains); results are bit-identical to serial")
-		engWorkers   = flag.Int("engine-workers", 0, "alias for -workers, matching paperfig's spelling (there -workers means run-level parallelism)")
-		churnUp      = flag.Float64("churn-up", 0, "mean node up-time (s); with -churn-down, enables failure injection")
-		churnDown    = flag.Float64("churn-down", 0, "mean node outage (s)")
 		recordPath   = flag.String("record", "", "record the mobility trace to this file and exit")
 		replayPath   = flag.String("replay", "", "replay a recorded mobility trace instead of random waypoint")
 		cpuProf      = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf      = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
-
-	// -engine-workers is a strict alias for -workers: either spelling works,
-	// but conflicting values are an error rather than a silent preference.
-	if *engWorkers != 0 {
-		if *workers != 0 && *workers != *engWorkers {
-			log.Fatalf("conflicting -workers=%d and -engine-workers=%d (they are aliases)", *workers, *engWorkers)
-		}
-		*workers = *engWorkers
-	}
 
 	// Profiles go to their own files; stdout stays byte-identical whether
 	// or not profiling is enabled.
@@ -178,7 +165,7 @@ func main() {
 		Loss: *lossRate, LossModel: *lossModel, LossBurst: *lossBurst,
 		DelayMin: *delayMin, DelayMax: *delayMax,
 		Churn: *churnFrac, Outage: *churnOutage,
-	}.buildChannel(*churnUp, *churnDown, *txDur)
+	}.buildChannel(*txDur)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -201,7 +188,6 @@ func main() {
 			CDSForward:        *cdsFwd,
 		},
 		SnapshotEvery:   *snapshotDt,
-		Churn:           manet.ChurnConfig{MeanUp: *churnUp, MeanDown: *churnDown},
 		PosNoise:        *posNoise,
 		Domains:         *domains,
 		ParallelWorkers: *workers,
@@ -236,33 +222,22 @@ func main() {
 		}
 		cfg.FloodRate = 0
 	}
-	if *unicastRate > 0 || *epidemicWin > 0 {
+	if *unicastRate > 0 {
+		cfg.Unicast = manet.UnicastConfig{Rate: *unicastRate}
 		cfg.FloodRate = 0
 	}
 	nw, err := manet.NewNetwork(model, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
+	res := nw.Run(*duration)
+
 	if *unicastRate > 0 {
-		ures, err := nw.RunUnicast(*duration, manet.UnicastConfig{Rate: *unicastRate})
-		if err != nil {
-			log.Fatal(err)
-		}
+		ures := res.Unicast
 		fmt.Printf("unicast delivered   %.4f  (%d probes, %.1f avg hops)\n", ures.Delivered, ures.Probes, ures.AvgHops)
 		fmt.Printf("failures            %d local minima, %d range failures\n", ures.LocalMinima, ures.RangeFailures)
 		return
 	}
-	if *epidemicWin > 0 {
-		eres, err := nw.RunEpidemic(*duration, manet.EpidemicConfig{Window: *epidemicWin, Messages: 5})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("epidemic delivered  %.4f within %gs  (mean delay %.2fs, %d messages)\n",
-			eres.Delivered, *epidemicWin, eres.MeanDelay, eres.Messages)
-		return
-	}
-	res := nw.Run(*duration)
-
 	if *trafficMode != "" {
 		tr := res.Traffic
 		fmt.Printf("protocol            %s\n", res.Protocol)

@@ -1,13 +1,13 @@
 // Command sweepd is the sweep-fleet coordinator daemon: it owns a result
 // store and a task set, and hands out lease-based work batches to
-// workers (cmd/sweepworker or paperfig -worker) over HTTP. Crashed or
+// workers (paperfig -worker) over HTTP. Crashed or
 // partitioned workers lose their leases after -lease-ttl of silence and
 // their tasks are re-granted to whoever asks next; because every run is
 // deterministic, duplicated work is absorbed byte-identically.
 //
 //	sweepd -exp fig6 -quick -store runs/ &
-//	sweepworker -url http://127.0.0.1:7070 &
-//	sweepworker -url http://127.0.0.1:7070 &
+//	paperfig -worker http://127.0.0.1:7070 &
+//	paperfig -worker http://127.0.0.1:7070 &
 //	curl -s http://127.0.0.1:7070/status | jq .
 //	curl -sN http://127.0.0.1:7070/events    # live NDJSON progress
 //

@@ -175,7 +175,7 @@ type Run struct {
 	// comparison varies it per task. Flooding is forced off for such runs.
 	Traffic traffic.Config
 	// Unicast, when Rate > 0, replaces the flood workload with greedy
-	// geographic unicast probes (RunUnicast) — the FigRouting extension.
+	// geographic unicast probes (Config.Unicast) — the FigRouting extension.
 	// Flooding is forced off for such runs.
 	Unicast manet.UnicastConfig
 	// Rep is the repetition index in [0, Reps).
@@ -356,8 +356,9 @@ func executeOne(o Options, r Run) (manet.Result, error) {
 		cfg.FloodRate = 0
 		cfg.Traffic = r.Traffic
 	}
-	if r.Unicast.Rate > 0 {
+	if r.Unicast.Enabled() {
 		cfg.FloodRate = 0
+		cfg.Unicast = r.Unicast
 	}
 	if r.Mech.WeakK > 0 {
 		w, err := topology.WeakByName(r.Protocol, o.NormalRange)
@@ -376,14 +377,13 @@ func executeOne(o Options, r Run) (manet.Result, error) {
 	if err != nil {
 		return manet.Result{}, err
 	}
-	if r.Unicast.Rate > 0 {
-		ur, err := nw.RunUnicast(o.Duration, r.Unicast)
-		if err != nil {
-			return manet.Result{}, err
-		}
-		return manet.Result{Protocol: cfg.ProtocolName(), Unicast: ur}, nil
+	res := nw.Run(o.Duration)
+	if r.Unicast.Enabled() {
+		// Unicast records keep their stored shape (protocol and probe
+		// counters only), so existing result stores stay byte-identical.
+		res = manet.Result{Protocol: res.Protocol, Unicast: res.Unicast}
 	}
-	return nw.Run(o.Duration), nil
+	return res, nil
 }
 
 // Aggregate is the per-configuration summary over repetitions.

@@ -10,7 +10,7 @@ import (
 )
 
 // This file is the experiment-side surface the sweep fleet
-// (internal/fleet, cmd/sweepd, cmd/sweepworker) builds on: a named
+// (internal/fleet, cmd/sweepd, paperfig -worker) builds on: a named
 // enumeration of each figure's complete run set, and an exported
 // single-run compute path with the executor's panic-recovery/bounded-
 // retry policy. The daemon enumerates tasks and journals results; the

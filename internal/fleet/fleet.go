@@ -1,8 +1,8 @@
 // Package fleet turns the sweep subsystem's resumable result store into
 // a distributed service: a coordinator daemon (cmd/sweepd) that owns the
-// store and the task set, and stateless workers (cmd/sweepworker,
-// paperfig -worker) that lease batches of runs over HTTP, compute them,
-// and post the results back.
+// store and the task set, and stateless workers (paperfig -worker) that
+// lease batches of runs over HTTP, compute them, and post the results
+// back.
 //
 // # Leases
 //

@@ -3,6 +3,7 @@ package manet
 import (
 	"testing"
 
+	"mstc/internal/channel"
 	"mstc/internal/mobility"
 	"mstc/internal/topology"
 	"mstc/internal/xrand"
@@ -58,7 +59,7 @@ func TestSelectionCacheTransparent(t *testing.T) {
 		}},
 		{"churn", Config{
 			Protocol: topology.SPT{Alpha: 2, Range: 250},
-			Churn:    ChurnConfig{MeanUp: 4, MeanDown: 1},
+			Channel:  channel.Config{Churn: channel.ChurnConfig{MeanUp: 4, MeanDown: 1}},
 		}},
 	}
 	for _, tc := range cases {

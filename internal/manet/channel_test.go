@@ -144,12 +144,6 @@ func TestChannelConfigConflicts(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"double churn", func() Config {
-			c := Config{Protocol: topology.RNG{}, Seed: 1}
-			c.Churn = ChurnConfig{MeanUp: 5, MeanDown: 1}
-			c.Channel.Churn = channel.ChurnConfig{MeanUp: 5, MeanDown: 1}
-			return c
-		}()},
 		{"delay with collision MAC", func() Config {
 			c := Config{Protocol: topology.RNG{}, Seed: 1}
 			c.Radio.TxDuration = 0.001

@@ -65,17 +65,6 @@ type Mechanisms struct {
 	Proactive bool
 }
 
-// ChurnConfig parameterizes node-failure injection.
-type ChurnConfig struct {
-	// MeanUp is the mean up-time in seconds before a failure.
-	MeanUp float64
-	// MeanDown is the mean outage duration in seconds.
-	MeanDown float64
-}
-
-// Enabled reports whether churn injection is active.
-func (c ChurnConfig) Enabled() bool { return c.MeanUp > 0 && c.MeanDown > 0 }
-
 // Config parameterizes one simulation run.
 type Config struct {
 	// NormalRange is the normal (maximum) transmission range in meters
@@ -99,7 +88,11 @@ type Config struct {
 	// per-packet loss (Bernoulli or Gilbert–Elliott), bounded random
 	// per-delivery delay (Theorem 5's Δ″), and node churn driven by
 	// dedicated substreams. The zero value is the ideal channel and is
-	// provably bit-identical to not having the subsystem at all.
+	// provably bit-identical to not having the subsystem at all. Churn
+	// (Channel.Churn) makes each node alternate between up and down states
+	// with exponentially distributed durations; a down node neither
+	// beacons, receives, nor forwards — the failure model behind the
+	// fault-tolerance discussion of §2.2.
 	Channel channel.Config
 	// FloodRate is floods per second used to probe weak connectivity
 	// (10 in the paper). 0 disables flooding.
@@ -110,6 +103,10 @@ type Config struct {
 	// disables it. Mutually exclusive with FloodRate, the collision MAC,
 	// and CDS-restricted flooding.
 	Traffic traffic.Config
+	// Unicast configures greedy geographic unicast probes (see
+	// unicast.go). The zero value disables them. Mutually exclusive with
+	// FloodRate and Traffic: a run carries one probe workload.
+	Unicast UnicastConfig
 	// FloodSettle is how long after origination a flood is scored
 	// (every reachable node has forwarded by then). Default 0.5 s.
 	FloodSettle float64
@@ -122,12 +119,6 @@ type Config struct {
 	// (snapshot) connectivity of the directed effective topology every
 	// that many seconds.
 	SnapshotEvery float64
-	// Churn, when both fields are positive, injects node failures: each
-	// node alternates between up and down states with exponentially
-	// distributed durations. A down node neither beacons, receives, nor
-	// forwards — the failure model behind the fault-tolerance discussion
-	// of §2.2 (k-connected topologies resist node failures).
-	Churn ChurnConfig
 	// PosNoise, when positive, adds independent Gaussian noise (std-dev
 	// in meters per axis) to every advertised position — imprecise
 	// location information (§1). With consistent views the logical
@@ -208,9 +199,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("manet: CDSForward requires PhysicalNeighbors")
 	case c.Mech.CDSForward && c.Mech.SelfPruning:
 		return fmt.Errorf("manet: CDSForward and SelfPruning are mutually exclusive")
-	case (c.Churn.MeanUp < 0 || c.Churn.MeanDown < 0) ||
-		(c.Churn.MeanUp > 0) != (c.Churn.MeanDown > 0):
-		return fmt.Errorf("manet: churn needs both MeanUp and MeanDown positive (or both zero)")
 	case c.PosNoise < 0:
 		return fmt.Errorf("manet: negative PosNoise %g", c.PosNoise)
 	case c.Domains < 0:
@@ -219,8 +207,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("manet: negative ParallelWorkers %d", c.ParallelWorkers)
 	case c.ParallelWorkers > 0 && c.Domains == 0:
 		return fmt.Errorf("manet: ParallelWorkers set but Domains is 0 (the serial engine has no workers)")
-	case c.Channel.Churn.Enabled() && c.Churn.Enabled():
-		return fmt.Errorf("manet: churn configured both directly (Config.Churn) and through the channel (Config.Channel.Churn)")
 	case c.Channel.Delay.Enabled() && c.Radio.TxDuration > 0:
 		// Collision resolution happens at airtime end; deferring delivery
 		// further would consult a pruned interference log. Model one
@@ -232,6 +218,11 @@ func (c Config) validate() error {
 		return fmt.Errorf("manet: traffic and the collision MAC (Radio.TxDuration) are mutually exclusive")
 	case c.Traffic.Enabled() && c.Mech.CDSForward:
 		return fmt.Errorf("manet: traffic and CDSForward are mutually exclusive (CDS restricts floods, which traffic replaces)")
+	case c.Unicast.Enabled() && (c.FloodRate > 0 || c.Traffic.Enabled()):
+		return fmt.Errorf("manet: unicast probes are mutually exclusive with flooding and traffic (one probe workload per run)")
+	}
+	if err := c.Unicast.validate(); err != nil {
+		return err
 	}
 	if err := c.Traffic.Validate(); err != nil {
 		return err

@@ -1,20 +1,19 @@
 package manet
 
 import (
-	"fmt"
 	"testing"
 
 	"mstc/internal/graph"
 	"mstc/internal/topology"
 )
 
-// TestDiagnoseLoss separates the two failure modes of §1: disconnected
-// logical topology (inconsistent views) vs broken effective links (outdated
-// positions). Exploratory; run with -v.
+// TestDiagnoseLoss separates the two failure modes of §1 and checks §5.2
+// conclusion 2 ("caused by both link failures and disconnected logical
+// topology"): with view synchronization at 40 m/s the logical topology
+// (range ignored) stays far better connected than the effective one, so
+// the loss that remains comes from outdated positions breaking logical
+// links, not from inconsistent views.
 func TestDiagnoseLoss(t *testing.T) {
-	if testing.Short() {
-		t.Skip("diagnostic run")
-	}
 	model := waypointModel(t, 40, 42)
 	nw, err := NewNetwork(model, Config{
 		Protocol: topology.RNG{}, FloodRate: 0, Seed: 7,
@@ -43,6 +42,12 @@ func TestDiagnoseLoss(t *testing.T) {
 		samples++
 	})
 	nw.Run(30)
-	fmt.Printf("logical=%.3f effective=%.3f rangeFailFrac=%.3f\n",
-		logicalSum/float64(samples), effectiveSum/float64(samples), rangeFail/rangeTotal)
+	logical, effective := logicalSum/float64(samples), effectiveSum/float64(samples)
+	t.Logf("logical=%.3f effective=%.3f rangeFailFrac=%.3f", logical, effective, rangeFail/rangeTotal)
+	if logical <= effective {
+		t.Errorf("mean logical reachability %.3f does not exceed effective %.3f", logical, effective)
+	}
+	if rangeFail == 0 {
+		t.Error("no logical link was out of range at 40 m/s; the link-failure mode is not exercised")
+	}
 }

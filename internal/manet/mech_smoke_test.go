@@ -1,7 +1,6 @@
 package manet
 
 import (
-	"fmt"
 	"testing"
 
 	"mstc/internal/topology"
@@ -22,7 +21,7 @@ func TestSmokeMechanisms(t *testing.T) {
 			t.Fatal(err)
 		}
 		res := nw.Run(30)
-		fmt.Printf("%-28s speed=%3.0f conn=%.3f range=%.1f phyDeg=%.2f\n",
+		t.Logf("%-28s speed=%3.0f conn=%.3f range=%.1f phyDeg=%.2f",
 			name, speed, res.Connectivity, res.AvgTxRange, res.AvgPhysicalDegree)
 		return res
 	}

@@ -175,6 +175,9 @@ type Network struct {
 
 	traf *trafficState // traffic subsystem state; nil = disabled
 
+	uni       UnicastResult // unicast probe counters (Config.Unicast)
+	uniHopSum int           // hops of delivered unicast probes
+
 	domGrid *radio.DomainGrid // region-parallel decomposition; nil = serial
 	par     *parRun           // set while runParallel drives the run: floods route through the domain barriers
 }
@@ -266,7 +269,10 @@ func NewNetwork(model mobility.Model, cfg Config) (*Network, error) {
 func (nw *Network) Engine() *sim.Engine { return nw.eng }
 
 // Run executes the simulation for the given duration (seconds) and returns
-// the aggregated result.
+// the aggregated result. It is the one driver of a run: it schedules the
+// beacons (or reactive rounds), churn, sampling, snapshots, and exactly one
+// probe workload — floods (FloodRate), routed traffic (Traffic), or greedy
+// unicast probes (Unicast).
 //
 // With Config.Domains >= 1 (and a configuration the region-parallel engine
 // supports — see parallelEligible) the "Hello" traffic runs through the
@@ -275,37 +281,16 @@ func (nw *Network) Engine() *sim.Engine { return nw.eng }
 // fences. Results are bit-identical either way.
 func (nw *Network) Run(duration float64) Result {
 	par := nw.parallelEligible()
-	if nw.cfg.Mech.Reactive {
-		if !par {
-			nw.scheduleReactiveRounds()
-		}
-	} else if !par {
+	if !par {
+		nw.scheduleBeacons()
+	}
+	// Churn: the channel's fail/recover process, drawn from the channel's
+	// own per-node substreams.
+	if nw.ch.ChurnEnabled() {
+		meanUp, meanDown := nw.ch.ChurnMeans()
 		for _, nd := range nw.nodes {
 			nd := nd
-			// First Hello at a uniform offset within one interval keeps
-			// beacons asynchronous.
-			//lint:ignore substream deliberate: Run/RunUnicast/RunEpidemic are mutually exclusive entry points sharing the 'f' hello-offset labels so hello timing is identical across traffic modes
-			first := nw.rng.Sub('f', uint64(nd.id)).Uniform(0, nd.interval)
-			nw.eng.Every(first, nd.interval, func(now sim.Time) {
-				nw.sendHello(nd, now)
-			})
-		}
-	}
-	// The fail/recover process serves two configurations with one schedule:
-	// the legacy direct knob (Config.Churn, substream 'c' of the network
-	// stream — unchanged draws, so pre-channel runs stay bit-identical) and
-	// the channel's fault process, which draws from the channel's own
-	// per-node substreams. Validation rejects configuring both.
-	meanUp, meanDown := nw.cfg.Churn.MeanUp, nw.cfg.Churn.MeanDown
-	churnRNG := func(id int) *xrand.Source { return nw.rng.Sub('c', uint64(id)) }
-	if !nw.cfg.Churn.Enabled() && nw.ch.ChurnEnabled() {
-		meanUp, meanDown = nw.ch.ChurnMeans()
-		churnRNG = nw.ch.ChurnRNG
-	}
-	if meanUp > 0 && meanDown > 0 {
-		for _, nd := range nw.nodes {
-			nd := nd
-			rng := churnRNG(nd.id)
+			rng := nw.ch.ChurnRNG(nd.id)
 			var fail func(now sim.Time)
 			fail = func(now sim.Time) {
 				down := rng.ExpFloat64() * meanDown
@@ -333,6 +318,9 @@ func (nw *Network) Run(duration float64) Result {
 	if nw.cfg.Traffic.Enabled() {
 		nw.startTraffic(duration)
 	}
+	if nw.cfg.Unicast.Enabled() {
+		nw.startUnicast()
+	}
 	sampleStart := 2 * nw.cfg.HelloMax
 	nw.eng.Every(sampleStart, 1/nw.cfg.SampleRate, func(now sim.Time) {
 		nw.sampleMetrics(now)
@@ -350,6 +338,26 @@ func (nw *Network) Run(duration float64) Result {
 	return nw.result()
 }
 
+// scheduleBeacons puts the serial engine's beacon schedule on the event
+// queue: synchronized rounds under the reactive scheme, otherwise one
+// periodic "Hello" per node whose first beacon falls at a uniform offset
+// within its interval, which keeps beacons asynchronous. The parallel
+// engine replays the same offsets (newParRun).
+func (nw *Network) scheduleBeacons() {
+	if nw.cfg.Mech.Reactive {
+		nw.scheduleReactiveRounds()
+		return
+	}
+	for _, nd := range nw.nodes {
+		nd := nd
+		//lint:ignore substream deliberate: parallel.go's newParRun replays these 'f' offsets bit-identically; the two engines are mutually exclusive per run
+		first := nw.rng.Sub('f', uint64(nd.id)).Uniform(0, nd.interval)
+		nw.eng.Every(first, nd.interval, func(now sim.Time) {
+			nw.sendHello(nd, now)
+		})
+	}
+}
+
 // parallelEligible reports whether the configuration can run on the
 // region-parallel engine. Radio loss, channel loss and delay, reactive
 // rounds, and flood forwarding are all covered: their random components
@@ -361,9 +369,10 @@ func (nw *Network) Run(duration float64) Result {
 // collision MAC's interference log (every transmission contends with
 // every overlapping one, arena-wide), CDS forwarding (neighbor-list
 // payloads built from the sender's table at send time travel in the
-// packet and feed every receiver's marking state), and the traffic
+// packet and feed every receiver's marking state), the traffic
 // subsystem (route tables and link-state views mutate at arbitrary nodes
-// on every reception, so packet order across domains is semantic). Such
+// on every reception, so packet order across domains is semantic), and
+// unicast probes (each walks every node on its path at one instant). Such
 // configurations silently use the serial engine (results are identical by
 // construction, so the fallback is a performance property, not a semantic
 // one).
@@ -371,7 +380,7 @@ func (nw *Network) parallelEligible() bool {
 	if nw.cfg.Domains < 1 {
 		return false
 	}
-	if nw.cfg.Radio.TxDuration > 0 || nw.cfg.Mech.CDSForward || nw.cfg.Traffic.Enabled() {
+	if nw.cfg.Radio.TxDuration > 0 || nw.cfg.Mech.CDSForward || nw.cfg.Traffic.Enabled() || nw.cfg.Unicast.Enabled() {
 		return false
 	}
 	return true
@@ -804,6 +813,7 @@ func (nw *Network) result() Result {
 	if nw.traf != nil {
 		res.Traffic = nw.traf.result()
 	}
+	res.Unicast = nw.unicastResult()
 	return res
 }
 
@@ -844,9 +854,7 @@ type Result struct {
 	// Traffic aggregates the traffic subsystem, when Config.Traffic
 	// enables it (Mode is "" otherwise).
 	Traffic TrafficResult
-	// Unicast aggregates the greedy-geographic probe workload when the
-	// run was driven through RunUnicast (zero otherwise). Run itself
-	// never fills it; the experiment layer copies the RunUnicast result
-	// here so every workload shares one record type.
+	// Unicast aggregates the greedy-geographic probe workload, when
+	// Config.Unicast enables it (zero otherwise).
 	Unicast UnicastResult
 }

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 
+	"mstc/internal/channel"
 	"mstc/internal/geom"
 	"mstc/internal/mobility"
 	"mstc/internal/radio"
@@ -390,18 +391,18 @@ func TestChurnDegradesButDoesNotCollapse(t *testing.T) {
 	// redundant protocol keeps most of the network reachable; delivery
 	// must sit strictly between the churn-free run and collapse.
 	model := connectedStatic(t, 61, 100, 20)
-	run := func(churn ChurnConfig) Result {
+	run := func(churn channel.ChurnConfig) Result {
 		nw, err := NewNetwork(model, Config{
 			Protocol: topology.SPT{Alpha: 2, Range: 250}, FloodRate: 10, Seed: 26,
-			Churn: churn,
+			Channel: channel.Config{Churn: churn},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return nw.Run(20)
 	}
-	clean := run(ChurnConfig{})
-	churned := run(ChurnConfig{MeanUp: 18, MeanDown: 2})
+	clean := run(channel.ChurnConfig{})
+	churned := run(channel.ChurnConfig{MeanUp: 18, MeanDown: 2})
 	if churned.Connectivity >= clean.Connectivity {
 		t.Errorf("churn did not hurt: %.3f vs %.3f", churned.Connectivity, clean.Connectivity)
 	}
@@ -412,12 +413,13 @@ func TestChurnDegradesButDoesNotCollapse(t *testing.T) {
 
 func TestChurnValidation(t *testing.T) {
 	model := connectedStatic(t, 1, 10, 5)
-	for _, churn := range []ChurnConfig{
+	for _, churn := range []channel.ChurnConfig{
 		{MeanUp: 1},   // one-sided
 		{MeanDown: 1}, // one-sided
 		{MeanUp: -1, MeanDown: 1},
 	} {
-		if _, err := NewNetwork(model, Config{Protocol: topology.RNG{}, Churn: churn}); err == nil {
+		cfg := Config{Protocol: topology.RNG{}, Channel: channel.Config{Churn: churn}}
+		if _, err := NewNetwork(model, cfg); err == nil {
 			t.Errorf("bad churn accepted: %+v", churn)
 		}
 	}

@@ -48,14 +48,8 @@ func TestNoallocAnnotationsConform(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Mirror Run's non-reactive scheduling: per-node hello beacons...
-	for _, nd := range nw.nodes {
-		nd := nd
-		first := nw.rng.Sub('f', uint64(nd.id)).Uniform(0, nd.interval)
-		nw.eng.Every(first, nd.interval, func(now sim.Time) {
-			nw.sendHello(nd, now)
-		})
-	}
+	// Run's beacon schedule...
+	nw.scheduleBeacons()
 	// ...plus a flood driver that recycles one probe, so the only per-flood
 	// cost left is the pooled delivery path under test.
 	fl := &flood{accepted: make([]bool, n)}
@@ -112,13 +106,7 @@ func TestTrafficSteadyStateAllocs(t *testing.T) {
 	// Mirror Run's scheduling: hello beacons plus the traffic subsystem,
 	// with a horizon far beyond the measured windows so the drain guard
 	// never stops emission.
-	for _, nd := range nw.nodes {
-		nd := nd
-		first := nw.rng.Sub('f', uint64(nd.id)).Uniform(0, nd.interval)
-		nw.eng.Every(first, nd.interval, func(now sim.Time) {
-			nw.sendHello(nd, now)
-		})
-	}
+	nw.scheduleBeacons()
 	nw.startTraffic(1e9)
 
 	// Warm up: discoveries complete, pools and the event heap grow to

@@ -46,14 +46,15 @@ func runDigest(tb testing.TB, model mobility.Model, cfg Config, dur float64) str
 		tb.Fatal(err)
 	}
 	res := nw.Run(dur)
-	// Vacuity guard matched to the configured probe workload: traffic runs
-	// and FloodRate 0 runs flood nothing by construction.
+	// Vacuity guard matched to the configured probe workload: traffic and
+	// unicast runs flood nothing by construction.
 	if cfg.Traffic.Enabled() {
 		if res.HelloTx == 0 || res.Traffic.Sent == 0 {
 			tb.Fatalf("degenerate run: hellos=%d traffic sent=%d", res.HelloTx, res.Traffic.Sent)
 		}
-	} else if res.HelloTx == 0 || (cfg.FloodRate > 0 && res.Floods == 0) {
-		tb.Fatalf("degenerate run: hellos=%d floods=%d", res.HelloTx, res.Floods)
+	} else if res.HelloTx == 0 || (cfg.FloodRate > 0 && res.Floods == 0) ||
+		(cfg.Unicast.Enabled() && res.Unicast.Probes == 0) {
+		tb.Fatalf("degenerate run: hellos=%d floods=%d probes=%d", res.HelloTx, res.Floods, res.Unicast.Probes)
 	}
 	h := sha256.New()
 	fmt.Fprintf(h, "%#v\n", res)
@@ -367,6 +368,10 @@ func TestParallelFallbackConfigs(t *testing.T) {
 			c.FloodRate = 0
 			c.Traffic = traffic.Config{Mode: traffic.OLSR, Flows: 4, Rate: 4, TCInterval: 2}
 		}},
+		{"unicast", func(c *Config) {
+			c.FloodRate = 0
+			c.Unicast = UnicastConfig{Rate: 10}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -398,7 +403,7 @@ func TestParallelFallbackConfigs(t *testing.T) {
 
 // TestParallelEligibility pins the eligibility frontier in BOTH directions:
 // every feature the engine supports must report eligible (a regression here
-// silently degrades every benchmark and smoke run to serial), and the two
+// silently degrades every benchmark and smoke run to serial), and the
 // documented fallbacks must not. TestParallelMatchesSerialMatrix proves the
 // eligible set correct; this test proves it does not shrink.
 func TestParallelEligibility(t *testing.T) {
@@ -439,6 +444,10 @@ func TestParallelEligibility(t *testing.T) {
 		{"traffic-olsr", func(c *Config) {
 			c.FloodRate = 0
 			c.Traffic = traffic.Config{Mode: traffic.OLSR}
+		}, false},
+		{"unicast", func(c *Config) {
+			c.FloodRate = 0
+			c.Unicast = UnicastConfig{Rate: 10}
 		}, false},
 	}
 	for _, tc := range cases {

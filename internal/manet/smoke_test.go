@@ -1,7 +1,6 @@
 package manet
 
 import (
-	"fmt"
 	"testing"
 
 	"mstc/internal/geom"
@@ -24,7 +23,7 @@ func waypointModel(tb testing.TB, avgSpeed float64, seed uint64) mobility.Model 
 	return m
 }
 
-// TestSmokeBaselines prints (with -v) the Table-1-style metrics and the
+// TestSmokeBaselines logs (with -v) the Table-1-style metrics and the
 // connectivity collapse; assertions are loose sanity checks while the real
 // reproduction lives in package experiment.
 func TestSmokeBaselines(t *testing.T) {
@@ -39,7 +38,7 @@ func TestSmokeBaselines(t *testing.T) {
 				t.Fatal(err)
 			}
 			res := nw.Run(30)
-			fmt.Printf("%-6s speed=%3.0f conn=%.3f range=%.1f logDeg=%.2f phyDeg=%.2f floods=%d\n",
+			t.Logf("%-6s speed=%3.0f conn=%.3f range=%.1f logDeg=%.2f phyDeg=%.2f floods=%d",
 				proto.Name(), speed, res.Connectivity, res.AvgTxRange,
 				res.AvgLogicalDegree, res.AvgPhysicalDegree, res.Floods)
 			if res.Floods == 0 {

@@ -66,13 +66,7 @@ func TestAODVLinkBreakRERR(t *testing.T) {
 	// Mirror Run's scheduling, but pin the flow's endpoints to the
 	// scripted pair after the setup draws (the 't' substream draws random
 	// endpoints; the script needs A -> D).
-	for _, nd := range nw.nodes {
-		nd := nd
-		first := nw.rng.Sub('f', uint64(nd.id)).Uniform(0, nd.interval)
-		nw.eng.Every(first, nd.interval, func(now float64) {
-			nw.sendHello(nd, now)
-		})
-	}
+	nw.scheduleBeacons()
 	const duration = 12
 	nw.startTraffic(duration)
 	ts := nw.traf

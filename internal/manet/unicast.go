@@ -16,21 +16,27 @@ import (
 // stale views therefore surface as either local minima or range failures,
 // the paper's two failure modes, now per-packet.
 
-// UnicastConfig parameterizes a unicast probing run.
+// UnicastConfig parameterizes the unicast probe workload (Config.Unicast).
 type UnicastConfig struct {
-	// Rate is probes per second (source and destination drawn uniformly).
+	// Rate is probes per second (source and destination drawn uniformly);
+	// 0 disables the workload.
 	Rate float64
 	// MaxHops bounds the path length before the packet is dropped
 	// (default 4 * number of nodes).
 	MaxHops int
 }
 
-func (c UnicastConfig) validate(n int) error {
-	if c.Rate <= 0 {
-		return fmt.Errorf("manet: unicast Rate must be positive, got %g", c.Rate)
-	}
-	if c.MaxHops < 0 {
-		return fmt.Errorf("manet: negative MaxHops")
+// Enabled reports whether the unicast probe workload is active.
+func (c UnicastConfig) Enabled() bool { return c.Rate > 0 }
+
+func (c UnicastConfig) validate() error {
+	switch {
+	case c.Rate < 0:
+		return fmt.Errorf("manet: negative unicast Rate %g", c.Rate)
+	case c.MaxHops < 0:
+		return fmt.Errorf("manet: negative unicast MaxHops %d", c.MaxHops)
+	case c.MaxHops > 0 && !c.Enabled():
+		return fmt.Errorf("manet: unicast MaxHops set but Rate is 0")
 	}
 	return nil
 }
@@ -44,62 +50,64 @@ type UnicastResult struct {
 	// LocalMinima counts probes dropped with no closer logical neighbor.
 	LocalMinima int
 	// RangeFailures counts probes dropped because the chosen next hop was
-	// no longer within transmission range (outdated information).
+	// no longer within transmission range (outdated information) or was
+	// down (churn).
 	RangeFailures int
 	// Probes is the number of scored probes.
 	Probes int
 }
 
-// RunUnicast drives the network for duration seconds with normal beaconing
-// and selection, routing greedy unicast probes instead of floods.
+// RunUnicast runs the network with Config.Unicast = uc as its only probe
+// workload and returns the unicast result. It is kept only for the bench/
+// harness and goes at the next change to bench/; use Config.Unicast.
 func (nw *Network) RunUnicast(duration float64, uc UnicastConfig) (UnicastResult, error) {
-	if err := uc.validate(len(nw.nodes)); err != nil {
+	nw.cfg.Unicast, nw.cfg.FloodRate = uc, 0
+	if err := nw.cfg.validate(); err != nil {
 		return UnicastResult{}, err
 	}
-	maxHops := uc.MaxHops
+	return nw.Run(duration).Unicast, nil
+}
+
+// startUnicast schedules the probe workload: after the flood warm-up,
+// Rate probes per second between uniformly drawn endpoints. A probe whose
+// source is down is not scored. Both endpoints are drawn before any check,
+// so the root stream advances identically with or without churn.
+func (nw *Network) startUnicast() {
+	n := len(nw.nodes)
+	maxHops := nw.cfg.Unicast.MaxHops
 	if maxHops == 0 {
-		maxHops = 4 * len(nw.nodes)
+		maxHops = 4 * n
 	}
-	if nw.cfg.Mech.Reactive {
-		nw.scheduleReactiveRounds()
-	} else {
-		for _, nd := range nw.nodes {
-			nd := nd
-			//lint:ignore substream deliberate: shares the 'f' hello-offset labels with Run — the entry points are mutually exclusive on one Network
-			first := nw.rng.Sub('f', uint64(nd.id)).Uniform(0, nd.interval)
-			nw.eng.Every(first, nd.interval, func(now sim.Time) {
-				nw.sendHello(nd, now)
-			})
-		}
-	}
-	res := UnicastResult{}
-	hopSum := 0
-	warmup := 2 * nw.cfg.HelloMax
-	nw.eng.Every(warmup, 1/uc.Rate, func(now sim.Time) {
+	nw.eng.Every(2*nw.cfg.HelloMax, 1/nw.cfg.Unicast.Rate, func(now sim.Time) {
 		//lint:ignore substream historical draw order: probe endpoints ride the root network stream, mirroring originateFlood; a Sub would change unicast digests
-		src := nw.rng.Intn(len(nw.nodes))
+		src := nw.rng.Intn(n)
 		//lint:ignore substream historical draw order: probe endpoints ride the root network stream, mirroring originateFlood; a Sub would change unicast digests
-		dst := nw.rng.Intn(len(nw.nodes))
-		if src == dst {
+		dst := nw.rng.Intn(n)
+		if src == dst || nw.nodes[src].isDown(now) {
 			return
 		}
-		nw.routeProbe(src, dst, maxHops, now, &res, &hopSum)
+		nw.routeProbe(src, dst, maxHops, now)
 	})
-	nw.eng.Run(duration)
+}
+
+// unicastResult finalizes the probe counters.
+func (nw *Network) unicastResult() UnicastResult {
+	res := nw.uni
 	if res.Probes > 0 {
 		delivered := res.Probes - res.LocalMinima - res.RangeFailures
 		res.Delivered = float64(delivered) / float64(res.Probes)
 		if delivered > 0 {
-			res.AvgHops = float64(hopSum) / float64(delivered)
+			res.AvgHops = float64(nw.uniHopSum) / float64(delivered)
 		}
 	}
-	return res, nil
+	return res
 }
 
 // routeProbe walks one greedy probe hop by hop at a single instant (probe
 // forwarding is orders of magnitude faster than node movement, as with
 // floods).
-func (nw *Network) routeProbe(src, dst, maxHops int, now sim.Time, res *UnicastResult, hopSum *int) {
+func (nw *Network) routeProbe(src, dst, maxHops int, now sim.Time) {
+	res := &nw.uni
 	res.Probes++
 	dstPos := nw.nodes[dst].advertisedPos
 	cur := src
@@ -118,10 +126,10 @@ func (nw *Network) routeProbe(src, dst, maxHops int, now sim.Time, res *UnicastR
 			res.LocalMinima++
 			return
 		}
-		// The hop physically succeeds only if next is inside cur's
+		// The hop physically succeeds only if next is up and inside cur's
 		// current transmission range.
 		d := nw.med.PositionAt(cur, now).Dist(nw.med.PositionAt(next, now))
-		if d > nd.txRange {
+		if d > nd.txRange || nw.nodes[next].isDown(now) {
 			res.RangeFailures++
 			return
 		}
@@ -130,7 +138,7 @@ func (nw *Network) routeProbe(src, dst, maxHops int, now sim.Time, res *UnicastR
 		cur = next
 		hops++
 	}
-	*hopSum += hops
+	nw.uniHopSum += hops
 }
 
 // greedyNext picks nd's forwarding-eligible neighbor whose advertised
