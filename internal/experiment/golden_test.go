@@ -103,6 +103,38 @@ func TestIdealChannelFig6BitIdentical(t *testing.T) {
 	}
 }
 
+// TestConsistencyGoldenDigest pins the %#v form of every result of the
+// §4 consistency mechanisms (buffer only, view sync, weak consistency with
+// k = 3, proactive and reactive strong consistency) under MST, RNG and
+// SPT-2 at two speeds. Each mechanism re-runs local selection on its own
+// kind of view — pinned epochs, same-version rounds, multi-position
+// histories — so a selection kernel that decides one neighbour differently
+// on any of them moves this digest.
+func TestConsistencyGoldenDigest(t *testing.T) {
+	const goldenConsistencyDigest = "ff195d1100443f11a709852aa4aa034dcaeb29f9fa042ccd1a70fbbe903b1a78"
+	o := goldenOptions()
+	mechs := []manet.Mechanisms{
+		{Buffer: 10},
+		{Buffer: 10, ViewSync: true},
+		{Buffer: 10, WeakK: 3},
+		{Buffer: 10, Proactive: true},
+		{Buffer: 10, Reactive: true},
+	}
+	results, err := Execute(o, crossTasks([]string{"MST", "RNG", "SPT-2"}, []float64{40, 160}, mechs, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if r.Floods == 0 {
+			t.Fatalf("task %d scored no floods; the digest would pin nothing", i)
+		}
+	}
+	if got := resultsDigest(results); got != goldenConsistencyDigest {
+		t.Errorf("consistency-mechanism results drifted from the golden digest:\n got %s\nwant %s",
+			got, goldenConsistencyDigest)
+	}
+}
+
 // TestRoutingGoldenDigest pins the FigRouting render for both protocols
 // paperfig plots (GG, RNG) plus the %#v form of every task's
 // Result.Unicast. The unicast probe workload rides Network.Run like the
