@@ -724,8 +724,7 @@ func (sc *selCtx) selectWeak(nd *node, now sim.Time, selfPos geom.Point) {
 			j++
 		}
 		if j < len(mv.Neighbors) && mv.Neighbors[j].ID == id {
-			_, dMax := topology.CostRange(self.Positions[1:2], mv.Neighbors[j].Positions, topology.DistanceCost)
-			if dMax > r {
+			if dMax := topology.MaxDist(self.Positions[1:2], mv.Neighbors[j].Positions); dMax > r {
 				r = dMax
 			}
 		}

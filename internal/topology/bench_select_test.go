@@ -19,9 +19,9 @@ func benchView() View {
 }
 
 // denseBenchView is a crowded view: 100 nodes in a 540 m square with the
-// observer at its center: 65 neighbors within the 250 m range. The
-// dense kernels are quadratic in the view size, so this is where their
-// per-step cost shows.
+// observer at its center: 65 neighbors within the 250 m range. A search
+// that cannot stop early costs up to the square of the view size, so this
+// is where an exit rule's reach shows.
 func denseBenchView() View {
 	rng := xrand.New(9)
 	pts := make([]geom.Point, 100)
@@ -32,16 +32,15 @@ func denseBenchView() View {
 	return viewOf(pts, 0, normalRange)
 }
 
-// benchMultiView gives every node of benchView a k = 3 history: its
-// position and two earlier ones up to 10 m away.
-func benchMultiView() MultiView {
+// multiViewOf gives every node of v a k = 3 history: its position and
+// two earlier ones up to 10 m away.
+func multiViewOf(v View) MultiView {
 	rng := xrand.New(10)
 	hist := func(p geom.Point) []geom.Point {
 		return []geom.Point{p,
 			geom.Pt(p.X+rng.Uniform(-5, 5), p.Y+rng.Uniform(-5, 5)),
 			geom.Pt(p.X+rng.Uniform(-10, 10), p.Y+rng.Uniform(-10, 10))}
 	}
-	v := benchView()
 	mv := MultiView{Self: MultiNodeInfo{ID: v.Self.ID, Positions: hist(v.Self.Pos)}}
 	for _, nb := range v.Neighbors {
 		mv.Neighbors = append(mv.Neighbors, MultiNodeInfo{ID: nb.ID, Positions: hist(nb.Pos)})
@@ -65,7 +64,10 @@ func benchSelectView(b *testing.B, p Protocol, v View) {
 }
 
 func benchSelectWeak(b *testing.B, p WeakProtocol) {
-	mv := benchMultiView()
+	benchSelectWeakView(b, p, multiViewOf(benchView()))
+}
+
+func benchSelectWeakView(b *testing.B, p WeakProtocol, mv MultiView) {
 	s := &Scratch{}
 	var dst []int
 	b.ReportAllocs()
@@ -84,10 +86,12 @@ func BenchmarkMSTSelect(b *testing.B)     { benchSelect(b, MST{Range: normalRang
 func BenchmarkSPTSelect(b *testing.B)     { benchSelect(b, SPT{Alpha: 2, Range: normalRange}) }
 func BenchmarkSPT4Select(b *testing.B)    { benchSelect(b, SPT{Alpha: 4, Range: normalRange}) }
 func BenchmarkYaoSelect(b *testing.B)     { benchSelect(b, Yao{K: 6}) }
+func BenchmarkWeakRNGSelect(b *testing.B) { benchSelectWeak(b, WeakRNG{}) }
 func BenchmarkWeakMSTSelect(b *testing.B) { benchSelectWeak(b, WeakMST{Range: normalRange}) }
 func BenchmarkWeakSPTSelect(b *testing.B) { benchSelectWeak(b, WeakSPT{Alpha: 2, Range: normalRange}) }
 
-// BenchmarkDenseSelect runs the quadratic kernels on denseBenchView.
+// BenchmarkDenseSelect runs the kernels whose cost grows fastest with the
+// view size on denseBenchView.
 func BenchmarkDenseSelect(b *testing.B) {
 	v := denseBenchView()
 	for _, p := range []Protocol{
@@ -97,5 +101,18 @@ func BenchmarkDenseSelect(b *testing.B) {
 		SPT{Alpha: 4, Range: normalRange},
 	} {
 		b.Run(p.Name(), func(b *testing.B) { benchSelectView(b, p, v) })
+	}
+}
+
+// BenchmarkDenseSelectWeak runs the weak kernels on denseBenchView with a
+// k = 3 history per node.
+func BenchmarkDenseSelectWeak(b *testing.B) {
+	mv := multiViewOf(denseBenchView())
+	for _, p := range []WeakProtocol{
+		WeakRNG{},
+		WeakMST{Range: normalRange},
+		WeakSPT{Alpha: 2, Range: normalRange},
+	} {
+		b.Run(p.Name(), func(b *testing.B) { benchSelectWeakView(b, p, mv) })
 	}
 }

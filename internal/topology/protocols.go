@@ -122,73 +122,67 @@ func (m MST) Select(v View) []int {
 	return m.SelectInto(v, make([]int, 0, 4), &Scratch{})
 }
 
-// SelectInto implements ScratchSelector. The kernel is dense Prim over a
-// scratch weight matrix. Each step commits the candidate edge that is
-// smallest under mstLess, the §3.1 strict total order (cost, min id, max
-// id) — view indices ascend with ids — so it builds the unique total-order
-// minimum spanning forest of the view: the tree every node computing over
-// the same view agrees on. The next tree node is found by a scan fused
-// with the relaxation of the last node's row, O(n²) like filling the
-// matrix, with no heap; when no candidate edge leaves the tree, the next
-// component starts at the lowest-index node outside it.
-// TestMSTKernelMatchesKruskal pins the result against an independent
-// Kruskal oracle on tie-heavy inputs.
+// SelectInto implements ScratchSelector. The kernel is Prim rooted at Self.
+// Each step commits the candidate edge that is smallest under mstLess, the
+// §3.1 strict total order (cost, min id, max id) — view indices ascend
+// with ids — so it grows Self's tree of the unique total-order minimum
+// spanning forest of the view: the tree every node computing over the
+// same view agrees on. The next tree node is found by a scan fused with
+// the relaxation of the last node's edges, each pair's cost computed once,
+// when its first endpoint joins the tree; there is no heap. Only edges at
+// Self are read, and a candidate edge from Self, once replaced, never
+// returns (Self's edges are all relaxed first), so the search stops when
+// no node outside the tree still has its best candidate edge from Self.
+// TestMSTKernelMatchesKruskal and FuzzSelectKernels pin the result against
+// an independent Kruskal oracle on tie-heavy inputs.
 //manet:noalloc
 func (m MST) SelectInto(v View, dst []int, s *Scratch) []int {
 	selfIdx := s.viewNodes(v)
 	n := len(s.ids)
-	s.w = grown(s.w, n*n)
 	r2 := rangeBound(m.Range)
-	inf := math.Inf(1)
-	for i := 0; i < n; i++ {
-		s.w[i*n+i] = inf
-		for j := i + 1; j < n; j++ {
-			c := inf
-			if s.pts[i].Dist2(s.pts[j]) <= r2 {
-				c = s.pts[i].Dist(s.pts[j])
-			}
-			s.w[i*n+j] = c
-			s.w[j*n+i] = c
-		}
-	}
 	s.dist = grown(s.dist, n)
 	s.pred = grown(s.pred, n)
 	s.done = grown(s.done, n)
 	bestW, bestFrom, inTree := s.dist, s.pred, s.done
 	for i := 0; i < n; i++ {
-		bestW[i] = inf
+		bestW[i] = math.Inf(1)
 		bestFrom[i] = -1
 		inTree[i] = false
 	}
 	start := len(dst)
-	for root := 0; root < n; root++ {
-		if inTree[root] {
-			continue
+	fromSelf := 0 // nodes outside the tree whose best candidate edge is at Self
+	for u := selfIdx; ; {
+		inTree[u] = true
+		if int(bestFrom[u]) == selfIdx {
+			dst = append(dst, s.ids[u])
+			fromSelf--
 		}
-		for u := root; u != -1; {
-			inTree[u] = true
-			if from := int(bestFrom[u]); from == selfIdx {
-				dst = append(dst, s.ids[u])
-			} else if u == selfIdx && from != -1 {
-				dst = append(dst, s.ids[from])
+		next := -1
+		for nb := 0; nb < n; nb++ {
+			if inTree[nb] {
+				continue
 			}
-			row := s.w[u*n : u*n+n]
-			next := -1
-			for nb := 0; nb < n; nb++ {
-				if inTree[nb] {
-					continue
-				}
-				if w := row[nb]; !math.IsInf(w, 1) && mstLess(w, u, nb, bestW[nb], int(bestFrom[nb]), nb) {
+			if s.pts[u].Dist2(s.pts[nb]) <= r2 {
+				if w := s.pts[u].Dist(s.pts[nb]); mstLess(w, u, nb, bestW[nb], int(bestFrom[nb]), nb) {
+					if int(bestFrom[nb]) == selfIdx {
+						fromSelf--
+					}
+					if u == selfIdx {
+						fromSelf++
+					}
 					bestW[nb] = w
 					bestFrom[nb] = int32(u)
 				}
-				if !math.IsInf(bestW[nb], 1) && (next == -1 ||
-					mstLess(bestW[nb], int(bestFrom[nb]), nb, bestW[next], int(bestFrom[next]), next)) {
-					next = nb
-				}
 			}
-			u = next
+			if !math.IsInf(bestW[nb], 1) && (next == -1 ||
+				mstLess(bestW[nb], int(bestFrom[nb]), nb, bestW[next], int(bestFrom[next]), next)) {
+				next = nb
+			}
 		}
+		if fromSelf == 0 {
+			break
+		}
+		u = next
 	}
 	sortInts(dst[start:])
 	return dst
@@ -240,9 +234,12 @@ func (s SPT) Select(v View) []int {
 	return s.SelectInto(v, make([]int, 0, 4), &Scratch{})
 }
 
-// SelectInto implements ScratchSelector. The kernel runs Dijkstra
-// (densePaths) over a dense scratch matrix of energy costs; the direct cost
-// of each in-range link is read back from Self's row of that matrix.
+// SelectInto implements ScratchSelector. The kernel runs the early-exit
+// Dijkstra search from Self (Scratch.search) with each neighbor's direct
+// cost as its threshold: the link is kept unless a strictly cheaper path
+// exists. The best path includes the direct edge when it is usable, so a
+// kept in-range link is one whose path cost equals its direct cost; a
+// neighbor beyond Range has a direct cost but no usable edge.
 // TestSPTKernelMatchesDijkstra pins it against graph.Dijkstra.
 //manet:noalloc
 func (sp SPT) SelectInto(v View, dst []int, s *Scratch) []int {
@@ -250,41 +247,24 @@ func (sp SPT) SelectInto(v View, dst []int, s *Scratch) []int {
 		panic(fmt.Sprintf("topology: EnergyCost alpha %g < 1", sp.Alpha))
 	}
 	selfIdx := s.viewNodes(v)
-	n := len(s.ids)
-	s.w = grown(s.w, n*n)
 	r2 := rangeBound(sp.Range)
-	inf := math.Inf(1)
-	for i := 0; i < n; i++ {
-		s.w[i*n+i] = inf
-		for j := i + 1; j < n; j++ {
-			c := inf
-			if s.pts[i].Dist2(s.pts[j]) <= r2 {
-				c = energy(s.pts[i].Dist(s.pts[j]), sp.Alpha) + sp.Fixed
-			}
-			s.w[i*n+j] = c
-			s.w[j*n+i] = c
+	s.dist, s.thr = grown(s.dist, len(s.ids)), grown(s.thr, len(s.ids))
+	self := s.pts[selfIdx]
+	for i, p := range s.pts {
+		s.thr[i] = energy(self.Dist(p), sp.Alpha) + sp.Fixed
+		s.dist[i] = math.Inf(1)
+		if self.Dist2(p) <= r2 {
+			s.dist[i] = s.thr[i]
 		}
 	}
-	dist := s.densePaths(n, selfIdx, false)
-	self := s.w[selfIdx*n : selfIdx*n+n]
-	for i, nb := range v.Neighbors {
-		idx := i
-		if i >= selfIdx {
-			idx = i + 1
+	s.dist[selfIdx] = 0
+	//lint:ignore noalloc the closure does not escape search, so it stays on the stack; the conformance test pins zero allocs
+	return s.search(dst, selfIdx, false, func(i, j int) float64 {
+		if s.pts[i].Dist2(s.pts[j]) > r2 {
+			return math.Inf(1)
 		}
-		// A neighbor beyond Range has no matrix entry, only a direct cost.
-		direct := self[idx]
-		if math.IsInf(direct, 1) {
-			direct = energy(v.Self.Pos.Dist(nb.Pos), sp.Alpha) + sp.Fixed
-		}
-		// Keep the link unless a strictly cheaper indirect path exists.
-		// dist includes the direct edge, so dist <= direct always holds
-		// when the edge is usable; equality means direct is optimal.
-		if dist[idx] >= direct {
-			dst = append(dst, nb.ID)
-		}
-	}
-	return dst
+		return energy(s.pts[i].Dist(s.pts[j]), sp.Alpha) + sp.Fixed
+	})
 }
 
 // Yao is the Yao-graph-based protocol: the disk around u is divided into K

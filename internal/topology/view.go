@@ -91,6 +91,23 @@ func CostRange(a, b []geom.Point, fn CostFn) (cMin, cMax float64) {
 	return fn(dMin), fn(dMax)
 }
 
+// MaxDist returns the largest distance between a point of a and a point of
+// b (+Inf if either is empty): distRange's dMax alone, bit for bit.
+func MaxDist(a, b []geom.Point) float64 {
+	dMax := -1.0
+	for _, p := range a {
+		for _, q := range b {
+			if d2 := p.Dist2(q); d2 > dMax {
+				dMax = d2
+			}
+		}
+	}
+	if dMax < 0 { // one of the sets is empty
+		return math.Inf(1)
+	}
+	return math.Sqrt(dMax)
+}
+
 func distRange(a, b []geom.Point) (dMin, dMax float64) {
 	dMin = math.Inf(1)
 	dMax = -1

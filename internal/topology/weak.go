@@ -31,20 +31,23 @@ func (w WeakRNG) SelectWeak(v MultiView) []int {
 	return w.SelectWeakInto(v, make([]int, 0, 4), &Scratch{})
 }
 
-// SelectWeakInto implements WeakScratchSelector.
+// SelectWeakInto implements WeakScratchSelector. cMin and cMax of each
+// link at Self are computed once; for non-NaN costs
+// x > max(a, b) ⇔ x > a && x > b, so the witness's far cost cMax(w,v) is
+// computed only once cMax(u,w) is below cMin(u,v).
 //manet:noalloc
-func (WeakRNG) SelectWeakInto(v MultiView, dst []int, _ *Scratch) []int {
+func (WeakRNG) SelectWeakInto(v MultiView, dst []int, s *Scratch) []int {
+	d := len(v.Neighbors)
+	s.costs = grown(s.costs, 2*d)
+	cMin, cMax := s.costs[:d], s.costs[d:]
+	for i, n := range v.Neighbors {
+		cMin[i], cMax[i] = distRange(v.Self.Positions, n.Positions)
+	}
 	start := len(dst)
-	for _, n := range v.Neighbors {
-		cMinUV, _ := CostRange(v.Self.Positions, n.Positions, DistanceCost)
+	for i, n := range v.Neighbors {
 		removed := false
-		for _, w := range v.Neighbors {
-			if w.ID == n.ID {
-				continue
-			}
-			_, cMaxUW := CostRange(v.Self.Positions, w.Positions, DistanceCost)
-			_, cMaxWV := CostRange(w.Positions, n.Positions, DistanceCost)
-			if cMinUV > math.Max(cMaxUW, cMaxWV) {
+		for j, w := range v.Neighbors {
+			if w.ID != n.ID && cMin[i] > cMax[j] && cMin[i] > MaxDist(w.Positions, n.Positions) {
 				removed = true
 				break
 			}
@@ -78,22 +81,7 @@ func (m WeakMST) SelectWeak(v MultiView) []int {
 // SelectWeakInto implements WeakScratchSelector.
 //manet:noalloc
 func (m WeakMST) SelectWeakInto(v MultiView, dst []int, s *Scratch) []int {
-	selfIdx := s.multiViewNodes(v)
-	s.fillWeakMatrix(m.Range, DistanceCost)
-	bottleneck := s.densePaths(len(s.pos), selfIdx, true)
-	start := len(dst)
-	for i, n := range v.Neighbors {
-		idx := i
-		if i >= selfIdx {
-			idx = i + 1
-		}
-		cMinUV, _ := CostRange(v.Self.Positions, n.Positions, DistanceCost)
-		if !(cMinUV > bottleneck[idx]) {
-			dst = append(dst, n.ID)
-		}
-	}
-	sortInts(dst[start:])
-	return dst
+	return s.weakSearch(v, dst, m.Range, DistanceCost, true)
 }
 
 // WeakSPT applies enhanced removal condition 2: remove (u, v) iff the view
@@ -125,66 +113,64 @@ func (sp WeakSPT) SelectWeakInto(v MultiView, dst []int, s *Scratch) []int {
 	if sp.Alpha < 1 {
 		panic(fmt.Sprintf("topology: EnergyCost alpha %g < 1", sp.Alpha))
 	}
-	//lint:ignore noalloc the closure captures only sp (by value) and does not escape fillWeakMatrix, so it stays on the stack; the conformance test pins zero allocs
+	//lint:ignore noalloc the closure captures only sp (by value) and does not escape weakSearch, so it stays on the stack; the conformance test pins zero allocs
 	cost := func(d float64) float64 { return energy(d, sp.Alpha) + sp.Fixed }
+	return s.weakSearch(v, dst, sp.Range, cost, false)
+}
+
+// weakSearch runs the early-exit search (Scratch.search) from Self over the
+// pessimistic (cMax) link costs under fn, with cMin(Self, v) as neighbor
+// v's threshold: v is removed iff a relay path's cost is below even the
+// most optimistic cost of the direct link. An edge is usable only when its
+// cMax keeps it within maxRange (the conservative existence test).
+func (s *Scratch) weakSearch(v MultiView, dst []int, maxRange float64, fn CostFn, bottleneck bool) []int {
 	selfIdx := s.multiViewNodes(v)
-	s.fillWeakMatrix(sp.Range, cost)
-	dist := s.densePaths(len(s.pos), selfIdx, false)
-	start := len(dst)
-	for i, n := range v.Neighbors {
-		idx := i
-		if i >= selfIdx {
-			idx = i + 1
-		}
-		cMinUV, _ := CostRange(v.Self.Positions, n.Positions, cost)
-		if !(cMinUV > dist[idx]) {
-			dst = append(dst, n.ID)
+	limit := math.Inf(1)
+	if maxRange > 0 && !math.IsInf(maxRange, 1) {
+		limit = fn(maxRange)
+	}
+	s.dist, s.thr = grown(s.dist, len(s.pos)), grown(s.thr, len(s.pos))
+	for i, p := range s.pos {
+		dMin, dMax := distRange(s.pos[selfIdx], p)
+		s.thr[i], s.dist[i] = fn(dMin), fn(dMax)
+		if s.dist[i] > limit {
+			s.dist[i] = math.Inf(1)
 		}
 	}
+	s.dist[selfIdx] = 0
+	start := len(dst)
+	//lint:ignore noalloc the closure does not escape search, so it stays on the stack; the conformance test pins zero allocs
+	dst = s.search(dst, selfIdx, bottleneck, func(i, j int) float64 {
+		if c := fn(MaxDist(s.pos[i], s.pos[j])); c <= limit {
+			return c
+		}
+		return math.Inf(1)
+	})
 	sortInts(dst[start:])
 	return dst
 }
 
-// multiViewNodes lays the view's position sets out in ascending real-id
-// order (Self inserted at its id rank), so neighbor i sits at index i
-// (i < selfIdx) or i+1. It returns Self's index.
+// multiViewNodes lays the view's ids and position sets out in ascending
+// real-id order (Self inserted at its id rank), so neighbor i sits at
+// index i (i < selfIdx) or i+1. It returns Self's index.
 func (s *Scratch) multiViewNodes(v MultiView) (selfIdx int) {
 	n := len(v.Neighbors) + 1
+	s.ids = grown(s.ids, n)[:0]
 	s.pos = grown(s.pos, n)[:0]
 	selfIdx = -1
 	for _, nb := range v.Neighbors {
 		if selfIdx == -1 && v.Self.ID < nb.ID {
 			selfIdx = len(s.pos)
+			s.ids = append(s.ids, v.Self.ID)
 			s.pos = append(s.pos, v.Self.Positions)
 		}
+		s.ids = append(s.ids, nb.ID)
 		s.pos = append(s.pos, nb.Positions)
 	}
 	if selfIdx == -1 {
 		selfIdx = len(s.pos)
+		s.ids = append(s.ids, v.Self.ID)
 		s.pos = append(s.pos, v.Self.Positions)
 	}
 	return selfIdx
-}
-
-// fillWeakMatrix fills the scratch dense matrix with the pessimistic (cMax)
-// pairwise costs over s.pos, +Inf where even the maximal cost cannot
-// certify the link exists (the conservative existence test).
-func (s *Scratch) fillWeakMatrix(maxRange float64, fn CostFn) {
-	n := len(s.pos)
-	s.w = grown(s.w, n*n)
-	limit := math.Inf(1)
-	if maxRange > 0 && !math.IsInf(maxRange, 1) {
-		limit = fn(maxRange)
-	}
-	for i := 0; i < n; i++ {
-		s.w[i*n+i] = 0
-		for j := i + 1; j < n; j++ {
-			_, cMax := CostRange(s.pos[i], s.pos[j], fn)
-			if cMax > limit {
-				cMax = math.Inf(1)
-			}
-			s.w[i*n+j] = cMax
-			s.w[j*n+i] = cMax
-		}
-	}
 }
