@@ -43,6 +43,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTable$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/hello
 	$(GO) test -run '^$$' -fuzz '^FuzzGilbertElliott$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/channel
 	$(GO) test -run '^$$' -fuzz '^FuzzSelectKernels$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/topology
+	$(GO) test -run '^$$' -fuzz '^FuzzDegreesAt$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/radio
 
 # Tiny deterministic fault-injection sweep: the loss/delay/churn and
 # buffer-zone experiments at smoke scale, run twice and compared — any

@@ -478,7 +478,7 @@ func BenchmarkAblationGridCell(b *testing.B) {
 			buf := make([]int, 0, 64)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				buf = ix.Within(pts[i%100], 250, buf[:0])
+				buf = ix.WithinUnsorted(pts[i%100], 250, buf[:0])
 			}
 		})
 	}

@@ -162,6 +162,10 @@ type Network struct {
 
 	recvBuf []int
 
+	// per-sample scratch: every node's range and physical degree
+	sampleRanges []float64
+	sampleDeg    []int
+
 	// The serial selection context (promoted methods: nw.updateSelection
 	// and friends). Parallel domain contexts live in parRun.
 	selCtx
@@ -210,6 +214,9 @@ func NewNetwork(model mobility.Model, cfg Config) (*Network, error) {
 		rng:   root.Sub('n'),
 		ch:    ch,
 		nodes: make([]*node, n),
+
+		sampleRanges: make([]float64, n),
+		sampleDeg:    make([]int, 0, n),
 	}
 	nw.selCtx.cfg = &nw.cfg
 	nw.selCtx.pos = med
@@ -742,14 +749,19 @@ func (sc *selCtx) setSelection(nd *node, sel []int, actual float64) {
 	nd.txRange = topology.ExtendedRange(actual, sc.cfg.Mech.Buffer, sc.cfg.NormalRange)
 }
 
-// sampleMetrics records the per-node transmission range and degrees.
+// sampleMetrics records the per-node transmission range and degrees. The
+// physical degrees come from one medium pass; the sums still run node by
+// node, so their rounding is that of one receiver query per node.
 func (nw *Network) sampleMetrics(now sim.Time) {
-	for _, nd := range nw.nodes {
+	for i, nd := range nw.nodes {
+		nw.sampleRanges[i] = nd.txRange
+	}
+	nw.sampleDeg = nw.med.DegreesAt(now, nw.sampleRanges, nw.sampleDeg[:0])
+	for i, nd := range nw.nodes {
 		nw.rangeSum += nd.txRange
 		nw.rangeSamples++
 		nw.logDegSum += float64(len(nd.logical))
-		nw.recvBuf = nw.med.ReceiversAt(now, nd.id, nd.txRange, nw.recvBuf[:0])
-		nw.phyDegSum += float64(len(nw.recvBuf))
+		nw.phyDegSum += float64(nw.sampleDeg[i])
 		nw.degSamples++
 	}
 }

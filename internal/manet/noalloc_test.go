@@ -30,7 +30,7 @@ func TestNoallocAnnotationsConform(t *testing.T) {
 		"delivery.Act", "domainCtx.popDel", "domainCtx.pushDel",
 		"helloDelivery.Act", "parRun.processDomain", "parRun.processFloodScan",
 		"parRun.processRecord", "parRun.processSegment", "parRun.processSettle",
-		"parRun.receivers", "sortInts", "trafficDelivery.Act", "trafficState.olsrNextHop",
+		"parRun.receivers", "trafficDelivery.Act", "trafficState.olsrNextHop",
 	}
 	if !reflect.DeepEqual(annotated, want) {
 		t.Fatalf("//manet:noalloc set changed: got %v, want %v — update this conformance test with the new path", annotated, want)

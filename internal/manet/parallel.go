@@ -829,7 +829,7 @@ func (pr *parRun) receivers(pd *domainCtx, d, sender int, pos geom.Point, at, r 
 		recv = append(recv, v)
 	}
 	pd.recv = recv
-	sortInts(recv)
+	radio.SortIDs(recv)
 	kept := recv[:0]
 	for _, v := range recv {
 		if !nw.med.LostAt(at, sender, v) {
@@ -837,18 +837,6 @@ func (pr *parRun) receivers(pd *domainCtx, d, sender int, pos geom.Point, at, r 
 		}
 	}
 	return nw.ch.FilterLost(kept)
-}
-
-// sortInts is an allocation-free insertion sort for the small per-domain
-// receiver lists, as in the radio's ReceiversAt.
-//
-//manet:noalloc
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // delByAtSeq sorts deferred receptions by (at, seq) — the serial delivery

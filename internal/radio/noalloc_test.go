@@ -11,8 +11,10 @@ import (
 
 // TestNoallocAnnotationsConform pins every //manet:noalloc annotation in
 // this package with testing.AllocsPerRun: the per-window domain assignment
-// must allocate nothing when appending into a recycled dst. Coverage is
-// cross-checked against the annotation scan in both directions.
+// and the medium's receiver and degree queries must allocate nothing when
+// appending into a recycled dst, even when every call is at a new instant
+// (a grid rebuild) and loss draws are on. Coverage is cross-checked against
+// the annotation scan in both directions.
 func TestNoallocAnnotationsConform(t *testing.T) {
 	dg, err := NewDomainGrid(geom.Square(900), 4)
 	if err != nil {
@@ -25,8 +27,22 @@ func TestNoallocAnnotationsConform(t *testing.T) {
 	}
 	dst := make([]int, 0, len(pts))
 
+	med, err := NewMedium(newWaypointModel(t, len(pts), 40, 1e4, 5), Config{LossRate: 0.2}, xrand.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranges := make([]float64, len(pts))
+	for i := range ranges {
+		ranges[i] = 250
+	}
+	at := 0.0
+	next := func() float64 { at += 2; return at } // 2·vmax·2 s > the 125 m slack: every call rebuilds
+
 	measured := map[string]func(){
 		"DomainGrid.AssignInto": func() { dst = dg.AssignInto(pts, dst[:0]) },
+		"Medium.DegreesAt":      func() { dst = med.DegreesAt(next(), ranges, dst[:0]) },
+		"Medium.ReceiversAt":    func() { dst = med.ReceiversAt(next(), 0, 250, dst[:0]) },
+		"SortIDs":               func() { SortIDs(dst) },
 	}
 
 	annotated, err := lint.NoallocFuncs(".")

@@ -23,6 +23,13 @@
 // freshly built grid's. The grid is rebuilt only once the inflation
 // 2·vmax·Δ exceeds a slack budget (one grid cell by default), turning the
 // per-event cost from O(n) into O(neighborhood) amortized.
+//
+// Metric samples ask for every node's physical degree at one instant.
+// DegreesAt answers them in one pass that rebuilds the grid exactly at the
+// sample instant and counts each node's disc without inflation. With
+// samples at 10 Hz, these rebuilds keep the grid fresh enough that the
+// slack-driven rebuild rarely fires; receiver sets are unchanged either
+// way.
 package radio
 
 import (
@@ -89,11 +96,6 @@ type Medium struct {
 	gridOK  bool
 	cand    []int // scratch for inflated-radius candidates
 
-	// exact-instant cache backing PositionsAt
-	pos   []geom.Point
-	at    float64
-	fresh bool
-
 	// per-instant memoized exact positions: repeated queries at the same
 	// instant (candidate filtering, metric sweeps) reuse the cursor's
 	// answer instead of re-evaluating the trajectory. stamp[id] == epoch
@@ -109,7 +111,7 @@ type Medium struct {
 
 	// ch is the attached non-ideal channel (nil = ideal). Transmissions —
 	// and only transmissions — pass through its loss chains; geometric
-	// queries (ReceiversAt, PositionsAt) stay loss-free so metrics and
+	// queries (ReceiversAt, DegreesAt) stay loss-free so metrics and
 	// effective-topology snapshots measure the radio, not the channel.
 	ch *channel.Model
 }
@@ -139,7 +141,6 @@ func NewMedium(model mobility.Model, cfg Config, rng *xrand.Source) (*Medium, er
 		vmax:    model.MaxSpeed(),
 		grid:    grid,
 		gridPos: make([]geom.Point, model.N()),
-		pos:     make([]geom.Point, model.N()),
 		exact:   make([]geom.Point, model.N()),
 		stamp:   make([]uint64, model.N()),
 		epoch:   1,
@@ -184,20 +185,6 @@ func (m *Medium) PositionAt(id int, t float64) geom.Point {
 	return m.posAt(id, t)
 }
 
-// PositionsAt returns all node positions at time t. The returned slice is
-// owned by the medium and valid until the next call.
-func (m *Medium) PositionsAt(t float64) []geom.Point {
-	if m.fresh && m.at == t { //lint:ignore float-eq cache key: positions were built at exactly this simulated instant
-		return m.pos
-	}
-	for id := range m.pos {
-		m.pos[id] = m.posAt(id, t)
-	}
-	m.at = t
-	m.fresh = true
-	return m.pos
-}
-
 // inflation returns the query-radius inflation that makes the grid built at
 // gridAt exact for a query at t: 2·vmax·(t−gridAt), the maximal relative
 // displacement of any node pair over the staleness window (the buffer-zone
@@ -220,6 +207,12 @@ func (m *Medium) ensureGrid(t float64) {
 			return
 		}
 	}
+	m.buildGrid(t)
+}
+
+// buildGrid indexes every node's exact position at t, filling the posAt
+// memo on the way.
+func (m *Medium) buildGrid(t float64) {
 	for id := range m.gridPos {
 		m.gridPos[id] = m.posAt(id, t)
 	}
@@ -231,6 +224,8 @@ func (m *Medium) ensureGrid(t float64) {
 // ReceiversAt appends to dst the nodes that receive a transmission sent by
 // sender at time t with range r: every node other than the sender within
 // distance r at t, minus any losses. Results ascend by id.
+//
+//manet:noalloc
 func (m *Medium) ReceiversAt(t float64, sender int, r float64, dst []int) []int {
 	if r <= 0 {
 		return dst
@@ -253,7 +248,7 @@ func (m *Medium) ReceiversAt(t float64, sender int, r float64, dst []int) []int 
 	}
 	// Candidates arrive in cell-scan order; restore the ascending-id
 	// contract on the (smaller) filtered set.
-	sortInts(dst[start:])
+	SortIDs(dst[start:])
 	if m.cfg.LossRate > 0 {
 		kept := dst[start:start]
 		for _, id := range dst[start:] {
@@ -264,6 +259,35 @@ func (m *Medium) ReceiversAt(t float64, sender int, r float64, dst []int) []int 
 		dst = dst[:start+len(kept)]
 	}
 	return dst
+}
+
+// DegreesAt appends to deg, for every node id, the number of receivers of
+// a transmission id would send at time t with range ranges[id]: the count
+// len(ReceiversAt(t, id, ranges[id], nil)) without building the set. It
+// rebuilds the grid at exactly t, so each node's disc is one uninflated
+// grid scan over the same positions, the same dist² ≤ r² test and the same
+// keyed loss draws ReceiversAt uses — the counts are identical by
+// construction. One call serves a whole metric sample; the fresh grid also
+// serves the transmissions that follow it with a smaller inflation.
+//
+//manet:noalloc
+func (m *Medium) DegreesAt(t float64, ranges []float64, deg []int) []int {
+	if !m.gridOK || t != m.gridAt { //lint:ignore float-eq cache key: grid was built at exactly this simulated instant
+		m.buildGrid(t)
+	}
+	for id, r := range ranges {
+		k := 0
+		if r > 0 {
+			m.cand = m.grid.WithinUnsorted(m.gridPos[id], r, m.cand[:0])
+			for _, v := range m.cand {
+				if v != id && !m.LostAt(t, id, v) {
+					k++
+				}
+			}
+		}
+		deg = append(deg, k)
+	}
+	return deg
 }
 
 // LostAt reports whether receiver id's copy of a transmission by sender at
@@ -277,13 +301,16 @@ func (m *Medium) LostAt(t float64, sender, id int) bool {
 	if m.cfg.LossRate <= 0 {
 		return false
 	}
+	//lint:ignore noalloc Derive is by-value and never retains its label slice, so both stay on the stack; TestNoallocAnnotationsConform pins the steady state at zero
 	d := m.rng.Derive('t', math.Float64bits(t), uint64(sender), uint64(id))
 	return d.Float64() < m.cfg.LossRate
 }
 
-// sortInts is an allocation-free insertion sort for the small per-query
-// receiver lists (sort.Ints pays generic-dispatch overhead at this size).
-func sortInts(a []int) {
+// SortIDs sorts a small id list in place with an allocation-free insertion
+// sort (sort.Ints pays generic-dispatch overhead at receiver-list sizes).
+//
+//manet:noalloc
+func SortIDs(a []int) {
 	for i := 1; i < len(a); i++ {
 		for j := i; j > 0 && a[j] < a[j-1]; j-- {
 			a[j], a[j-1] = a[j-1], a[j]

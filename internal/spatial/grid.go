@@ -2,19 +2,19 @@
 // for fast fixed-radius neighbor queries.
 //
 // The radio model asks "which nodes are within range r of point p right
-// now?" once per transmission, and the snapshot analyzer asks for all pairs
-// within the normal range at every sample instant. With n nodes spread over
-// the arena, bucketing by a cell size on the order of the query radius makes
-// both expected O(k) in the number of results instead of O(n).
+// now?" once per transmission, and once per node at every metric sample.
+// With n nodes spread over the arena, bucketing by a cell size on the order
+// of the query radius makes each query expected O(k) in the number of
+// results instead of O(n).
 //
-// All query results are returned in ascending node-id order so downstream
-// consumers remain deterministic.
+// Query results come in a fixed cell-scan order (row-major cells, ascending
+// ids inside each cell), so they are deterministic but not sorted; callers
+// that need ascending ids sort the set they keep after filtering.
 package spatial
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"mstc/internal/geom"
 )
@@ -122,26 +122,11 @@ func (ix *Index) cellIndex(p geom.Point) int {
 	return cy*ix.nx + cx
 }
 
-// Len returns the number of indexed points.
-func (ix *Index) Len() int { return len(ix.pts) }
-
-// Position returns the indexed position of node id.
-func (ix *Index) Position(id int) geom.Point { return ix.pts[id] }
-
-// Within appends to dst the ids of all indexed nodes within distance r of p
-// (inclusive), in ascending id order, and returns the extended slice.
-// Pass a non-nil dst to avoid allocation on hot paths.
-func (ix *Index) Within(p geom.Point, r float64, dst []int) []int {
-	start := len(dst)
-	dst = ix.WithinUnsorted(p, r, dst)
-	sort.Ints(dst[start:])
-	return dst
-}
-
-// WithinUnsorted is Within without the final sort: ids are appended in cell
-// scan order (row-major cells, ascending ids inside each cell) — a fixed,
-// deterministic order, just not globally ascending. Hot paths that filter
-// the candidates further can sort the smaller filtered set instead.
+// WithinUnsorted appends to dst the ids of all indexed nodes within
+// distance r of p (inclusive) and returns the extended slice. Ids come in
+// cell-scan order (row-major cells, ascending ids inside each cell) — a
+// fixed, deterministic order, just not globally ascending. Pass a non-nil
+// dst to avoid allocation on hot paths.
 func (ix *Index) WithinUnsorted(p geom.Point, r float64, dst []int) []int {
 	if r < 0 {
 		return dst
@@ -182,49 +167,6 @@ func (ix *Index) scan(p geom.Point, r float64, cx0, cy0, cx1, cy1 int, dst []int
 			if ix.pts[id].Dist2(p) <= r2 {
 				dst = append(dst, int(id))
 			}
-		}
-	}
-	return dst
-}
-
-// WithinOf is Within centered on node id's own position, with id itself
-// excluded from the result.
-func (ix *Index) WithinOf(id int, r float64, dst []int) []int {
-	start := len(dst)
-	dst = ix.Within(ix.pts[id], r, dst)
-	out := dst[start:start]
-	for _, v := range dst[start:] {
-		if v != id {
-			out = append(out, v)
-		}
-	}
-	return dst[:start+len(out)]
-}
-
-// Pairs calls fn(i, j) for every pair of distinct indexed nodes with
-// distance at most r, with i < j, in deterministic (lexicographic) order.
-func (ix *Index) Pairs(r float64, fn func(i, j int)) {
-	if r < 0 {
-		return
-	}
-	buf := make([]int, 0, 64)
-	for i := range ix.pts {
-		buf = ix.Within(ix.pts[i], r, buf[:0])
-		for _, j := range buf {
-			if j > i {
-				fn(i, j)
-			}
-		}
-	}
-}
-
-// BruteWithin is the O(n) reference implementation of Within, used for
-// differential testing and as a fallback for tiny n.
-func BruteWithin(points []geom.Point, p geom.Point, r float64, dst []int) []int {
-	r2 := r * r
-	for id := range points {
-		if points[id].Dist2(p) <= r2 {
-			dst = append(dst, id)
 		}
 	}
 	return dst

@@ -14,6 +14,26 @@ import (
 
 var arena = geom.Square(900)
 
+// bruteWithin is the O(n) reference for the grid queries: it appends to
+// dst the ids of every point within distance r of p, ascending.
+func bruteWithin(points []geom.Point, p geom.Point, r float64, dst []int) []int {
+	r2 := r * r
+	for id := range points {
+		if points[id].Dist2(p) <= r2 {
+			dst = append(dst, id)
+		}
+	}
+	return dst
+}
+
+// within is WithinUnsorted's answer sorted, for comparison with
+// bruteWithin and with literal id lists.
+func within(ix *Index, p geom.Point, r float64) []int {
+	got := ix.WithinUnsorted(p, r, nil)
+	sort.Ints(got)
+	return got
+}
+
 func TestNewIndexValidation(t *testing.T) {
 	if _, err := NewIndex(arena, 0); err == nil {
 		t.Error("cell=0 accepted")
@@ -47,18 +67,18 @@ func TestWithinSimple(t *testing.T) {
 		geom.Pt(103, 104), // 3: 5 from 0
 	}
 	ix.Build(pts)
-	got := ix.Within(geom.Pt(100, 100), 60, nil)
+	got := within(ix, geom.Pt(100, 100), 60)
 	want := []int{0, 1, 3}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Within = %v, want %v", got, want)
 	}
 	// Boundary inclusive.
-	got = ix.Within(geom.Pt(100, 100), 50, nil)
+	got = within(ix, geom.Pt(100, 100), 50)
 	want = []int{0, 1, 3}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Within(50) = %v, want %v (boundary inclusive)", got, want)
 	}
-	got = ix.Within(geom.Pt(100, 100), 49.999, nil)
+	got = within(ix, geom.Pt(100, 100), 49.999)
 	want = []int{0, 3}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Within(49.999) = %v, want %v", got, want)
@@ -68,21 +88,11 @@ func TestWithinSimple(t *testing.T) {
 func TestWithinNegativeRadius(t *testing.T) {
 	ix := MustIndex(arena, 100)
 	ix.Build([]geom.Point{geom.Pt(1, 1)})
-	if got := ix.Within(geom.Pt(1, 1), -1, nil); len(got) != 0 {
+	if got := ix.WithinUnsorted(geom.Pt(1, 1), -1, nil); len(got) != 0 {
 		t.Errorf("negative radius returned %v", got)
 	}
-}
-
-func TestWithinOfExcludesSelf(t *testing.T) {
-	ix := MustIndex(arena, 100)
-	ix.Build([]geom.Point{geom.Pt(10, 10), geom.Pt(20, 10), geom.Pt(880, 880)})
-	got := ix.WithinOf(0, 50, nil)
-	if !reflect.DeepEqual(got, []int{1}) {
-		t.Errorf("WithinOf(0) = %v, want [1]", got)
-	}
-	got = ix.WithinOf(2, 50, nil)
-	if len(got) != 0 {
-		t.Errorf("WithinOf(2) = %v, want empty", got)
+	if got := ix.WithinClipped(geom.Pt(1, 1), -1, arena, nil); len(got) != 0 {
+		t.Errorf("negative radius returned %v from the clipped query", got)
 	}
 }
 
@@ -97,8 +107,8 @@ func TestWithinMatchesBruteForce(t *testing.T) {
 		ix.Build(pts)
 		for trial := 0; trial < 10; trial++ {
 			q := geom.Pt(rng.Uniform(-100, 1000), rng.Uniform(-100, 1000))
-			got := ix.Within(q, r, nil)
-			want := BruteWithin(pts, q, r, nil)
+			got := within(ix, q, r)
+			want := bruteWithin(pts, q, r, nil)
 			if !reflect.DeepEqual(got, want) {
 				t.Logf("mismatch: n=%d cell=%v r=%v q=%v got=%v want=%v", n, cell, r, q, got, want)
 				return false
@@ -111,14 +121,23 @@ func TestWithinMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestWithinSortedProperty(t *testing.T) {
+// TestWithinUnsortedCellOrder pins the documented result order: cells in
+// row-major order, ascending ids inside each cell.
+func TestWithinUnsortedCellOrder(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed)
 		pts := mobility.UniformPoints(arena, 150, rng)
 		ix := MustIndex(arena, 125)
 		ix.Build(pts)
-		got := ix.Within(geom.Pt(450, 450), 300, nil)
-		return sort.IntsAreSorted(got)
+		got := ix.WithinUnsorted(geom.Pt(450, 450), 300, nil)
+		for i := 1; i < len(got); i++ {
+			a, b := ix.cellIndex(pts[got[i-1]]), ix.cellIndex(pts[got[i]])
+			if a > b || (a == b && got[i-1] >= got[i]) {
+				t.Logf("seed %d: ids %d (cell %d) then %d (cell %d)", seed, got[i-1], a, got[i], b)
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -129,7 +148,7 @@ func TestWithinAppendsToDst(t *testing.T) {
 	ix := MustIndex(arena, 100)
 	ix.Build([]geom.Point{geom.Pt(5, 5)})
 	dst := []int{99}
-	got := ix.Within(geom.Pt(5, 5), 1, dst)
+	got := ix.WithinUnsorted(geom.Pt(5, 5), 1, dst)
 	if !reflect.DeepEqual(got, []int{99, 0}) {
 		t.Errorf("append semantics broken: %v", got)
 	}
@@ -138,60 +157,21 @@ func TestWithinAppendsToDst(t *testing.T) {
 func TestRebuild(t *testing.T) {
 	ix := MustIndex(arena, 100)
 	ix.Build([]geom.Point{geom.Pt(5, 5), geom.Pt(800, 800)})
-	if got := ix.Within(geom.Pt(5, 5), 10, nil); !reflect.DeepEqual(got, []int{0}) {
+	if got := within(ix, geom.Pt(5, 5), 10); !reflect.DeepEqual(got, []int{0}) {
 		t.Fatalf("first build: %v", got)
 	}
 	// Move node 0 far away; rebuild must forget the old cell.
 	ix.Build([]geom.Point{geom.Pt(800, 805), geom.Pt(800, 800)})
-	if got := ix.Within(geom.Pt(5, 5), 10, nil); len(got) != 0 {
+	if got := within(ix, geom.Pt(5, 5), 10); len(got) != 0 {
 		t.Errorf("stale entries after rebuild: %v", got)
 	}
-	if got := ix.Within(geom.Pt(800, 802), 10, nil); !reflect.DeepEqual(got, []int{0, 1}) {
+	if got := within(ix, geom.Pt(800, 802), 10); !reflect.DeepEqual(got, []int{0, 1}) {
 		t.Errorf("rebuilt positions wrong: %v", got)
 	}
-	if ix.Len() != 2 {
-		t.Errorf("Len = %d", ix.Len())
-	}
-	if ix.Position(1) != geom.Pt(800, 800) {
-		t.Errorf("Position(1) = %v", ix.Position(1))
-	}
-}
-
-func TestPairs(t *testing.T) {
-	ix := MustIndex(arena, 100)
-	ix.Build([]geom.Point{
-		geom.Pt(0, 0), geom.Pt(30, 0), geom.Pt(60, 0), geom.Pt(500, 500),
-	})
-	var got [][2]int
-	ix.Pairs(40, func(i, j int) { got = append(got, [2]int{i, j}) })
-	want := [][2]int{{0, 1}, {1, 2}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Pairs = %v, want %v", got, want)
-	}
-}
-
-func TestPairsCompleteAgainstBrute(t *testing.T) {
-	rng := xrand.New(77)
-	pts := mobility.UniformPoints(arena, 120, rng)
-	ix := MustIndex(arena, 125)
-	ix.Build(pts)
-	const r = 250.0
-	got := map[[2]int]bool{}
-	ix.Pairs(r, func(i, j int) {
-		if i >= j {
-			t.Fatalf("Pairs emitted i >= j: (%d, %d)", i, j)
-		}
-		if got[[2]int{i, j}] {
-			t.Fatalf("Pairs emitted duplicate (%d, %d)", i, j)
-		}
-		got[[2]int{i, j}] = true
-	})
-	for i := 0; i < len(pts); i++ {
-		for j := i + 1; j < len(pts); j++ {
-			if pts[i].Dist(pts[j]) <= r && !got[[2]int{i, j}] {
-				t.Errorf("missing pair (%d, %d)", i, j)
-			}
-		}
+	// A smaller rebuild forgets the dropped ids.
+	ix.Build([]geom.Point{geom.Pt(800, 800)})
+	if got := within(ix, geom.Pt(800, 802), 10); !reflect.DeepEqual(got, []int{0}) {
+		t.Errorf("ids beyond the rebuilt count: %v", got)
 	}
 }
 
@@ -201,10 +181,10 @@ func TestPointsOutsideArenaStillIndexed(t *testing.T) {
 	// robust).
 	ix := MustIndex(arena, 100)
 	ix.Build([]geom.Point{geom.Pt(-50, -50), geom.Pt(950, 950)})
-	if got := ix.Within(geom.Pt(-50, -50), 1, nil); !reflect.DeepEqual(got, []int{0}) {
+	if got := within(ix, geom.Pt(-50, -50), 1); !reflect.DeepEqual(got, []int{0}) {
 		t.Errorf("outside-arena point lost: %v", got)
 	}
-	if got := ix.Within(geom.Pt(950, 950), 1, nil); !reflect.DeepEqual(got, []int{1}) {
+	if got := within(ix, geom.Pt(950, 950), 1); !reflect.DeepEqual(got, []int{1}) {
 		t.Errorf("outside-arena point lost: %v", got)
 	}
 }
@@ -246,7 +226,7 @@ func TestWithinClippedMatchesBruteForce(t *testing.T) {
 				}
 				seen[id] = true
 			}
-			for _, id := range BruteWithin(pts, q, r, nil) {
+			for _, id := range bruteWithin(pts, q, r, nil) {
 				if pts[id].In(clip) && !seen[id] {
 					t.Logf("n=%d cell=%v r=%v q=%v clip=%v: missed id %d at %v", n, cell, r, q, clip, id, pts[id])
 					return false
@@ -279,7 +259,7 @@ func BenchmarkWithinGrid(b *testing.B) {
 	buf := make([]int, 0, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = ix.Within(pts[i%100], 250, buf[:0])
+		buf = ix.WithinUnsorted(pts[i%100], 250, buf[:0])
 	}
 }
 
@@ -289,6 +269,6 @@ func BenchmarkWithinBrute(b *testing.B) {
 	buf := make([]int, 0, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = BruteWithin(pts, pts[i%100], 250, buf[:0])
+		buf = bruteWithin(pts, pts[i%100], 250, buf[:0])
 	}
 }
