@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint lint-json check bench bench-compare bench-test fuzz-smoke faults-smoke resume-smoke parallel-smoke fleet-smoke traffic-smoke
+.PHONY: build test race vet lint lint-json check bench-smoke bench-test fuzz-smoke faults-smoke resume-smoke parallel-smoke fleet-smoke traffic-smoke
 
 build:
 	$(GO) build ./...
@@ -26,14 +26,9 @@ lint:
 	$(GO) run ./cmd/manetlint -baseline lint.baseline.json ./...
 
 # Same run, rendered as a JSON findings report (position-stable IDs, scope,
-# baselined marks). CI uploads this next to the benchmark report.
+# baselined marks). CI uploads it as an artifact.
 lint-json:
 	$(GO) run ./cmd/manetlint -json -baseline lint.baseline.json ./... > manetlint.json
-
-# One iteration of every benchmark (smoke pass), rendered to BENCH.json by
-# cmd/benchreport. CI runs this and uploads the report as an artifact.
-bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . | tee /dev/stderr | $(GO) run ./cmd/benchreport -o BENCH.json
 
 # Fuzz smoke: each fuzz target explores for 10 s beyond its seed corpus
 # (which plain `go test` already runs). A short minimization budget keeps
@@ -156,13 +151,31 @@ traffic-smoke:
 	cd $(TRAFFIC)/direct && find runs -type f | sort | xargs sha256sum > $(TRAFFIC)/direct.sum
 	cmp $(TRAFFIC)/fleet.sum $(TRAFFIC)/direct.sum
 
-# Gate the hot path against the committed baseline trajectory: three
-# repetitions of BenchmarkSingleRun, compared by minimum ns/op; fails on a
-# >30 % regression. Override the reference with BASELINE=BENCH_1.json etc.
-BASELINE ?= BENCH_8.json
-bench-compare:
-	$(GO) test -run '^$$' -bench '^BenchmarkSingleRun$$' -count 3 . | tee /dev/stderr | \
-		$(GO) run ./cmd/benchreport -baseline $(BASELINE) -gate BenchmarkSingleRun -o /dev/null
+# Benchmark smoke: one full-size timed pass (seed 2004) of each bench/
+# workload. Fails when an oracle fails, when the result digest differs from
+# the pinned one (a wrong result), or when the host-scaled cpu_s_per_run
+# exceeds its ceiling, about 2x the accepted median (a catastrophic
+# slowdown). CPU seconds per run do not scale with core count, so the
+# ceilings hold on any host. Each line is: workload, digest, ceiling (s).
+bench-smoke:
+	@set -e; \
+	for spec in \
+		'fig6-flood sha256:97c67ef0bb50e27dd7c14b2e22c4d21090f9f48d17e54ef76785d30850d903f3 0.096' \
+		'consistency-mech sha256:65b6fc221367988306166a5bb973548bf36c2e3b66bd1c4b6c5eca10fe53cf23 0.170' \
+		'large-n sha256:e0905f077f9fd4eb6f0ecc9432b8a582d7451ea0d7358b62eaadc182571bc6b5 0.167'; do \
+		set -- $$spec; \
+		out=$$(bash bench/run.sh --workload $$1 --passes 1); \
+		echo "$$out"; \
+		echo "$$out" | grep -q '^{"correct":true,' && \
+			echo "$$out" | grep -qx 'check ok: every oracle passed' || \
+			{ echo "bench-smoke: $$1: an oracle failed" >&2; exit 1; }; \
+		digest=$$(echo "$$out" | awk '$$1 == "digest" { print $$2 }'); \
+		test "$$digest" = "$$2" || \
+			{ echo "bench-smoke: $$1: digest $$digest, want $$2" >&2; exit 1; }; \
+		cpu=$$(echo "$$out" | awk '$$1 == "metric" && $$2 == "cpu_s_per_run" { print $$3 }'); \
+		awk -v cpu="$$cpu" -v max=$$3 'BEGIN { exit !(cpu != "" && cpu + 0 <= max + 0) }' || \
+			{ echo "bench-smoke: $$1: cpu_s_per_run $$cpu s, ceiling $$3 s" >&2; exit 1; }; \
+	done
 
 # The benchmark harness (bench/) is a module of its own, which the root
 # `go test ./...` never builds: vet and test it separately, so an API change

@@ -7,6 +7,6 @@
 //
 // The implementation lives under internal/; see README.md for the map,
 // DESIGN.md for the system inventory, and EXPERIMENTS.md for the
-// paper-versus-measured record. The benchmarks in bench_test.go regenerate
-// every table and figure of the paper's evaluation section.
+// paper-versus-measured record. cmd/paperfig regenerates every table and
+// figure of the paper's evaluation section; bench/ is the benchmark.
 package mstc

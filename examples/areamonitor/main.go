@@ -38,7 +38,7 @@ func main() {
 	fmt.Println("area monitoring: fraction of sensor reports reaching the fleet")
 	fmt.Printf("%-10s", "speed m/s")
 	for _, c := range configs {
-		fmt.Printf("  %-20s", c.name)
+		fmt.Printf("  %20s", c.name)
 	}
 	fmt.Println()
 
@@ -62,7 +62,7 @@ func main() {
 				panic(err)
 			}
 			res := nw.Run(duration)
-			fmt.Printf("  %-20s", fmt.Sprintf("%.3f (range %.0fm)", res.Connectivity, res.AvgTxRange))
+			fmt.Printf("  %20s", fmt.Sprintf("%.3f (range %.0fm)", res.Connectivity, res.AvgTxRange))
 		}
 		fmt.Println()
 	}

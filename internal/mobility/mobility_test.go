@@ -326,3 +326,43 @@ func BenchmarkWaypointPositionAt(b *testing.B) {
 	}
 	_ = sink
 }
+
+// BenchmarkResolveAll measures the batched position resolution sweep that
+// feeds every synchronization window: one flat pass over all nodes versus
+// the equivalent scattered per-node queries.
+func BenchmarkResolveAll(b *testing.B) {
+	lo, hi := SpeedSetdest(40)
+	m, err := NewRandomWaypoint(arena, WaypointConfig{N: 100, SpeedMin: lo, SpeedMax: hi, Horizon: 100}, xrand.New(42))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("batched", func(b *testing.B) {
+		b.ReportAllocs()
+		cur := NewCursor(m)
+		dst := make([]geom.Point, 0, m.N())
+		t := 0.0
+		for i := 0; i < b.N; i++ {
+			dst = cur.ResolveAllInto(dst[:0], t)
+			t += 0.25
+			if t > 100 {
+				t = 0
+			}
+		}
+	})
+	b.Run("scattered", func(b *testing.B) {
+		b.ReportAllocs()
+		cur := NewCursor(m)
+		dst := make([]geom.Point, 0, m.N())
+		t := 0.0
+		for i := 0; i < b.N; i++ {
+			dst = dst[:0]
+			for id := 0; id < m.N(); id++ {
+				dst = append(dst, cur.PositionAt(id, t))
+			}
+			t += 0.25
+			if t > 100 {
+				t = 0
+			}
+		}
+	})
+}

@@ -39,8 +39,7 @@ type Index struct {
 }
 
 // NewIndex creates an index over the arena with the given cell size.
-// A cell size near the typical query radius is a good default; see
-// BenchmarkAblationGridCell for the measured trade-off.
+// A cell size near the typical query radius is a good default.
 func NewIndex(arena geom.Rect, cell float64) (*Index, error) {
 	if arena.Empty() {
 		return nil, fmt.Errorf("spatial: empty arena")
