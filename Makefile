@@ -93,11 +93,14 @@ parallel-smoke:
 	cmp /tmp/par_faults_serial.txt /tmp/par_faults_domains.txt
 
 # Distributed-sweep smoke: a sweepd coordinator hands the same quick fig6
-# sweep to two `paperfig -worker` processes over HTTP; one worker is
-# SIGKILLed mid-lease (its leased tasks are stolen after -lease-ttl and
-# recomputed by the survivor), and the finished fleet store must be sha256-identical,
-# record for record, to a single-process `paperfig -store` sweep — the
-# lease/steal/duplicate machinery may cost time but never bytes.
+# sweep to two `paperfig -worker` processes over HTTP. The doomed worker is
+# frozen (SIGSTOP) once it holds a lease: it is stopped, given 0.2 s for
+# requests already sent to land, and resumed to try again while /status
+# shows no leased task. Its leased tasks are then stolen after -lease-ttl
+# and recomputed by the survivor, and it is SIGKILLed once sweepd exits.
+# The finished fleet store must be sha256-identical, record for record, to
+# a single-process `paperfig -store` sweep — the lease/steal/duplicate
+# machinery may cost time but never bytes.
 FLEET := /tmp/mstc_fleet_smoke
 fleet-smoke:
 	rm -rf $(FLEET) && mkdir -p $(FLEET)
@@ -111,10 +114,20 @@ fleet-smoke:
 	ADDR=$$(cat $(FLEET)/addr); \
 	$(FLEET)/paperfig -worker http://$$ADDR 2> $(FLEET)/doomed.log & \
 	DOOMED=$$!; \
-	sleep 0.4; kill -9 $$DOOMED 2> /dev/null || true; \
+	FROZEN=; \
+	for i in $$(seq 100); do \
+		kill -STOP $$DOOMED 2> /dev/null || break; \
+		sleep 0.2; \
+		if curl -sf http://$$ADDR/status | grep -Eq '"leased": ?[1-9]'; then FROZEN=1; break; fi; \
+		kill -CONT $$DOOMED 2> /dev/null || break; \
+		sleep 0.05; \
+	done; \
+	test -n "$$FROZEN" || { echo "fleet-smoke: the doomed worker was never frozen holding a lease" >&2; \
+		kill -9 $$DOOMED $$SWEEPD 2> /dev/null; exit 1; }; \
 	$(FLEET)/paperfig -worker http://$$ADDR 2> $(FLEET)/survivor.log & \
 	SURVIVOR=$$!; \
 	wait $$SWEEPD; \
+	kill -9 $$DOOMED; wait $$DOOMED 2> /dev/null || true; \
 	wait $$SURVIVOR
 	$(FLEET)/paperfig $(PFLAGS) -store $(FLEET)/direct > /dev/null
 	cd $(FLEET)/fleet  && find runs -type f | sort | xargs sha256sum > $(FLEET)/fleet.sum
@@ -160,9 +173,9 @@ traffic-smoke:
 bench-smoke:
 	@set -e; \
 	for spec in \
-		'fig6-flood sha256:97c67ef0bb50e27dd7c14b2e22c4d21090f9f48d17e54ef76785d30850d903f3 0.096' \
-		'consistency-mech sha256:65b6fc221367988306166a5bb973548bf36c2e3b66bd1c4b6c5eca10fe53cf23 0.170' \
-		'large-n sha256:e0905f077f9fd4eb6f0ecc9432b8a582d7451ea0d7358b62eaadc182571bc6b5 0.167'; do \
+		'fig6-flood sha256:97c67ef0bb50e27dd7c14b2e22c4d21090f9f48d17e54ef76785d30850d903f3 0.088' \
+		'consistency-mech sha256:65b6fc221367988306166a5bb973548bf36c2e3b66bd1c4b6c5eca10fe53cf23 0.160' \
+		'large-n sha256:e0905f077f9fd4eb6f0ecc9432b8a582d7451ea0d7358b62eaadc182571bc6b5 0.158'; do \
 		set -- $$spec; \
 		out=$$(bash bench/run.sh --workload $$1 --passes 1); \
 		echo "$$out"; \

@@ -53,8 +53,8 @@ func (c CBTC) Select(v View) []int {
 	}
 	sort.Slice(order, func(a, b int) bool {
 		na, nb := v.Neighbors[order[a]], v.Neighbors[order[b]]
-		return LinkLess(v.Self.Pos.Dist(na.Pos), v.Self.ID, na.ID,
-			v.Self.Pos.Dist(nb.Pos), v.Self.ID, nb.ID)
+		return LinkLess(v.Self.Pos.Dist2(na.Pos), v.Self.ID, na.ID,
+			v.Self.Pos.Dist2(nb.Pos), v.Self.ID, nb.ID)
 	})
 	angles := make([]float64, n)
 	for i, nb := range v.Neighbors {
@@ -131,8 +131,8 @@ func (k KNeigh) Select(v View) []int {
 	}
 	sort.Slice(order, func(a, b int) bool {
 		na, nb := v.Neighbors[order[a]], v.Neighbors[order[b]]
-		return LinkLess(v.Self.Pos.Dist(na.Pos), v.Self.ID, na.ID,
-			v.Self.Pos.Dist(nb.Pos), v.Self.ID, nb.ID)
+		return LinkLess(v.Self.Pos.Dist2(na.Pos), v.Self.ID, na.ID,
+			v.Self.Pos.Dist2(nb.Pos), v.Self.ID, nb.ID)
 	})
 	if n > k.K {
 		order = order[:k.K]

@@ -15,42 +15,48 @@ import (
 	"math"
 )
 
-// CostFn maps a link's Euclidean distance to its cost c(u,v) (§3.1).
-// It must be strictly increasing so that cost order equals distance order.
-type CostFn func(d float64) float64
+// CostFn maps a link's squared Euclidean length d² to its cost c(u,v)
+// (§3.1). It must be strictly increasing so that cost order equals
+// distance order. Any strictly increasing function of d gives the same
+// total order over links, and d² is what a kernel gets from two
+// coordinates without a square root: dx*dx + dy*dy, the same quantity the
+// range tests and the radio compare against R².
+type CostFn func(d2 float64) float64
 
-// DistanceCost is c = d, used by RNG- and MST-based protocols.
-func DistanceCost(d float64) float64 { return d }
+// DistanceCost is the identity on d², used by the RNG- and MST-based
+// protocols. It orders links exactly as c = d does, and those protocols
+// only compare costs or take their maxima, never add them.
+func DistanceCost(d2 float64) float64 { return d2 }
 
-// EnergyCost returns the cost function c = d^alpha + fixed, the transmission
-// energy model used by SPT-based (minimum-energy) protocols. The paper's
-// simulation uses fixed = 0 with alpha = 2 (free space) and alpha = 4
-// (two-ray ground reflection).
+// EnergyCost returns the cost function c = d^alpha + fixed, computed as
+// (d²)^(alpha/2) + fixed: the transmission energy model used by SPT-based
+// (minimum-energy) protocols. The paper's simulation uses fixed = 0 with
+// alpha = 2 (free space) and alpha = 4 (two-ray ground reflection).
 func EnergyCost(alpha, fixed float64) CostFn {
 	if alpha < 1 {
 		panic(fmt.Sprintf("topology: EnergyCost alpha %g < 1", alpha))
 	}
-	return func(d float64) float64 { return energy(d, alpha) + fixed }
+	return func(d2 float64) float64 { return energy(d2, alpha) + fixed }
 }
 
-// energy returns math.Pow(d, alpha), bit for bit. For the paper's path-loss
-// exponents 2 and 4 and 2⁻²⁰⁰ < d < 2²⁰⁰ it multiplies directly: d*d and
-// (d*d)*(d*d) round exactly as the square-and-multiply steps math.Pow runs
-// on d's mantissa (the power-of-two exponent scales out of each rounding,
-// and d⁴ stays normal), without Pow's special-case ladder and
-// Frexp/Ldexp. The explicit conversions keep the compiler from fusing the
-// last product into a caller's "+ fixed". TestEnergyMatchesPow pins it.
-func energy(d, alpha float64) float64 {
-	if d > 0x1p-200 && d < 0x1p200 {
-		switch alpha {
-		case 2:
-			return float64(d * d)
-		case 4:
-			s := d * d
-			return float64(s * s)
+// energy returns math.Pow(d2, alpha/2), bit for bit. For the paper's
+// path-loss exponents it skips Pow's special-case ladder and
+// Frexp/Ldexp: alpha = 2 is Pow(d2, 1), which returns d2 itself, and for
+// alpha = 4 with 2⁻⁴⁰⁰ < d2 < 2⁴⁰⁰ the single product d2*d2 rounds exactly
+// as the squaring step math.Pow runs on d2's mantissa (the power-of-two
+// exponent scales out of the rounding, and d2² stays normal). The explicit
+// conversion keeps the compiler from fusing the product into a caller's
+// "+ fixed". TestEnergyMatchesPow pins it.
+func energy(d2, alpha float64) float64 {
+	switch alpha {
+	case 2:
+		return d2
+	case 4:
+		if d2 > 0x1p-400 && d2 < 0x1p400 {
+			return float64(d2 * d2)
 		}
 	}
-	return math.Pow(d, alpha)
+	return math.Pow(d2, alpha/2)
 }
 
 // LinkLess is the strict total order over links required by the framework:

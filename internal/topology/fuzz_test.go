@@ -97,16 +97,16 @@ func FuzzSelectKernels(f *testing.F) {
 		v := newestView(mv)
 		s := &Scratch{}
 		m := MST{Range: r}
-		sameSet(t, fmt.Sprintf("MST range %g", r), m.SelectInto(v, nil, s), kruskalMSTSelect(m, v))
+		sameSet(t, fmt.Sprintf("MST range %g", r), m.SelectInto(v, nil, s), kruskalMSTSelect(m, v, squared))
 		for _, alpha := range []float64{2, 4} {
 			sp := SPT{Alpha: alpha, Range: r}
-			sameSet(t, fmt.Sprintf("%s range %g", sp.Name(), r), sp.SelectInto(v, nil, s), refSPTSelect(sp, v))
+			sameSet(t, fmt.Sprintf("%s range %g", sp.Name(), r), sp.SelectInto(v, nil, s), refSPTSelect(sp, v, squared))
 			wsp := WeakSPT{Alpha: alpha, Range: r}
-			sameSet(t, fmt.Sprintf("%s range %g", wsp.Name(), r), wsp.SelectWeakInto(mv, nil, s), refWeakSPTSelect(wsp, mv))
+			sameSet(t, fmt.Sprintf("%s range %g", wsp.Name(), r), wsp.SelectWeakInto(mv, nil, s), refWeakSPTSelect(wsp, mv, squared))
 		}
 		wm := WeakMST{Range: r}
-		sameSet(t, fmt.Sprintf("wMST range %g", r), wm.SelectWeakInto(mv, nil, s), refWeakMSTSelect(wm, mv))
-		sameSet(t, "wRNG", WeakRNG{}.SelectWeakInto(mv, nil, s), refWeakRNGSelect(mv))
+		sameSet(t, fmt.Sprintf("wMST range %g", r), wm.SelectWeakInto(mv, nil, s), refWeakMSTSelect(wm, mv, squared))
+		sameSet(t, "wRNG", WeakRNG{}.SelectWeakInto(mv, nil, s), refWeakRNGSelect(mv, squared))
 	})
 }
 
@@ -123,7 +123,7 @@ func TestFuzzSeedsReachEdgeCases(t *testing.T) {
 		}
 		v := newestView(mv)
 		empty = empty || len(v.Neighbors) == 0
-		_, _, g := viewGraph(v, r, DistanceCost)
+		_, _, g := viewGraph(v, r, squared, DistanceCost)
 		disconnected = disconnected || !g.Connected()
 		for _, nb := range v.Neighbors {
 			outOfRange = outOfRange || (r > 0 && v.Self.Pos.Dist(nb.Pos) > r)

@@ -21,9 +21,9 @@ type Protocol interface {
 }
 
 // RNG is the relative-neighborhood-graph-based protocol (§2.1, link-removal
-// condition 1 with c = d): link (u, v) is removed iff some witness w in the
-// view has cost(u,w) and cost(w,v) both strictly below cost(u,v) in the
-// LinkLess total order.
+// condition 1 with c = d, here ordered by its square DistanceCost): link
+// (u, v) is removed iff some witness w in the view has cost(u,w) and
+// cost(w,v) both strictly below cost(u,v) in the LinkLess total order.
 type RNG struct{}
 
 // Name implements Protocol.
@@ -39,13 +39,12 @@ func (r RNG) Select(v View) []int {
 func (RNG) SelectInto(v View, dst []int, s *Scratch) []int {
 	u := v.Self
 	// Cache cost(u, w) per witness: the naive double loop recomputes each
-	// of these d times, and the distance (hypot) dominates the selection
-	// profile. The witness cost cost(w, v) is only needed once the first
-	// LinkLess condition holds, so it is computed lazily — same values,
-	// same comparisons, identical output.
+	// of these d times. The witness cost cost(w, v) is only needed once
+	// the first LinkLess condition holds, so it is computed lazily — same
+	// values, same comparisons, identical output.
 	cU := grown(s.costs, len(v.Neighbors))[:0]
 	for _, n := range v.Neighbors {
-		cU = append(cU, u.Pos.Dist(n.Pos))
+		cU = append(cU, u.Pos.Dist2(n.Pos))
 	}
 	s.costs = cU
 	for i, n := range v.Neighbors {
@@ -58,7 +57,7 @@ func (RNG) SelectInto(v View, dst []int, s *Scratch) []int {
 			if !LinkLess(cU[j], u.ID, w.ID, cUV, u.ID, n.ID) {
 				continue
 			}
-			cWV := w.Pos.Dist(n.Pos)
+			cWV := w.Pos.Dist2(n.Pos)
 			if LinkLess(cWV, w.ID, n.ID, cUV, u.ID, n.ID) {
 				removed = true
 				break
@@ -124,8 +123,9 @@ func (m MST) Select(v View) []int {
 
 // SelectInto implements ScratchSelector. The kernel is Prim rooted at Self.
 // Each step commits the candidate edge that is smallest under mstLess, the
-// §3.1 strict total order (cost, min id, max id) — view indices ascend
-// with ids — so it grows Self's tree of the unique total-order minimum
+// §3.1 strict total order (cost, min id, max id), cost being the squared
+// length that the range test computes anyway — view indices ascend with
+// ids — so it grows Self's tree of the unique total-order minimum
 // spanning forest of the view: the tree every node computing over the
 // same view agrees on. The next tree node is found by a scan fused with
 // the relaxation of the last node's edges, each pair's cost computed once,
@@ -162,17 +162,15 @@ func (m MST) SelectInto(v View, dst []int, s *Scratch) []int {
 			if inTree[nb] {
 				continue
 			}
-			if s.pts[u].Dist2(s.pts[nb]) <= r2 {
-				if w := s.pts[u].Dist(s.pts[nb]); mstLess(w, u, nb, bestW[nb], int(bestFrom[nb]), nb) {
-					if int(bestFrom[nb]) == selfIdx {
-						fromSelf--
-					}
-					if u == selfIdx {
-						fromSelf++
-					}
-					bestW[nb] = w
-					bestFrom[nb] = int32(u)
+			if w := s.pts[u].Dist2(s.pts[nb]); w <= r2 && mstLess(w, u, nb, bestW[nb], int(bestFrom[nb]), nb) {
+				if int(bestFrom[nb]) == selfIdx {
+					fromSelf--
 				}
+				if u == selfIdx {
+					fromSelf++
+				}
+				bestW[nb] = w
+				bestFrom[nb] = int32(u)
 			}
 			if !math.IsInf(bestW[nb], 1) && (next == -1 ||
 				mstLess(bestW[nb], int(bestFrom[nb]), nb, bestW[next], int(bestFrom[next]), next)) {
@@ -251,19 +249,21 @@ func (sp SPT) SelectInto(v View, dst []int, s *Scratch) []int {
 	s.dist, s.thr = grown(s.dist, len(s.ids)), grown(s.thr, len(s.ids))
 	self := s.pts[selfIdx]
 	for i, p := range s.pts {
-		s.thr[i] = energy(self.Dist(p), sp.Alpha) + sp.Fixed
+		d2 := self.Dist2(p)
+		s.thr[i] = energy(d2, sp.Alpha) + sp.Fixed
 		s.dist[i] = math.Inf(1)
-		if self.Dist2(p) <= r2 {
+		if d2 <= r2 {
 			s.dist[i] = s.thr[i]
 		}
 	}
 	s.dist[selfIdx] = 0
 	//lint:ignore noalloc the closure does not escape search, so it stays on the stack; the conformance test pins zero allocs
 	return s.search(dst, selfIdx, false, func(i, j int) float64 {
-		if s.pts[i].Dist2(s.pts[j]) > r2 {
+		d2 := s.pts[i].Dist2(s.pts[j])
+		if d2 > r2 {
 			return math.Inf(1)
 		}
-		return energy(s.pts[i].Dist(s.pts[j]), sp.Alpha) + sp.Fixed
+		return energy(d2, sp.Alpha) + sp.Fixed
 	})
 }
 
@@ -301,8 +301,8 @@ func (y Yao) SelectInto(v View, dst []int, s *Scratch) []int {
 			continue
 		}
 		cur := v.Neighbors[best[c]]
-		dNew := v.Self.Pos.Dist(n.Pos)
-		dCur := v.Self.Pos.Dist(cur.Pos)
+		dNew := v.Self.Pos.Dist2(n.Pos)
+		dCur := v.Self.Pos.Dist2(cur.Pos)
 		if LinkLess(dNew, v.Self.ID, n.ID, dCur, v.Self.ID, cur.ID) {
 			best[c] = i
 		}

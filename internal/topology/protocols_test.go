@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -78,21 +77,21 @@ func TestRNGSelectCollinear(t *testing.T) {
 }
 
 func TestRNGTieBreakSymmetric(t *testing.T) {
-	// Equilateral triangle: all distances equal. With id tie-breaking the
-	// highest-cost link in the total order, (1,2), is removed by the
-	// witness 0; the others survive. The logical topology must stay
-	// connected — without tie-breaking all three links could vanish.
-	h := math.Sqrt(3) / 2 * 10
-	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(5, h)}
+	// An exact integer tie: links 0–1 and 0–2 both have d² = 25, link 1–2
+	// has d² = 20. With id tie-breaking, 0–2 is the largest link in the
+	// total order and witness 1 removes it; 0–1 and 1–2 survive. The
+	// logical topology must stay connected — without tie-breaking both
+	// equal-cost links at node 0 could vanish and cut it off.
+	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(5, 0), geom.Pt(3, 4)}
 	g := logicalAND(pts, RNG{}, 100)
 	if !g.Connected() {
-		t.Fatal("equilateral triangle disconnected under RNG with tie-breaking")
+		t.Fatal("tied triangle disconnected under RNG with tie-breaking")
 	}
-	if g.M() != 2 {
-		t.Errorf("edges = %d, want 2 (exactly one equal-cost link removed)", g.M())
+	if g.HasEdge(0, 2) {
+		t.Error("the (0,2) link has the largest tie-broken cost and must be removed")
 	}
-	if g.HasEdge(1, 2) {
-		t.Error("the (1,2) link has the largest tie-broken cost and must be removed")
+	if !g.HasEdge(0, 1) || !g.HasEdge(1, 2) {
+		t.Errorf("links (0,1) and (1,2) must be kept, got %v", g.Edges())
 	}
 }
 

@@ -65,8 +65,9 @@ func MaxDelayWeak(helloInterval float64, k int) float64 {
 // rangeSlack widens transmission ranges by a relative 1e-9 (0.1 µm at
 // 100 m) so that the farthest logical neighbor — which by construction sits
 // *exactly* at the computed range — is covered regardless of how the
-// coverage test rounds (math.Hypot and squared-distance comparisons round
-// differently at the boundary).
+// coverage test rounds: a range is a rounded square root of the squared
+// distance, and squaring it back for the radio's d² ≤ r² test need not
+// return the same d².
 const rangeSlack = 1 + 1e-9
 
 // ExtendedRange returns the transmission range a node actually uses:

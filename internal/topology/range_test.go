@@ -144,22 +144,24 @@ func TestEnergyCostPanics(t *testing.T) {
 	EnergyCost(0.5, 0)
 }
 
-// TestEnergyMatchesPow pins energy's integer-power fast path to
-// math.Pow bit for bit: over distances spread across the whole exponent
-// range (both sides of the fast path's bounds) and over the edge values.
+// TestEnergyMatchesPow pins energy's fast paths for the paper's path-loss
+// exponents to math.Pow(d2, alpha/2) bit for bit: over squared lengths
+// spread across the whole exponent range (both sides of the alpha = 4
+// bounds) and over the edge values.
 func TestEnergyMatchesPow(t *testing.T) {
-	ds := []float64{0, math.SmallestNonzeroFloat64, 0x1p-1030, 1e-300, 0x1p-200,
-		math.Nextafter(0x1p-200, 1), 1, 250, math.Nextafter(0x1p200, 0), 0x1p200,
+	d2s := []float64{0, math.SmallestNonzeroFloat64, 0x1p-1030, 1e-300, 0x1p-400,
+		math.Nextafter(0x1p-400, 1), 1, 62500, math.Nextafter(0x1p400, 0), 0x1p400,
 		1e300, math.MaxFloat64, math.Inf(1)}
 	rng := xrand.New(77)
 	for i := 0; i < 100000; i++ {
-		ds = append(ds, rng.Uniform(0, 1000), math.Ldexp(rng.Uniform(0.5, 1), rng.Intn(2200)-1100))
+		d := rng.Uniform(0, 1000)
+		d2s = append(d2s, d*d, math.Ldexp(rng.Uniform(0.5, 1), rng.Intn(2200)-1100))
 	}
-	for _, d := range ds {
-		for _, alpha := range []float64{1, 2, 2.5, 3, 4} {
-			if got, want := energy(d, alpha), math.Pow(d, alpha); math.Float64bits(got) != math.Float64bits(want) {
+	for _, d2 := range d2s {
+		for _, alpha := range []float64{2, 4} {
+			if got, want := energy(d2, alpha), math.Pow(d2, alpha/2); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("energy(%g, %g) = %g (%#x), math.Pow = %g (%#x)",
-					d, alpha, got, math.Float64bits(got), want, math.Float64bits(want))
+					d2, alpha, got, math.Float64bits(got), want, math.Float64bits(want))
 			}
 		}
 	}

@@ -12,14 +12,64 @@ import (
 // This file holds the independent reference implementations the scratch
 // kernels are tested against. None of them shares code with a kernel.
 
-// viewGraph builds the local-view graph used by the MST and SPT
-// references. View nodes are indexed in ascending real-id order so that
-// the index-based tie-breaking inside package graph coincides with the
-// paper's global id-based total order. An edge joins two view nodes iff
-// their distance is at most maxRange (maxRange <= 0 or +Inf means
-// unbounded), weighted by fn(distance). It returns the index→id table,
-// Self's index, and the graph.
-func viewGraph(v View, maxRange float64, fn CostFn) (ids []int, selfIdx int, g *graph.Undirected) {
+// metric is the link-length convention an oracle computes in. squared is
+// the kernels' own: a link's cost is a function of its squared length
+// and ranges bound d². hypot is the direct formulation: costs over
+// math.Hypot distances. Both order links the same way, so the kernels
+// must match an oracle under either, except where two costs tie exactly
+// under one convention and not under the other.
+type metric struct {
+	length func(p, q geom.Point) float64  // a link's length, d² or d
+	bound  func(r float64) float64        // range r in length units, +Inf if unbounded (r <= 0 or +Inf)
+	energy func(l, alpha float64) float64 // d^alpha from a length
+}
+
+var (
+	squared = metric{
+		length: geom.Point.Dist2,
+		bound: func(r float64) float64 {
+			if r <= 0 || math.IsInf(r, 1) {
+				return math.Inf(1)
+			}
+			return r * r
+		},
+		energy: func(d2, alpha float64) float64 { return math.Pow(d2, alpha/2) },
+	}
+	hypot = metric{
+		length: geom.Point.Dist,
+		bound: func(r float64) float64 {
+			if r <= 0 {
+				return math.Inf(1)
+			}
+			return r
+		},
+		energy: math.Pow,
+	}
+)
+
+// lengthRange returns the extrema of m.length over every pair of a point
+// of a and a point of b (+Inf for both if either set is empty).
+func (m metric) lengthRange(a, b []geom.Point) (lMin, lMax float64) {
+	lMin, lMax = math.Inf(1), math.Inf(-1)
+	for _, p := range a {
+		for _, q := range b {
+			l := m.length(p, q)
+			lMin, lMax = math.Min(lMin, l), math.Max(lMax, l)
+		}
+	}
+	if math.IsInf(lMax, -1) {
+		return math.Inf(1), math.Inf(1)
+	}
+	return lMin, lMax
+}
+
+// viewGraph builds the local-view graph used by the SPT reference. View
+// nodes are indexed in ascending real-id order so that the index-based
+// tie-breaking inside package graph coincides with the paper's global
+// id-based total order. An edge joins two view nodes iff their length
+// under m is within maxRange, weighted by cost(length). It returns the
+// index→id table, Self's index, and the graph.
+func viewGraph(v View, maxRange float64, m metric, cost func(l float64) float64) (ids []int, selfIdx int, g *graph.Undirected) {
 	n := len(v.Neighbors) + 1
 	ids = make([]int, 0, n)
 	pts := make([]geom.Point, 0, n)
@@ -40,14 +90,11 @@ func viewGraph(v View, maxRange float64, fn CostFn) (ids []int, selfIdx int, g *
 		pts = append(pts, v.Self.Pos)
 	}
 	g = graph.NewUndirected(n)
-	r2 := maxRange * maxRange
-	if maxRange <= 0 || math.IsInf(maxRange, 1) {
-		r2 = math.Inf(1)
-	}
+	bound := m.bound(maxRange)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if pts[i].Dist2(pts[j]) <= r2 {
-				g.AddEdge(i, j, fn(pts[i].Dist(pts[j])))
+			if l := m.length(pts[i], pts[j]); l <= bound {
+				g.AddEdge(i, j, cost(l))
 			}
 		}
 	}
@@ -56,20 +103,20 @@ func viewGraph(v View, maxRange float64, fn CostFn) (ids []int, selfIdx int, g *
 
 // kruskalMST is the MST oracle: Kruskal's algorithm over every pair of
 // nodes within maxRange (<= 0 or +Inf means unbounded), edges sorted by
-// LinkLess on the real ids and committed through a union-find. Under that
-// strict total order the minimum spanning forest is unique. It returns the
-// forest's edges as real-id pairs.
-func kruskalMST(ids []int, pts []geom.Point, maxRange float64) [][2]int {
+// LinkLess over their lengths under m on the real ids and committed
+// through a union-find. Under that strict total order the minimum spanning
+// forest is unique. It returns the forest's edges as real-id pairs.
+func kruskalMST(ids []int, pts []geom.Point, maxRange float64, m metric) [][2]int {
 	type edge struct {
 		c    float64
 		a, b int // indices into ids / pts
 	}
 	var es []edge
+	bound := m.bound(maxRange)
 	for i := range pts {
 		for j := i + 1; j < len(pts); j++ {
-			d := pts[i].Dist(pts[j])
-			if maxRange <= 0 || math.IsInf(maxRange, 1) || pts[i].Dist2(pts[j]) <= maxRange*maxRange {
-				es = append(es, edge{d, i, j})
+			if l := m.length(pts[i], pts[j]); l <= bound {
+				es = append(es, edge{l, i, j})
 			}
 		}
 	}
@@ -103,20 +150,43 @@ func treeNeighbors(tree [][2]int, id int) []int {
 
 // kruskalMSTSelect is MST selection by the oracle: Self's neighbors in the
 // Kruskal forest of its view.
-func kruskalMSTSelect(m MST, v View) []int {
+func kruskalMSTSelect(mst MST, v View, m metric) []int {
 	ids := []int{v.Self.ID}
 	pts := []geom.Point{v.Self.Pos}
 	for _, nb := range v.Neighbors {
 		ids = append(ids, nb.ID)
 		pts = append(pts, nb.Pos)
 	}
-	return treeNeighbors(kruskalMST(ids, pts, m.Range), v.Self.ID)
+	return treeNeighbors(kruskalMST(ids, pts, mst.Range, m), v.Self.ID)
+}
+
+// refRNGSelect is RNG selection by definition: link (u, v) is removed iff
+// some witness w has both links to it strictly below (u, v) in LinkLess
+// over lengths under m.
+func refRNGSelect(v View, m metric) []int {
+	u := v.Self
+	var out []int
+	for _, n := range v.Neighbors {
+		cUV := m.length(u.Pos, n.Pos)
+		removed := false
+		for _, w := range v.Neighbors {
+			if w.ID != n.ID &&
+				LinkLess(m.length(u.Pos, w.Pos), u.ID, w.ID, cUV, u.ID, n.ID) &&
+				LinkLess(m.length(w.Pos, n.Pos), w.ID, n.ID, cUV, u.ID, n.ID) {
+				removed = true
+			}
+		}
+		if !removed {
+			out = append(out, n.ID)
+		}
+	}
+	return out
 }
 
 // multiGraph is the dense pessimistic-cost graph over a MultiView: nodes in
 // ascending id order, edge weight = cMax, edges restricted to pairs whose
-// cMax certifies the link exists (cMax <= fn(Range)). It is the reference
-// implementation the weak scratch kernels are tested against.
+// largest length certifies the link exists (within Range). It is the
+// reference implementation the weak scratch kernels are tested against.
 type multiGraph struct {
 	ids     []int
 	idx     map[int]int
@@ -124,7 +194,7 @@ type multiGraph struct {
 	w       [][]float64 // cMax, +Inf if unusable
 }
 
-func newMultiGraph(v MultiView, maxRange float64, fn CostFn) *multiGraph {
+func newMultiGraph(v MultiView, maxRange float64, m metric, cost func(l float64) float64) *multiGraph {
 	n := len(v.Neighbors) + 1
 	type entry struct {
 		id  int
@@ -147,10 +217,7 @@ func newMultiGraph(v MultiView, maxRange float64, fn CostFn) *multiGraph {
 		idx: make(map[int]int, n),
 		w:   make([][]float64, n),
 	}
-	limit := math.Inf(1)
-	if maxRange > 0 && !math.IsInf(maxRange, 1) {
-		limit = fn(maxRange)
-	}
+	bound := m.bound(maxRange)
 	for i, e := range entries {
 		mg.ids[i] = e.id
 		mg.idx[e.id] = i
@@ -162,9 +229,9 @@ func newMultiGraph(v MultiView, maxRange float64, fn CostFn) *multiGraph {
 	for i := 0; i < n; i++ {
 		mg.w[i][i] = 0
 		for j := i + 1; j < n; j++ {
-			_, cMax := CostRange(entries[i].pos, entries[j].pos, fn)
-			if cMax > limit {
-				cMax = math.Inf(1)
+			cMax := math.Inf(1)
+			if _, lMax := m.lengthRange(entries[i].pos, entries[j].pos); lMax <= bound {
+				cMax = cost(lMax)
 			}
 			mg.w[i][j] = cMax
 			mg.w[j][i] = cMax

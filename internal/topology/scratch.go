@@ -161,8 +161,9 @@ func (s *Scratch) search(dst []int, src int, bottleneck bool, cost func(i, j int
 	return dst
 }
 
-// rangeBound converts a maximum range into the squared-distance bound used
-// by the view-graph constructions (maxRange <= 0 or +Inf means unbounded).
+// rangeBound converts a maximum range into the squared-distance bound R²
+// of the kernels' edge-existence tests (maxRange <= 0 or +Inf means
+// unbounded).
 func rangeBound(maxRange float64) float64 {
 	if maxRange <= 0 || math.IsInf(maxRange, 1) {
 		return math.Inf(1)

@@ -15,13 +15,17 @@ import (
 // space. Coordinates snap to a coarse grid so equal distances (and therefore
 // cost ties) actually occur, exercising every tie-break path.
 func randView(rng *xrand.Source, maxNbrs int) View {
+	return randViewOf(rng, maxNbrs, func() geom.Point {
+		return geom.Pt(float64(rng.Intn(12))*25, float64(rng.Intn(12))*25)
+	})
+}
+
+// randViewOf is randView with positions drawn by pt.
+func randViewOf(rng *xrand.Source, maxNbrs int, pt func() geom.Point) View {
 	n := rng.Intn(maxNbrs + 1)
 	ids := rng.Perm(3 * (n + 1))[: n+1 : n+1]
 	sortInts(ids)
 	selfAt := rng.Intn(n + 1)
-	pt := func() geom.Point {
-		return geom.Pt(float64(rng.Intn(12))*25, float64(rng.Intn(12))*25)
-	}
 	v := View{Self: NodeInfo{ID: ids[selfAt], Pos: pt()}}
 	for i, id := range ids {
 		if i == selfAt {
@@ -32,13 +36,19 @@ func randView(rng *xrand.Source, maxNbrs int) View {
 	return v.Canon()
 }
 
-// randMultiView is randView with up to k positions per node.
+// randMultiView is randView with up to k positions per node, the earlier
+// ones snapped to a 10 m grid within 40 m of the newest.
 func randMultiView(rng *xrand.Source, maxNbrs, k int) MultiView {
-	v := randView(rng, maxNbrs)
+	return multiViewFrom(rng, randView(rng, maxNbrs), k, func() float64 { return float64(rng.Intn(5)) * 10 })
+}
+
+// multiViewFrom gives every node of v its position plus up to k-1 earlier
+// ones, each offset by (jitter(), jitter()) from it.
+func multiViewFrom(rng *xrand.Source, v View, k int, jitter func() float64) MultiView {
 	multi := func(p geom.Point) []geom.Point {
 		pos := []geom.Point{p}
 		for len(pos) < 1+rng.Intn(k) {
-			pos = append(pos, geom.Pt(p.X+float64(rng.Intn(5))*10, p.Y+float64(rng.Intn(5))*10))
+			pos = append(pos, geom.Pt(p.X+jitter(), p.Y+jitter()))
 		}
 		return pos
 	}
@@ -49,12 +59,17 @@ func randMultiView(rng *xrand.Source, maxNbrs, k int) MultiView {
 	return mv
 }
 
+// sptCost is the SPT energy cost d^Alpha + Fixed of a length under m.
+func sptCost(m metric, alpha, fixed float64) func(l float64) float64 {
+	return func(l float64) float64 { return m.energy(l, alpha) + fixed }
+}
+
 // refSPTSelect is the historical SPT.Select implementation (viewGraph +
 // graph.Dijkstra), kept as the reference the early-exit Dijkstra kernel must
 // match.
-func refSPTSelect(s SPT, v View) []int {
-	cost := EnergyCost(s.Alpha, s.Fixed)
-	ids, selfIdx, g := viewGraph(v, s.Range, cost)
+func refSPTSelect(s SPT, v View, m metric) []int {
+	cost := sptCost(m, s.Alpha, s.Fixed)
+	ids, selfIdx, g := viewGraph(v, s.Range, m, cost)
 	dist, _ := graph.Dijkstra(g, selfIdx)
 	out := make([]int, 0, 4)
 	idx := make(map[int]int, len(ids))
@@ -62,7 +77,7 @@ func refSPTSelect(s SPT, v View) []int {
 		idx[id] = i
 	}
 	for _, n := range v.Neighbors {
-		direct := cost(v.Self.Pos.Dist(n.Pos))
+		direct := cost(m.length(v.Self.Pos, n.Pos))
 		if dist[idx[n.ID]] >= direct {
 			out = append(out, n.ID)
 		}
@@ -72,12 +87,12 @@ func refSPTSelect(s SPT, v View) []int {
 
 // refWeakMSTSelect is the historical WeakMST.SelectWeak (multiGraph +
 // minimaxFromSelf).
-func refWeakMSTSelect(m WeakMST, v MultiView) []int {
-	mg := newMultiGraph(v, m.Range, DistanceCost)
+func refWeakMSTSelect(wm WeakMST, v MultiView, m metric) []int {
+	mg := newMultiGraph(v, wm.Range, m, func(l float64) float64 { return l })
 	bottleneck := mg.minimaxFromSelf()
 	out := make([]int, 0, 4)
 	for _, n := range v.Neighbors {
-		cMinUV, _ := CostRange(v.Self.Positions, n.Positions, DistanceCost)
+		cMinUV, _ := m.lengthRange(v.Self.Positions, n.Positions)
 		if !(cMinUV > bottleneck[mg.idx[n.ID]]) {
 			out = append(out, n.ID)
 		}
@@ -88,14 +103,14 @@ func refWeakMSTSelect(m WeakMST, v MultiView) []int {
 
 // refWeakSPTSelect is the historical WeakSPT.SelectWeak (multiGraph +
 // shortestFromSelf).
-func refWeakSPTSelect(s WeakSPT, v MultiView) []int {
-	cost := EnergyCost(s.Alpha, s.Fixed)
-	mg := newMultiGraph(v, s.Range, cost)
+func refWeakSPTSelect(s WeakSPT, v MultiView, m metric) []int {
+	cost := sptCost(m, s.Alpha, s.Fixed)
+	mg := newMultiGraph(v, s.Range, m, cost)
 	dist := mg.shortestFromSelf()
 	out := make([]int, 0, 4)
 	for _, n := range v.Neighbors {
-		cMinUV, _ := CostRange(v.Self.Positions, n.Positions, cost)
-		if !(cMinUV > dist[mg.idx[n.ID]]) {
+		lMinUV, _ := m.lengthRange(v.Self.Positions, n.Positions)
+		if !(cost(lMinUV) > dist[mg.idx[n.ID]]) {
 			out = append(out, n.ID)
 		}
 	}
@@ -106,17 +121,17 @@ func refWeakSPTSelect(s WeakSPT, v MultiView) []int {
 // refWeakRNGSelect is the historical WeakRNG.SelectWeak: every pair cost
 // recomputed inside the witness loop, the two pessimistic costs combined
 // with math.Max.
-func refWeakRNGSelect(v MultiView) []int {
+func refWeakRNGSelect(v MultiView, m metric) []int {
 	out := make([]int, 0, 4)
 	for _, n := range v.Neighbors {
-		cMinUV, _ := CostRange(v.Self.Positions, n.Positions, DistanceCost)
+		cMinUV, _ := m.lengthRange(v.Self.Positions, n.Positions)
 		removed := false
 		for _, w := range v.Neighbors {
 			if w.ID == n.ID {
 				continue
 			}
-			_, cMaxUW := CostRange(v.Self.Positions, w.Positions, DistanceCost)
-			_, cMaxWV := CostRange(w.Positions, n.Positions, DistanceCost)
+			_, cMaxUW := m.lengthRange(v.Self.Positions, w.Positions)
+			_, cMaxWV := m.lengthRange(w.Positions, n.Positions)
 			if cMinUV > math.Max(cMaxUW, cMaxWV) {
 				removed = true
 				break
@@ -153,7 +168,7 @@ func TestMSTKernelMatchesKruskal(t *testing.T) {
 		for _, r := range []float64{0, 120, 275, 1e9} {
 			m := MST{Range: r}
 			got := m.SelectInto(v, nil, s)
-			sameSet(t, fmt.Sprintf("trial %d range %g", trial, r), got, kruskalMSTSelect(m, v))
+			sameSet(t, fmt.Sprintf("trial %d range %g", trial, r), got, kruskalMSTSelect(m, v, squared))
 		}
 	}
 }
@@ -172,7 +187,7 @@ func TestMSTSelectionMatchesGlobalKruskal(t *testing.T) {
 		for i := range pts {
 			pts[i] = geom.Pt(float64(rng.Intn(6))*50, float64(rng.Intn(6))*50)
 		}
-		tree := kruskalMST(ids, pts, 0)
+		tree := kruskalMST(ids, pts, 0, squared)
 		for u := range pts {
 			v := View{Self: NodeInfo{ID: ids[u], Pos: pts[u]}}
 			for i := range pts {
@@ -200,7 +215,7 @@ func TestSPTKernelMatchesDijkstra(t *testing.T) {
 			{Alpha: 1, Range: 0},
 		} {
 			got := p.SelectInto(v, nil, s)
-			sameSet(t, fmt.Sprintf("trial %d %s", trial, p.Name()), got, refSPTSelect(p, v))
+			sameSet(t, fmt.Sprintf("trial %d %s", trial, p.Name()), got, refSPTSelect(p, v, squared))
 		}
 	}
 }
@@ -212,15 +227,47 @@ func TestWeakKernelsMatchReference(t *testing.T) {
 	s := &Scratch{}
 	for trial := 0; trial < 300; trial++ {
 		mv := randMultiView(rng, 16, 3)
-		sameSet(t, fmt.Sprintf("trial %d wRNG", trial), WeakRNG{}.SelectWeakInto(mv, nil, s), refWeakRNGSelect(mv))
+		sameSet(t, fmt.Sprintf("trial %d wRNG", trial), WeakRNG{}.SelectWeakInto(mv, nil, s), refWeakRNGSelect(mv, squared))
 		for _, r := range []float64{0, 150, 275} {
 			m := WeakMST{Range: r}
 			sameSet(t, fmt.Sprintf("trial %d wMST range %g", trial, r),
-				m.SelectWeakInto(mv, nil, s), refWeakMSTSelect(m, mv))
+				m.SelectWeakInto(mv, nil, s), refWeakMSTSelect(m, mv, squared))
 			for _, alpha := range []float64{2, 4} {
 				p := WeakSPT{Alpha: alpha, Range: r}
 				sameSet(t, fmt.Sprintf("trial %d %s range %g", trial, p.Name(), r),
-					p.SelectWeakInto(mv, nil, s), refWeakSPTSelect(p, mv))
+					p.SelectWeakInto(mv, nil, s), refWeakSPTSelect(p, mv, squared))
+			}
+		}
+	}
+}
+
+// TestSquaredCostsMatchDistanceCosts checks the kernels' cost convention:
+// costs over squared lengths order links exactly as costs over
+// math.Hypot distances do, so on views with continuous coordinates, where
+// no two costs tie exactly, every kernel must select what the hypot
+// oracles select. Grid-snapped views are left out on purpose: there the
+// two conventions round a tie differently, and only the squared oracles
+// (the other tests) must match.
+func TestSquaredCostsMatchDistanceCosts(t *testing.T) {
+	rng := xrand.New(78)
+	s := &Scratch{}
+	pt := func() geom.Point { return geom.Pt(rng.Uniform(0, 300), rng.Uniform(0, 300)) }
+	jitter := func() float64 { return rng.Uniform(-20, 20) }
+	for trial := 0; trial < 2000; trial++ {
+		v := randViewOf(rng, 24, pt)
+		mv := multiViewFrom(rng, v, 3, jitter)
+		sameSet(t, fmt.Sprintf("trial %d RNG", trial), RNG{}.SelectInto(v, nil, s), refRNGSelect(v, hypot))
+		sameSet(t, fmt.Sprintf("trial %d wRNG", trial), WeakRNG{}.SelectWeakInto(mv, nil, s), refWeakRNGSelect(mv, hypot))
+		for _, r := range []float64{0, 150, 250} {
+			m := MST{Range: r}
+			sameSet(t, fmt.Sprintf("trial %d MST range %g", trial, r), m.SelectInto(v, nil, s), kruskalMSTSelect(m, v, hypot))
+			wm := WeakMST{Range: r}
+			sameSet(t, fmt.Sprintf("trial %d wMST range %g", trial, r), wm.SelectWeakInto(mv, nil, s), refWeakMSTSelect(wm, mv, hypot))
+			for _, alpha := range []float64{2, 4} {
+				sp := SPT{Alpha: alpha, Range: r}
+				sameSet(t, fmt.Sprintf("trial %d %s range %g", trial, sp.Name(), r), sp.SelectInto(v, nil, s), refSPTSelect(sp, v, hypot))
+				wsp := WeakSPT{Alpha: alpha, Range: r}
+				sameSet(t, fmt.Sprintf("trial %d %s range %g", trial, wsp.Name(), r), wsp.SelectWeakInto(mv, nil, s), refWeakSPTSelect(wsp, mv, hypot))
 			}
 		}
 	}

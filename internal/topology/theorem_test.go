@@ -204,8 +204,7 @@ func TestTheorem4WeakConsistencyConnectivity(t *testing.T) {
 		g := graph.NewUndirected(len(base))
 		for i := range base {
 			for j := i + 1; j < len(base); j++ {
-				_, dMax := CostRange(histories[i], histories[j], DistanceCost)
-				if dMax <= normalRange {
+				if dMax := MaxDist(histories[i], histories[j]); dMax <= normalRange {
 					g.AddEdge(i, j, dMax)
 				}
 			}
@@ -341,12 +340,16 @@ func TestCostRange(t *testing.T) {
 	a := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0)}
 	b := []geom.Point{geom.Pt(3, 0), geom.Pt(5, 0)}
 	cMin, cMax := CostRange(a, b, DistanceCost)
-	if cMin != 2 || cMax != 5 {
-		t.Errorf("CostRange = (%v, %v), want (2, 5)", cMin, cMax)
+	if cMin != 4 || cMax != 25 {
+		t.Errorf("CostRange = (%v, %v), want (4, 25)", cMin, cMax)
 	}
 	cMin, cMax = CostRange(a, b, EnergyCost(2, 0))
 	if cMin != 4 || cMax != 25 {
-		t.Errorf("energy CostRange = (%v, %v), want (4, 25)", cMin, cMax)
+		t.Errorf("energy-2 CostRange = (%v, %v), want (4, 25)", cMin, cMax)
+	}
+	cMin, cMax = CostRange(a, b, EnergyCost(4, 1))
+	if cMin != 17 || cMax != 626 {
+		t.Errorf("energy-4 CostRange = (%v, %v), want (17, 626)", cMin, cMax)
 	}
 	cMin, _ = CostRange(nil, b, DistanceCost)
 	if !isInf(cMin) {

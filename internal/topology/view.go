@@ -83,47 +83,55 @@ type MultiView struct {
 }
 
 // CostRange returns the minimal and maximal cost of the link between two
-// position sets under fn: the extrema of { fn(|p-q|) : p ∈ a, q ∈ b }.
-// Because fn is strictly increasing, the extrema of the distances give the
-// extrema of the costs.
+// position sets under fn: the extrema of { fn(|p-q|²) : p ∈ a, q ∈ b }.
+// Because fn is strictly increasing, the extrema of the squared distances
+// give the extrema of the costs.
 func CostRange(a, b []geom.Point, fn CostFn) (cMin, cMax float64) {
-	dMin, dMax := distRange(a, b)
-	return fn(dMin), fn(dMax)
+	d2Min, d2Max := distRange(a, b)
+	return fn(d2Min), fn(d2Max)
 }
 
 // MaxDist returns the largest distance between a point of a and a point of
-// b (+Inf if either is empty): distRange's dMax alone, bit for bit.
-func MaxDist(a, b []geom.Point) float64 {
-	dMax := -1.0
+// b (+Inf if either is empty). It is a range, not a cost, so it is a real
+// distance: the square root of maxDist2.
+func MaxDist(a, b []geom.Point) float64 { return math.Sqrt(maxDist2(a, b)) }
+
+// maxDist2 returns the largest squared distance between a point of a and a
+// point of b (+Inf if either is empty): distRange's d2Max alone, bit for
+// bit.
+func maxDist2(a, b []geom.Point) float64 {
+	d2Max := -1.0
 	for _, p := range a {
 		for _, q := range b {
-			if d2 := p.Dist2(q); d2 > dMax {
-				dMax = d2
+			if d2 := p.Dist2(q); d2 > d2Max {
+				d2Max = d2
 			}
 		}
 	}
-	if dMax < 0 { // one of the sets is empty
+	if d2Max < 0 { // one of the sets is empty
 		return math.Inf(1)
 	}
-	return math.Sqrt(dMax)
+	return d2Max
 }
 
-func distRange(a, b []geom.Point) (dMin, dMax float64) {
-	dMin = math.Inf(1)
-	dMax = -1
+// distRange returns the smallest and largest squared distance between a
+// point of a and a point of b (+Inf for both if either set is empty).
+func distRange(a, b []geom.Point) (d2Min, d2Max float64) {
+	d2Min = math.Inf(1)
+	d2Max = -1
 	for _, p := range a {
 		for _, q := range b {
 			d2 := p.Dist2(q)
-			if d2 < dMin {
-				dMin = d2
+			if d2 < d2Min {
+				d2Min = d2
 			}
-			if d2 > dMax {
-				dMax = d2
+			if d2 > d2Max {
+				d2Max = d2
 			}
 		}
 	}
-	if dMax < 0 { // one of the sets is empty
+	if d2Max < 0 { // one of the sets is empty
 		return math.Inf(1), math.Inf(1)
 	}
-	return math.Sqrt(dMin), math.Sqrt(dMax)
+	return d2Min, d2Max
 }

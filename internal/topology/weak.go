@@ -31,8 +31,9 @@ func (w WeakRNG) SelectWeak(v MultiView) []int {
 	return w.SelectWeakInto(v, make([]int, 0, 4), &Scratch{})
 }
 
-// SelectWeakInto implements WeakScratchSelector. cMin and cMax of each
-// link at Self are computed once; for non-NaN costs
+// SelectWeakInto implements WeakScratchSelector. Costs are squared
+// lengths (DistanceCost). cMin and cMax of each link at Self are computed
+// once; for non-NaN costs
 // x > max(a, b) ⇔ x > a && x > b, so the witness's far cost cMax(w,v) is
 // computed only once cMax(u,w) is below cMin(u,v).
 //manet:noalloc
@@ -47,7 +48,7 @@ func (WeakRNG) SelectWeakInto(v MultiView, dst []int, s *Scratch) []int {
 	for i, n := range v.Neighbors {
 		removed := false
 		for j, w := range v.Neighbors {
-			if w.ID != n.ID && cMin[i] > cMax[j] && cMin[i] > MaxDist(w.Positions, n.Positions) {
+			if w.ID != n.ID && cMin[i] > cMax[j] && cMin[i] > maxDist2(w.Positions, n.Positions) {
 				removed = true
 				break
 			}
@@ -65,7 +66,7 @@ func (WeakRNG) SelectWeakInto(v MultiView, dst []int, s *Scratch) []int {
 // i.e. the minimax (bottleneck) path cost from u to v is below cMin(u,v).
 type WeakMST struct {
 	// Range is the normal transmission range; a view edge is usable by a
-	// relay path only when even its maximal cost keeps it within Range
+	// relay path only when even its longest position pair is within Range
 	// (the conservative existence test).
 	Range float64
 }
@@ -114,7 +115,7 @@ func (sp WeakSPT) SelectWeakInto(v MultiView, dst []int, s *Scratch) []int {
 		panic(fmt.Sprintf("topology: EnergyCost alpha %g < 1", sp.Alpha))
 	}
 	//lint:ignore noalloc the closure captures only sp (by value) and does not escape weakSearch, so it stays on the stack; the conformance test pins zero allocs
-	cost := func(d float64) float64 { return energy(d, sp.Alpha) + sp.Fixed }
+	cost := func(d2 float64) float64 { return energy(d2, sp.Alpha) + sp.Fixed }
 	return s.weakSearch(v, dst, sp.Range, cost, false)
 }
 
@@ -122,27 +123,26 @@ func (sp WeakSPT) SelectWeakInto(v MultiView, dst []int, s *Scratch) []int {
 // pessimistic (cMax) link costs under fn, with cMin(Self, v) as neighbor
 // v's threshold: v is removed iff a relay path's cost is below even the
 // most optimistic cost of the direct link. An edge is usable only when its
-// cMax keeps it within maxRange (the conservative existence test).
+// largest squared length is at most maxRange² (the conservative existence
+// test, on the same d² ≤ R² comparison the strong kernels and the radio
+// make).
 func (s *Scratch) weakSearch(v MultiView, dst []int, maxRange float64, fn CostFn, bottleneck bool) []int {
 	selfIdx := s.multiViewNodes(v)
-	limit := math.Inf(1)
-	if maxRange > 0 && !math.IsInf(maxRange, 1) {
-		limit = fn(maxRange)
-	}
+	r2 := rangeBound(maxRange)
 	s.dist, s.thr = grown(s.dist, len(s.pos)), grown(s.thr, len(s.pos))
 	for i, p := range s.pos {
-		dMin, dMax := distRange(s.pos[selfIdx], p)
-		s.thr[i], s.dist[i] = fn(dMin), fn(dMax)
-		if s.dist[i] > limit {
-			s.dist[i] = math.Inf(1)
+		d2Min, d2Max := distRange(s.pos[selfIdx], p)
+		s.thr[i], s.dist[i] = fn(d2Min), math.Inf(1)
+		if d2Max <= r2 {
+			s.dist[i] = fn(d2Max)
 		}
 	}
 	s.dist[selfIdx] = 0
 	start := len(dst)
 	//lint:ignore noalloc the closure does not escape search, so it stays on the stack; the conformance test pins zero allocs
 	dst = s.search(dst, selfIdx, bottleneck, func(i, j int) float64 {
-		if c := fn(MaxDist(s.pos[i], s.pos[j])); c <= limit {
-			return c
+		if d2 := maxDist2(s.pos[i], s.pos[j]); d2 <= r2 {
+			return fn(d2)
 		}
 		return math.Inf(1)
 	})
