@@ -156,29 +156,38 @@ func packageFuncDecls(pkg *Package) map[*types.Func]*ast.FuncDecl {
 
 // staticCallee resolves a call expression to the function object it invokes
 // when that is statically known: plain function calls, package-qualified
-// calls, and concrete method calls. Interface dispatch and function-valued
+// calls, and concrete method calls, with or without explicit type
+// arguments (f[T](x)). Calls into generic code resolve to the generic
+// declaration's object (Func.Origin), the key packageFuncDecls records: a
+// method of an instantiated type is a distinct synthetic object with no
+// declaration of its own. Interface dispatch and function-valued
 // expressions return nil.
 func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := unparen(call.Fun).(type) {
+	fun := unparen(call.Fun)
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = unparen(ix.X)
+	case *ast.IndexListExpr:
+		fun = unparen(ix.X)
+	}
+	var fn *types.Func
+	switch fun := fun.(type) {
 	case *ast.Ident:
-		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			return fn
-		}
+		fn, _ = info.Uses[fun].(*types.Func)
 	case *ast.SelectorExpr:
 		if sel, ok := info.Selections[fun]; ok {
 			if sel.Kind() == types.MethodVal {
-				if fn, ok := sel.Obj().(*types.Func); ok {
-					return fn
-				}
+				fn, _ = sel.Obj().(*types.Func)
 			}
-			return nil
-		}
-		// Not a selection: package-qualified identifier.
-		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return fn
+		} else {
+			// Not a selection: package-qualified identifier.
+			fn, _ = info.Uses[fun.Sel].(*types.Func)
 		}
 	}
-	return nil
+	if fn == nil {
+		return nil
+	}
+	return fn.Origin()
 }
 
 // unparen strips any number of enclosing parentheses.

@@ -7,34 +7,58 @@ import (
 	"mstc/internal/sim"
 )
 
-// Delayed "Hello" delivery — the manet end of the non-ideal channel
-// subsystem (internal/channel). When the channel defers deliveries, each
-// reception becomes a pooled sim.Actor scheduled at send time + an
-// independent bounded delay (≤ Δ″), the regime Theorem 5's buffer zone
-// l = 2·Δ″·v is designed for. Deliveries are pooled on the Network exactly
-// like flood deliveries: the struct pointer rides in the event queue's
-// interface value, so a delayed beacon costs no closure allocation.
+// "Hello" reception. Every beacon reception, on either engine, ends in
+// observe. When the non-ideal channel (internal/channel) defers deliveries,
+// each reception first waits out an independent bounded delay (≤ Δ″), the
+// regime Theorem 5's buffer zone l = 2·Δ″·v is designed for: on the serial
+// engine as a pooled helloDelivery actor, on the region-parallel engine on
+// its receiver's domain heap.
 
-// helloDelivery is one pending delayed "Hello" reception.
-type helloDelivery struct {
-	nw   *Network
-	msg  hello.Message
-	rid  int
-	next *helloDelivery // freelist link, nil while scheduled
+// observe is one "Hello" reception: receiver rid stores msg unless it is
+// down at instant at. The hello table keeps the k highest versions per
+// sender, so out-of-order arrivals — a short delay overtaking a long one —
+// resolve correctly without reordering here.
+//
+//manet:noalloc
+func (nw *Network) observe(rid int, msg hello.Message, at float64) {
+	if nd := nw.nodes[rid]; !nd.isDown(at) {
+		nd.table.Observe(msg)
+	}
 }
 
-// Act resolves the delivery: the receiver observes the (by now stale)
-// advertisement unless it is down at delivery time. The hello table keeps
-// the k highest versions per sender, so out-of-order arrivals — a short
-// delay overtaking a long one — resolve correctly without reordering here.
+// receive hands a beacon sent at msg.SentAt to its receivers on the serial
+// engine: each after its own channel delay, or at once.
+func (nw *Network) receive(msg hello.Message, receivers []int) {
+	if nw.ch.DelayEnabled() {
+		nw.scheduleHellos(msg, receivers)
+		return
+	}
+	for _, rid := range receivers {
+		nw.observe(rid, msg, msg.SentAt)
+	}
+}
+
+// helloRecv is one pending delayed "Hello" reception.
+type helloRecv struct {
+	rid int
+	msg hello.Message
+}
+
+// helloDelivery is a helloRecv scheduled on the serial engine as a pooled
+// actor: the struct pointer rides in the event queue's interface value, so a
+// delayed beacon costs no closure allocation.
+type helloDelivery struct {
+	nw *Network
+	helloRecv
+}
+
+// Act resolves the delivery.
 //
 //manet:noalloc
 func (d *helloDelivery) Act(now sim.Time) {
-	nw, msg, rid := d.nw, d.msg, d.rid
-	nw.releaseHelloDelivery(d)
-	if !nw.nodes[rid].isDown(now) {
-		nw.nodes[rid].table.Observe(msg)
-	}
+	nw, r := d.nw, d.helloRecv
+	nw.hellos.put(d)
+	nw.observe(r.rid, r.msg, now)
 }
 
 // scheduleHellos defers msg's delivery to every receiver by an independent
@@ -46,26 +70,33 @@ func (d *helloDelivery) Act(now sim.Time) {
 func (nw *Network) scheduleHellos(msg hello.Message, receivers []int) {
 	sent := math.Float64bits(msg.SentAt)
 	for _, rid := range receivers {
-		d := nw.newHelloDelivery()
-		d.msg, d.rid = msg, rid
+		d := nw.hellos.get()
+		*d = helloDelivery{nw: nw, helloRecv: helloRecv{rid: rid, msg: msg}}
 		nw.eng.ScheduleActorIn(nw.ch.HelloDelay(msg.From, rid, sent), d)
 	}
 }
 
-// newHelloDelivery pops a pooled delivery (or allocates the pool's next one).
-func (nw *Network) newHelloDelivery() *helloDelivery {
-	if d := nw.freeHello; d != nil {
-		nw.freeHello = d.next
-		d.next = nil
-		return d
+// pool is a freelist of pooled event actors. Scheduling a pooled actor
+// costs no closure allocation, and once the freelist covers the in-flight
+// maximum the steady state allocates nothing.
+type pool[T any] struct{ free []*T }
+
+// get pops a pooled value with every field zero (or allocates the pool's
+// next one); the caller fills it.
+func (p *pool[T]) get() *T {
+	if n := len(p.free); n > 0 {
+		x := p.free[n-1]
+		p.free = p.free[:n-1]
+		return x
 	}
 	//lint:ignore noalloc pool growth: allocates only until the freelist covers the in-flight maximum, then steady state is allocation-free
-	return &helloDelivery{nw: nw}
+	return new(T)
 }
 
-// releaseHelloDelivery clears d (dropping the message's 2-hop payload
-// reference, if any) and pushes it back on the freelist.
-func (nw *Network) releaseHelloDelivery(d *helloDelivery) {
-	*d = helloDelivery{nw: nw, next: nw.freeHello}
-	nw.freeHello = d
+// put zeroes x, dropping every reference its payload holds, and pushes it
+// back on the freelist.
+func (p *pool[T]) put(x *T) {
+	var zero T
+	*x = zero
+	p.free = append(p.free, x)
 }

@@ -56,58 +56,79 @@ func (nw *Network) originateFlood(now sim.Time) {
 	})
 }
 
-// transmit is one node's broadcast of the flood packet: the sender (re-)
-// selects under view synchronization, transmits with its current range, and
-// receivers that accept schedule their own forwards after a small jitter.
-//
-// Acceptance follows the paper's forwarding rule exactly: the sender's
-// logical neighbor set travels in the packet header and a receiver not in
-// it drops the packet — unless the physical-neighbor mechanism is on.
+// sendPreamble is the sender side every data transmission opens with, on
+// either engine and for every packet kind: a failed sender sends nothing
+// (false), otherwise it re-selects (see reselect) and pays the energy of
+// one transmission at its current range. The caller counts the
+// transmission under its packet kind.
+func (nw *Network) sendPreamble(nd *node, now sim.Time, pin uint64) bool {
+	if nd.isDown(now) {
+		return false // failed between acceptance and forward
+	}
+	nw.reselect(nd, now, pin)
+	nw.dataEnergy += energyOf(nd.txRange/nw.cfg.NormalRange, nw.cfg.EnergyAlpha)
+	return true
+}
+
+// reselect is a forwarder's on-the-fly re-selection: on the view pinned to
+// the packet's version under the proactive scheme (pin > 0, §4.1), else —
+// under view synchronization — on the latest "Hello" information with the
+// node's own *advertised* position standing in for its current one, so
+// that its local view matches what neighbors hold (§5.1).
+func (nw *Network) reselect(nd *node, now sim.Time, pin uint64) {
+	if pin > 0 {
+		nw.selectView(nd, now, selModeAsOf, pin, nd.ownAsOf(pin).Pos)
+	} else if nw.cfg.Mech.ViewSync {
+		nw.selectView(nd, now, selModeLatest, 0, nd.advertisedPos)
+	}
+}
+
+// carries reports whether receiver rid accepts a packet from nd at the
+// topology layer: rid is one of nd's logical neighbors (the set travels in
+// the packet header), or the physical-neighbor mechanism is on.
 // Unidirectional links are used as-is (§5.1).
+func (nw *Network) carries(nd *node, rid int) bool {
+	return nw.cfg.Mech.PhysicalNeighbors || nd.hasLogical(rid)
+}
+
+// senderCover is the covered set a self-pruning sender's packet header
+// carries — the sender and its known 1-hop neighborhood — or nil without
+// self-pruning. The map is shared by the packet's pending receptions, so
+// it cannot be scratch-backed.
+func (nw *Network) senderCover(nd *node, now sim.Time) map[int]bool {
+	if !nw.cfg.Mech.SelfPruning {
+		return nil
+	}
+	nw.msgBuf = nd.table.LatestInto(nw.msgBuf[:0], now)
+	//lint:ignore noalloc the header map escapes into the pending receptions by design (see above); self-pruning runs accept this per-transmit cost
+	cover := make(map[int]bool, len(nw.msgBuf)+1)
+	cover[nd.id] = true
+	for _, m := range nw.msgBuf {
+		cover[m.From] = true
+	}
+	return cover
+}
+
+// transmit is one node's broadcast of the flood packet on the serial
+// engine: the sender preamble, then every receiver the topology layer
+// carries to schedules its reception after the airtime, the per-hop delay
+// and a small jitter.
 func (nw *Network) transmit(fl *flood, sender int, now sim.Time) {
 	nd := nw.nodes[sender]
-	if nd.isDown(now) {
-		return // failed between acceptance and forward
-	}
-	if fl.pin > 0 {
-		// Proactive consistency: select on the view pinned to the
-		// packet's version (§4.1).
-		nw.selectAsOf(nd, now, fl.pin)
-	} else if nw.cfg.Mech.ViewSync {
-		// On-the-fly re-selection using the latest "Hello" information,
-		// with the sender's own *advertised* position standing in for its
-		// current one so that its local view matches what neighbors hold
-		// (§5.1, "View synchronization").
-		nw.updateSelection(nd, now, nd.advertisedPos)
+	if !nw.sendPreamble(nd, now, fl.pin) {
+		return
 	}
 	nw.dataTx++
-	nw.dataEnergy += energyOf(nd.txRange/nw.cfg.NormalRange, nw.cfg.EnergyAlpha)
 	tx, receivers := nw.med.Transmit(now, sender, nd.txRange, nw.recvBuf[:0])
 	nw.recvBuf = receivers
 	airtime := nw.med.TxDuration()
-	var senderCover map[int]bool
-	if nw.cfg.Mech.SelfPruning {
-		// The packet header additionally carries the sender's known 1-hop
-		// neighborhood (it already carries the logical set). The map is
-		// captured by the delayed delivery closures below, so it cannot be
-		// scratch-backed.
-		nw.msgBuf = nd.table.LatestInto(nw.msgBuf[:0], now)
-		//lint:ignore noalloc the header map escapes into the delayed deliveries by design (see comment above); self-pruning runs accept this per-transmit cost
-		senderCover = make(map[int]bool, len(nw.msgBuf)+1)
-		senderCover[sender] = true
-		for _, m := range nw.msgBuf {
-			senderCover[m.From] = true
-		}
-	}
+	cover := nw.senderCover(nd, now)
 	for _, rid := range receivers {
-		if fl.accepted[rid] {
+		if fl.accepted[rid] || !nw.carries(nd, rid) {
 			continue
 		}
-		if !nw.cfg.Mech.PhysicalNeighbors && !nd.hasLogical(rid) {
-			continue // dropped at the topology layer
-		}
-		d := nw.newDelivery()
-		d.fl, d.rid, d.tx, d.cover, d.airtime = fl, rid, tx, senderCover, airtime
+		d := nw.dels.get()
+		*d = delivery{nw: nw, floodRecv: floodRecv{fl: fl, rid: rid, cover: cover, tx: tx, airtime: airtime}}
 		nw.eng.ScheduleActorIn(nw.floodDelay(fl, sender, rid, airtime), d)
 	}
 }
@@ -128,64 +149,58 @@ func (nw *Network) floodDelay(fl *flood, sender, rid int, airtime float64) float
 	return delay
 }
 
-// delivery is one pending flood-packet reception. Deliveries are pooled on
-// the Network (a singly-linked freelist) and scheduled as sim.Actors, so
-// the per-receiver forwarding step costs no closure allocation — the struct
-// pointer rides in the event queue's interface value as-is.
-type delivery struct {
-	nw      *Network
+// floodRecv is one pending flood-packet reception, as both engines queue
+// it: the flood, the receiver, the sender's covered set (self-pruning, nil
+// otherwise), and the transmission with its airtime (collision MAC, zero
+// otherwise).
+type floodRecv struct {
 	fl      *flood
 	rid     int
+	cover   map[int]bool
 	tx      radio.Tx
-	cover   map[int]bool // sender's covered set (self-pruning), nil otherwise
 	airtime float64
-	next    *delivery // freelist link, nil while scheduled
 }
 
-// Act resolves the delivery. Acceptance resolves here, at delivery time:
-// the node may have accepted a concurrent copy meanwhile, and under the
-// collision MAC this copy may have been jammed.
-//
-//manet:noalloc
-func (d *delivery) Act(later sim.Time) {
-	nw, fl, rid := d.nw, d.fl, d.rid
-	tx, cover, airtime := d.tx, d.cover, d.airtime
-	// Release before resolving: the recursive transmit below may pool new
-	// deliveries, and d's payload is already copied out.
-	nw.releaseDelivery(d)
-	if fl.accepted[rid] || nw.nodes[rid].isDown(later) {
-		return
+// accept is a flood reception's acceptance step at instant at, resolved at
+// delivery time because the receiver may have accepted a concurrent copy
+// meanwhile, and under the collision MAC this copy may have been jammed.
+// An accepted packet is counted; accept then reports whether the receiver
+// forwards it — not when self-pruned (everything it reaches was covered)
+// or, under CDS forwarding, when it is no gateway.
+func (nw *Network) accept(r floodRecv, at float64) bool {
+	fl, rid := r.fl, r.rid
+	if fl.accepted[rid] || nw.nodes[rid].isDown(at) {
+		return false
 	}
-	if airtime > 0 && nw.med.Collides(tx, rid) {
-		return
+	if r.airtime > 0 && nw.med.Collides(r.tx, rid) {
+		return false
 	}
 	fl.accepted[rid] = true
 	fl.count++
-	if cover != nil && !nw.coversNew(rid, later, cover) {
-		return // self-pruned: everything we reach was covered
+	if r.cover != nil && !nw.coversNew(rid, at, r.cover) {
+		return false
 	}
-	if nw.cfg.Mech.CDSForward && !nw.nodes[rid].cdsMarked {
-		return // non-gateway: deliver but do not re-forward
-	}
-	nw.transmit(fl, rid, later)
+	return !nw.cfg.Mech.CDSForward || nw.nodes[rid].cdsMarked
 }
 
-// newDelivery pops a pooled delivery (or allocates the pool's next one).
-func (nw *Network) newDelivery() *delivery {
-	if d := nw.freeDel; d != nil {
-		nw.freeDel = d.next
-		d.next = nil
-		return d
-	}
-	//lint:ignore noalloc pool growth: allocates only until the freelist covers the in-flight maximum, then steady state is allocation-free
-	return &delivery{nw: nw}
+// delivery is a floodRecv scheduled on the serial engine as a pooled
+// actor, so the per-receiver forwarding step costs no closure allocation.
+type delivery struct {
+	nw *Network
+	floodRecv
 }
 
-// releaseDelivery clears d's payload (dropping the flood and cover-map
-// references) and pushes it back on the freelist.
-func (nw *Network) releaseDelivery(d *delivery) {
-	*d = delivery{nw: nw, next: nw.freeDel}
-	nw.freeDel = d
+// Act resolves the delivery and forwards an accepted packet.
+//
+//manet:noalloc
+func (d *delivery) Act(later sim.Time) {
+	nw, r := d.nw, d.floodRecv
+	// Release before resolving: the recursive transmit below may pool new
+	// deliveries, and d's payload is already copied out.
+	nw.dels.put(d)
+	if nw.accept(r, later) {
+		nw.transmit(r.fl, r.rid, later)
+	}
 }
 
 // coversNew reports whether node id knows a neighbor outside the sender's

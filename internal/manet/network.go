@@ -71,13 +71,14 @@ func (nd *node) ownAsOf(v uint64) hello.Message {
 	return hello.Message{From: nd.id, Pos: nd.advertisedPos}
 }
 
-// Selection cache modes: one per distinct view-construction path. The modes
-// never share entries — a node's cache holds the result of whichever path
-// ran last.
+// View queries: the hello-table query a selection reads its view from, one
+// per distinct view-construction path. They double as the selection cache's
+// modes, which never share entries — a node's cache holds the result of
+// whichever query ran last.
 const (
-	selModeLatest    = uint8(iota + 1) // updateSelection: latest messages
-	selModeVersioned                   // selectFromVersion: one exact version
-	selModeAsOf                        // selectAsOf: newest version <= pin
+	selModeLatest    = uint8(iota + 1) // latest messages (Table.LatestInto)
+	selModeVersioned                   // one exact version (Table.VersionedInto, reactive settle)
+	selModeAsOf                        // newest version <= pin (Table.AsOfInto, proactive forward)
 )
 
 // selCache memoizes one node's last selection, keyed by an O(1) fingerprint
@@ -166,16 +167,16 @@ type Network struct {
 	sampleRanges []float64
 	sampleDeg    []int
 
-	// The serial selection context (promoted methods: nw.updateSelection
-	// and friends). Parallel domain contexts live in parRun.
+	// The serial selection context (promoted methods: nw.selectView and
+	// friends). Parallel domain contexts live in parRun.
 	selCtx
 
 	cdsNbrOf   map[int][]int // reused cds.View.NeighborsOf
 	cdsNbrBuf  []int
 	cdsMarkBuf map[int]bool
 
-	freeDel   *delivery      // freelist of pooled flood deliveries
-	freeHello *helloDelivery // freelist of pooled delayed "Hello" deliveries
+	dels   pool[delivery]      // pooled flood deliveries
+	hellos pool[helloDelivery] // pooled delayed "Hello" deliveries
 
 	traf *trafficState // traffic subsystem state; nil = disabled
 
@@ -347,9 +348,8 @@ func (nw *Network) Run(duration float64) Result {
 
 // scheduleBeacons puts the serial engine's beacon schedule on the event
 // queue: synchronized rounds under the reactive scheme, otherwise one
-// periodic "Hello" per node whose first beacon falls at a uniform offset
-// within its interval, which keeps beacons asynchronous. The parallel
-// engine replays the same offsets (newParRun).
+// periodic "Hello" per node from its firstBeacon offset. The parallel
+// engine replays the same schedule (newParRun).
 func (nw *Network) scheduleBeacons() {
 	if nw.cfg.Mech.Reactive {
 		nw.scheduleReactiveRounds()
@@ -357,12 +357,17 @@ func (nw *Network) scheduleBeacons() {
 	}
 	for _, nd := range nw.nodes {
 		nd := nd
-		//lint:ignore substream deliberate: parallel.go's newParRun replays these 'f' offsets bit-identically; the two engines are mutually exclusive per run
-		first := nw.rng.Sub('f', uint64(nd.id)).Uniform(0, nd.interval)
-		nw.eng.Every(first, nd.interval, func(now sim.Time) {
+		nw.eng.Every(nw.firstBeacon(nd), nd.interval, func(now sim.Time) {
 			nw.sendHello(nd, now)
 		})
 	}
+}
+
+// firstBeacon is the instant of node nd's first asynchronous "Hello": a
+// uniform offset within its interval, which keeps beacons asynchronous
+// (§5.1). Both engines schedule from it.
+func (nw *Network) firstBeacon(nd *node) float64 {
+	return nw.rng.Sub('f', uint64(nd.id)).Uniform(0, nd.interval)
 }
 
 // parallelEligible reports whether the configuration can run on the
@@ -370,7 +375,7 @@ func (nw *Network) scheduleBeacons() {
 // rounds, and flood forwarding are all covered: their random components
 // are pure functions of each event's identity (or per-receiver chains
 // replayed in chronological order), so domain barriers resolve them
-// bit-identically to the serial engine. Three features remain ineligible,
+// bit-identically to the serial engine. Four features remain ineligible,
 // all because their "Hello"/packet processing consumes shared, globally
 // ordered state that cannot be partitioned by receiver domain: the
 // collision MAC's interference log (every transmission contends with
@@ -405,27 +410,48 @@ func (nw *Network) epoch(t sim.Time) uint64 {
 	return uint64(t/nw.cfg.HelloMax) + 1
 }
 
+// advertise is the sender side of one asynchronous "Hello" from node nd at
+// instant now, whose true position pos the caller resolved: the position
+// noise draw, the version (the epoch under the proactive scheme, otherwise
+// the next one), the own-advertisement history, and advertiseAs's
+// bookkeeping. It returns the message as advertised. Both engines run it
+// per beacon, in beacon order.
+func (nw *Network) advertise(nd *node, now float64, pos geom.Point) hello.Message {
+	if nw.cfg.PosNoise > 0 {
+		// Imprecise positioning: the node advertises (and reasons from) a
+		// noisy estimate; the radio still transmits from the true spot.
+		noise := nw.rng.Sub('p', uint64(nd.id), uint64(now*1e6))
+		pos = geom.Pt(pos.X+nw.cfg.PosNoise*noise.NormFloat64(),
+			pos.Y+nw.cfg.PosNoise*noise.NormFloat64())
+	}
+	ver := nd.version + 1
+	if nw.cfg.Mech.Proactive {
+		ver = nw.epoch(now)
+	}
+	msg := nw.advertiseAs(nd, now, pos, ver)
+	nd.recordOwn(msg)
+	return msg
+}
+
+// advertiseAs is the bookkeeping every "Hello" sender does, reactive round
+// or asynchronous beacon: nd advertises pos at instant now under version
+// ver, and the hello counters grow by one full-power transmission.
+func (nw *Network) advertiseAs(nd *node, now float64, pos geom.Point, ver uint64) hello.Message {
+	nd.version = ver
+	nd.advertisedPos = pos
+	nd.advertisedAt = now
+	nw.helloTx++
+	nw.helloEnergy++ // hellos always use the normal (full) power
+	return hello.Message{From: nd.id, Pos: pos, SentAt: now, Version: ver}
+}
+
 // sendHello advertises node nd's current position to everyone within the
 // normal range and refreshes nd's logical neighbor selection.
 func (nw *Network) sendHello(nd *node, now sim.Time) {
 	if nd.isDown(now) {
 		return
 	}
-	pos := nw.med.PositionAt(nd.id, now)
-	if nw.cfg.PosNoise > 0 {
-		// Imprecise positioning: the node advertises (and reasons from) a
-		// noisy estimate; the radio still transmits from the true spot.
-		//lint:ignore substream deliberate: parallel.go's appendRecord derives the SAME 'p' labels — the derivation is pure and keyed by (node, instant), and the two engines are mutually exclusive per run
-		noise := nw.rng.Sub('p', uint64(nd.id), uint64(now*1e6))
-		pos = geom.Pt(pos.X+nw.cfg.PosNoise*noise.NormFloat64(),
-			pos.Y+nw.cfg.PosNoise*noise.NormFloat64())
-	}
-	if nw.cfg.Mech.Proactive {
-		nd.version = nw.epoch(now)
-	} else {
-		nd.version++
-	}
-	msg := hello.Message{From: nd.id, Pos: pos, SentAt: now, Version: nd.version}
+	msg := nw.advertise(nd, now, nw.med.PositionAt(nd.id, now))
 	if nw.cfg.Mech.CDSForward {
 		nd.cdsMarked = nw.wuLiMarked(nd, now)
 		nw.msgBuf = nd.table.LatestInto(nw.msgBuf[:0], now)
@@ -442,11 +468,6 @@ func (nw *Network) sendHello(nd *node, now sim.Time) {
 		// CDS payload; outside OLSR mode it is nil over nil.
 		msg.Payload = nw.traf.helloPayload(nd, now)
 	}
-	nd.recordOwn(msg)
-	nd.advertisedPos = pos
-	nd.advertisedAt = now
-	nw.helloTx++
-	nw.helloEnergy++ // hellos always use the normal (full) power
 	tx, receivers := nw.med.Transmit(now, nd.id, nw.cfg.NormalRange, nw.recvBuf[:0])
 	nw.recvBuf = receivers
 	if dur := nw.med.TxDuration(); dur > 0 {
@@ -456,24 +477,15 @@ func (nw *Network) sendHello(nd *node, now sim.Time) {
 		copy(ids, receivers)
 		nw.eng.ScheduleIn(dur, func(at sim.Time) {
 			for _, rid := range ids {
-				if !nw.nodes[rid].isDown(at) && !nw.med.Collides(tx, rid) {
-					nw.nodes[rid].table.Observe(msg)
+				if !nw.med.Collides(tx, rid) {
+					nw.observe(rid, msg, at)
 				}
 			}
 		})
-	} else if nw.ch.DelayEnabled() {
-		// Non-ideal channel: each reception resolves after its own bounded
-		// random delay (≤ Δ″), as a pooled actor — the delivery path of
-		// Theorem 5's delayed-message regime.
-		nw.scheduleHellos(msg, receivers)
 	} else {
-		for _, rid := range receivers {
-			if !nw.nodes[rid].isDown(now) {
-				nw.nodes[rid].table.Observe(msg)
-			}
-		}
+		nw.receive(msg, receivers)
 	}
-	nw.updateSelection(nd, now, pos)
+	nw.selectView(nd, now, selModeLatest, 0, msg.Pos)
 }
 
 // scheduleReactiveRounds implements the reactive strong-consistency scheme:
@@ -482,46 +494,28 @@ func (nw *Network) sendHello(nd *node, now sim.Time) {
 // same-version messages.
 func (nw *Network) scheduleReactiveRounds() {
 	interval := (nw.cfg.HelloMin + nw.cfg.HelloMax) / 2
-	const settle = reactiveSettle
 	round := uint64(0)
 	nw.eng.Every(0, interval, func(now sim.Time) {
 		round++
 		ver := round
 		for _, nd := range nw.nodes {
-			if nw.ch != nil && nd.isDown(now) {
+			if nd.isDown(now) {
 				continue // channel churn: a failed node misses its round
 			}
-			pos := nw.med.PositionAt(nd.id, now)
-			nd.version = ver
-			nd.advertisedPos = pos
-			nd.advertisedAt = now
-			msg := hello.Message{From: nd.id, Pos: pos, SentAt: now, Version: ver}
-			nw.helloTx++
-			nw.helloEnergy++
+			msg := nw.advertiseAs(nd, now, nw.med.PositionAt(nd.id, now), ver)
 			if nw.ch == nil {
-				// Ideal channel: the original synchronous delivery, kept on
-				// its own path so pre-channel runs stay bit-identical.
+				// Ideal channel: a receiver query rather than a
+				// transmission, which keeps reactive hellos out of the
+				// collision MAC's interference log.
 				nw.recvBuf = nw.med.ReceiversAt(now, nd.id, nw.cfg.NormalRange, nw.recvBuf[:0])
-				for _, rid := range nw.recvBuf {
-					nw.nodes[rid].table.Observe(msg)
-				}
-				continue
+			} else {
+				_, nw.recvBuf = nw.med.Transmit(now, nd.id, nw.cfg.NormalRange, nw.recvBuf[:0])
 			}
-			_, receivers := nw.med.Transmit(now, nd.id, nw.cfg.NormalRange, nw.recvBuf[:0])
-			nw.recvBuf = receivers
-			if nw.ch.DelayEnabled() {
-				nw.scheduleHellos(msg, receivers)
-				continue
-			}
-			for _, rid := range receivers {
-				if !nw.nodes[rid].isDown(now) {
-					nw.nodes[rid].table.Observe(msg)
-				}
-			}
+			nw.receive(msg, nw.recvBuf)
 		}
-		nw.eng.ScheduleIn(settle, func(sel sim.Time) {
+		nw.eng.ScheduleIn(reactiveSettle, func(sel sim.Time) {
 			for _, nd := range nw.nodes {
-				nw.selectFromVersion(nd, sel, ver)
+				nw.selectView(nd, sel, selModeVersioned, ver, nd.advertisedPos)
 			}
 		})
 	})
@@ -560,21 +554,33 @@ func (nw *Network) wuLiMarked(nd *node, now sim.Time) bool {
 	return true
 }
 
-// updateSelection recomputes nd's logical neighbors and transmission range
-// from its current table. Selection uses selfPos as nd's own position (the
-// view-synchronization mechanism passes the previously *advertised*
-// position here so nd's decisions agree with its neighbors' views), while
-// the transmission range is always computed from nd's current physical
-// position — the radio transmits from wherever the node actually is.
-func (sc *selCtx) updateSelection(nd *node, now sim.Time, selfPos geom.Point) {
+// selectView recomputes nd's logical neighbors and transmission range from
+// the view its hello table answers to query (selModeLatest, or
+// selModeVersioned / selModeAsOf at version pin), with selfPos as nd's own
+// position in the view. Callers pass the position nd's neighbors see: the
+// beacon's advertised position, nd.advertisedPos for a reactive settle or
+// view-synchronized forward (§5.1, "View synchronization"), and nd's own
+// advertisement as of the pin for a proactive one (§4.1). The transmission
+// range is always computed from nd's current physical position — the radio
+// transmits from wherever the node actually is. Weak consistency, which
+// excludes the reactive and proactive schemes, selects from the latest
+// messages' k-deep history instead (selectWeak).
+func (sc *selCtx) selectView(nd *node, now sim.Time, query uint8, pin uint64, selfPos geom.Point) {
 	if sc.cfg.Mech.WeakK > 0 {
 		sc.selectWeak(nd, now, selfPos)
 		return
 	}
-	if sc.replayCached(nd, now, selModeLatest, 0, selfPos) {
+	if sc.replayCached(nd, now, query, pin, selfPos) {
 		return
 	}
-	sc.msgBuf = nd.table.LatestInto(sc.msgBuf[:0], now)
+	switch query {
+	case selModeVersioned:
+		sc.msgBuf = nd.table.VersionedInto(sc.msgBuf[:0], pin, now)
+	case selModeAsOf:
+		sc.msgBuf = nd.table.AsOfInto(sc.msgBuf[:0], pin, now)
+	default:
+		sc.msgBuf = nd.table.LatestInto(sc.msgBuf[:0], now)
+	}
 	sc.nbrBuf = sc.nbrBuf[:0]
 	for _, m := range sc.msgBuf {
 		sc.nbrBuf = append(sc.nbrBuf, topology.NodeInfo{ID: m.From, Pos: m.Pos})
@@ -583,56 +589,9 @@ func (sc *selCtx) updateSelection(nd *node, now sim.Time, selfPos geom.Point) {
 	v = v.EnsureCanon()
 	sc.selBuf = topology.SelectInto(sc.cfg.Protocol, v, sc.selBuf[:0], &sc.scratch)
 	sel := sc.selBuf
-	sc.fillCache(nd, now, selModeLatest, 0, selfPos, v, sel)
-	cur := sc.pos.PositionAt(nd.id, now)
-	if cur != selfPos {
-		v.Self.Pos = cur
-	}
-	sc.applySelection(nd, v, sel)
-}
-
-// selectFromVersion is updateSelection restricted to messages of one
-// version (reactive scheme).
-func (sc *selCtx) selectFromVersion(nd *node, now sim.Time, ver uint64) {
-	if sc.replayCached(nd, now, selModeVersioned, ver, nd.advertisedPos) {
-		return
-	}
-	sc.msgBuf = nd.table.VersionedInto(sc.msgBuf[:0], ver, now)
-	sc.nbrBuf = sc.nbrBuf[:0]
-	for _, m := range sc.msgBuf {
-		sc.nbrBuf = append(sc.nbrBuf, topology.NodeInfo{ID: m.From, Pos: m.Pos})
-	}
-	v := topology.View{Self: topology.NodeInfo{ID: nd.id, Pos: nd.advertisedPos}, Neighbors: sc.nbrBuf}
-	v = v.EnsureCanon()
-	sc.selBuf = topology.SelectInto(sc.cfg.Protocol, v, sc.selBuf[:0], &sc.scratch)
-	sel := sc.selBuf
-	sc.fillCache(nd, now, selModeVersioned, ver, nd.advertisedPos, v, sel)
+	sc.fillCache(nd, now, query, pin, selfPos, v, sel)
 	v.Self.Pos = sc.pos.PositionAt(nd.id, now)
 	sc.applySelection(nd, v, sel)
-}
-
-// selectAsOf re-selects nd's logical neighbors from its local view pinned
-// to version v: each neighbor resolves to its newest advertisement with
-// version <= v, and nd's own position is its own advertisement as of v.
-// Every node relaying a packet pinned to v resolves shared neighbors to the
-// same messages, giving the consistent views of the proactive scheme.
-func (sc *selCtx) selectAsOf(nd *node, now sim.Time, v uint64) {
-	own := nd.ownAsOf(v)
-	if sc.replayCached(nd, now, selModeAsOf, v, own.Pos) {
-		return
-	}
-	sc.msgBuf = nd.table.AsOfInto(sc.msgBuf[:0], v, now)
-	sc.nbrBuf = sc.nbrBuf[:0]
-	for _, m := range sc.msgBuf {
-		sc.nbrBuf = append(sc.nbrBuf, topology.NodeInfo{ID: m.From, Pos: m.Pos})
-	}
-	view := topology.View{Self: topology.NodeInfo{ID: nd.id, Pos: own.Pos}, Neighbors: sc.nbrBuf}
-	view = view.EnsureCanon()
-	sc.selBuf = topology.SelectInto(sc.cfg.Protocol, view, sc.selBuf[:0], &sc.scratch)
-	sel := sc.selBuf
-	sc.fillCache(nd, now, selModeAsOf, v, own.Pos, view, sel)
-	view.Self.Pos = sc.pos.PositionAt(nd.id, now)
-	sc.applySelection(nd, view, sel)
 }
 
 // replayCached replays nd's memoized selection when the cached fingerprint
@@ -776,7 +735,7 @@ func (nw *Network) EffectiveDigraphAt(t float64) *graph.Directed {
 	for _, nd := range nw.nodes {
 		buf = nw.med.ReceiversAt(t, nd.id, nd.txRange, buf[:0])
 		for _, v := range buf {
-			if nw.cfg.Mech.PhysicalNeighbors || nd.hasLogical(v) {
+			if nw.carries(nd, v) {
 				d.AddArc(nd.id, v)
 			}
 		}

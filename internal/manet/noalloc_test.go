@@ -26,11 +26,11 @@ func TestNoallocAnnotationsConform(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{
-		"Network.forwardData", "Network.scheduleHellos", "delLess",
-		"delivery.Act", "domainCtx.popDel", "domainCtx.pushDel",
-		"helloDelivery.Act", "parRun.processDomain", "parRun.processFloodScan",
-		"parRun.processRecord", "parRun.processSegment", "parRun.processSettle",
-		"parRun.receivers", "trafficDelivery.Act", "trafficState.olsrNextHop",
+		"Network.forwardData", "Network.observe", "Network.scheduleHellos",
+		"delivery.Act", "helloDelivery.Act", "parRun.processDomain",
+		"parRun.processFloodScan", "parRun.processRecord", "parRun.processSegment",
+		"parRun.processSettle", "parRun.receivers", "trafficDelivery.Act",
+		"trafficState.olsrNextHop",
 	}
 	if !reflect.DeepEqual(annotated, want) {
 		t.Fatalf("//manet:noalloc set changed: got %v, want %v — update this conformance test with the new path", annotated, want)
@@ -70,9 +70,9 @@ func TestNoallocAnnotationsConform(t *testing.T) {
 	deadline := sim.Time(8)
 	nw.eng.Run(deadline)
 
-	if nw.helloTx == 0 || nw.freeDel == nil || nw.freeHello == nil {
-		t.Fatalf("warm-up did not exercise the annotated paths: helloTx=%d freeDel=%v freeHello=%v",
-			nw.helloTx, nw.freeDel != nil, nw.freeHello != nil)
+	if nw.helloTx == 0 || len(nw.dels.free) == 0 || len(nw.hellos.free) == 0 {
+		t.Fatalf("warm-up did not exercise the annotated paths: helloTx=%d pooled deliveries=%d pooled hellos=%d",
+			nw.helloTx, len(nw.dels.free), len(nw.hellos.free))
 	}
 
 	events := 0
@@ -114,9 +114,9 @@ func TestTrafficSteadyStateAllocs(t *testing.T) {
 	deadline := sim.Time(12)
 	nw.eng.Run(deadline)
 	ts := nw.traf
-	if ts.delivered == 0 || ts.freeData == nil {
-		t.Fatalf("warm-up did not exercise the data path: delivered=%d pool=%v",
-			ts.delivered, ts.freeData != nil)
+	if ts.delivered == 0 || len(ts.data.free) == 0 {
+		t.Fatalf("warm-up did not exercise the data path: delivered=%d pooled=%d",
+			ts.delivered, len(ts.data.free))
 	}
 
 	before := ts.delivered

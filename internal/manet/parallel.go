@@ -37,10 +37,10 @@ package manet
 //     forwarder's advertised position, its own-advertisement history — is
 //     exactly the state the serial engine would see there.
 //   - Deferred receptions. Under channel delay each reception becomes a
-//     (deliver-at, seq) item on its receiver's owner-domain min-heap,
+//     (deliver-at, seq) entry on its receiver's owner-domain sim.Heap,
 //     drained by the same segment barriers in time order. seq reproduces
 //     the serial scheduling order (window, dispatch-sorted record index,
-//     receiver id), and pending items are re-homed to current owners at
+//     receiver id), and pending entries are re-homed to current owners at
 //     every snapshot, so ownership churn never strands a delivery.
 //   - Settle passes (reactive scheme). Each round dispatched queues one
 //     settle item; at its instant a barrier pass re-selects every node
@@ -48,14 +48,14 @@ package manet
 //     later round can never overwrite the advertised positions the pass
 //     must read.
 //   - Flood receptions. Flood forwarding runs on a dispatcher-owned
-//     global (time, seq) min-heap. The dispatcher pops the earliest
-//     reception, resolves acceptance serially (accept flag, count,
-//     self-pruning cover check — the serial delivery.Act sequence), and
-//     on a forward runs the sender-side transmit serially (selection,
-//     counters, cover capture) followed by one scan barrier: every
-//     domain runs the same snapshot-grid receiver scan (a domain beside
-//     the sender's disc finds no cells to scan) and emits accepting
-//     receivers to a per-domain outbox with their keyed delivery delays.
+//     global (time, seq) sim.Heap. The dispatcher pops the earliest
+//     reception, resolves acceptance serially (Network.accept, as the
+//     serial delivery.Act does), and on a forward runs the sender side
+//     serially (Network.sendPreamble, counters, cover capture) followed
+//     by one scan barrier: every domain runs the same snapshot-grid
+//     receiver scan (a domain beside the sender's disc finds no cells to
+//     scan) and emits accepting receivers to a per-domain outbox with
+//     their keyed delivery delays.
 //     Outboxes merge in ascending receiver order — the serial
 //     per-transmit schedule order — onto the global heap. Every random
 //     component of a flood reception (radio loss, channel loss
@@ -98,35 +98,11 @@ type helloRecord struct {
 	msg     hello.Message
 }
 
-// delItem is one deferred "Hello" reception (non-ideal channel delay)
-// pending on its receiver's owner-domain heap. seq orders equal-instant
-// deliveries exactly as the serial engine's scheduling sequence would:
-// creation is chronological across windows (high bits), across the
-// window's (time, sender)-sorted records (middle bits), and ascending by
-// receiver within a record (low bits).
-type delItem struct {
-	at  float64
-	seq uint64
-	rid int
-	msg hello.Message
-}
-
 // settleItem is one pending reactive settle pass: at its instant every
 // node re-selects from the round's common version.
 type settleItem struct {
 	at  float64
 	ver uint64
-}
-
-// floodItem is one pending flood reception on the dispatcher's global
-// heap. (at, seq) reproduces the serial delivery order: seq is assigned
-// in transmit order, ascending by receiver within a transmit.
-type floodItem struct {
-	at    float64
-	seq   uint64
-	rid   int
-	fl    *flood
-	cover map[int]bool
 }
 
 // floodOut is one entry of a domain's flood-scan outbox: an accepting
@@ -148,15 +124,21 @@ const (
 // bounding box of the owned nodes' snapshot positions, the candidate and
 // receiver scratch lists, the deferred-reception heap, and the flood-scan
 // outbox. Nothing in it is ever touched by another domain's worker.
+//
+// A deferred reception's seq orders equal-instant deliveries exactly as the
+// serial engine's scheduling sequence would: creation is chronological
+// across windows (high bits), across the window's (time, sender)-sorted
+// records (middle bits), and ascending by receiver within a record (low
+// bits).
 type domainCtx struct {
 	cur  *mobility.Cursor
 	sel  selCtx
 	box  geom.Rect // owned snapshot positions' bounding box (empty if none)
 	cand []int
 	recv []int
-	del  []delItem  // deferred receptions, (at, seq) min-heap
-	fout []floodOut // flood-scan outbox
-	qi   int        // cursor into pr.queues[d]
+	del  sim.Heap[helloRecv] // deferred receptions
+	fout []floodOut          // flood-scan outbox
+	qi   int                 // cursor into pr.queues[d]
 }
 
 // parRun is one region-parallel execution of Network.Run.
@@ -188,7 +170,10 @@ type parRun struct {
 	setAt     float64
 	setVer    uint64
 
-	fheap []floodItem // pending flood receptions, (at, seq) min-heap
+	// Pending flood receptions. (at, seq) reproduces the serial delivery
+	// order: seq is assigned in transmit order, ascending by receiver
+	// within a transmit.
+	fheap sim.Heap[floodRecv]
 	fseq  uint64
 
 	mode    int
@@ -201,10 +186,10 @@ type parRun struct {
 	scanPos    geom.Point
 	scanR      float64
 
-	rehome []delItem  // snapshot re-homing scratch
-	fmerge []floodOut // flood outbox merge scratch
+	rehome []sim.Entry[helloRecv] // snapshot re-homing scratch
+	fmerge []floodOut             // flood outbox merge scratch
 
-	windowSeq uint64  // monotone window counter (delItem seq high bits)
+	windowSeq uint64  // monotone window counter (deferred-reception seq high bits)
 	snapAt    float64 // time of the last ownership snapshot
 	snapped   bool
 
@@ -214,9 +199,9 @@ type parRun struct {
 	t      float64 // parallel clock: hellos before t are processed
 }
 
-// newParRun builds the per-run parallel state. The per-node first-beacon
-// offsets consume exactly the draws the serial scheduler would, so hello
-// timing is bit-identical between engines.
+// newParRun builds the per-run parallel state. The per-node first beacons
+// are the serial scheduler's (firstBeacon), so hello timing is
+// bit-identical between engines.
 func (nw *Network) newParRun() *parRun {
 	n := len(nw.nodes)
 	grid := nw.domGrid
@@ -248,8 +233,7 @@ func (nw *Network) newParRun() *parRun {
 		pr.nextDue = 0
 	} else {
 		for i, nd := range nw.nodes {
-			//lint:ignore substream deliberate: the parallel engine replays the serial scheduler's 'f' hello-offset draws bit-identically; the two paths are mutually exclusive per run
-			first := nw.rng.Sub('f', uint64(nd.id)).Uniform(0, nd.interval)
+			first := nw.firstBeacon(nd)
 			pr.nextHello[i] = first
 			if first < pr.nextDue {
 				pr.nextDue = first
@@ -335,14 +319,14 @@ func (pr *parRun) hasWork(end float64, incl bool) bool {
 	if parDue(pr.nextDue, end, incl) {
 		return true
 	}
-	if len(pr.fheap) > 0 && parDue(pr.fheap[0].at, end, incl) {
+	if len(pr.fheap) > 0 && parDue(pr.fheap[0].At, end, incl) {
 		return true
 	}
 	if pr.setIdx < len(pr.settles) && parDue(pr.settles[pr.setIdx].at, end, incl) {
 		return true
 	}
 	for d := range pr.doms {
-		if h := pr.doms[d].del; len(h) > 0 && parDue(h[0].at, end, incl) {
+		if h := pr.doms[d].del; len(h) > 0 && parDue(h[0].At, end, incl) {
 			return true
 		}
 	}
@@ -366,8 +350,8 @@ func (pr *parRun) runWindow(start, end float64, incl bool) {
 	for {
 		inf := math.Inf(1)
 		tf, ts := inf, inf
-		if len(pr.fheap) > 0 && parDue(pr.fheap[0].at, end, incl) {
-			tf = pr.fheap[0].at
+		if len(pr.fheap) > 0 && parDue(pr.fheap[0].At, end, incl) {
+			tf = pr.fheap[0].At
 		}
 		if pr.setIdx < len(pr.settles) && parDue(pr.settles[pr.setIdx].at, end, incl) {
 			ts = pr.settles[pr.setIdx].at
@@ -380,8 +364,8 @@ func (pr *parRun) runWindow(start, end float64, incl bool) {
 			th = pr.records[pr.gRec].at
 		}
 		for d := range pr.doms {
-			if h := pr.doms[d].del; len(h) > 0 && parDue(h[0].at, end, incl) && h[0].at < th {
-				th = h[0].at
+			if h := pr.doms[d].del; len(h) > 0 && parDue(h[0].At, end, incl) && h[0].At < th {
+				th = h[0].At
 			}
 		}
 		bnd := math.Min(tf, ts)
@@ -418,9 +402,11 @@ func (pr *parRun) runWindow(start, end float64, incl bool) {
 // snapshot re-resolves every position at the given instant in one batched
 // cursor sweep, re-indexes the positions for the receiver scans, reassigns
 // domain ownership (owned lists and bounding boxes), and re-homes pending
-// deferred receptions to their receivers' (possibly new) owner domains in
-// (at, seq) order — a deterministic permutation, so worker scheduling
-// cannot leak into heap contents.
+// deferred receptions to their receivers' (possibly new) owner domains.
+// The re-homing pushes entries in whatever order the old heaps hold them:
+// (at, seq) keys are unique, so each heap pops its entries in key order
+// however they were inserted, and worker scheduling cannot leak into what
+// a domain delivers.
 func (pr *parRun) snapshot(at float64) {
 	pr.posT = pr.cur.ResolveAllInto(pr.posT[:0], at)
 	pr.index.Build(pr.posT)
@@ -439,11 +425,8 @@ func (pr *parRun) snapshot(at float64) {
 		pr.rehome = append(pr.rehome, pd.del...)
 		pd.del = pd.del[:0]
 	}
-	if len(pr.rehome) > 0 {
-		sort.Sort(delByAtSeq(pr.rehome))
-		for _, it := range pr.rehome {
-			pr.doms[pr.domainOf[it.rid]].pushDel(it)
-		}
+	for _, e := range pr.rehome {
+		pr.doms[pr.domainOf[e.V.rid]].del.Push(e.At, e.Seq, e.V)
 	}
 	pr.snapAt = at
 	pr.snapped = true
@@ -480,17 +463,12 @@ func (pr *parRun) dispatchTo(H float64, incl bool) {
 			at := pr.nextRound
 			pr.round++
 			for _, nd := range nw.nodes {
-				if nw.ch != nil && nd.isDown(at) {
+				if nd.isDown(at) {
 					continue // channel churn: a failed node misses its round
 				}
 				pos := pr.cur.PositionAt(nd.id, at)
-				nd.version = pr.round
-				nd.advertisedPos = pos
-				nd.advertisedAt = at
-				nw.helloTx++
-				nw.helloEnergy++
-				pr.records = append(pr.records, helloRecord{at: at, sender: nd.id, truePos: pos,
-					msg: hello.Message{From: nd.id, Pos: pos, SentAt: at, Version: pr.round}})
+				msg := nw.advertiseAs(nd, at, pos, pr.round)
+				pr.records = append(pr.records, helloRecord{at: at, sender: nd.id, truePos: pos, msg: msg})
 			}
 			pr.settles = append(pr.settles, settleItem{at: at + reactiveSettle, ver: pr.round})
 			pr.nextRound += pr.roundIvl
@@ -502,7 +480,9 @@ func (pr *parRun) dispatchTo(H float64, incl bool) {
 			at := pr.nextHello[i]
 			for parDue(at, H, incl) {
 				if !nd.isDown(at) {
-					pr.appendRecord(nd, at)
+					pos := pr.cur.PositionAt(nd.id, at)
+					msg := nw.advertise(nd, at, pos)
+					pr.records = append(pr.records, helloRecord{at: at, sender: nd.id, truePos: pos, msg: msg})
 				}
 				at += nd.interval
 			}
@@ -532,32 +512,6 @@ func (pr *parRun) dispatchTo(H float64, incl bool) {
 			}
 		}
 	}
-}
-
-// appendRecord performs the sender side of one beacon — the exact
-// bookkeeping sequence of the serial sendHello up to the transmission.
-func (pr *parRun) appendRecord(nd *node, at float64) {
-	nw := pr.nw
-	pos := pr.cur.PositionAt(nd.id, at)
-	adv := pos
-	if nw.cfg.PosNoise > 0 {
-		//lint:ignore substream deliberate: same 'p' labels as the serial sendHello — the derivation is pure and keyed by (node, instant), so both engines read identical noise
-		noise := nw.rng.Sub('p', uint64(nd.id), uint64(at*1e6))
-		adv = geom.Pt(pos.X+nw.cfg.PosNoise*noise.NormFloat64(),
-			pos.Y+nw.cfg.PosNoise*noise.NormFloat64())
-	}
-	if nw.cfg.Mech.Proactive {
-		nd.version = nw.epoch(at)
-	} else {
-		nd.version++
-	}
-	msg := hello.Message{From: nd.id, Pos: adv, SentAt: at, Version: nd.version}
-	nd.recordOwn(msg)
-	nd.advertisedPos = adv
-	nd.advertisedAt = at
-	nw.helloTx++
-	nw.helloEnergy++ // hellos always use the normal (full) power
-	pr.records = append(pr.records, helloRecord{at: at, sender: nd.id, truePos: pos, msg: msg})
 }
 
 // sort.Interface over records[sortBase:]: (time, sender) ascending.
@@ -600,51 +554,28 @@ func (pr *parRun) settlePass() {
 }
 
 // floodStep resolves the earliest pending flood reception — the serial
-// delivery.Act sequence: acceptance, count, self-pruning cover check, then
-// the forward transmit. Runs on the dispatcher; the transmit's receiver
-// scan is the only parallel part.
+// delivery.Act sequence: acceptance, then the forward transmit. Runs on the
+// dispatcher; the transmit's receiver scan is the only parallel part.
 func (pr *parRun) floodStep() {
-	it := pr.popFlood()
-	nw := pr.nw
-	fl, rid, at := it.fl, it.rid, it.at
-	if fl.accepted[rid] || nw.nodes[rid].isDown(at) {
-		return
+	e := pr.fheap.Pop()
+	if pr.nw.accept(e.V, e.At) {
+		pr.floodTransmit(e.V.fl, e.V.rid, e.At)
 	}
-	fl.accepted[rid] = true
-	fl.count++
-	if it.cover != nil && !nw.coversNew(rid, at, it.cover) {
-		return // self-pruned: everything we reach was covered
-	}
-	pr.floodTransmit(fl, rid, at)
 }
 
 // floodTransmit is one node's broadcast of the flood packet on the
 // parallel engine — the serial transmit with the receiver loop replaced by
-// a scan barrier. Sender-side work (selection, counters, cover capture)
+// a scan barrier. Sender-side work (preamble, counters, cover capture)
 // runs serially on the dispatcher through the network's own selection
 // context, exactly as the serial engine's transmit would at this instant.
 func (pr *parRun) floodTransmit(fl *flood, sender int, now float64) {
 	nw := pr.nw
 	nd := nw.nodes[sender]
-	if nd.isDown(now) {
-		return // failed between acceptance and forward
-	}
-	if fl.pin > 0 {
-		nw.selectAsOf(nd, now, fl.pin)
-	} else if nw.cfg.Mech.ViewSync {
-		nw.updateSelection(nd, now, nd.advertisedPos)
+	if !nw.sendPreamble(nd, now, fl.pin) {
+		return
 	}
 	nw.dataTx++
-	nw.dataEnergy += energyOf(nd.txRange/nw.cfg.NormalRange, nw.cfg.EnergyAlpha)
-	var cover map[int]bool
-	if nw.cfg.Mech.SelfPruning {
-		nw.msgBuf = nd.table.LatestInto(nw.msgBuf[:0], now)
-		cover = make(map[int]bool, len(nw.msgBuf)+1)
-		cover[sender] = true
-		for _, m := range nw.msgBuf {
-			cover[m.From] = true
-		}
-	}
+	cover := nw.senderCover(nd, now)
 	r := nd.txRange
 	if r <= 0 {
 		return // matches the radio's empty receiver set for r <= 0
@@ -667,7 +598,7 @@ func (pr *parRun) floodTransmit(fl *flood, sender int, now float64) {
 	sortFloodOutByRid(pr.fmerge)
 	for _, o := range pr.fmerge {
 		pr.fseq++
-		pr.pushFlood(floodItem{at: o.at, seq: pr.fseq, rid: o.rid, fl: fl, cover: cover})
+		pr.fheap.Push(o.at, pr.fseq, floodRecv{fl: fl, rid: o.rid, cover: cover})
 	}
 }
 
@@ -697,16 +628,14 @@ func (pr *parRun) processSegment(pd *domainCtx, d int) {
 	for {
 		recOK := pd.qi < len(q)
 		delOK := len(pd.del) > 0
-		useDel := delOK && (!recOK || pd.del[0].at < pr.records[q[pd.qi]].at)
+		useDel := delOK && (!recOK || pd.del[0].At < pr.records[q[pd.qi]].at)
 		switch {
 		case useDel:
-			if !parDue(pd.del[0].at, pr.segH, pr.segIncl) {
+			if !parDue(pd.del[0].At, pr.segH, pr.segIncl) {
 				return
 			}
-			it := pd.popDel()
-			if !pr.nw.nodes[it.rid].isDown(it.at) {
-				pr.nw.nodes[it.rid].table.Observe(it.msg)
-			}
+			e := pd.del.Pop()
+			pr.nw.observe(e.V.rid, e.V.msg, e.At)
 		case recOK:
 			ri := int(q[pd.qi])
 			if !parDue(pr.records[ri].at, pr.segH, pr.segIncl) {
@@ -722,42 +651,28 @@ func (pr *parRun) processSegment(pd *domainCtx, d int) {
 
 // processRecord delivers one beacon inside one domain: the domain's
 // receivers from the snapshot-grid scan, then synchronous delivery,
-// deferral onto the domain heap (channel delay), or the reactive ideal
-// path — and the sender's re-selection in its owner domain.
+// or deferral onto the domain heap (channel delay) — and the sender's
+// re-selection in its owner domain.
 //
 //manet:noalloc
 func (pr *parRun) processRecord(pd *domainCtx, d int, ri int) {
 	nw := pr.nw
 	rec := &pr.records[ri]
 	recv := pr.receivers(pd, d, rec.sender, rec.truePos, rec.at, nw.cfg.NormalRange)
-	switch {
-	case nw.ch.DelayEnabled():
+	if nw.ch.DelayEnabled() {
 		sent := math.Float64bits(rec.msg.SentAt)
 		base := pr.windowSeq<<40 | uint64(ri)<<20
 		for _, rid := range recv {
-			pd.pushDel(delItem{
-				at:  rec.at + nw.ch.HelloDelay(rec.sender, rid, sent),
-				seq: base | uint64(rid),
-				rid: rid,
-				msg: rec.msg,
-			})
+			pd.del.Push(rec.at+nw.ch.HelloDelay(rec.sender, rid, sent), base|uint64(rid),
+				helloRecv{rid: rid, msg: rec.msg})
 		}
-	case pr.reactive && nw.ch == nil:
-		// Ideal-channel reactive rounds deliver unconditionally — the
-		// serial scheme's original synchronous path has no receiver
-		// down-check.
+	} else {
 		for _, rid := range recv {
-			nw.nodes[rid].table.Observe(rec.msg)
-		}
-	default:
-		for _, rid := range recv {
-			if !nw.nodes[rid].isDown(rec.at) {
-				nw.nodes[rid].table.Observe(rec.msg)
-			}
+			nw.observe(rid, rec.msg, rec.at)
 		}
 	}
 	if !pr.reactive && pr.domainOf[rec.sender] == d {
-		pd.sel.updateSelection(nw.nodes[rec.sender], rec.at, rec.msg.Pos)
+		pd.sel.selectView(nw.nodes[rec.sender], rec.at, selModeLatest, 0, rec.msg.Pos)
 	}
 }
 
@@ -767,7 +682,8 @@ func (pr *parRun) processRecord(pd *domainCtx, d int, ri int) {
 //manet:noalloc
 func (pr *parRun) processSettle(pd *domainCtx, d int) {
 	for _, v := range pr.owned[d] {
-		pd.sel.selectFromVersion(pr.nw.nodes[v], pr.setAt, pr.setVer)
+		nd := pr.nw.nodes[v]
+		pd.sel.selectView(nd, pr.setAt, selModeVersioned, pr.setVer, nd.advertisedPos)
 	}
 }
 
@@ -783,11 +699,8 @@ func (pr *parRun) processFloodScan(pd *domainCtx, d int) {
 	fl, sender, at := pr.scanFl, pr.scanSender, pr.scanAt
 	snd := nw.nodes[sender]
 	for _, rid := range pr.receivers(pd, d, sender, pr.scanPos, at, pr.scanR) {
-		if fl.accepted[rid] {
+		if fl.accepted[rid] || !nw.carries(snd, rid) {
 			continue
-		}
-		if !nw.cfg.Mech.PhysicalNeighbors && !snd.hasLogical(rid) {
-			continue // dropped at the topology layer
 		}
 		pd.fout = append(pd.fout, floodOut{at: at + nw.floodDelay(fl, sender, rid, 0), rid: rid})
 	}
@@ -837,121 +750,6 @@ func (pr *parRun) receivers(pd *domainCtx, d, sender int, pos geom.Point, at, r 
 		}
 	}
 	return nw.ch.FilterLost(kept)
-}
-
-// delByAtSeq sorts deferred receptions by (at, seq) — the serial delivery
-// order — for deterministic snapshot re-homing.
-type delByAtSeq []delItem
-
-func (s delByAtSeq) Len() int      { return len(s) }
-func (s delByAtSeq) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
-func (s delByAtSeq) Less(i, j int) bool {
-	if s[i].at != s[j].at { //lint:ignore float-eq exact compare orders deliveries; equal instants fall through to the scheduling sequence
-		return s[i].at < s[j].at
-	}
-	return s[i].seq < s[j].seq
-}
-
-// pushDel pushes one deferred reception onto the domain's (at, seq) heap.
-//
-//manet:noalloc
-func (pd *domainCtx) pushDel(it delItem) {
-	h := append(pd.del, it)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !delLess(&h[i], &h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-	pd.del = h
-}
-
-// popDel pops the earliest deferred reception.
-//
-//manet:noalloc
-func (pd *domainCtx) popDel() delItem {
-	h := pd.del
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(h) && delLess(&h[l], &h[m]) {
-			m = l
-		}
-		if r < len(h) && delLess(&h[r], &h[m]) {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-	pd.del = h
-	return top
-}
-
-//manet:noalloc
-func delLess(a, b *delItem) bool {
-	if a.at != b.at { //lint:ignore float-eq exact compare orders deliveries; equal instants fall through to the scheduling sequence
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// pushFlood pushes one flood reception onto the global (at, seq) heap.
-func (pr *parRun) pushFlood(it floodItem) {
-	h := append(pr.fheap, it)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !floodLess(&h[i], &h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-	pr.fheap = h
-}
-
-// popFlood pops the earliest flood reception.
-func (pr *parRun) popFlood() floodItem {
-	h := pr.fheap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h[last] = floodItem{} // drop the flood/cover references
-	h = h[:last]
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(h) && floodLess(&h[l], &h[m]) {
-			m = l
-		}
-		if r < len(h) && floodLess(&h[r], &h[m]) {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-	pr.fheap = h
-	return top
-}
-
-func floodLess(a, b *floodItem) bool {
-	if a.at != b.at { //lint:ignore float-eq exact compare orders deliveries; equal instants fall through to the scheduling sequence
-		return a.at < b.at
-	}
-	return a.seq < b.seq
 }
 
 // sortFloodOutByRid is an allocation-free insertion sort for the small

@@ -330,24 +330,25 @@ func TestSelectWeakUsesCallerSelfPos(t *testing.T) {
 	// of the two positions selectWeak actually reads, one assertion fires
 	// — and the pair doubles as proof the geometry discriminates.
 	nd.advertisedPos = origin
-	nw.updateSelection(nd, now, decoy)
+	nw.selectView(nd, now, selModeLatest, 0, decoy)
 	if got := nw.LogicalNeighbors(0); !reflect.DeepEqual(got, []int{1, 2}) {
 		t.Errorf("selection(selfPos=decoy) = %v, want [1 2]: selectWeak ignored the caller's selfPos", got)
 	}
 	nd.advertisedPos = decoy
-	nw.updateSelection(nd, now, origin)
+	nw.selectView(nd, now, selModeLatest, 0, origin)
 	if got := nw.LogicalNeighbors(0); !reflect.DeepEqual(got, []int{1}) {
 		t.Errorf("selection(selfPos=origin) = %v, want [1]: selectWeak read nd.advertisedPos instead of the caller's selfPos", got)
 	}
 }
 
 // TestParallelFallbackConfigs pins the automatic serial fallback. Exactly
-// three features remain unsupported by the region-parallel engine — the
+// four features remain unsupported by the region-parallel engine — the
 // collision MAC (cross-domain jamming state), CDS forwarding (a global
-// marking recomputed at snapshot fences), and the traffic subsystem (route
+// marking recomputed at snapshot fences), the traffic subsystem (route
 // tables and link-state views mutate at arbitrary nodes on every
-// reception, so packet order across domains is semantic) — and they must
-// still run, on the serial path, producing results identical to
+// reception, so packet order across domains is semantic), and unicast
+// probes (each walks every node on its path at one instant) — and they
+// must still run, on the serial path, producing results identical to
 // Domains = 0. If a config below ever becomes parallel-eligible, this test
 // fails so the eligibility table in DESIGN.md and the differential matrix
 // get extended first.

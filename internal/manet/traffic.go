@@ -16,9 +16,9 @@ import (
 // dedicated 't' substream (one Sub('t', flow) per flow at setup), and every
 // in-flight delay draw comes from the 'q' substream through trafficJitter —
 // a pure derivation keyed by a per-delivery unique id, so the draw order
-// cannot depend on event interleaving. Data-plane delivery runs through
-// pooled actors mirroring flood's freelist; the steady-state relay path is
-// //manet:noalloc and pinned by TestTrafficSteadyStateAllocs.
+// cannot depend on event interleaving. Receptions run through pooled
+// actors, as flood's do; the steady-state relay path is //manet:noalloc and
+// pinned by TestTrafficSteadyStateAllocs.
 
 // trafficDrain is how long before the run horizon flows stop emitting, so
 // the last packets can still be scored.
@@ -115,8 +115,8 @@ type trafficState struct {
 	dataTx                       int
 	rreqTx, rrepTx, rerrTx, tcTx int
 
-	freeData *trafficDelivery
-	freeCtrl *trafficCtrl
+	data pool[trafficDelivery]
+	ctrl pool[trafficCtrl]
 }
 
 // TrafficResult aggregates the traffic subsystem of one run.
@@ -285,21 +285,16 @@ func (ts *trafficState) emit(f *trafficFlow, now sim.Time, duration float64) {
 	}
 }
 
-// sendTo unicasts p from u to target: the sender re-selects under view
-// synchronization (mirroring flood transmits), pays energy for one
-// transmission, and the hop succeeds only if target is among the radio's
+// sendTo unicasts p from u to target: the sender preamble of a flood
+// transmit, then the hop succeeds only if target is among the radio's
 // receivers and passes the topology-layer filter. A false return is the
 // link-layer feedback AODV's RERR path keys on.
 func (nw *Network) sendTo(p trafficPacket, u, target int, now sim.Time) bool {
 	nd := nw.nodes[u]
-	if nd.isDown(now) {
+	if !nw.sendPreamble(nd, now, 0) {
 		return false
 	}
-	if nw.cfg.Mech.ViewSync {
-		nw.updateSelection(nd, now, nd.advertisedPos)
-	}
 	nw.traf.countTx(p.kind)
-	nw.dataEnergy += energyOf(nd.txRange/nw.cfg.NormalRange, nw.cfg.EnergyAlpha)
 	_, receivers := nw.med.Transmit(now, u, nd.txRange, nw.recvBuf[:0])
 	nw.recvBuf = receivers
 	found := false
@@ -312,7 +307,7 @@ func (nw *Network) sendTo(p trafficPacket, u, target int, now sim.Time) bool {
 	if !found {
 		return false
 	}
-	if !nw.cfg.Mech.PhysicalNeighbors && !nd.hasLogical(target) {
+	if !nw.carries(nd, target) {
 		return false // dropped at the topology layer
 	}
 	nw.scheduleTraffic(p, target, now)
@@ -323,21 +318,16 @@ func (nw *Network) sendTo(p trafficPacket, u, target int, now sim.Time) bool {
 // receiver passing the topology-layer filter.
 func (nw *Network) broadcastCtrl(p trafficPacket, u int, now sim.Time) {
 	nd := nw.nodes[u]
-	if nd.isDown(now) {
+	if !nw.sendPreamble(nd, now, 0) {
 		return
 	}
-	if nw.cfg.Mech.ViewSync {
-		nw.updateSelection(nd, now, nd.advertisedPos)
-	}
 	nw.traf.countTx(p.kind)
-	nw.dataEnergy += energyOf(nd.txRange/nw.cfg.NormalRange, nw.cfg.EnergyAlpha)
 	_, receivers := nw.med.Transmit(now, u, nd.txRange, nw.recvBuf[:0])
 	nw.recvBuf = receivers
 	for _, rid := range receivers {
-		if !nw.cfg.Mech.PhysicalNeighbors && !nd.hasLogical(rid) {
-			continue
+		if nw.carries(nd, rid) {
+			nw.scheduleTraffic(p, rid, now)
 		}
-		nw.scheduleTraffic(p, rid, now)
 	}
 }
 
@@ -349,13 +339,13 @@ func (nw *Network) scheduleTraffic(p trafficPacket, rid int, now sim.Time) {
 	ts.uid++
 	delay := nw.med.Delay() + nw.trafficJitter(jitterHop, ts.uid, uint64(rid), nw.cfg.ForwardJitterMax)
 	if p.kind == pktData {
-		d := ts.newData()
-		d.pkt, d.rid = p, rid
+		d := ts.data.get()
+		*d = trafficDelivery{nw: nw, pkt: p, rid: rid}
 		nw.eng.ScheduleActorIn(delay, d)
 		return
 	}
-	c := ts.newCtrl()
-	c.pkt, c.rid = p, rid
+	c := ts.ctrl.get()
+	*c = trafficCtrl{nw: nw, pkt: p, rid: rid}
 	nw.eng.ScheduleActorIn(delay, c)
 }
 
@@ -378,10 +368,9 @@ func (ts *trafficState) countTx(kind uint8) {
 // trafficDelivery is one pending data-packet reception — the steady-state
 // hot path, pooled like flood's delivery and allocation-free once warm.
 type trafficDelivery struct {
-	nw   *Network
-	pkt  trafficPacket
-	rid  int
-	next *trafficDelivery
+	nw  *Network
+	pkt trafficPacket
+	rid int
 }
 
 // Act resolves a data reception: deliver at the destination, otherwise
@@ -391,7 +380,7 @@ type trafficDelivery struct {
 func (d *trafficDelivery) Act(now sim.Time) {
 	nw, p, rid := d.nw, d.pkt, d.rid
 	ts := nw.traf
-	ts.releaseData(d)
+	ts.data.put(d)
 	if nw.nodes[rid].isDown(now) {
 		return
 	}
@@ -463,8 +452,8 @@ func (nw *Network) sendRERR(u, origin, dst int, now sim.Time) {
 		hops: 1, seq: ts.routes[u].LastSeq(dst)}
 	if u == origin {
 		ts.rerrTx++ // local teardown: accounted, not transmitted
-		c := ts.newCtrl()
-		c.pkt, c.rid = p, u
+		c := ts.ctrl.get()
+		*c = trafficCtrl{nw: nw, pkt: p, rid: u}
 		nw.eng.ScheduleActorIn(0, c)
 		return
 	}
@@ -479,16 +468,15 @@ func (nw *Network) sendRERR(u, origin, dst int, now sim.Time) {
 // Pooled like trafficDelivery; its handlers may allocate (discovery caches,
 // link-state ingestion), so it stays off the noalloc closure.
 type trafficCtrl struct {
-	nw   *Network
-	pkt  trafficPacket
-	rid  int
-	next *trafficCtrl
+	nw  *Network
+	pkt trafficPacket
+	rid int
 }
 
 // Act dispatches a control reception to its protocol handler.
 func (c *trafficCtrl) Act(now sim.Time) {
 	nw, p, rid := c.nw, c.pkt, c.rid
-	nw.traf.releaseCtrl(c)
+	nw.traf.ctrl.put(c)
 	if nw.nodes[rid].isDown(now) {
 		return
 	}
@@ -839,39 +827,4 @@ func containsInt(a []int, x int) bool {
 		}
 	}
 	return false
-}
-
-// newData pops a pooled data delivery (or grows the pool).
-func (ts *trafficState) newData() *trafficDelivery {
-	if d := ts.freeData; d != nil {
-		ts.freeData = d.next
-		d.next = nil
-		return d
-	}
-	//lint:ignore noalloc pool growth: allocates only until the freelist covers the in-flight maximum, then steady state is allocation-free
-	return &trafficDelivery{nw: ts.nw}
-}
-
-// releaseData clears the payload and pushes the delivery on the freelist.
-func (ts *trafficState) releaseData(d *trafficDelivery) {
-	*d = trafficDelivery{nw: d.nw, next: ts.freeData}
-	ts.freeData = d
-}
-
-// newCtrl pops a pooled control delivery (or grows the pool).
-func (ts *trafficState) newCtrl() *trafficCtrl {
-	if c := ts.freeCtrl; c != nil {
-		ts.freeCtrl = c.next
-		c.next = nil
-		return c
-	}
-	//lint:ignore noalloc pool growth: allocates only until the freelist covers the in-flight maximum, then steady state is allocation-free
-	return &trafficCtrl{nw: ts.nw}
-}
-
-// releaseCtrl clears the payload (dropping the TC selector reference) and
-// pushes the delivery on the freelist.
-func (ts *trafficState) releaseCtrl(c *trafficCtrl) {
-	*c = trafficCtrl{nw: c.nw, next: ts.freeCtrl}
-	ts.freeCtrl = c
 }

@@ -118,9 +118,7 @@ func (nw *Network) routeProbe(src, dst, maxHops int, now sim.Time) {
 			return
 		}
 		nd := nw.nodes[cur]
-		if nw.cfg.Mech.ViewSync {
-			nw.updateSelection(nd, now, nd.advertisedPos)
-		}
+		nw.reselect(nd, now, 0)
 		next, ok := nw.greedyNext(nd, dst, dstPos, now)
 		if !ok {
 			res.LocalMinima++
@@ -149,7 +147,7 @@ func (nw *Network) greedyNext(nd *node, dst int, target geom.Point, now sim.Time
 	best := -1
 	bestD := nd.advertisedPos.Dist2(target)
 	for _, m := range nd.table.Latest(now) {
-		if !nw.cfg.Mech.PhysicalNeighbors && !nd.hasLogical(m.From) {
+		if !nw.carries(nd, m.From) {
 			continue
 		}
 		if m.From == dst {

@@ -29,77 +29,19 @@ type Actor interface {
 	Act(now Time)
 }
 
-type item struct {
-	at  Time
-	seq uint64
+// event is one queued callback: exactly one of fn and act is set.
+type event struct {
 	fn  Event
 	act Actor
 }
 
-// run dispatches the item to its callback.
-func (it *item) run() {
-	if it.act != nil {
-		it.act.Act(it.at)
+// run dispatches the event at its scheduled instant.
+func (ev event) run(at Time) {
+	if ev.act != nil {
+		ev.act.Act(at)
 		return
 	}
-	it.fn(it.at)
-}
-
-// eventHeap is a hand-rolled binary min-heap over items. container/heap
-// would box every item into an interface value on Push/Pop — one heap
-// allocation per scheduled event, which dominates the steady-state
-// allocation profile of a simulation — so the sift operations are inlined
-// here and items stay in the slice by value.
-type eventHeap []item
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at { //lint:ignore float-eq exact compare orders events; equal timestamps fall through to FIFO seq
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-// push appends it and restores the heap invariant (sift-up).
-func (h *eventHeap) push(it item) {
-	*h = append(*h, it)
-	q := *h
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-}
-
-// pop removes and returns the minimum item (sift-down).
-func (h *eventHeap) pop() item {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q[n] = item{} // release the closure reference
-	*h = q[:n]
-	q = q[:n]
-	i := 0
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		child := left
-		if right := left + 1; right < n && q.less(right, left) {
-			child = right
-		}
-		if !q.less(child, i) {
-			break
-		}
-		q[i], q[child] = q[child], q[i]
-		i = child
-	}
-	return top
+	ev.fn(at)
 }
 
 // Engine is a single-threaded discrete-event scheduler. The zero value is
@@ -107,7 +49,7 @@ func (h *eventHeap) pop() item {
 type Engine struct {
 	now     Time
 	seq     uint64
-	queue   eventHeap
+	queue   Heap[event]
 	stopped bool
 }
 
@@ -134,7 +76,7 @@ func (e *Engine) Schedule(at Time, fn Event) {
 		panic("sim: nil event")
 	}
 	e.seq++
-	e.queue.push(item{at: at, seq: e.seq, fn: fn})
+	e.queue.Push(at, e.seq, event{fn: fn})
 }
 
 // ScheduleIn enqueues fn to run after delay d (>= 0) from Now.
@@ -158,7 +100,7 @@ func (e *Engine) ScheduleActor(at Time, a Actor) {
 		panic("sim: nil actor")
 	}
 	e.seq++
-	e.queue.push(item{at: at, seq: e.seq, act: a})
+	e.queue.Push(at, e.seq, event{act: a})
 }
 
 // ScheduleActorIn enqueues a to run after delay d (>= 0) from Now.
@@ -195,7 +137,7 @@ func (e *Engine) NextAt() (at Time, ok bool) {
 	if e.stopped || len(e.queue) == 0 {
 		return 0, false
 	}
-	return e.queue[0].at, true
+	return e.queue[0].At, true
 }
 
 // Step runs the next pending event, advancing the clock to it. It returns
@@ -204,9 +146,9 @@ func (e *Engine) Step() bool {
 	if e.stopped || len(e.queue) == 0 {
 		return false
 	}
-	it := e.queue.pop()
-	e.now = it.at
-	it.run()
+	it := e.queue.Pop()
+	e.now = it.At
+	it.V.run(it.At)
 	return true
 }
 
@@ -216,10 +158,10 @@ func (e *Engine) Step() bool {
 // It returns the number of events executed.
 func (e *Engine) Run(until Time) int {
 	n := 0
-	for !e.stopped && len(e.queue) > 0 && e.queue[0].at <= until {
-		it := e.queue.pop()
-		e.now = it.at
-		it.run()
+	for !e.stopped && len(e.queue) > 0 && e.queue[0].At <= until {
+		it := e.queue.Pop()
+		e.now = it.At
+		it.V.run(it.At)
 		n++
 	}
 	return n
