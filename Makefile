@@ -43,14 +43,18 @@ fuzz-smoke:
 
 # Tiny deterministic fault-injection sweep: the loss/delay/churn and
 # buffer-zone experiments at smoke scale, run twice and compared — any
-# nondeterminism in the non-ideal channel path fails the diff.
+# nondeterminism in the non-ideal channel path fails the diff. Set FAULTS
+# (like SMOKE, FLEET and TRAFFIC below) to give concurrent runs on one host
+# their own compare files.
+FAULTS := /tmp/mstc_faults_smoke
 faults-smoke:
-	$(GO) run ./cmd/paperfig -exp faults -quick -reps 2 -duration 8 > /tmp/faults_a.txt
-	$(GO) run ./cmd/paperfig -exp faults -quick -reps 2 -duration 8 > /tmp/faults_b.txt
-	cmp /tmp/faults_a.txt /tmp/faults_b.txt
-	$(GO) run ./cmd/paperfig -exp bufferzone -quick -reps 2 -duration 8 > /tmp/bufzone_a.txt
-	$(GO) run ./cmd/paperfig -exp bufferzone -quick -reps 2 -duration 8 > /tmp/bufzone_b.txt
-	cmp /tmp/bufzone_a.txt /tmp/bufzone_b.txt
+	rm -rf $(FAULTS) && mkdir -p $(FAULTS)
+	$(GO) run ./cmd/paperfig -exp faults -quick -reps 2 -duration 8 > $(FAULTS)/faults_a.txt
+	$(GO) run ./cmd/paperfig -exp faults -quick -reps 2 -duration 8 > $(FAULTS)/faults_b.txt
+	cmp $(FAULTS)/faults_a.txt $(FAULTS)/faults_b.txt
+	$(GO) run ./cmd/paperfig -exp bufferzone -quick -reps 2 -duration 8 > $(FAULTS)/bufzone_a.txt
+	$(GO) run ./cmd/paperfig -exp bufferzone -quick -reps 2 -duration 8 > $(FAULTS)/bufzone_b.txt
+	cmp $(FAULTS)/bufzone_a.txt $(FAULTS)/bufzone_b.txt
 
 # Checkpoint / shard determinism smoke. A quick sweep is interrupted
 # halfway (-maxruns caps computed runs and drains exactly like SIGINT,
@@ -85,13 +89,15 @@ resume-smoke:
 # TestParallelMatchesSerialMatrix, run by `make test`/`race`) is the deep
 # check; this one proves the end-to-end CLI plumbing.
 FAULTFLAGS := -exp faults -quick -reps 2 -duration 8
+PARALLEL := /tmp/mstc_parallel_smoke
 parallel-smoke:
-	$(GO) run ./cmd/paperfig $(PFLAGS) > /tmp/par_serial.txt
-	$(GO) run ./cmd/paperfig $(PFLAGS) -domains 2 -engine-workers 4 > /tmp/par_domains.txt
-	cmp /tmp/par_serial.txt /tmp/par_domains.txt
-	$(GO) run ./cmd/paperfig $(FAULTFLAGS) > /tmp/par_faults_serial.txt
-	$(GO) run ./cmd/paperfig $(FAULTFLAGS) -domains 2 -engine-workers 4 > /tmp/par_faults_domains.txt
-	cmp /tmp/par_faults_serial.txt /tmp/par_faults_domains.txt
+	rm -rf $(PARALLEL) && mkdir -p $(PARALLEL)
+	$(GO) run ./cmd/paperfig $(PFLAGS) > $(PARALLEL)/serial.txt
+	$(GO) run ./cmd/paperfig $(PFLAGS) -domains 2 -engine-workers 4 > $(PARALLEL)/domains.txt
+	cmp $(PARALLEL)/serial.txt $(PARALLEL)/domains.txt
+	$(GO) run ./cmd/paperfig $(FAULTFLAGS) > $(PARALLEL)/faults_serial.txt
+	$(GO) run ./cmd/paperfig $(FAULTFLAGS) -domains 2 -engine-workers 4 > $(PARALLEL)/faults_domains.txt
+	cmp $(PARALLEL)/faults_serial.txt $(PARALLEL)/faults_domains.txt
 
 # Distributed-sweep smoke: a sweepd coordinator hands the same quick fig6
 # sweep to two `paperfig -worker` processes over HTTP. The doomed worker is

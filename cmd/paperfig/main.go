@@ -34,208 +34,23 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
 
-	"mstc/internal/channel"
 	"mstc/internal/experiment"
 	"mstc/internal/fleet"
 	"mstc/internal/profiling"
 	"mstc/internal/sweep"
 )
 
-// expSpec is one runnable experiment: its -exp name, whether "all"
-// includes it, and the renderer. save persists -dat files; it is a no-op
-// when -dat is unset.
-type expSpec struct {
-	name  string
-	inAll bool
-	run   func(o experiment.Options, save func(name, content string)) error
-}
-
-// experiments returns the registry in presentation order. Unknown -exp
-// values are rejected against this list, so the flag's error message and
-// the dispatch can never drift apart.
-func experiments() []expSpec {
-	return []expSpec{
-		{"table1", true, func(o experiment.Options, save func(string, string)) error {
-			t, err := experiment.Table1(o)
-			if err != nil {
-				return err
-			}
-			fmt.Println(t)
-			save("table1.txt", t.String())
-			return nil
-		}},
-		{"fig6", true, func(o experiment.Options, save func(string, string)) error {
-			f, err := experiment.Fig6(o)
-			if err != nil {
-				return err
-			}
-			fmt.Println(f)
-			save("fig6.dat", f.Dat())
-			return nil
-		}},
-		{"fig7", true, func(o experiment.Options, save func(string, string)) error {
-			figs, err := experiment.Fig7(o)
-			if err != nil {
-				return err
-			}
-			for i, f := range figs {
-				fmt.Println(f)
-				save(fmt.Sprintf("fig7%c.dat", 'a'+i), f.Dat())
-			}
-			return nil
-		}},
-		{"fig8", true, func(o experiment.Options, save func(string, string)) error {
-			fa, fb, err := experiment.Fig8(o)
-			if err != nil {
-				return err
-			}
-			fmt.Println(fa)
-			fmt.Println(fb)
-			save("fig8a.dat", fa.Dat())
-			save("fig8b.dat", fb.Dat())
-			return nil
-		}},
-		{"fig9", true, func(o experiment.Options, save func(string, string)) error {
-			figs, err := experiment.Fig9(o)
-			if err != nil {
-				return err
-			}
-			for i, f := range figs {
-				fmt.Println(f)
-				save(fmt.Sprintf("fig9%c.dat", 'a'+i), f.Dat())
-			}
-			return nil
-		}},
-		{"fig10", true, func(o experiment.Options, save func(string, string)) error {
-			figs, err := experiment.Fig10(o)
-			if err != nil {
-				return err
-			}
-			for i, f := range figs {
-				fmt.Println(f)
-				save(fmt.Sprintf("fig10%c.dat", 'a'+i), f.Dat())
-			}
-			return nil
-		}},
-		{"consistency", true, func(o experiment.Options, save func(string, string)) error {
-			for _, proto := range []string{"MST", "RNG"} {
-				f, err := experiment.FigConsistency(o, proto)
-				if err != nil {
-					return err
-				}
-				fmt.Println(f)
-				save("consistency_"+proto+".dat", f.Dat())
-			}
-			return nil
-		}},
-		{"energy", true, func(o experiment.Options, save func(string, string)) error {
-			t, err := experiment.TableEnergy(o)
-			if err != nil {
-				return err
-			}
-			fmt.Println(t)
-			save("energy.txt", t.String())
-			return nil
-		}},
-		{"routing", true, func(o experiment.Options, save func(string, string)) error {
-			for _, proto := range []string{"GG", "RNG"} {
-				f, err := experiment.FigRouting(o, proto)
-				if err != nil {
-					return err
-				}
-				fmt.Println(f)
-				save("routing_"+proto+".dat", f.Dat())
-			}
-			return nil
-		}},
-		// The routing comparison exercises the traffic subsystem
-		// (internal/traffic): CBR flows routed by AODV and OLSR over the
-		// controlled topology versus the unit-disk baseline. Opt-in only —
-		// not part of "all" — so the byte-identical output contract of
-		// pre-traffic invocations holds.
-		{"traffic", false, func(o experiment.Options, save func(string, string)) error {
-			f, t, err := experiment.FigTraffic(o)
-			if err != nil {
-				return err
-			}
-			fmt.Println(f)
-			fmt.Println(t)
-			save("traffic.dat", f.Dat())
-			save("traffic_points.txt", t.String())
-			return nil
-		}},
-		// The fault-injection experiments exercise the non-ideal channel
-		// subsystem. They are opt-in only — never part of "all" — so the
-		// byte-identical output contract of pre-channel invocations holds.
-		{"faults", false, func(o experiment.Options, save func(string, string)) error {
-			rates := []float64{0, 0.1, 0.2, 0.4, 0.6}
-			for _, model := range []channel.LossModel{channel.Bernoulli, channel.GilbertElliott} {
-				f, err := experiment.FigLoss(o, model, rates)
-				if err != nil {
-					return err
-				}
-				fmt.Println(f)
-				save("faults_loss_"+model.String()+".dat", f.Dat())
-			}
-			fd, err := experiment.FigDelay(o, []float64{0, 0.25, 0.5, 1.0})
-			if err != nil {
-				return err
-			}
-			fmt.Println(fd)
-			save("faults_delay.dat", fd.Dat())
-			fc, err := experiment.FigChurn(o, []float64{0, 0.1, 0.25, 0.5})
-			if err != nil {
-				return err
-			}
-			fmt.Println(fc)
-			save("faults_churn.dat", fc.Dat())
-			return nil
-		}},
-		{"bufferzone", false, func(o experiment.Options, save func(string, string)) error {
-			// Average speed 20 m/s (setdest max 40 m/s): predicted knees
-			// 2·Δ″·v = 0 / 40 / 80 m for Δ″ = 0 / 0.5 / 1.0 s, bracketed
-			// by the buffer grid.
-			delays := []float64{0, 0.5, 1.0}
-			buffers := []float64{0, 10, 20, 30, 40, 50, 60, 80, 100, 120, 160}
-			f, t, err := experiment.FigBufferZone(o, 20, delays, buffers)
-			if err != nil {
-				return err
-			}
-			fmt.Println(f)
-			fmt.Println(t)
-			save("bufferzone.dat", f.Dat())
-			save("bufferzone_knees.txt", t.String())
-			return nil
-		}},
-	}
-}
-
-// expNames lists the registry's -exp values for flag help and errors.
-func expNames() (all, optIn []string) {
-	for _, s := range experiments() {
-		if s.inAll {
-			all = append(all, s.name)
-		} else {
-			optIn = append(optIn, s.name)
-		}
-	}
-	return all, optIn
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("paperfig: ")
 
-	allNames, optInNames := expNames()
 	var (
-		exp = flag.String("exp", "all", fmt.Sprintf("experiment: %s, all; opt-in extras (not in all): %s",
-			strings.Join(allNames, ", "), strings.Join(optInNames, ", ")))
+		exp       = flag.String("exp", "all", "experiment: "+experiment.Usage())
 		reps      = flag.Int("reps", 0, "repetitions per configuration (default: paper's 20, or 3 with -quick)")
 		duration  = flag.Float64("duration", 0, "simulated seconds per run (default: paper's 100, or 20 with -quick)")
 		quick     = flag.Bool("quick", false, "scaled-down options for a fast pass")
@@ -279,16 +94,9 @@ func main() {
 
 	// Resolve -exp against the registry up front: a typo must not start a
 	// multi-hour sweep of everything else first.
-	var selected []expSpec
-	for _, s := range experiments() {
-		if *exp == "all" && s.inAll || strings.EqualFold(*exp, s.name) {
-			selected = append(selected, s)
-		}
-	}
-	if len(selected) == 0 {
-		log.Printf("unknown experiment %q", *exp)
-		log.Printf("valid experiments: %s, all", strings.Join(allNames, ", "))
-		log.Printf("opt-in extras (not in all): %s", strings.Join(optInNames, ", "))
+	selected, err := experiment.Lookup(*exp)
+	if err != nil {
+		log.Print(err)
 		os.Exit(2)
 	}
 
@@ -397,26 +205,30 @@ func main() {
 		}
 	}
 
-	for _, s := range selected {
+	for _, e := range selected {
 		var start time.Time
 		if clock != nil {
 			start = clock()
 		}
-		err := s.run(o, save)
+		outs, err := e.Render(o)
 		switch {
 		case errors.Is(err, sweep.ErrInterrupted):
-			log.Printf("%s: %v", s.name, err)
+			log.Printf("%s: %v", e.Name, err)
 			os.Exit(130)
 		case errors.Is(err, sweep.ErrPartial):
 			// Expected under -shard: the slice is journaled; rendering
 			// needs the merged store.
-			log.Printf("%s: %v", s.name, err)
+			log.Printf("%s: %v", e.Name, err)
 		case err != nil:
-			log.Fatalf("%s: %v", s.name, err)
+			log.Fatalf("%s: %v", e.Name, err)
+		}
+		for _, out := range outs {
+			fmt.Println(out.Text)
+			save(out.File, out.Dat)
 		}
 		if clock != nil {
 			// log prints to stderr, keeping stdout reproducible.
-			log.Printf("[%s done in %v]", s.name, clock().Sub(start).Round(time.Millisecond))
+			log.Printf("[%s done in %v]", e.Name, clock().Sub(start).Round(time.Millisecond))
 		}
 	}
 	if interrupted.Load() || (*maxRuns > 0 && computed.Load() >= int64(*maxRuns)) {

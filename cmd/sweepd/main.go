@@ -21,7 +21,6 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 	"net"
 	"net/http"
@@ -43,7 +42,7 @@ func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:7070", "listen address (port 0 picks a free port)")
 		addrFile = flag.String("addr-file", "", "write the bound address to this file (for scripts using port 0)")
-		exp      = flag.String("exp", "", fmt.Sprintf("task set to sweep: %s, all", strings.Join(experiment.TaskSetNames(), ", ")))
+		exp      = flag.String("exp", "", "task set to sweep: "+strings.Join(experiment.TaskSetNames(), ", "))
 		quick    = flag.Bool("quick", false, "scaled-down options for a fast pass")
 		reps     = flag.Int("reps", 0, "base repetitions per configuration (default: paper's 20, or 3 with -quick)")
 		duration = flag.Float64("duration", 0, "simulated seconds per run (default: paper's 100, or 20 with -quick)")

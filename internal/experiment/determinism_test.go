@@ -73,11 +73,8 @@ func TestFigureOutputDeterministic(t *testing.T) {
 	o.Speeds = []float64{40}
 	render := func(workers int) string {
 		o.Workers = workers
-		f, err := Fig6(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f.String() + "\n" + f.Dat()
+		out := render(t, "fig6", o)[0]
+		return out.Text + "\n" + out.Dat
 	}
 	seq, par := render(1), render(8)
 	if seq != par {

@@ -1,11 +1,81 @@
 package experiment
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
 	"mstc/internal/manet"
 )
+
+// render renders the named registry entry, as paperfig -exp name does.
+func render(t *testing.T, name string, o Options) []Output {
+	t.Helper()
+	exps, err := Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs, err := exps[0].Render(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return outs
+}
+
+// runGrid executes the protocols × speeds × mechs grid and aggregates it.
+func runGrid(t *testing.T, o Options, protocols []string, speeds []float64, mechs []manet.Mechanisms) []Aggregate {
+	t.Helper()
+	tasks := crossTasks(protocols, speeds, mechs, o.Reps)
+	results, err := Execute(o, tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return aggregates(tasks, results, o.Reps)
+}
+
+// parseDat reads a rendered -dat file back into a Figure, at the file's
+// printed precision.
+func parseDat(t *testing.T, dat string) Figure {
+	t.Helper()
+	lines := strings.Split(strings.TrimSuffix(dat, "\n"), "\n")
+	if len(lines) < 2 {
+		t.Fatalf("dat file without its two header lines: %q", dat)
+	}
+	head := strings.Split(lines[1], "\t")
+	f := Figure{Title: strings.TrimPrefix(lines[0], "# "), XLabel: strings.TrimPrefix(head[0], "# ")}
+	for i := 1; i+1 < len(head); i += 2 {
+		f.Series = append(f.Series, Series{Name: head[i]})
+	}
+	num := func(s string) float64 {
+		v, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	for _, line := range lines[2:] {
+		cols := strings.Split(line, "\t")
+		if len(cols) != 1+2*len(f.Series) {
+			t.Fatalf("dat row %q has %d columns, want %d", line, len(cols), 1+2*len(f.Series))
+		}
+		for i := range f.Series {
+			s := &f.Series[i]
+			s.X = append(s.X, num(cols[0]))
+			s.Y = append(s.Y, num(cols[1+2*i]))
+			s.CI = append(s.CI, num(cols[2+2*i]))
+		}
+	}
+	return f
+}
+
+// tableRows returns a rendered table's data rows, split into cells.
+func tableRows(text string) [][]string {
+	var rows [][]string
+	for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n")[3:] {
+		rows = append(rows, strings.Fields(line))
+	}
+	return rows
+}
 
 func tinyOptions() Options {
 	o := DefaultOptions()
@@ -94,10 +164,7 @@ func TestExecuteUnknownProtocol(t *testing.T) {
 
 func TestSweepShape(t *testing.T) {
 	o := tinyOptions()
-	aggs, err := Sweep(o, []string{"RNG", "MST"}, []float64{1, 40}, []manet.Mechanisms{{}, {Buffer: 100}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	aggs := runGrid(t, o, []string{"RNG", "MST"}, []float64{1, 40}, []manet.Mechanisms{{}, {Buffer: 100}})
 	if len(aggs) != 2*2*2 {
 		t.Fatalf("aggregates = %d, want 8", len(aggs))
 	}
@@ -123,10 +190,7 @@ func TestBufferImprovesConnectivity(t *testing.T) {
 	// beats no buffer.
 	o := tinyOptions()
 	o.Reps = 3
-	aggs, err := Sweep(o, []string{"RNG"}, []float64{40}, []manet.Mechanisms{{}, {Buffer: 100}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	aggs := runGrid(t, o, []string{"RNG"}, []float64{40}, []manet.Mechanisms{{}, {Buffer: 100}})
 	raw, buf := aggs[0].Connectivity.Mean(), aggs[1].Connectivity.Mean()
 	if buf <= raw {
 		t.Errorf("100 m buffer did not improve connectivity: %.3f vs %.3f", raw, buf)
@@ -135,27 +199,28 @@ func TestBufferImprovesConnectivity(t *testing.T) {
 
 func TestTable1Renders(t *testing.T) {
 	o := tinyOptions()
-	tab, err := Table1(o)
-	if err != nil {
-		t.Fatal(err)
+	outs := render(t, "table1", o)
+	if len(outs) != 1 || outs[0].File != "table1.txt" || outs[0].Dat != outs[0].Text {
+		t.Fatalf("table1 outputs = %+v, want the table saved as table1.txt", outs)
 	}
-	if len(tab.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(tab.Rows))
+	rows := tableRows(outs[0].Text)
+	if len(rows) != 4 {
+		t.Fatalf("rows = %d, want 4", len(rows))
 	}
-	s := tab.String()
-	for _, p := range BaselineNames() {
-		if !strings.Contains(s, p) {
-			t.Errorf("table missing %s:\n%s", p, s)
+	for i, p := range BaselineNames() {
+		if rows[i][0] != p {
+			t.Errorf("row %d is %s, want %s:\n%s", i, rows[i][0], p, outs[0].Text)
 		}
 	}
 }
 
 func TestFig6Shape(t *testing.T) {
 	o := tinyOptions()
-	fig, err := Fig6(o)
-	if err != nil {
-		t.Fatal(err)
+	outs := render(t, "fig6", o)
+	if len(outs) != 1 || outs[0].File != "fig6.dat" {
+		t.Fatalf("fig6 outputs = %+v, want one saved as fig6.dat", outs)
 	}
+	fig := parseDat(t, outs[0].Dat)
 	if len(fig.Series) != 4 {
 		t.Fatalf("series = %d", len(fig.Series))
 	}
@@ -164,7 +229,7 @@ func TestFig6Shape(t *testing.T) {
 			t.Errorf("series %s has wrong length", s.Name)
 		}
 	}
-	if !strings.Contains(fig.String(), "speed (m/s)") {
+	if !strings.Contains(outs[0].Text, "speed (m/s)") {
 		t.Error("figure rendering missing x label")
 	}
 }
@@ -184,10 +249,11 @@ func TestFigureAndTableStringEdgeCases(t *testing.T) {
 func TestFigConsistencyShape(t *testing.T) {
 	o := tinyOptions()
 	o.Speeds = []float64{20}
-	fig, err := FigConsistency(o, "MST")
-	if err != nil {
-		t.Fatal(err)
+	outs := render(t, "consistency", o)
+	if len(outs) != 2 || outs[0].File != "consistency_MST.dat" || outs[1].File != "consistency_RNG.dat" {
+		t.Fatalf("consistency outputs = %+v, want MST then RNG", outs)
 	}
+	fig := parseDat(t, outs[0].Dat)
 	if len(fig.Series) != 5 {
 		t.Fatalf("series = %d, want 5", len(fig.Series))
 	}
@@ -207,17 +273,15 @@ func TestFigConsistencyShape(t *testing.T) {
 
 func TestTableEnergyShape(t *testing.T) {
 	o := tinyOptions()
-	tab, err := TableEnergy(o)
-	if err != nil {
-		t.Fatal(err)
+	outs := render(t, "energy", o)
+	rows := tableRows(outs[0].Text)
+	if len(rows) != 5 {
+		t.Fatalf("rows = %d, want 5 (4 baselines + none)", len(rows))
 	}
-	if len(tab.Rows) != 5 {
-		t.Fatalf("rows = %d, want 5 (4 baselines + none)", len(tab.Rows))
+	if rows[4][0] != "none" {
+		t.Errorf("last row = %q, want none", rows[4][0])
 	}
-	if tab.Rows[4][0] != "none" {
-		t.Errorf("last row = %q, want none", tab.Rows[4][0])
-	}
-	if !strings.Contains(tab.String(), "x less") {
+	if !strings.Contains(outs[0].Text, "x less") {
 		t.Error("savings column missing")
 	}
 }
@@ -225,10 +289,11 @@ func TestTableEnergyShape(t *testing.T) {
 func TestFigRoutingShape(t *testing.T) {
 	o := tinyOptions()
 	o.Speeds = []float64{1, 40}
-	fig, err := FigRouting(o, "GG")
-	if err != nil {
-		t.Fatal(err)
+	outs := render(t, "routing", o)
+	if len(outs) != 2 || outs[0].File != "routing_GG.dat" || outs[1].File != "routing_RNG.dat" {
+		t.Fatalf("routing outputs = %+v, want GG then RNG", outs)
 	}
+	fig := parseDat(t, outs[0].Dat)
 	if len(fig.Series) != 2 {
 		t.Fatalf("series = %d", len(fig.Series))
 	}
@@ -246,7 +311,7 @@ func TestFigRoutingShape(t *testing.T) {
 	if fig.Series[0].Y[0] < 0.5 {
 		t.Errorf("GG greedy delivery at 1 m/s = %.3f, suspiciously low", fig.Series[0].Y[0])
 	}
-	if _, err := FigRouting(o, "nope"); err == nil {
+	if _, err := Execute(o, []Run{{Protocol: "nope", Speed: 1, Unicast: manet.UnicastConfig{Rate: 20}}}); err == nil {
 		t.Error("unknown protocol accepted")
 	}
 }

@@ -12,18 +12,18 @@ import (
 // Fault-injection experiments — the evaluation of the non-ideal channel
 // subsystem (internal/channel), beyond the paper's ideal-medium figures:
 //
-//   - FigLoss / FigChurn: weak (flood) connectivity versus stochastic
+//   - figLoss / figChurn: weak (flood) connectivity versus stochastic
 //     packet loss and node churn, per baseline protocol.
-//   - FigDelay: strict effective-topology connectivity versus the bounded
+//   - figDelay: strict effective-topology connectivity versus the bounded
 //     "Hello" delivery delay Δ″ — the degradation Theorem 5 analyses.
-//   - FigBufferZone: the empirical Theorem 5 check. For each Δ″, sweep the
+//   - figBufferZone: the empirical Theorem 5 check. For each Δ″, sweep the
 //     buffer-zone width around the predicted l = 2·Δ″·v and locate the knee
 //     where connectivity saturates; the knees must track the prediction.
 //
 // Aggregation here uses the Welford accumulators (stats.Welford): these
 // figures are new, so they are free to use the numerically stable form —
-// unlike Sweep's Sample aggregates, whose byte-exact output is pinned by
-// the golden digests.
+// unlike Aggregate's Sample accumulators, whose byte-exact output is pinned
+// by the golden digests.
 
 // faultSpec is one x-axis point of a fault sweep: a channel configuration
 // with the axis value it plots at.
@@ -67,10 +67,10 @@ func faultSweep(o Options, protocols []string, speed float64, mech manet.Mechani
 	return series, nil
 }
 
-// FigLoss plots weak connectivity of the baseline protocols against the
+// figLoss plots weak connectivity of the baseline protocols against the
 // per-packet loss rate under the given loss model, at moderate mobility
 // (20 m/s average). Rate 0 is the ideal channel.
-func FigLoss(o Options, model channel.LossModel, rates []float64) (Figure, error) {
+func figLoss(o Options, model channel.LossModel, rates []float64) (Figure, error) {
 	const speed = 20
 	specs := make([]faultSpec, 0, len(rates))
 	for _, rate := range rates {
@@ -93,12 +93,12 @@ func FigLoss(o Options, model channel.LossModel, rates []float64) (Figure, error
 	}, nil
 }
 
-// FigDelay plots strict (snapshot) connectivity of the directed effective
+// figDelay plots strict (snapshot) connectivity of the directed effective
 // topology against the maximum "Hello" delivery delay Δ″, at moderate
 // mobility. Flooding is off and receivers accept physically (the Theorem 5
 // setting: only the realization of selected links is at stake), so the
 // curve isolates how stale position information erodes effective links.
-func FigDelay(o Options, delays []float64) (Figure, error) {
+func figDelay(o Options, delays []float64) (Figure, error) {
 	const speed = 20
 	o.FloodRate = 0
 	if o.SnapshotEvery <= 0 {
@@ -126,11 +126,11 @@ func FigDelay(o Options, delays []float64) (Figure, error) {
 	}, nil
 }
 
-// FigChurn plots weak connectivity of the baseline protocols against the
+// figChurn plots weak connectivity of the baseline protocols against the
 // expected fraction of nodes down under channel churn (mean outage fixed at
 // 2 s; the up-time follows from the target fraction). Fraction 0 is the
 // ideal channel.
-func FigChurn(o Options, downFracs []float64) (Figure, error) {
+func figChurn(o Options, downFracs []float64) (Figure, error) {
 	const speed, meanDown = 20, 2.0
 	specs := make([]faultSpec, 0, len(downFracs))
 	for _, frac := range downFracs {
@@ -156,7 +156,7 @@ func FigChurn(o Options, downFracs []float64) (Figure, error) {
 	}, nil
 }
 
-// FigBufferZone is the empirical Theorem 5 validation. At average speed
+// figBufferZone is the empirical Theorem 5 validation. At average speed
 // avgSpeed (setdest convention: per-leg speeds uniform in (0, 2·avgSpeed],
 // so the theorem's maximum speed v is 2·avgSpeed), each Δ″ in delays gets
 // one series of MST snapshot connectivity across the buffer widths. The
@@ -169,7 +169,7 @@ func FigChurn(o Options, downFracs []float64) (Figure, error) {
 // sufficient condition, so the expected reading is: knees shift right
 // monotonically with Δ″, and the Δ″ > 0 series rejoin the Δ″ = 0 one
 // once the buffer exceeds the Δ″ = 0 knee plus the predicted 2·Δ″·v.
-func FigBufferZone(o Options, avgSpeed float64, delays, buffers []float64) (Figure, Table, error) {
+func figBufferZone(o Options, avgSpeed float64, delays, buffers []float64) (Figure, Table, error) {
 	o.FloodRate = 0
 	if o.SnapshotEvery <= 0 {
 		o.SnapshotEvery = 0.5
@@ -231,6 +231,40 @@ func FigBufferZone(o Options, avgSpeed float64, delays, buffers []float64) (Figu
 		})
 	}
 	return f, t, nil
+}
+
+// faults renders the fault-injection figures: connectivity under each loss
+// model, strict connectivity under Hello delay, and connectivity under churn.
+func faults(o Options) ([]Output, error) {
+	var outs []Output
+	for _, model := range []channel.LossModel{channel.Bernoulli, channel.GilbertElliott} {
+		f, err := figLoss(o, model, []float64{0, 0.1, 0.2, 0.4, 0.6})
+		if err != nil {
+			return nil, err
+		}
+		outs = append(outs, f.output("faults_loss_"+model.String()+".dat"))
+	}
+	fd, err := figDelay(o, []float64{0, 0.25, 0.5, 1.0})
+	if err != nil {
+		return nil, err
+	}
+	fc, err := figChurn(o, []float64{0, 0.1, 0.25, 0.5})
+	if err != nil {
+		return nil, err
+	}
+	return append(outs, fd.output("faults_delay.dat"), fc.output("faults_churn.dat")), nil
+}
+
+// bufferZone renders the Theorem 5 check at average speed 20 m/s (setdest
+// max 40 m/s): predicted knees 2·Δ″·v = 0 / 40 / 80 m for Δ″ = 0 / 0.5 /
+// 1.0 s, bracketed by the buffer grid.
+func bufferZone(o Options) ([]Output, error) {
+	f, t, err := figBufferZone(o, 20, []float64{0, 0.5, 1.0},
+		[]float64{0, 10, 20, 30, 40, 50, 60, 80, 100, 120, 160})
+	if err != nil {
+		return nil, err
+	}
+	return []Output{f.output("bufferzone.dat"), t.output("bufferzone_knees.txt")}, nil
 }
 
 // kneeOf locates the saturation knee of a series assumed non-decreasing in

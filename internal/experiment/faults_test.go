@@ -20,7 +20,7 @@ func faultOptions() Options {
 
 func TestFigLossDegradesMonotonically(t *testing.T) {
 	rates := []float64{0, 0.3, 0.7}
-	f, err := FigLoss(faultOptions(), channel.Bernoulli, rates)
+	f, err := figLoss(faultOptions(), channel.Bernoulli, rates)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestFigLossDegradesMonotonically(t *testing.T) {
 }
 
 func TestFigDelayRuns(t *testing.T) {
-	f, err := FigDelay(faultOptions(), []float64{0, 0.5})
+	f, err := figDelay(faultOptions(), []float64{0, 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestFigDelayRuns(t *testing.T) {
 }
 
 func TestFigChurnDegrades(t *testing.T) {
-	f, err := FigChurn(faultOptions(), []float64{0, 0.5})
+	f, err := figChurn(faultOptions(), []float64{0, 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestFigBufferZoneKneeTracksTheorem5(t *testing.T) {
 	o.Duration = 10
 	delays := []float64{0, 0.5, 1.0}
 	buffers := []float64{0, 20, 40, 80, 120, 160}
-	f, tbl, err := FigBufferZone(o, 20, delays, buffers)
+	f, tbl, err := figBufferZone(o, 20, delays, buffers)
 	if err != nil {
 		t.Fatal(err)
 	}

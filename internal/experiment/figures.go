@@ -4,7 +4,13 @@ import (
 	"fmt"
 
 	"mstc/internal/manet"
+	"mstc/internal/stats"
 )
+
+// The paper's Table 1 and Figs. 6–10, plus the energy, consistency and
+// routing extensions: each renders the Aggregates of its registry entry's
+// task set (registry.go), which runs protocol-major, then speed, then
+// mechanism.
 
 // BaselineNames returns the four baseline protocols in the paper's order.
 // It is a function rather than a package-level slice so no caller can
@@ -13,14 +19,115 @@ func BaselineNames() []string {
 	return []string{"MST", "RNG", "SPT-4", "SPT-2"}
 }
 
-// Table1 reproduces Table 1: average transmission range and node degree of
+// Aggregate is the per-configuration summary over repetitions.
+type Aggregate struct {
+	Protocol string
+	Speed    float64
+	Mech     manet.Mechanisms
+
+	Connectivity   stats.Sample
+	TxRange        stats.Sample
+	LogicalDegree  stats.Sample
+	PhysicalDegree stats.Sample
+	EnergyPerTx    stats.Sample // normalized data energy per transmission
+	HelloTx        stats.Sample
+	DataTx         stats.Sample
+	Delivered      stats.Sample // greedy unicast delivery ratio (routing runs)
+}
+
+// aggregates summarises results, given in task order, per configuration.
+// Every task set lists a configuration's reps back to back, so each reps
+// consecutive tasks make one Aggregate.
+func aggregates(tasks []Run, results []manet.Result, reps int) []Aggregate {
+	var aggs []Aggregate
+	for i := 0; i < len(tasks); i += reps {
+		r := tasks[i]
+		agg := Aggregate{Protocol: r.Protocol, Speed: r.Speed, Mech: r.Mech}
+		for _, res := range results[i : i+reps] {
+			agg.Connectivity.Add(res.Connectivity)
+			agg.TxRange.Add(res.AvgTxRange)
+			agg.LogicalDegree.Add(res.AvgLogicalDegree)
+			agg.PhysicalDegree.Add(res.AvgPhysicalDegree)
+			if res.DataTx > 0 {
+				agg.EnergyPerTx.Add(res.DataEnergy / float64(res.DataTx))
+			}
+			agg.HelloTx.Add(float64(res.HelloTx))
+			agg.DataTx.Add(float64(res.DataTx))
+			agg.Delivered.Add(res.Unicast.Delivered)
+		}
+		aggs = append(aggs, agg)
+	}
+	return aggs
+}
+
+// plot fills f with one series per name(a), in order of first appearance,
+// plotting the mean and CI95 of y(a) at x(a) for every aggregate.
+func plot(f Figure, aggs []Aggregate, name func(*Aggregate) string, x func(*Aggregate) float64, y func(*Aggregate) *stats.Sample) Figure {
+	for i := range aggs {
+		a := &aggs[i]
+		s := 0
+		for s < len(f.Series) && f.Series[s].Name != name(a) {
+			s++
+		}
+		if s == len(f.Series) {
+			f.Series = append(f.Series, Series{Name: name(a)})
+		}
+		f.Series[s].X = append(f.Series[s].X, x(a))
+		f.Series[s].Y = append(f.Series[s].Y, y(a).Mean())
+		f.Series[s].CI = append(f.Series[s].CI, y(a).CI95())
+	}
+	return f
+}
+
+func protocolOf(a *Aggregate) string            { return a.Protocol }
+func speedOf(a *Aggregate) float64              { return a.Speed }
+func bufferOf(a *Aggregate) float64             { return a.Mech.Buffer }
+func connectivityOf(a *Aggregate) *stats.Sample { return &a.Connectivity }
+
+// perProtocol renders one figure per protocol: y versus speed, one series
+// per mechanism label. name gives the i-th protocol's title and file.
+func perProtocol(aggs []Aggregate, ylabel string, y func(*Aggregate) *stats.Sample,
+	label func(manet.Mechanisms) string, name func(i int, protocol string) (title, file string)) []Output {
+	var outs []Output
+	for i := 0; len(aggs) > 0; i++ {
+		n := 0
+		for n < len(aggs) && aggs[n].Protocol == aggs[0].Protocol {
+			n++
+		}
+		title, file := name(i, aggs[0].Protocol)
+		f := plot(Figure{Title: title, XLabel: "speed (m/s)", YLabel: ylabel}, aggs[:n],
+			func(a *Aggregate) string { return label(a.Mech) }, speedOf, y)
+		outs = append(outs, f.output(file))
+		aggs = aggs[n:]
+	}
+	return outs
+}
+
+// panels renders Fig. fig's per-protocol panels (a–d): connectivity versus
+// speed, one series per buffer width and mechanism toggle.
+func panels(fig, what string) func([]Aggregate) []Output {
+	return func(aggs []Aggregate) []Output {
+		return perProtocol(aggs, "connectivity ratio", connectivityOf, bufferLabel,
+			func(i int, p string) (string, string) {
+				return fmt.Sprintf("Fig. %s%c: %s %s", fig, 'a'+i, p, what), fmt.Sprintf("fig%s%c.dat", fig, 'a'+i)
+			})
+	}
+}
+
+func bufferLabel(m manet.Mechanisms) string {
+	switch {
+	case m.ViewSync:
+		return fmt.Sprintf("VS buf=%gm", m.Buffer)
+	case m.PhysicalNeighbors:
+		return fmt.Sprintf("PN buf=%gm", m.Buffer)
+	}
+	return fmt.Sprintf("buf=%gm", m.Buffer)
+}
+
+// table1 reproduces Table 1: average transmission range and node degree of
 // the baseline protocols (measured under negligible mobility, 1 m/s, with
 // no mechanisms — the paper's static-equivalent operating point).
-func Table1(o Options) (Table, error) {
-	aggs, err := Sweep(o, BaselineNames(), []float64{1}, []manet.Mechanisms{{}})
-	if err != nil {
-		return Table{}, err
-	}
+func table1(aggs []Aggregate) []Output {
 	t := Table{
 		Title:  "Table 1: average transmission range and node degree of baseline protocols",
 		Header: []string{"Protocol", "TxRange (m)", "±95%", "Node degree", "±95%"},
@@ -34,168 +141,41 @@ func Table1(o Options) (Table, error) {
 			fmt.Sprintf("%.2f", a.LogicalDegree.CI95()),
 		})
 	}
-	return t, nil
+	return []Output{t.output("table1.txt")}
 }
 
-// Fig6 reproduces Figure 6: connectivity ratio of the baseline protocols
+// fig6 reproduces Figure 6: connectivity ratio of the baseline protocols
 // versus average moving speed, no mechanisms.
-func Fig6(o Options) (Figure, error) {
-	aggs, err := Sweep(o, BaselineNames(), o.Speeds, []manet.Mechanisms{{}})
-	if err != nil {
-		return Figure{}, err
-	}
-	f := Figure{
+func fig6(aggs []Aggregate) []Output {
+	f := plot(Figure{
 		Title:  "Fig. 6: connectivity ratio of baseline protocols",
 		XLabel: "speed (m/s)",
 		YLabel: "connectivity ratio",
-	}
-	i := 0
-	for _, p := range BaselineNames() {
-		s := Series{Name: p}
-		for _, sp := range o.Speeds {
-			a := aggs[i]
-			i++
-			s.X = append(s.X, sp)
-			s.Y = append(s.Y, a.Connectivity.Mean())
-			s.CI = append(s.CI, a.Connectivity.CI95())
-		}
-		f.Series = append(f.Series, s)
-	}
-	return f, nil
+	}, aggs, protocolOf, speedOf, connectivityOf)
+	return []Output{f.output("fig6.dat")}
 }
 
-// mechSweepFigure runs one protocol across speeds for each mechanism
-// configuration and returns one series per configuration.
-func mechSweepFigure(o Options, protocol, title string, mechs []manet.Mechanisms, label func(manet.Mechanisms) string) (Figure, error) {
-	aggs, err := Sweep(o, []string{protocol}, o.Speeds, mechs)
-	if err != nil {
-		return Figure{}, err
-	}
-	f := Figure{
-		Title:  title,
-		XLabel: "speed (m/s)",
-		YLabel: "connectivity ratio",
-	}
-	series := make([]Series, len(mechs))
-	for mi, m := range mechs {
-		series[mi] = Series{Name: label(m)}
-	}
-	i := 0
-	for _, sp := range o.Speeds {
-		for mi := range mechs {
-			a := aggs[i]
-			i++
-			series[mi].X = append(series[mi].X, sp)
-			series[mi].Y = append(series[mi].Y, a.Connectivity.Mean())
-			series[mi].CI = append(series[mi].CI, a.Connectivity.CI95())
-		}
-	}
-	f.Series = series
-	return f, nil
-}
-
-// Fig7 reproduces Figure 7 (a–d): per-protocol connectivity ratio versus
-// speed for each buffer-zone width, no other mechanisms.
-func Fig7(o Options) ([]Figure, error) {
-	var figs []Figure
-	for fi, p := range BaselineNames() {
-		var mechs []manet.Mechanisms
-		for _, b := range o.Buffers {
-			mechs = append(mechs, manet.Mechanisms{Buffer: b})
-		}
-		f, err := mechSweepFigure(o, p,
-			fmt.Sprintf("Fig. 7%c: %s connectivity with buffer zones", 'a'+fi, p),
-			mechs,
-			func(m manet.Mechanisms) string { return fmt.Sprintf("buf=%gm", m.Buffer) })
-		if err != nil {
-			return nil, err
-		}
-		figs = append(figs, f)
-	}
-	return figs, nil
-}
-
-// Fig8 reproduces Figure 8: (a) average transmission range and (b) average
+// fig8 reproduces Figure 8: (a) average transmission range and (b) average
 // number of physical neighbors versus buffer-zone width, per protocol, at
 // moderate mobility (40 m/s).
-func Fig8(o Options) (Figure, Figure, error) {
-	const speed = 40
-	var mechs []manet.Mechanisms
-	for _, b := range o.Buffers {
-		mechs = append(mechs, manet.Mechanisms{Buffer: b})
-	}
-	aggs, err := Sweep(o, BaselineNames(), []float64{speed}, mechs)
-	if err != nil {
-		return Figure{}, Figure{}, err
-	}
-	fa := Figure{
+func fig8(aggs []Aggregate) []Output {
+	fa := plot(Figure{
 		Title:  "Fig. 8a: average transmission range vs buffer zone width (40 m/s)",
 		XLabel: "buffer (m)",
 		YLabel: "transmission range (m)",
-	}
-	fb := Figure{
+	}, aggs, protocolOf, bufferOf, func(a *Aggregate) *stats.Sample { return &a.TxRange })
+	fb := plot(Figure{
 		Title:  "Fig. 8b: average number of physical neighbors vs buffer zone width (40 m/s)",
 		XLabel: "buffer (m)",
 		YLabel: "physical neighbors",
-	}
-	i := 0
-	for _, p := range BaselineNames() {
-		sa := Series{Name: p}
-		sb := Series{Name: p}
-		for _, b := range o.Buffers {
-			a := aggs[i]
-			i++
-			sa.X = append(sa.X, b)
-			sa.Y = append(sa.Y, a.TxRange.Mean())
-			sa.CI = append(sa.CI, a.TxRange.CI95())
-			sb.X = append(sb.X, b)
-			sb.Y = append(sb.Y, a.PhysicalDegree.Mean())
-			sb.CI = append(sb.CI, a.PhysicalDegree.CI95())
-		}
-		fa.Series = append(fa.Series, sa)
-		fb.Series = append(fb.Series, sb)
-	}
-	return fa, fb, nil
+	}, aggs, protocolOf, bufferOf, func(a *Aggregate) *stats.Sample { return &a.PhysicalDegree })
+	return []Output{fa.output("fig8a.dat"), fb.output("fig8b.dat")}
 }
 
-// Fig9 reproduces Figure 9 (a–d): per-protocol connectivity with and
-// without view synchronization, per buffer width.
-func Fig9(o Options) ([]Figure, error) {
-	var figs []Figure
-	for fi, p := range BaselineNames() {
-		var mechs []manet.Mechanisms
-		for _, b := range o.Buffers {
-			mechs = append(mechs,
-				manet.Mechanisms{Buffer: b},
-				manet.Mechanisms{Buffer: b, ViewSync: true})
-		}
-		f, err := mechSweepFigure(o, p,
-			fmt.Sprintf("Fig. 9%c: %s connectivity with/without view synchronization", 'a'+fi, p),
-			mechs,
-			func(m manet.Mechanisms) string {
-				if m.ViewSync {
-					return fmt.Sprintf("VS buf=%gm", m.Buffer)
-				}
-				return fmt.Sprintf("buf=%gm", m.Buffer)
-			})
-		if err != nil {
-			return nil, err
-		}
-		figs = append(figs, f)
-	}
-	return figs, nil
-}
-
-// TableEnergy is an extension table quantifying the paper's motivation:
+// tableEnergy is an extension table quantifying the paper's motivation:
 // per-transmission energy and control overhead of every protocol relative
 // to the uncontrolled network, at low mobility (1 m/s) with no mechanisms.
-func TableEnergy(o Options) (Table, error) {
-	names := append([]string{}, BaselineNames()...)
-	names = append(names, "none")
-	aggs, err := Sweep(o, names, []float64{1}, []manet.Mechanisms{{}})
-	if err != nil {
-		return Table{}, err
-	}
+func tableEnergy(aggs []Aggregate) []Output {
 	// Baseline for savings: the uncontrolled network's per-tx energy.
 	var nonePerTx float64
 	for _, a := range aggs {
@@ -223,67 +203,41 @@ func TableEnergy(o Options) (Table, error) {
 			fmt.Sprintf("%.0f", a.DataTx.Mean()),
 		})
 	}
-	return t, nil
+	return []Output{t.output("energy.txt")}
 }
 
-// FigConsistency is an extension experiment beyond the paper's figures: it
-// compares, per protocol, every consistency scheme the paper proposes —
-// none, simplified view synchronization (§5.1), weak consistency with k=3
-// (§4.2), proactive strong consistency (§4.1), and reactive strong
-// consistency (§4.1) — at a fixed 10 m buffer across speeds.
-func FigConsistency(o Options, protocol string) (Figure, error) {
+// consistencyMechs are the consistency schemes the paper proposes — none,
+// simplified view synchronization (§5.1), weak consistency with k=3
+// (§4.2), proactive and reactive strong consistency (§4.1) — each at a
+// fixed 10 m buffer.
+func consistencyMechs() []manet.Mechanisms {
 	const buf = 10
-	mechs := []manet.Mechanisms{
+	return []manet.Mechanisms{
 		{Buffer: buf},
 		{Buffer: buf, ViewSync: true},
 		{Buffer: buf, WeakK: 3},
 		{Buffer: buf, Proactive: true},
 		{Buffer: buf, Reactive: true},
 	}
-	labels := []string{"plain", "viewsync", "weak-k3", "proactive", "reactive"}
-	f, err := mechSweepFigure(o, protocol,
-		fmt.Sprintf("Extension: %s under each consistency scheme (10 m buffer)", protocol),
-		mechs,
-		func(m manet.Mechanisms) string {
-			switch {
-			case m.ViewSync:
-				return labels[1]
-			case m.WeakK > 0:
-				return labels[2]
-			case m.Proactive:
-				return labels[3]
-			case m.Reactive:
-				return labels[4]
-			}
-			return labels[0]
-		})
-	return f, err
 }
 
-// Fig10 reproduces Figure 10 (a–d): per-protocol connectivity before and
-// after enabling the physical-neighbor mechanism, per buffer width.
-func Fig10(o Options) ([]Figure, error) {
-	var figs []Figure
-	for fi, p := range BaselineNames() {
-		var mechs []manet.Mechanisms
-		for _, b := range o.Buffers {
-			mechs = append(mechs,
-				manet.Mechanisms{Buffer: b},
-				manet.Mechanisms{Buffer: b, PhysicalNeighbors: true})
+// consistency is an extension beyond the paper's figures: per protocol,
+// connectivity versus speed under each of consistencyMechs.
+func consistency(aggs []Aggregate) []Output {
+	label := func(m manet.Mechanisms) string {
+		switch {
+		case m.ViewSync:
+			return "viewsync"
+		case m.WeakK > 0:
+			return "weak-k3"
+		case m.Proactive:
+			return "proactive"
+		case m.Reactive:
+			return "reactive"
 		}
-		f, err := mechSweepFigure(o, p,
-			fmt.Sprintf("Fig. 10%c: %s connectivity before/after physical neighbors", 'a'+fi, p),
-			mechs,
-			func(m manet.Mechanisms) string {
-				if m.PhysicalNeighbors {
-					return fmt.Sprintf("PN buf=%gm", m.Buffer)
-				}
-				return fmt.Sprintf("buf=%gm", m.Buffer)
-			})
-		if err != nil {
-			return nil, err
-		}
-		figs = append(figs, f)
+		return "plain"
 	}
-	return figs, nil
+	return perProtocol(aggs, "connectivity ratio", connectivityOf, label, func(_ int, p string) (string, string) {
+		return fmt.Sprintf("Extension: %s under each consistency scheme (10 m buffer)", p), "consistency_" + p + ".dat"
+	})
 }

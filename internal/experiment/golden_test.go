@@ -69,7 +69,7 @@ func TestIdealChannelResultsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestTrafficGoldenDigest pins the complete FigTraffic render (figure,
+// TestTrafficGoldenDigest pins the complete traffic render (figure,
 // .dat series, and per-point table) at a tiny scale. The traffic
 // subsystem draws from dedicated substreams ('t' pairs, 'q' jitter), so
 // this digest must survive refactors of unrelated subsystems — and any
@@ -78,13 +78,10 @@ func TestTrafficGoldenDigest(t *testing.T) {
 	const goldenTrafficDigest = "dacb4ae312446ef82314b14c4d9ef4e28af826db2fe7b047b8310c6e26cc48df"
 	o := goldenOptions()
 	o.Duration = 8
-	f, tab, err := FigTraffic(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256([]byte(f.String() + "\n" + f.Dat() + "\n" + tab.String()))
+	outs := render(t, "traffic", o)
+	sum := sha256.Sum256([]byte(outs[0].Text + "\n" + outs[0].Dat + "\n" + outs[1].Text))
 	if got := hex.EncodeToString(sum[:]); got != goldenTrafficDigest {
-		t.Errorf("FigTraffic render drifted from the golden digest:\n got %s\nwant %s",
+		t.Errorf("traffic render drifted from the golden digest:\n got %s\nwant %s",
 			got, goldenTrafficDigest)
 	}
 }
@@ -92,11 +89,8 @@ func TestTrafficGoldenDigest(t *testing.T) {
 func TestIdealChannelFig6BitIdentical(t *testing.T) {
 	o := goldenOptions()
 	o.Duration = 8
-	f, err := Fig6(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256([]byte(f.String() + "\n" + f.Dat()))
+	out := render(t, "fig6", o)[0]
+	sum := sha256.Sum256([]byte(out.Text + "\n" + out.Dat))
 	if got := hex.EncodeToString(sum[:]); got != goldenFig6Digest {
 		t.Errorf("ideal-channel Fig6 render drifted from the pre-channel golden digest:\n got %s\nwant %s",
 			got, goldenFig6Digest)
@@ -135,26 +129,24 @@ func TestConsistencyGoldenDigest(t *testing.T) {
 	}
 }
 
-// TestRoutingGoldenDigest pins the FigRouting render for both protocols
-// paperfig plots (GG, RNG) plus the %#v form of every task's
+// TestRoutingGoldenDigest pins the routing render for both protocols it
+// plots (GG, RNG) plus the %#v form of every task's
 // Result.Unicast. The unicast probe workload rides Network.Run like the
 // flood and traffic workloads; moving it between entry points must move
 // neither a probe draw nor a figure byte.
 func TestRoutingGoldenDigest(t *testing.T) {
 	const goldenRoutingDigest = "0e4542945d26bc322d87f0c6ab64a0c0b184e472eee09fe39deaa4b07f202986"
 	o := goldenOptions()
+	outs := render(t, "routing", o)
+	results, err := Execute(o, routingTasks(o))
+	if err != nil {
+		t.Fatal(err)
+	}
 	h := sha256.New()
-	for _, p := range []string{"GG", "RNG"} {
-		f, err := FigRouting(o, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprintf(h, "%s\n%s\n", f.String(), f.Dat())
-		results, err := Execute(o, routingTasks(o, p))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, r := range results {
+	for k, p := range []string{"GG", "RNG"} {
+		fmt.Fprintf(h, "%s\n%s\n", outs[k].Text, outs[k].Dat)
+		n := len(results) / len(outs)
+		for i, r := range results[k*n : (k+1)*n] {
 			if r.Unicast.Probes == 0 {
 				t.Fatalf("%s task %d scored no probes; the digest would pin nothing", p, i)
 			}
@@ -162,7 +154,7 @@ func TestRoutingGoldenDigest(t *testing.T) {
 		}
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != goldenRoutingDigest {
-		t.Errorf("FigRouting render or unicast results drifted from the golden digest:\n got %s\nwant %s",
+		t.Errorf("routing render or unicast results drifted from the golden digest:\n got %s\nwant %s",
 			got, goldenRoutingDigest)
 	}
 }

@@ -7,65 +7,39 @@ import (
 	"mstc/internal/stats"
 )
 
-// routingMechs and routingUnicast fix the FigRouting grid; the "routing"
-// TaskSet enumerates the same runs, so fleet-filled stores cover it.
-func routingMechs() []manet.Mechanisms {
-	return []manet.Mechanisms{
-		{},
-		{Buffer: 10, ViewSync: true},
-	}
-}
-
-func routingUnicast() manet.UnicastConfig { return manet.UnicastConfig{Rate: 20} }
-
-// routingTasks enumerates mechs × speeds × reps for one protocol in the
-// exact nesting order FigRouting consumes.
-func routingTasks(o Options, protocol string) []Run {
+// routingTasks enumerates protocols × mechs × speeds × reps of the
+// routing extension: GG and RNG, each plain and under mobility management
+// (10 m buffer + view synchronization). Unicast runs carry their
+// UnicastResult inside the standard manet.Result record, so they land in
+// result stores and fleet journals like every other task.
+func routingTasks(o Options) []Run {
 	var tasks []Run
-	for _, m := range routingMechs() {
-		for _, s := range o.Speeds {
-			for rep := 0; rep < o.Reps; rep++ {
-				tasks = append(tasks, Run{
-					Protocol: protocol, Speed: s, Mech: m,
-					Unicast: routingUnicast(), Rep: rep,
-				})
+	for _, p := range []string{"GG", "RNG"} {
+		for _, m := range []manet.Mechanisms{{}, {Buffer: 10, ViewSync: true}} {
+			for _, s := range o.Speeds {
+				for rep := 0; rep < o.Reps; rep++ {
+					tasks = append(tasks, Run{
+						Protocol: p, Speed: s, Mech: m,
+						Unicast: manet.UnicastConfig{Rate: 20}, Rep: rep,
+					})
+				}
 			}
 		}
 	}
 	return tasks
 }
 
-// FigRouting is an extension experiment: greedy geographic unicast delivery
-// over the given protocol versus speed, with and without mobility
-// management (10 m buffer + view synchronization). It runs through the
-// shared Execute path — unicast runs carry their UnicastResult inside the
-// standard manet.Result record, so they land in result stores and fleet
-// journals like every other task.
-func FigRouting(o Options, protocol string) (Figure, error) {
-	results, err := Execute(o, routingTasks(o, protocol))
-	if err != nil {
-		return Figure{}, err
-	}
-	labels := []string{"plain", "buf10+VS"}
-	f := Figure{
-		Title:  fmt.Sprintf("Extension: greedy unicast delivery over %s", protocol),
-		XLabel: "speed (m/s)",
-		YLabel: "delivery ratio",
-	}
-	i := 0
-	for mi := range routingMechs() {
-		s := Series{Name: labels[mi]}
-		for _, sp := range o.Speeds {
-			var agg stats.Sample
-			for rep := 0; rep < o.Reps; rep++ {
-				agg.Add(results[i].Unicast.Delivered)
-				i++
-			}
-			s.X = append(s.X, sp)
-			s.Y = append(s.Y, agg.Mean())
-			s.CI = append(s.CI, agg.CI95())
+// routing is an extension experiment: greedy geographic unicast delivery
+// over each protocol versus speed, with and without mobility management.
+func routing(aggs []Aggregate) []Output {
+	label := func(m manet.Mechanisms) string {
+		if m.ViewSync {
+			return "buf10+VS"
 		}
-		f.Series = append(f.Series, s)
+		return "plain"
 	}
-	return f, nil
+	delivered := func(a *Aggregate) *stats.Sample { return &a.Delivered }
+	return perProtocol(aggs, "delivery ratio", delivered, label, func(_ int, p string) (string, string) {
+		return fmt.Sprintf("Extension: greedy unicast delivery over %s", p), "routing_" + p + ".dat"
+	})
 }

@@ -22,7 +22,6 @@ import (
 	"mstc/internal/manet"
 	"mstc/internal/mobility"
 	"mstc/internal/radio"
-	"mstc/internal/stats"
 	"mstc/internal/sweep"
 	"mstc/internal/topology"
 	"mstc/internal/traffic"
@@ -175,7 +174,7 @@ type Run struct {
 	// comparison varies it per task. Flooding is forced off for such runs.
 	Traffic traffic.Config
 	// Unicast, when Rate > 0, replaces the flood workload with greedy
-	// geographic unicast probes (Config.Unicast) — the FigRouting extension.
+	// geographic unicast probes (Config.Unicast) — the routing extension.
 	// Flooding is forced off for such runs.
 	Unicast manet.UnicastConfig
 	// Rep is the repetition index in [0, Reps).
@@ -384,63 +383,4 @@ func executeOne(o Options, r Run) (manet.Result, error) {
 		res = manet.Result{Protocol: res.Protocol, Unicast: res.Unicast}
 	}
 	return res, nil
-}
-
-// Aggregate is the per-configuration summary over repetitions.
-type Aggregate struct {
-	Protocol string
-	Speed    float64
-	Mech     manet.Mechanisms
-
-	Connectivity   stats.Sample
-	TxRange        stats.Sample
-	LogicalDegree  stats.Sample
-	PhysicalDegree stats.Sample
-	EnergyPerTx    stats.Sample // normalized data energy per transmission
-	HelloTx        stats.Sample
-	DataTx         stats.Sample
-}
-
-// Sweep runs every (protocol, speed, mech) in the cross product for
-// o.Reps repetitions and aggregates. Results are ordered protocol-major,
-// then speed, then mech.
-func Sweep(o Options, protocols []string, speeds []float64, mechs []manet.Mechanisms) ([]Aggregate, error) {
-	var tasks []Run
-	for _, p := range protocols {
-		for _, s := range speeds {
-			for _, m := range mechs {
-				for rep := 0; rep < o.Reps; rep++ {
-					tasks = append(tasks, Run{Protocol: p, Speed: s, Mech: m, Rep: rep})
-				}
-			}
-		}
-	}
-	results, err := Execute(o, tasks)
-	if err != nil {
-		return nil, err
-	}
-	var aggs []Aggregate
-	i := 0
-	for _, p := range protocols {
-		for _, s := range speeds {
-			for _, m := range mechs {
-				agg := Aggregate{Protocol: p, Speed: s, Mech: m}
-				for rep := 0; rep < o.Reps; rep++ {
-					res := results[i]
-					i++
-					agg.Connectivity.Add(res.Connectivity)
-					agg.TxRange.Add(res.AvgTxRange)
-					agg.LogicalDegree.Add(res.AvgLogicalDegree)
-					agg.PhysicalDegree.Add(res.AvgPhysicalDegree)
-					if res.DataTx > 0 {
-						agg.EnergyPerTx.Add(res.DataEnergy / float64(res.DataTx))
-					}
-					agg.HelloTx.Add(float64(res.HelloTx))
-					agg.DataTx.Add(float64(res.DataTx))
-				}
-				aggs = append(aggs, agg)
-			}
-		}
-	}
-	return aggs, nil
 }

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"mstc/internal/manet"
@@ -10,13 +9,13 @@ import (
 )
 
 // This file is the experiment-side surface the sweep fleet
-// (internal/fleet, cmd/sweepd, paperfig -worker) builds on: a named
-// enumeration of each figure's complete run set, and an exported
-// single-run compute path with the executor's panic-recovery/bounded-
-// retry policy. The daemon enumerates tasks and journals results; the
-// workers compute individual runs. Both stay behind the same Options /
-// Run / sweep.Key vocabulary the in-process executor uses, so a
-// fleet-computed store is indistinguishable from a single-process one.
+// (internal/fleet, cmd/sweepd, paperfig -worker) builds on: each registry
+// entry's complete run set by name (TaskSet), and an exported single-run
+// compute path with the executor's panic-recovery/bounded-retry policy.
+// The daemon enumerates tasks and journals results; the workers compute
+// individual runs. Both stay behind the same Options / Run / sweep.Key
+// vocabulary the in-process executor uses, so a fleet-computed store is
+// indistinguishable from a single-process one.
 
 // Desc returns the canonical run descriptor stored inside the run's
 // record (and verified by Store.Get against hash collisions).
@@ -58,8 +57,8 @@ func ComputeRunRetry(o Options, r Run, retries int) (res manet.Result, attempts 
 	})
 }
 
-// crossTasks enumerates protocols × speeds × mechs × reps in the exact
-// nesting order Sweep uses.
+// crossTasks enumerates protocols × speeds × mechs × reps, protocol-major:
+// the order aggregates and the figures read.
 func crossTasks(protocols []string, speeds []float64, mechs []manet.Mechanisms, reps int) []Run {
 	var tasks []Run
 	for _, p := range protocols {
@@ -89,131 +88,43 @@ func bufferMechs(buffers []float64, variant func(manet.Mechanisms) manet.Mechani
 	return mechs
 }
 
-// taskSets maps every TaskSet name to its enumerator. The enumerations
-// mirror the figures' Sweep calls run for run: a store filled from a
-// task set renders the corresponding figure with zero recomputation.
-func taskSets() map[string]func(o Options) []Run {
-	consistencyMechs := func() []manet.Mechanisms {
-		const buf = 10
-		return []manet.Mechanisms{
-			{Buffer: buf},
-			{Buffer: buf, ViewSync: true},
-			{Buffer: buf, WeakK: 3},
-			{Buffer: buf, Proactive: true},
-			{Buffer: buf, Reactive: true},
-		}
-	}
-	return map[string]func(o Options) []Run{
-		"table1": func(o Options) []Run {
-			return crossTasks(BaselineNames(), []float64{1}, []manet.Mechanisms{{}}, o.Reps)
-		},
-		"fig6": func(o Options) []Run {
-			return crossTasks(BaselineNames(), o.Speeds, []manet.Mechanisms{{}}, o.Reps)
-		},
-		"fig7": func(o Options) []Run {
-			var tasks []Run
-			for _, p := range BaselineNames() {
-				tasks = append(tasks, crossTasks([]string{p}, o.Speeds, bufferMechs(o.Buffers, nil), o.Reps)...)
-			}
-			return tasks
-		},
-		"fig8": func(o Options) []Run {
-			return crossTasks(BaselineNames(), []float64{40}, bufferMechs(o.Buffers, nil), o.Reps)
-		},
-		"fig9": func(o Options) []Run {
-			var tasks []Run
-			for _, p := range BaselineNames() {
-				mechs := bufferMechs(o.Buffers, func(m manet.Mechanisms) manet.Mechanisms {
-					m.ViewSync = true
-					return m
-				})
-				tasks = append(tasks, crossTasks([]string{p}, o.Speeds, mechs, o.Reps)...)
-			}
-			return tasks
-		},
-		"fig10": func(o Options) []Run {
-			var tasks []Run
-			for _, p := range BaselineNames() {
-				mechs := bufferMechs(o.Buffers, func(m manet.Mechanisms) manet.Mechanisms {
-					m.PhysicalNeighbors = true
-					return m
-				})
-				tasks = append(tasks, crossTasks([]string{p}, o.Speeds, mechs, o.Reps)...)
-			}
-			return tasks
-		},
-		"consistency": func(o Options) []Run {
-			var tasks []Run
-			for _, p := range []string{"MST", "RNG"} {
-				tasks = append(tasks, crossTasks([]string{p}, o.Speeds, consistencyMechs(), o.Reps)...)
-			}
-			return tasks
-		},
-		"energy": func(o Options) []Run {
-			names := append(BaselineNames(), "none")
-			return crossTasks(names, []float64{1}, []manet.Mechanisms{{}}, o.Reps)
-		},
-		"traffic": func(o Options) []Run {
-			return trafficTasks(o)
-		},
-		"routing": func(o Options) []Run {
-			// Mirrors paperfig's routing invocation: FigRouting over GG
-			// then RNG.
-			var tasks []Run
-			for _, p := range []string{"GG", "RNG"} {
-				tasks = append(tasks, routingTasks(o, p)...)
-			}
-			return tasks
-		},
-	}
-}
-
-// TaskSetNames lists the valid TaskSet names, sorted.
+// TaskSetNames lists the names TaskSet accepts: every registry entry with
+// a task set, in presentation order, then "all".
 func TaskSetNames() []string {
-	sets := taskSets()
-	names := make([]string, 0, len(sets)+1)
-	for name := range sets { //lint:order-independent collected then sorted
-		names = append(names, name)
+	var names []string
+	for _, e := range Experiments() {
+		if e.Tasks != nil {
+			names = append(names, e.Name)
+		}
 	}
-	names = append(names, "all")
-	sort.Strings(names)
-	return names
+	return append(names, "all")
 }
 
-// TaskSet enumerates the complete run set of the named store-backed
-// experiment under the given options. "all" is the union of every named
-// set with duplicate (configuration, rep) pairs removed — figures share
-// operating points (e.g. every plain-buffer configuration appears in
-// Figs. 7, 9, and 10), and the store holds one record per run either
-// way, so the union never computes a shared point twice.
+// TaskSet enumerates the complete run set of the store-backed experiment
+// that Lookup resolves name to. "all" is the union of the InAll entries'
+// sets in presentation order, with duplicate (configuration, rep) pairs
+// removed — figures share operating points (e.g. every plain-buffer
+// configuration appears in Figs. 7, 9, and 10), and the store holds one
+// record per run either way, so the union never computes a shared point
+// twice.
 func TaskSet(name string, o Options) ([]Run, error) {
-	sets := taskSets()
-	if name == "all" {
-		var union []Run
-		seen := make(map[sweep.Key]bool)
-		// Deterministic union order: sorted set names, then each set's
-		// own enumeration order.
-		var names []string
-		for n := range sets { //lint:order-independent collected then sorted
-			names = append(names, n)
+	exps, err := Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	var union []Run
+	seen := make(map[sweep.Key]bool)
+	for _, e := range exps {
+		if e.Tasks == nil {
+			return nil, fmt.Errorf("experiment: %s has no task set: its parts run under changed options", e.Name)
 		}
-		sort.Strings(names)
-		for _, n := range names {
-			for _, r := range sets[n](o) {
-				k := sweep.Key{Run: r.key(), Rep: r.Rep}
-				if seen[k] {
-					continue
-				}
+		for _, r := range e.Tasks(o) {
+			k := sweep.Key{Run: r.key(), Rep: r.Rep}
+			if !seen[k] {
 				seen[k] = true
 				union = append(union, r)
 			}
 		}
-		return union, nil
 	}
-	build, ok := sets[name]
-	if !ok {
-		return nil, fmt.Errorf("experiment: unknown task set %q (valid: %s)",
-			name, strings.Join(TaskSetNames(), ", "))
-	}
-	return build(o), nil
+	return union, nil
 }

@@ -10,8 +10,8 @@ import (
 
 // Routing-comparison experiment — the traffic subsystem's evaluation.
 //
-// FigTraffic runs CBR flows routed by an on-demand protocol (AODV) and a
-// proactive one (OLSR) over two topologies: the unit-disk baseline
+// The traffic entry runs CBR flows routed by an on-demand protocol (AODV)
+// and a proactive one (OLSR) over two topologies: the unit-disk baseline
 // ("none", every physical link usable) and a controlled topology (RNG)
 // under the mobility-managed setting (10 m buffer + view synchronization).
 // The figure plots routing control overhead per delivered data packet
@@ -23,31 +23,20 @@ import (
 // The traffic spec is fixed (not an Options knob) so Options.Fingerprint
 // is untouched: stores filled before this experiment existed stay valid.
 
-// trafficSpec is the one CBR workload every routing-comparison task runs:
-// 8 flows at 2 pkt/s, protocol parameters at their defaults.
-func trafficSpec(mode traffic.Mode) traffic.Config {
-	return traffic.Config{Mode: mode, Flows: 8, Rate: 2}
-}
-
-// trafficProtocols and trafficModes fix the comparison grid. "none" is
-// the unit-disk baseline; RNG is the controlled topology (sparse but
-// connected, the paper's main subject).
-func trafficProtocols() []string    { return []string{"none", "RNG"} }
-func trafficModes() []traffic.Mode  { return []traffic.Mode{traffic.AODV, traffic.OLSR} }
-func trafficMech() manet.Mechanisms { return manet.Mechanisms{Buffer: 10, ViewSync: true} }
-
-// trafficTasks enumerates protocols × modes × speeds × reps in the exact
-// nesting order FigTraffic consumes — the "traffic" TaskSet uses it too,
-// so a fleet-filled store renders the figure without recomputation.
+// trafficTasks enumerates the comparison grid: topology × routing
+// protocol × speed × rep. "none" is the unit-disk baseline; RNG is the
+// controlled topology (sparse but connected, the paper's main subject).
+// Every task runs the one CBR workload, 8 flows at 2 pkt/s with protocol
+// parameters at their defaults, under the mobility-managed setting.
 func trafficTasks(o Options) []Run {
 	var tasks []Run
-	for _, p := range trafficProtocols() {
-		for _, m := range trafficModes() {
+	for _, p := range []string{"none", "RNG"} {
+		for _, m := range []traffic.Mode{traffic.AODV, traffic.OLSR} {
 			for _, s := range o.Speeds {
 				for rep := 0; rep < o.Reps; rep++ {
 					tasks = append(tasks, Run{
-						Protocol: p, Speed: s, Mech: trafficMech(),
-						Traffic: trafficSpec(m), Rep: rep,
+						Protocol: p, Speed: s, Mech: manet.Mechanisms{Buffer: 10, ViewSync: true},
+						Traffic: traffic.Config{Mode: m, Flows: 8, Rate: 2}, Rep: rep,
 					})
 				}
 			}
@@ -56,14 +45,11 @@ func trafficTasks(o Options) []Run {
 	return tasks
 }
 
-// FigTraffic is the routing comparison: control overhead per delivered
-// data packet versus speed, one series per (topology, routing protocol)
-// pair, with a per-point table of delivery ratio, latency, and hop count.
-func FigTraffic(o Options) (Figure, Table, error) {
-	results, err := Execute(o, trafficTasks(o))
-	if err != nil {
-		return Figure{}, Table{}, err
-	}
+// trafficOutputs renders the routing comparison from the results of
+// trafficTasks: control overhead per delivered data packet versus speed,
+// one series per (topology, routing protocol) pair, with a per-point table
+// of delivery ratio, latency, and hop count.
+func trafficOutputs(o Options, tasks []Run, results []manet.Result) []Output {
 	f := Figure{
 		Title:  "Routing comparison: control overhead over controlled vs unit-disk topology",
 		XLabel: "speed (m/s)",
@@ -74,34 +60,31 @@ func FigTraffic(o Options) (Figure, Table, error) {
 		Header: []string{"topology", "routing", "speed (m/s)", "PDR",
 			"delay (s)", "hops", "ctrl/data"},
 	}
-	i := 0
-	for _, p := range trafficProtocols() {
-		for _, m := range trafficModes() {
-			s := Series{Name: fmt.Sprintf("%s/%s", p, m)}
-			for _, sp := range o.Speeds {
-				var pdr, delay, hops, ctrl stats.Welford
-				for rep := 0; rep < o.Reps; rep++ {
-					tr := results[i].Traffic
-					pdr.Add(tr.DeliveryRatio)
-					delay.Add(tr.AvgDelay)
-					hops.Add(tr.AvgHops)
-					ctrl.Add(tr.ControlPerData)
-					i++
-				}
-				s.X = append(s.X, sp)
-				s.Y = append(s.Y, ctrl.Mean())
-				s.CI = append(s.CI, ctrl.CI95())
-				t.Rows = append(t.Rows, []string{
-					p, m.String(),
-					fmt.Sprintf("%g", sp),
-					fmt.Sprintf("%.3f", pdr.Mean()),
-					fmt.Sprintf("%.3f", delay.Mean()),
-					fmt.Sprintf("%.2f", hops.Mean()),
-					fmt.Sprintf("%.2f", ctrl.Mean()),
-				})
-			}
-			f.Series = append(f.Series, s)
+	for i := 0; i < len(tasks); i += o.Reps {
+		r := tasks[i]
+		var pdr, delay, hops, ctrl stats.Welford
+		for _, res := range results[i : i+o.Reps] {
+			pdr.Add(res.Traffic.DeliveryRatio)
+			delay.Add(res.Traffic.AvgDelay)
+			hops.Add(res.Traffic.AvgHops)
+			ctrl.Add(res.Traffic.ControlPerData)
 		}
+		name := fmt.Sprintf("%s/%s", r.Protocol, r.Traffic.Mode)
+		if n := len(f.Series); n == 0 || f.Series[n-1].Name != name {
+			f.Series = append(f.Series, Series{Name: name})
+		}
+		s := &f.Series[len(f.Series)-1]
+		s.X = append(s.X, r.Speed)
+		s.Y = append(s.Y, ctrl.Mean())
+		s.CI = append(s.CI, ctrl.CI95())
+		t.Rows = append(t.Rows, []string{
+			r.Protocol, r.Traffic.Mode.String(),
+			fmt.Sprintf("%g", r.Speed),
+			fmt.Sprintf("%.3f", pdr.Mean()),
+			fmt.Sprintf("%.3f", delay.Mean()),
+			fmt.Sprintf("%.2f", hops.Mean()),
+			fmt.Sprintf("%.2f", ctrl.Mean()),
+		})
 	}
-	return f, t, nil
+	return []Output{f.output("traffic.dat"), t.output("traffic_points.txt")}
 }

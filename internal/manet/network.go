@@ -663,7 +663,7 @@ func (sc *selCtx) selectWeak(nd *node, now sim.Time, selfPos geom.Point) {
 	// Pre-grow the flat position buffer so per-neighbor subslices stay
 	// valid while later neighbors append to it.
 	if need := len(sc.msgBuf) * nd.table.K(); cap(sc.posBuf) < need {
-		//lint:ignore noalloc amortized growth: the buffer is retained across calls; TestSteadyStateAllocs pins the steady state at zero
+		//lint:ignore noalloc amortized growth: the buffer is retained across calls; TestWeakSelectionSteadyStateAllocs pins the steady state at zero
 		sc.posBuf = make([]geom.Point, 0, 2*need)
 	}
 	sc.posBuf = sc.posBuf[:0]

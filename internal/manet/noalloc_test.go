@@ -165,3 +165,39 @@ func TestParallelStepNoalloc(t *testing.T) {
 		t.Fatal("measured windows dispatched no hellos; the measurement is vacuous")
 	}
 }
+
+// TestWeakSelectionSteadyStateAllocs pins weak-consistency selection
+// (§4.2, selectWeak over each neighbour's k most recent "Hello" messages)
+// at zero allocations in steady state, for the weak RNG and weak MST
+// kernels: once the k-deep histories and the flat position buffer have
+// grown, advancing the event loop — beacons, k-slot table writes and the
+// weak re-selection every beacon's sender makes — must allocate nothing.
+func TestWeakSelectionSteadyStateAllocs(t *testing.T) {
+	const n = 48
+	model := connectedStatic(t, 100, n, 1e9)
+	for _, weak := range []topology.WeakProtocol{topology.WeakRNG{}, topology.WeakMST{Range: 250}} {
+		t.Run(weak.Name(), func(t *testing.T) {
+			cfg := Config{Weak: weak, Mech: Mechanisms{WeakK: 3}, Seed: 7}
+			nw, err := NewNetwork(model, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nw.scheduleBeacons()
+			// Warm up: every table holds k messages per neighbour and every
+			// scratch buffer has its steady-state capacity.
+			deadline := sim.Time(8)
+			nw.eng.Run(deadline)
+			before := nw.helloTx
+			step := func() {
+				deadline += 0.25
+				nw.eng.Run(deadline)
+			}
+			if allocs := testing.AllocsPerRun(80, step); allocs != 0 {
+				t.Errorf("weak-k steady state: %.2f allocs per %.2fs window, want 0", allocs, 0.25)
+			}
+			if nw.helloTx == before {
+				t.Fatal("measured windows sent no hellos; the measurement is vacuous")
+			}
+		})
+	}
+}
