@@ -1,12 +1,14 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 
 	"mstc/internal/channel"
 	"mstc/internal/manet"
 	"mstc/internal/mobility"
 	"mstc/internal/stats"
+	"mstc/internal/sweep"
 )
 
 // Fault-injection experiments — the evaluation of the non-ideal channel
@@ -235,24 +237,40 @@ func figBufferZone(o Options, avgSpeed float64, delays, buffers []float64) (Figu
 
 // faults renders the fault-injection figures: connectivity under each loss
 // model, strict connectivity under Hello delay, and connectivity under churn.
+// Under a -shard slice every part journals its share, and faults returns
+// the parts' sweep.ErrPartial errors joined; any other error returns at
+// once.
 func faults(o Options) ([]Output, error) {
+	parts := []struct {
+		file string
+		fig  func() (Figure, error)
+	}{
+		{"faults_loss_" + channel.Bernoulli.String() + ".dat", func() (Figure, error) {
+			return figLoss(o, channel.Bernoulli, []float64{0, 0.1, 0.2, 0.4, 0.6})
+		}},
+		{"faults_loss_" + channel.GilbertElliott.String() + ".dat", func() (Figure, error) {
+			return figLoss(o, channel.GilbertElliott, []float64{0, 0.1, 0.2, 0.4, 0.6})
+		}},
+		{"faults_delay.dat", func() (Figure, error) { return figDelay(o, []float64{0, 0.25, 0.5, 1.0}) }},
+		{"faults_churn.dat", func() (Figure, error) { return figChurn(o, []float64{0, 0.1, 0.25, 0.5}) }},
+	}
 	var outs []Output
-	for _, model := range []channel.LossModel{channel.Bernoulli, channel.GilbertElliott} {
-		f, err := figLoss(o, model, []float64{0, 0.1, 0.2, 0.4, 0.6})
-		if err != nil {
+	var partial []error
+	for _, p := range parts {
+		f, err := p.fig()
+		switch {
+		case errors.Is(err, sweep.ErrPartial):
+			partial = append(partial, err)
+		case err != nil:
 			return nil, err
+		default:
+			outs = append(outs, f.output(p.file))
 		}
-		outs = append(outs, f.output("faults_loss_"+model.String()+".dat"))
 	}
-	fd, err := figDelay(o, []float64{0, 0.25, 0.5, 1.0})
-	if err != nil {
-		return nil, err
+	if partial != nil {
+		return nil, errors.Join(partial...)
 	}
-	fc, err := figChurn(o, []float64{0, 0.1, 0.25, 0.5})
-	if err != nil {
-		return nil, err
-	}
-	return append(outs, fd.output("faults_delay.dat"), fc.output("faults_churn.dat")), nil
+	return outs, nil
 }
 
 // bufferZone renders the Theorem 5 check at average speed 20 m/s (setdest

@@ -1,10 +1,14 @@
 package experiment
 
 import (
+	"errors"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"mstc/internal/channel"
+	"mstc/internal/sweep"
 )
 
 // faultOptions is a tiny but physically meaningful scale for the fault
@@ -114,5 +118,59 @@ func TestKneeOf(t *testing.T) {
 	}
 	if k, _, _ := kneeOf(Series{X: []float64{5}, Y: []float64{0.4}}); k != 5 { //lint:ignore float-eq exact literal propagated unchanged
 		t.Errorf("single-point knee = %g, want 5", k)
+	}
+}
+
+// TestFaultsShardsStoreFullRunSet checks faults under -shard i/2: each
+// shard journals its slice of every part (loss, delay, churn) and reports
+// sweep.ErrPartial, and the two shard stores merged hold exactly the runs
+// of an unsharded faults sweep, which then renders from them with zero
+// recomputation and the unsharded output.
+func TestFaultsShardsStoreFullRunSet(t *testing.T) {
+	o := faultOptions()
+	o.Reps = 1
+	o.Duration = 2
+	full := openStore(t)
+	fo := o
+	fo.Store = full
+	want, err := faults(fo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRuns, err := full.Count()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	merged := openStore(t)
+	for i := 0; i < 2; i++ {
+		st := openStore(t)
+		so := o
+		so.Store = st
+		so.Shard = sweep.Shard{Index: i, Count: 2}
+		if _, err := faults(so); !errors.Is(err, sweep.ErrPartial) {
+			t.Fatalf("shard %d error = %v, want sweep.ErrPartial", i, err)
+		}
+		if _, err := sweep.Merge(merged, st); err != nil {
+			t.Fatalf("merge shard %d: %v", i, err)
+		}
+	}
+	if got, err := merged.Count(); err != nil || got != wantRuns {
+		t.Fatalf("shards 0/2 + 1/2 stored %d runs (err %v), want the unsharded %d", got, err, wantRuns)
+	}
+
+	mo := o
+	mo.Store = merged
+	var computed atomic.Int64
+	mo.Progress = func(done, total int) { computed.Add(1) }
+	got, err := faults(mo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if computed.Load() != 0 {
+		t.Errorf("merged store recomputed %d runs, want 0", computed.Load())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("faults rendered from the merged shard stores differ from the unsharded sweep")
 	}
 }

@@ -10,43 +10,28 @@
 // analyzer (package snapshot), and inside property tests of Theorems 1–5.
 package topology
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
-// CostFn maps a link's squared Euclidean length d² to its cost c(u,v)
-// (§3.1). It must be strictly increasing so that cost order equals
-// distance order. Any strictly increasing function of d gives the same
+// Link costs (§3.1) are computed from a link's squared Euclidean length
+// d², never from d: any strictly increasing function of d gives the same
 // total order over links, and d² is what a kernel gets from two
-// coordinates without a square root: dx*dx + dy*dy, the same quantity the
-// range tests and the radio compare against R².
-type CostFn func(d2 float64) float64
+// coordinates without a square root — dx*dx + dy*dy, the same quantity
+// the range tests and the radio compare against R². The RNG-, Gabriel-
+// and MST-based protocols, which only compare costs or take their maxima,
+// use d² itself; the SPT-based (minimum-energy) protocols use energy.
 
-// DistanceCost is the identity on d², used by the RNG- and MST-based
-// protocols. It orders links exactly as c = d does, and those protocols
-// only compare costs or take their maxima, never add them.
-func DistanceCost(d2 float64) float64 { return d2 }
-
-// EnergyCost returns the cost function c = d^alpha + fixed, computed as
-// (d²)^(alpha/2) + fixed: the transmission energy model used by SPT-based
-// (minimum-energy) protocols. The paper's simulation uses fixed = 0 with
-// alpha = 2 (free space) and alpha = 4 (two-ray ground reflection).
-func EnergyCost(alpha, fixed float64) CostFn {
-	if alpha < 1 {
-		panic(fmt.Sprintf("topology: EnergyCost alpha %g < 1", alpha))
-	}
-	return func(d2 float64) float64 { return energy(d2, alpha) + fixed }
-}
-
-// energy returns math.Pow(d2, alpha/2), bit for bit. For the paper's
-// path-loss exponents it skips Pow's special-case ladder and
-// Frexp/Ldexp: alpha = 2 is Pow(d2, 1), which returns d2 itself, and for
-// alpha = 4 with 2⁻⁴⁰⁰ < d2 < 2⁴⁰⁰ the single product d2*d2 rounds exactly
-// as the squaring step math.Pow runs on d2's mantissa (the power-of-two
-// exponent scales out of the rounding, and d2² stays normal). The explicit
+// energy returns the transmission energy d^alpha of a link of squared
+// length d2 as math.Pow(d2, alpha/2), bit for bit; the SPT cost is
+// energy(d2, alpha) + Fixed. The paper's simulation uses Fixed = 0 with
+// alpha = 2 (free space) and alpha = 4 (two-ray ground reflection). For
+// those exponents it skips Pow's special-case ladder and Frexp/Ldexp:
+// alpha = 2 is Pow(d2, 1), which returns d2 itself, and for alpha = 4 with
+// 2⁻⁴⁰⁰ < d2 < 2⁴⁰⁰ the single product d2*d2 rounds exactly as the
+// squaring step math.Pow runs on d2's mantissa (the power-of-two exponent
+// scales out of the rounding, and d2² stays normal). The explicit
 // conversion keeps the compiler from fusing the product into a caller's
-// "+ fixed". TestEnergyMatchesPow pins it.
+// "+ fixed". TestEnergyMatchesPow pins it; Scratch.searchEnergy repeats
+// its body inline.
 func energy(d2, alpha float64) float64 {
 	switch alpha {
 	case 2:

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"mstc/internal/geom"
@@ -59,7 +60,8 @@ func newestView(mv MultiView) View {
 // fuzzSelectSeeds is FuzzSelectKernels' seed corpus. Among them are
 // disconnected views, views with neighbors beyond Range, views where every
 // neighbor is kept and a view with no neighbors: the cases where an
-// early-exit search stops for a reason other than deciding by key.
+// early-exit search stops for a reason other than deciding by key. Two
+// more are MST views whose selection an exact weight tie decides.
 // TestFuzzSeedsReachEdgeCases pins that they do.
 func fuzzSelectSeeds() [][]byte {
 	return [][]byte{
@@ -77,14 +79,30 @@ func fuzzSelectSeeds() [][]byte {
 		{0, 4, 0x00, 0x80, 0x01, 0x88, 0x02, 0x81, 0x10, 0x88, 0x11, 0x18, 0x12, 0x88, 0x20, 0x88, 0x21, 0x88, 0x22, 0x8f},
 		// Spread out over the grid at the paper's 250 m range (62 × 4 m).
 		{62, 1, 0x00, 0x0f, 0xf0, 0xff, 0x37, 0x73, 0x5a, 0xa5, 0x19, 0x91, 0xc4, 0x4c, 0x66, 0x2e, 0xe2, 0x88},
+		// MST relaxation tie: Self (id 3) at (0, 0), id 2 at (50, 0) and
+		// id 6 at (25, 50), as far from id 2 as from Self. The id order
+		// gives id 6's tree edge to id 2, so Self keeps only id 2.
+		{0, 3, 0x02, 0x00, 0x21},
+		// MST commit tie: Self (id 0) at (0, 0), id 4 at (25, 0), id 6 at
+		// (25, 50) and id 11 at (0, 50). Once id 4 joins, ids 6 and 11 tie
+		// at weight 2500; the id order commits Self's edge to id 11 first,
+		// and id 11 then takes id 6's tree edge, so Self keeps ids 4 and 11.
+		{0, 0, 0x00, 0x01, 0x21, 0x20},
 	}
 }
 
+// energyCases are the (alpha, Fixed) pairs the SPT and WeakSPT oracle
+// checks run: the paper's exponents 2 and 4, which the kernels compute
+// without math.Pow, the exponents 1 and 2.5, which take the math.Pow
+// fallback, and a positive per-hop Fixed cost.
+var energyCases = []struct{ alpha, fixed float64 }{{2, 0}, {4, 0}, {1, 0}, {2.5, 0}, {2, 1000}}
+
 // FuzzSelectKernels checks every kernel with an early-exit search against
-// its independent reference on fuzzed views: MST against Kruskal, SPT-2 and
-// SPT-4 against viewGraph + graph.Dijkstra, and WeakRNG, WeakMST and
-// WeakSPT against the historical dense implementations. One Scratch is
-// shared, dirty, across the kernels of an input.
+// its independent reference on fuzzed views: MST against Kruskal, SPT
+// against viewGraph + graph.Dijkstra for every energyCases entry, and
+// WeakRNG, WeakMST and WeakSPT against the historical dense
+// implementations. One Scratch is shared, dirty, across the kernels of an
+// input.
 func FuzzSelectKernels(f *testing.F) {
 	for _, seed := range fuzzSelectSeeds() {
 		f.Add(seed)
@@ -98,11 +116,11 @@ func FuzzSelectKernels(f *testing.F) {
 		s := &Scratch{}
 		m := MST{Range: r}
 		sameSet(t, fmt.Sprintf("MST range %g", r), m.SelectInto(v, nil, s), kruskalMSTSelect(m, v, squared))
-		for _, alpha := range []float64{2, 4} {
-			sp := SPT{Alpha: alpha, Range: r}
-			sameSet(t, fmt.Sprintf("%s range %g", sp.Name(), r), sp.SelectInto(v, nil, s), refSPTSelect(sp, v, squared))
-			wsp := WeakSPT{Alpha: alpha, Range: r}
-			sameSet(t, fmt.Sprintf("%s range %g", wsp.Name(), r), wsp.SelectWeakInto(mv, nil, s), refWeakSPTSelect(wsp, mv, squared))
+		for _, e := range energyCases {
+			sp := SPT{Alpha: e.alpha, Fixed: e.fixed, Range: r}
+			sameSet(t, fmt.Sprintf("%s fixed %g range %g", sp.Name(), e.fixed, r), sp.SelectInto(v, nil, s), refSPTSelect(sp, v, squared))
+			wsp := WeakSPT{Alpha: e.alpha, Fixed: e.fixed, Range: r}
+			sameSet(t, fmt.Sprintf("%s fixed %g range %g", wsp.Name(), e.fixed, r), wsp.SelectWeakInto(mv, nil, s), refWeakSPTSelect(wsp, mv, squared))
 		}
 		wm := WeakMST{Range: r}
 		sameSet(t, fmt.Sprintf("wMST range %g", r), wm.SelectWeakInto(mv, nil, s), refWeakMSTSelect(wm, mv, squared))
@@ -112,10 +130,12 @@ func FuzzSelectKernels(f *testing.F) {
 
 // TestFuzzSeedsReachEdgeCases pins that FuzzSelectKernels' seed corpus
 // holds a view with no neighbors, a view whose in-range graph is
-// disconnected, a view with a neighbor beyond Range, and a view where MST
-// and SPT-2 keep every neighbor.
+// disconnected, a view with a neighbor beyond Range, a view where MST
+// and SPT-2 keep every neighbor, and views with both kinds of exact
+// equal-weight MST candidate tie (mstCandidateTies): the only inputs on
+// which the MST kernel calls mstLess.
 func TestFuzzSeedsReachEdgeCases(t *testing.T) {
-	var empty, disconnected, outOfRange, allKept bool
+	var empty, disconnected, outOfRange, allKept, relaxTie, commitTie bool
 	for _, seed := range fuzzSelectSeeds() {
 		mv, r, ok := decodeFuzzView(seed)
 		if !ok {
@@ -123,7 +143,7 @@ func TestFuzzSeedsReachEdgeCases(t *testing.T) {
 		}
 		v := newestView(mv)
 		empty = empty || len(v.Neighbors) == 0
-		_, _, g := viewGraph(v, r, squared, DistanceCost)
+		_, _, g := viewGraph(v, r, squared, func(l float64) float64 { return l })
 		disconnected = disconnected || !g.Connected()
 		for _, nb := range v.Neighbors {
 			outOfRange = outOfRange || (r > 0 && v.Self.Pos.Dist(nb.Pos) > r)
@@ -131,9 +151,61 @@ func TestFuzzSeedsReachEdgeCases(t *testing.T) {
 		n := len(v.Neighbors)
 		allKept = allKept || (n > 1 && len(MST{Range: r}.Select(v)) == n &&
 			len(SPT{Alpha: 2, Range: r}.Select(v)) == n)
+		relax, commit := mstCandidateTies(v, r)
+		relaxTie, commitTie = relaxTie || relax, commitTie || commit
 	}
-	if !empty || !disconnected || !outOfRange || !allKept {
-		t.Errorf("seed corpus misses an edge case: empty %v, disconnected %v, out of range %v, all kept %v",
-			empty, disconnected, outOfRange, allKept)
+	if !empty || !disconnected || !outOfRange || !allKept || !relaxTie || !commitTie {
+		t.Errorf("seed corpus misses an edge case: empty %v, disconnected %v, out of range %v, all kept %v, "+
+			"MST relaxation tie %v, MST commit tie %v", empty, disconnected, outOfRange, allKept, relaxTie, commitTie)
+	}
+}
+
+// mstCandidateTies replays Prim from Self over v's links of squared length
+// within r², ordered by LinkLess over real ids, up to the step after which
+// no node outside the tree has its best candidate edge at Self (where
+// MST.SelectInto stops). relax reports a relaxed edge whose weight exactly
+// ties the far end's best candidate edge; commit reports two nodes whose
+// best candidate edges tie exactly at the smallest weight of a step.
+func mstCandidateTies(v View, r float64) (relax, commit bool) {
+	nodes := append([]NodeInfo{v.Self}, v.Neighbors...)
+	bound := squared.bound(r)
+	bestW := make([]float64, len(nodes))
+	bestFrom := make([]int, len(nodes)) // -1: no candidate edge yet
+	inTree := make([]bool, len(nodes))
+	for i := range nodes {
+		bestW[i], bestFrom[i] = math.Inf(1), -1
+	}
+	less := func(a, b int) bool { // a's candidate edge before b's
+		return LinkLess(bestW[a], nodes[bestFrom[a]].ID, nodes[a].ID, bestW[b], nodes[bestFrom[b]].ID, nodes[b].ID)
+	}
+	for u := 0; ; {
+		inTree[u] = true
+		for nb, x := range nodes {
+			w := nodes[u].Pos.Dist2(x.Pos)
+			if inTree[nb] || w > bound {
+				continue
+			}
+			relax = relax || (bestFrom[nb] >= 0 && w == bestW[nb])
+			if bestFrom[nb] < 0 || LinkLess(w, nodes[u].ID, x.ID, bestW[nb], nodes[bestFrom[nb]].ID, x.ID) {
+				bestW[nb], bestFrom[nb] = w, u
+			}
+		}
+		next, atSelf := -1, false
+		for nb := range nodes {
+			if inTree[nb] || bestFrom[nb] < 0 {
+				continue
+			}
+			atSelf = atSelf || bestFrom[nb] == 0
+			if next < 0 || less(nb, next) {
+				next = nb
+			}
+		}
+		if !atSelf {
+			return relax, commit
+		}
+		for nb := range nodes {
+			commit = commit || (nb != next && !inTree[nb] && bestFrom[nb] >= 0 && bestW[nb] == bestW[next])
+		}
+		u = next
 	}
 }

@@ -129,7 +129,9 @@ func (m MST) Select(v View) []int {
 // spanning forest of the view: the tree every node computing over the
 // same view agrees on. The next tree node is found by a scan fused with
 // the relaxation of the last node's edges, each pair's cost computed once,
-// when its first endpoint joins the tree; there is no heap. Only edges at
+// when its first endpoint joins the tree; there is no heap. Both the
+// relaxation and the scan compare weights first and call mstLess only on
+// an exact weight tie, the one case its id order decides. Only edges at
 // Self are read, and a candidate edge from Self, once replaced, never
 // returns (Self's edges are all relaxed first), so the search stops when
 // no node outside the tree still has its best candidate edge from Self.
@@ -143,8 +145,9 @@ func (m MST) SelectInto(v View, dst []int, s *Scratch) []int {
 	s.dist = grown(s.dist, n)
 	s.pred = grown(s.pred, n)
 	s.done = grown(s.done, n)
-	bestW, bestFrom, inTree := s.dist, s.pred, s.done
-	for i := 0; i < n; i++ {
+	// Equal lengths, stated to the compiler, drop the bounds checks.
+	bestW, bestFrom, inTree, pts := s.dist, s.pred[:n], s.done[:n], s.pts[:n]
+	for i := range bestW {
 		bestW[i] = math.Inf(1)
 		bestFrom[i] = -1
 		inTree[i] = false
@@ -157,12 +160,14 @@ func (m MST) SelectInto(v View, dst []int, s *Scratch) []int {
 			dst = append(dst, s.ids[u])
 			fromSelf--
 		}
-		next := -1
-		for nb := 0; nb < n; nb++ {
+		next, nextW := -1, math.Inf(1) // nextW is +Inf exactly while next is -1
+		pu := pts[u]
+		for nb := range bestW {
 			if inTree[nb] {
 				continue
 			}
-			if w := s.pts[u].Dist2(s.pts[nb]); w <= r2 && mstLess(w, u, nb, bestW[nb], int(bestFrom[nb]), nb) {
+			//lint:ignore float-eq an exact weight tie falls through to mstLess's id order, completing the §3.1 strict total order
+			if w := pu.Dist2(pts[nb]); w <= r2 && (w < bestW[nb] || w == bestW[nb] && mstLess(w, u, nb, bestW[nb], int(bestFrom[nb]), nb)) {
 				if int(bestFrom[nb]) == selfIdx {
 					fromSelf--
 				}
@@ -172,9 +177,10 @@ func (m MST) SelectInto(v View, dst []int, s *Scratch) []int {
 				bestW[nb] = w
 				bestFrom[nb] = int32(u)
 			}
-			if !math.IsInf(bestW[nb], 1) && (next == -1 ||
-				mstLess(bestW[nb], int(bestFrom[nb]), nb, bestW[next], int(bestFrom[next]), next)) {
-				next = nb
+			//lint:ignore float-eq an exact weight tie falls through to mstLess's id order, completing the §3.1 strict total order
+			if bw := bestW[nb]; bw < nextW || bw == nextW && next != -1 &&
+				mstLess(bw, int(bestFrom[nb]), nb, nextW, int(bestFrom[next]), next) {
+				next, nextW = nb, bw
 			}
 		}
 		if fromSelf == 0 {
@@ -233,16 +239,16 @@ func (s SPT) Select(v View) []int {
 }
 
 // SelectInto implements ScratchSelector. The kernel runs the early-exit
-// Dijkstra search from Self (Scratch.search) with each neighbor's direct
-// cost as its threshold: the link is kept unless a strictly cheaper path
-// exists. The best path includes the direct edge when it is usable, so a
-// kept in-range link is one whose path cost equals its direct cost; a
+// Dijkstra search from Self (Scratch.searchEnergy) with each neighbor's
+// direct cost as its threshold: the link is kept unless a strictly cheaper
+// path exists. The best path includes the direct edge when it is usable, so
+// a kept in-range link is one whose path cost equals its direct cost; a
 // neighbor beyond Range has a direct cost but no usable edge.
 // TestSPTKernelMatchesDijkstra pins it against graph.Dijkstra.
 //manet:noalloc
 func (sp SPT) SelectInto(v View, dst []int, s *Scratch) []int {
 	if sp.Alpha < 1 {
-		panic(fmt.Sprintf("topology: EnergyCost alpha %g < 1", sp.Alpha))
+		panic(fmt.Sprintf("topology: SPT alpha %g < 1", sp.Alpha))
 	}
 	selfIdx := s.viewNodes(v)
 	r2 := rangeBound(sp.Range)
@@ -257,14 +263,7 @@ func (sp SPT) SelectInto(v View, dst []int, s *Scratch) []int {
 		}
 	}
 	s.dist[selfIdx] = 0
-	//lint:ignore noalloc the closure does not escape search, so it stays on the stack; the conformance test pins zero allocs
-	return s.search(dst, selfIdx, false, func(i, j int) float64 {
-		d2 := s.pts[i].Dist2(s.pts[j])
-		if d2 > r2 {
-			return math.Inf(1)
-		}
-		return energy(d2, sp.Alpha) + sp.Fixed
-	})
+	return s.searchEnergy(dst, selfIdx, r2, sp.Alpha, sp.Fixed)
 }
 
 // Yao is the Yao-graph-based protocol: the disk around u is divided into K

@@ -135,13 +135,27 @@ func TestTheorem5CoverageBound(t *testing.T) {
 	}
 }
 
+// TestEnergyCostPanics pins that the energy-cost kernels reject a
+// path-loss exponent below 1, for which d^alpha is not a usable energy.
 func TestEnergyCostPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for alpha < 1")
-		}
-	}()
-	EnergyCost(0.5, 0)
+	v := View{Self: NodeInfo{ID: 0}, Neighbors: []NodeInfo{{ID: 1, Pos: geom.Pt(1, 0)}}}
+	mv := MultiView{Self: MultiNodeInfo{ID: 0, Positions: []geom.Point{{}}}}
+	for _, tc := range []struct {
+		name string
+		sel  func()
+	}{
+		{"SPT", func() { SPT{Alpha: 0.5}.SelectInto(v, nil, &Scratch{}) }},
+		{"WeakSPT", func() { WeakSPT{Alpha: 0.5}.SelectWeakInto(mv, nil, &Scratch{}) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic for alpha < 1", tc.name)
+				}
+			}()
+			tc.sel()
+		}()
+	}
 }
 
 // TestEnergyMatchesPow pins energy's fast paths for the paper's path-loss

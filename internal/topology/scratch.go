@@ -101,60 +101,80 @@ func (s *Scratch) viewNodes(v View) (selfIdx int) {
 	return selfIdx
 }
 
-// search decides every neighbor of the view node src for SPT, WeakSPT and
-// WeakMST, and appends the ids (s.ids) of those it keeps to dst. On entry
-// s.dist holds src's relaxed row (0 at src, each usable edge's cost from
-// src, +Inf elsewhere) and s.thr each neighbor's threshold: v is removed
-// iff its best path cost is below thr[v]. A path costs the sum of its edge
-// weights (Dijkstra) or, with bottleneck, their maximum (minimax).
-// cost(i, j) is the non-negative weight of edge i–j (+Inf = no edge),
-// computed once per pair, when the first endpoint settles.
+// searchEnergy decides every neighbor of the view node src for SPT and
+// appends the ids (s.ids) of those it keeps to dst. On entry s.dist holds
+// src's relaxed row (0 at src, each usable edge's cost from src, +Inf
+// elsewhere) and s.thr each neighbor's threshold: v is removed iff its
+// best path cost, the least sum of edge costs energy(d², alpha) + fixed
+// over edges with d² <= r2, is below thr[v]. A pair's cost is computed
+// inline, once, when its first endpoint settles; a pair beyond r2 has no
+// edge and relaxes nothing.
 //
 // Each step settles the unsettled node with the smallest finite
 // (key, index), found by a scan fused with the relaxation of the last
 // settled node's edges. Keys only fall, so v is removed for good once
 // key < thr[v]. Keys settle in nondecreasing order (fl(a+b) >= a for
-// b >= 0; max is exact), so no final key is below the smallest unsettled
-// one, and v is kept for good once that reaches thr[v]. The search stops
-// when every neighbor is decided or nothing reachable is left.
-func (s *Scratch) search(dst []int, src int, bottleneck bool, cost func(i, j int) float64) []int {
+// b >= 0), so no final key is below the smallest unsettled one, and v is
+// kept for good once that reaches thr[v]. The search stops when every
+// neighbor is decided or nothing reachable is left. weakSearch is the
+// same search over position sets.
+func (s *Scratch) searchEnergy(dst []int, src int, r2, alpha, fixed float64) []int {
 	s.done = grown(s.done, len(s.dist))
-	key, thr, done := s.dist, s.thr, s.done
-	for i := range done {
-		done[i] = false
-	}
+	// Equal lengths, stated to the compiler, drop the bounds checks.
+	key := s.dist
+	thr, done, pts := s.thr[:len(key)], s.done[:len(key)], s.pts[:len(key)]
+	clear(done)
 	for u := src; ; {
 		done[u] = true
-		du := key[u]
-		next, open := -1, math.Inf(-1) // open: the largest threshold not yet removed
+		du, pu := key[u], pts[u]
+		next, nextKey := -1, math.Inf(1)
+		open := math.Inf(-1) // the largest threshold not yet removed
 		for v := range key {
 			if done[v] {
 				continue
 			}
 			if u != src { // src's row is preloaded
-				w := cost(u, v)
-				nd := du + w
-				if bottleneck {
-					nd = math.Max(du, w)
-				}
-				if nd < key[v] {
-					key[v] = nd
+				if d2 := pu.Dist2(pts[v]); d2 <= r2 {
+					// energy(d2, alpha), inlined: its call to math.Pow
+					// keeps the compiler from inlining energy itself.
+					c := d2
+					switch alpha {
+					case 2:
+					case 4:
+						if d2 > 0x1p-400 && d2 < 0x1p400 {
+							c = float64(d2 * d2)
+							break
+						}
+						fallthrough
+					default:
+						c = math.Pow(d2, alpha/2)
+					}
+					if nd := du + (c + fixed); nd < key[v] {
+						key[v] = nd
+					}
 				}
 			}
-			if !(key[v] < thr[v]) && thr[v] > open {
+			kv := key[v]
+			if !(kv < thr[v]) && thr[v] > open {
 				open = thr[v]
 			}
-			if !math.IsInf(key[v], 1) && (next == -1 || key[v] < key[next]) {
-				next = v
+			if kv < nextKey {
+				next, nextKey = v, kv
 			}
 		}
-		if next == -1 || open <= key[next] {
+		if next == -1 || open <= nextKey {
 			break
 		}
 		u = next
 	}
+	return s.appendKept(dst, src)
+}
+
+// appendKept appends to dst the id of every node other than src whose
+// search key did not fall below its threshold.
+func (s *Scratch) appendKept(dst []int, src int) []int {
 	for i, id := range s.ids {
-		if i != src && !(key[i] < thr[i]) {
+		if i != src && !(s.dist[i] < s.thr[i]) {
 			dst = append(dst, id)
 		}
 	}

@@ -221,7 +221,9 @@ func TestSPTKernelMatchesDijkstra(t *testing.T) {
 }
 
 // TestWeakKernelsMatchReference pins the weak-consistency scratch kernels
-// against the historical multiGraph implementations.
+// against the historical multiGraph implementations, WeakSPT for every
+// energyCases entry, with SPT checked on each view's newest positions
+// for the same entries.
 func TestWeakKernelsMatchReference(t *testing.T) {
 	rng := xrand.New(73)
 	s := &Scratch{}
@@ -232,10 +234,13 @@ func TestWeakKernelsMatchReference(t *testing.T) {
 			m := WeakMST{Range: r}
 			sameSet(t, fmt.Sprintf("trial %d wMST range %g", trial, r),
 				m.SelectWeakInto(mv, nil, s), refWeakMSTSelect(m, mv, squared))
-			for _, alpha := range []float64{2, 4} {
-				p := WeakSPT{Alpha: alpha, Range: r}
-				sameSet(t, fmt.Sprintf("trial %d %s range %g", trial, p.Name(), r),
+			for _, e := range energyCases {
+				p := WeakSPT{Alpha: e.alpha, Fixed: e.fixed, Range: r}
+				sameSet(t, fmt.Sprintf("trial %d %s fixed %g range %g", trial, p.Name(), e.fixed, r),
 					p.SelectWeakInto(mv, nil, s), refWeakSPTSelect(p, mv, squared))
+				sp := SPT{Alpha: e.alpha, Fixed: e.fixed, Range: r}
+				sameSet(t, fmt.Sprintf("trial %d %s fixed %g range %g", trial, sp.Name(), e.fixed, r),
+					sp.SelectInto(newestView(mv), nil, s), refSPTSelect(sp, newestView(mv), squared))
 			}
 		}
 	}

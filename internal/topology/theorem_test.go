@@ -336,24 +336,24 @@ func TestWeakConservativeKeepsMore(t *testing.T) {
 	}
 }
 
+// TestCostRange pins the cost extrema of a link between two position
+// sets, as the weak kernels compute them: distRange's squared-length
+// extrema, then energy plus the fixed cost.
 func TestCostRange(t *testing.T) {
 	a := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0)}
 	b := []geom.Point{geom.Pt(3, 0), geom.Pt(5, 0)}
-	cMin, cMax := CostRange(a, b, DistanceCost)
-	if cMin != 4 || cMax != 25 {
-		t.Errorf("CostRange = (%v, %v), want (4, 25)", cMin, cMax)
+	d2Min, d2Max := distRange(a, b)
+	if d2Min != 4 || d2Max != 25 {
+		t.Errorf("distRange = (%v, %v), want (4, 25)", d2Min, d2Max)
 	}
-	cMin, cMax = CostRange(a, b, EnergyCost(2, 0))
-	if cMin != 4 || cMax != 25 {
-		t.Errorf("energy-2 CostRange = (%v, %v), want (4, 25)", cMin, cMax)
+	if cMin, cMax := energy(d2Min, 2), energy(d2Max, 2); cMin != 4 || cMax != 25 {
+		t.Errorf("energy-2 cost range = (%v, %v), want (4, 25)", cMin, cMax)
 	}
-	cMin, cMax = CostRange(a, b, EnergyCost(4, 1))
-	if cMin != 17 || cMax != 626 {
-		t.Errorf("energy-4 CostRange = (%v, %v), want (17, 626)", cMin, cMax)
+	if cMin, cMax := energy(d2Min, 4)+1, energy(d2Max, 4)+1; cMin != 17 || cMax != 626 {
+		t.Errorf("energy-4 cost range = (%v, %v), want (17, 626)", cMin, cMax)
 	}
-	cMin, _ = CostRange(nil, b, DistanceCost)
-	if !isInf(cMin) {
-		t.Errorf("empty set CostRange = %v, want +Inf", cMin)
+	if d2Min, _ = distRange(nil, b); !isInf(d2Min) {
+		t.Errorf("empty set distRange = %v, want +Inf", d2Min)
 	}
 }
 

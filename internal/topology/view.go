@@ -82,15 +82,6 @@ type MultiView struct {
 	Neighbors []MultiNodeInfo
 }
 
-// CostRange returns the minimal and maximal cost of the link between two
-// position sets under fn: the extrema of { fn(|p-q|²) : p ∈ a, q ∈ b }.
-// Because fn is strictly increasing, the extrema of the squared distances
-// give the extrema of the costs.
-func CostRange(a, b []geom.Point, fn CostFn) (cMin, cMax float64) {
-	d2Min, d2Max := distRange(a, b)
-	return fn(d2Min), fn(d2Max)
-}
-
 // MaxDist returns the largest distance between a point of a and a point of
 // b (+Inf if either is empty). It is a range, not a cost, so it is a real
 // distance: the square root of maxDist2.

@@ -79,10 +79,11 @@ func (m WeakMST) SelectWeak(v MultiView) []int {
 	return m.SelectWeakInto(v, make([]int, 0, 4), &Scratch{})
 }
 
-// SelectWeakInto implements WeakScratchSelector.
+// SelectWeakInto implements WeakScratchSelector. Its link cost is the
+// squared length itself, which energy(d², 2) + 0 is bit for bit.
 //manet:noalloc
 func (m WeakMST) SelectWeakInto(v MultiView, dst []int, s *Scratch) []int {
-	return s.weakSearch(v, dst, m.Range, DistanceCost, true)
+	return s.weakSearch(v, dst, m.Range, 2, 0, true)
 }
 
 // WeakSPT applies enhanced removal condition 2: remove (u, v) iff the view
@@ -112,40 +113,73 @@ func (s WeakSPT) SelectWeak(v MultiView) []int {
 //manet:noalloc
 func (sp WeakSPT) SelectWeakInto(v MultiView, dst []int, s *Scratch) []int {
 	if sp.Alpha < 1 {
-		panic(fmt.Sprintf("topology: EnergyCost alpha %g < 1", sp.Alpha))
+		panic(fmt.Sprintf("topology: WeakSPT alpha %g < 1", sp.Alpha))
 	}
-	//lint:ignore noalloc the closure captures only sp (by value) and does not escape weakSearch, so it stays on the stack; the conformance test pins zero allocs
-	cost := func(d2 float64) float64 { return energy(d2, sp.Alpha) + sp.Fixed }
-	return s.weakSearch(v, dst, sp.Range, cost, false)
+	return s.weakSearch(v, dst, sp.Range, sp.Alpha, sp.Fixed, false)
 }
 
-// weakSearch runs the early-exit search (Scratch.search) from Self over the
-// pessimistic (cMax) link costs under fn, with cMin(Self, v) as neighbor
-// v's threshold: v is removed iff a relay path's cost is below even the
-// most optimistic cost of the direct link. An edge is usable only when its
-// largest squared length is at most maxRange² (the conservative existence
-// test, on the same d² ≤ R² comparison the strong kernels and the radio
-// make).
-func (s *Scratch) weakSearch(v MultiView, dst []int, maxRange float64, fn CostFn, bottleneck bool) []int {
-	selfIdx := s.multiViewNodes(v)
+// weakSearch is Scratch.searchEnergy over the view's position sets, from
+// Self, for WeakSPT and, with bottleneck, WeakMST: a path costs the sum of
+// its edges' pessimistic costs energy(cMax d², alpha) + fixed or, with
+// bottleneck, their maximum (minimax), and neighbor v's threshold is the
+// cost of cMin(Self, v): v is removed iff a relay path's cost is below
+// even the most optimistic cost of the direct link. An edge is usable only
+// when its largest squared length is at most maxRange² (the conservative
+// existence test, on the same d² ≤ R² comparison the strong kernels and
+// the radio make). max, like a sum of non-negative costs, never settles a
+// key below its predecessor's, so searchEnergy's exit rules hold.
+func (s *Scratch) weakSearch(v MultiView, dst []int, maxRange, alpha, fixed float64, bottleneck bool) []int {
+	src := s.multiViewNodes(v)
 	r2 := rangeBound(maxRange)
 	s.dist, s.thr = grown(s.dist, len(s.pos)), grown(s.thr, len(s.pos))
 	for i, p := range s.pos {
-		d2Min, d2Max := distRange(s.pos[selfIdx], p)
-		s.thr[i], s.dist[i] = fn(d2Min), math.Inf(1)
+		d2Min, d2Max := distRange(s.pos[src], p)
+		s.thr[i], s.dist[i] = energy(d2Min, alpha)+fixed, math.Inf(1)
 		if d2Max <= r2 {
-			s.dist[i] = fn(d2Max)
+			s.dist[i] = energy(d2Max, alpha) + fixed
 		}
 	}
-	s.dist[selfIdx] = 0
-	start := len(dst)
-	//lint:ignore noalloc the closure does not escape search, so it stays on the stack; the conformance test pins zero allocs
-	dst = s.search(dst, selfIdx, bottleneck, func(i, j int) float64 {
-		if d2 := maxDist2(s.pos[i], s.pos[j]); d2 <= r2 {
-			return fn(d2)
+	s.dist[src] = 0
+	s.done = grown(s.done, len(s.dist))
+	key := s.dist
+	thr, done, pos := s.thr[:len(key)], s.done[:len(key)], s.pos[:len(key)]
+	clear(done)
+	for u := src; ; {
+		done[u] = true
+		du, pu := key[u], pos[u]
+		next, nextKey := -1, math.Inf(1)
+		open := math.Inf(-1) // the largest threshold not yet removed
+		for v := range key {
+			if done[v] {
+				continue
+			}
+			if u != src { // src's row is preloaded
+				if d2 := maxDist2(pu, pos[v]); d2 <= r2 {
+					c := energy(d2, alpha) + fixed
+					nd := du + c
+					if bottleneck {
+						nd = max(du, c)
+					}
+					if nd < key[v] {
+						key[v] = nd
+					}
+				}
+			}
+			kv := key[v]
+			if !(kv < thr[v]) && thr[v] > open {
+				open = thr[v]
+			}
+			if kv < nextKey {
+				next, nextKey = v, kv
+			}
 		}
-		return math.Inf(1)
-	})
+		if next == -1 || open <= nextKey {
+			break
+		}
+		u = next
+	}
+	start := len(dst)
+	dst = s.appendKept(dst, src)
 	sortInts(dst[start:])
 	return dst
 }
