@@ -1,10 +1,15 @@
-# Development entry points. `make check` is the CI gate: build, go vet,
-# manetlint (the project's determinism analyzers), the test suite, and the
-# test suite again under the race detector.
+# Development entry points. `make check` is the CI gate: gofmt, build,
+# go vet, manetlint (the project's determinism analyzers), the test suite,
+# and the test suite again under the race detector.
 
 GO ?= go
 
-.PHONY: build test race vet lint lint-json check bench-smoke bench-test fuzz-smoke faults-smoke resume-smoke parallel-smoke fleet-smoke traffic-smoke
+.PHONY: fmt build test race vet lint lint-json check bench-smoke bench-test fuzz-smoke faults-smoke resume-smoke parallel-smoke fleet-smoke traffic-smoke
+
+# Fails, listing the files, when any Go source is not gofmt-formatted.
+fmt:
+	@out=$$(gofmt -l ./cmd ./internal ./examples); \
+	test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 build:
 	$(GO) build ./...
@@ -203,4 +208,4 @@ bench-smoke:
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-check: build vet lint test race
+check: fmt build vet lint test race

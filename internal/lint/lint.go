@@ -88,8 +88,8 @@ type Config struct {
 // DefaultConfig returns the repository's enforcement policy.
 func DefaultConfig() Config {
 	return Config{
-		ScopePrefixes:    []string{"internal/", "cmd/"},
-		RandAllowed:      []string{"internal/xrand"},
+		ScopePrefixes: []string{"internal/", "cmd/"},
+		RandAllowed:   []string{"internal/xrand"},
 		GoroutineAllowed: []string{
 			"internal/experiment/runner.go",
 			"internal/sim/regions.go",

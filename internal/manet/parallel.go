@@ -14,8 +14,10 @@ package manet
 // every owned node: within Δ of the snapshot no node has moved more than
 // vmax·Δ, so a query of radius r + vmax·Δ around the sender's exact
 // position, clipped to the domain's owned nodes' bounding box, holds every
-// owned receiver, and the exact-distance filter over positions at the
-// transmit instant keeps exactly the serial radio's set (see receivers).
+// owned receiver. The same bound makes a candidate indexed deep inside r a
+// receiver outright, and the exact-distance filter over positions at the
+// transmit instant settles the rest, keeping exactly the serial radio's
+// set (see receivers).
 //
 // Inside a window the dispatcher (the calling goroutine) advances a merged
 // timeline of four item kinds, interleaving serial steps with parallel
@@ -131,14 +133,15 @@ const (
 // records (middle bits), and ascending by receiver within a record (low
 // bits).
 type domainCtx struct {
-	cur  *mobility.Cursor
-	sel  selCtx
-	box  geom.Rect // owned snapshot positions' bounding box (empty if none)
-	cand []int
-	recv []int
-	del  sim.Heap[helloRecv] // deferred receptions
-	fout []floodOut          // flood-scan outbox
-	qi   int                 // cursor into pr.queues[d]
+	cur   *mobility.Cursor
+	sel   selCtx
+	box   geom.Rect // owned snapshot positions' bounding box (empty if none)
+	cand  []int
+	recv  []int
+	marks radio.IDSet         // receiver marks, empty between scans
+	del   sim.Heap[helloRecv] // deferred receptions
+	fout  []floodOut          // flood-scan outbox
+	qi    int                 // cursor into pr.queues[d]
 }
 
 // parRun is one region-parallel execution of Network.Run.
@@ -226,7 +229,7 @@ func (nw *Network) newParRun() *parRun {
 	}
 	for d := range pr.doms {
 		cur := mobility.NewCursor(nw.model)
-		pr.doms[d] = domainCtx{cur: cur, sel: selCtx{cfg: &nw.cfg, pos: cur}}
+		pr.doms[d] = domainCtx{cur: cur, sel: selCtx{cfg: &nw.cfg, pos: cur}, marks: radio.NewIDSet(n)}
 	}
 	if pr.reactive {
 		// Rounds start at time 0, like the serial Every(0, interval).
@@ -718,8 +721,10 @@ func (pr *parRun) processFloodScan(pd *domainCtx, d int) {
 // radio's staleness grid and the paper's buffer zone (Theorem 5), one-sided
 // because only the receiver's position is stale. The query is clipped to
 // the bounding box of the domain's owned snapshot positions, so a disc
-// spanning several domains is scanned about once in total. The exact
-// filter over positions at at is the serial radio's, so the set is exact.
+// spanning several domains is scanned about once in total. The same bound
+// makes a candidate indexed inside radio.InnerRadius2 a receiver outright;
+// the rest pass the serial radio's exact filter over positions at at, so
+// the set is exact. The radio's mark set restores ascending id order.
 // Radio loss is a pure function of the reception and chains are
 // per-receiver, advanced here in ascending-id order as the serial
 // FilterLost does — restricting either to one domain changes nothing.
@@ -729,20 +734,20 @@ func (pr *parRun) processFloodScan(pd *domainCtx, d int) {
 //manet:noalloc
 func (pr *parRun) receivers(pd *domainCtx, d, sender int, pos geom.Point, at, r float64) []int {
 	nw := pr.nw
-	pd.cand = pr.index.WithinClipped(pos, r+pr.vmax*math.Abs(at-pr.snapAt), pd.box, pd.cand[:0])
+	disp := pr.vmax * math.Abs(at-pr.snapAt)
+	pd.cand = pr.index.WithinClipped(pos, r+disp, pd.box, pd.cand[:0])
 	r2 := r * r
-	recv := pd.recv[:0]
+	in2 := radio.InnerRadius2(r, disp)
 	for _, v := range pd.cand {
 		if v == sender || pr.domainOf[v] != d {
 			continue
 		}
-		if pd.cur.PositionAt(v, at).Dist2(pos) > r2 {
-			continue
+		if pr.posT[v].Dist2(pos) <= in2 || pd.cur.PositionAt(v, at).Dist2(pos) <= r2 {
+			pd.marks.Add(v)
 		}
-		recv = append(recv, v)
 	}
+	recv := pd.marks.AppendSorted(pd.recv[:0])
 	pd.recv = recv
-	radio.SortIDs(recv)
 	kept := recv[:0]
 	for _, v := range recv {
 		if !nw.med.LostAt(at, sender, v) {

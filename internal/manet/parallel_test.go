@@ -295,6 +295,72 @@ func TestReceiverScanMatchesOwnedScan(t *testing.T) {
 	}
 }
 
+// radialScene keeps node 0 at the arena's center and moves every other node
+// straight toward or away from it at vmax, so a node's position at the
+// snapshot and at the query instant are exactly vmax·|at−snapAt| apart. At
+// the snapshot the nodes sit on both sides of the inner disc's edge
+// r − disp − ε and of r (see radio's TestReceiversAtInnerDiscBoundary).
+type radialScene struct {
+	vmax, t0      float64
+	dist, dir, th []float64
+}
+
+func (m *radialScene) N() int            { return len(m.dist) }
+func (m *radialScene) Arena() geom.Rect  { return geom.Square(900) }
+func (m *radialScene) MaxSpeed() float64 { return m.vmax }
+func (m *radialScene) Horizon() float64  { return 100 }
+func (m *radialScene) PositionAt(id int, t float64) geom.Point {
+	return geom.Pt(450, 450).Add(geom.Polar(m.dist[id]+m.dir[id]*m.vmax*(t-m.t0), m.th[id]))
+}
+
+// TestReceiverScanInnerDiscBoundary drives the parallel scan's inner-disc
+// shortcut at its edge, with the query after and before the snapshot and
+// receivers split across domains: each domain's receivers must be exactly
+// its owned nodes within range at the query instant.
+func TestReceiverScanInnerDiscBoundary(t *testing.T) {
+	const r, vmax, t0 = 250.0, 40.0, 10.0
+	for _, dt := range []float64{0.25, 0.5, -0.5, 1.5} {
+		disp := vmax * math.Abs(dt)
+		in := r - disp - (1e-6 + 1e-9*r)
+		m := &radialScene{vmax: vmax, t0: t0, dist: []float64{0}, dir: []float64{0}, th: []float64{0}}
+		for _, dist := range []float64{in - 1e-7, in + 1e-7, r - disp, r - disp + 1e-4, r - 1e-4, r, r + disp - 1e-4, r + 1e-4} {
+			for _, dir := range []float64{-1, 1} {
+				m.dist = append(m.dist, dist)
+				m.dir = append(m.dir, dir)
+				m.th = append(m.th, 0.7*float64(len(m.th)))
+			}
+		}
+		at := t0 + dt
+		pos := m.PositionAt(0, at)
+		for _, side := range []int{1, 2} {
+			nw, err := NewNetwork(m, Config{Protocol: topology.RNG{}, Domains: side, ParallelWorkers: 1, Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pr := nw.newParRun()
+			pr.snapshot(t0)
+			total := 0
+			for d := range pr.doms {
+				var want []int
+				for _, v := range pr.owned[d] {
+					if v != 0 && m.PositionAt(v, at).Dist2(pos) <= r*r {
+						want = append(want, v)
+					}
+				}
+				got := append([]int(nil), pr.receivers(&pr.doms[d], d, 0, pos, at, r)...)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("Δ=%g, %dx%d domain %d: scan %v, brute force %v", dt, side, side, d, got, want)
+				}
+				total += len(want)
+			}
+			pr.close()
+			if total < 8 {
+				t.Fatalf("Δ=%g, %dx%d: vacuous scene, %d receivers", dt, side, side, total)
+			}
+		}
+	}
+}
+
 // TestSelectWeakUsesCallerSelfPos pins the contract the region-parallel
 // barrier relies on for weak consistency: selectWeak must select against
 // the self position its caller passes (the position the beacon being

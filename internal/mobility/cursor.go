@@ -62,6 +62,7 @@ func NewCursor(m Model) *Cursor {
 
 // PositionAt returns node id's position at time t, clamped to [0, Horizon]
 // exactly like Model.PositionAt.
+//
 //manet:noalloc
 func (c *Cursor) PositionAt(id int, t float64) geom.Point {
 	if c.src == nil {
@@ -82,6 +83,7 @@ func (c *Cursor) PositionAt(id int, t float64) geom.Point {
 // cache-friendly sweep instead of n scattered queries. Results are
 // bit-identical to n individual PositionAt calls and the per-node cursors
 // advance exactly as they would have.
+//
 //manet:noalloc
 func (c *Cursor) ResolveAllInto(dst []geom.Point, t float64) []geom.Point {
 	n := c.model.N()

@@ -103,6 +103,7 @@ func (dg *DomainGrid) clampY(iy int) int {
 // AssignInto appends the domain index of every position in pos to dst and
 // returns the extended slice — the window-start ownership assignment of
 // the region-parallel engine.
+//
 //manet:noalloc
 func (dg *DomainGrid) AssignInto(pos []geom.Point, dst []int) []int {
 	for _, p := range pos {

@@ -26,6 +26,7 @@ func TestNoallocAnnotationsConform(t *testing.T) {
 		pts[i] = geom.Pt(rng.Uniform(-50, 950), rng.Uniform(-50, 950))
 	}
 	dst := make([]int, 0, len(pts))
+	marks := NewIDSet(len(pts))
 
 	med, err := NewMedium(newWaypointModel(t, len(pts), 40, 1e4, 5), Config{LossRate: 0.2}, xrand.New(3))
 	if err != nil {
@@ -42,7 +43,7 @@ func TestNoallocAnnotationsConform(t *testing.T) {
 		"DomainGrid.AssignInto": func() { dst = dg.AssignInto(pts, dst[:0]) },
 		"Medium.DegreesAt":      func() { dst = med.DegreesAt(next(), ranges, dst[:0]) },
 		"Medium.ReceiversAt":    func() { dst = med.ReceiversAt(next(), 0, 250, dst[:0]) },
-		"SortIDs":               func() { SortIDs(dst) },
+		"IDSet.AppendSorted":    func() { marks.Add(0); dst = marks.AppendSorted(dst[:0]) },
 	}
 
 	annotated, err := lint.NoallocFuncs(".")

@@ -18,11 +18,15 @@
 // paper's buffer zone (Theorem 5, l = 2·Δ″·v): within Δ = t−t0 seconds no
 // pair of nodes changes relative distance by more than 2·vmax·Δ, so a disc
 // query of radius r at time t is a subset of the stale grid's candidates at
-// radius r + 2·vmax·Δ. Candidates are then filtered by their exact
-// positions at t, making the receiver set identical — bit for bit — to a
-// freshly built grid's. The grid is rebuilt only once the inflation
-// 2·vmax·Δ exceeds a slack budget (one grid cell by default), turning the
-// per-event cost from O(n) into O(neighborhood) amortized.
+// radius r + 2·vmax·Δ. The same bound works inward: the sender's position
+// is exact and a candidate has moved at most vmax·Δ since the build, so
+// one indexed well inside r − vmax·Δ is certainly a receiver
+// (InnerRadius2). Only the candidates in the annulus between the two discs
+// are filtered by their exact positions at t, making the receiver set
+// identical — bit for bit — to a freshly built grid's. The grid is rebuilt
+// only once the inflation 2·vmax·Δ exceeds a slack budget (one grid cell
+// by default), turning the per-event cost from O(n) into O(neighborhood)
+// amortized.
 //
 // Metric samples ask for every node's physical degree at one instant.
 // DegreesAt answers them in one pass that rebuilds the grid exactly at the
@@ -95,6 +99,7 @@ type Medium struct {
 	gridAt  float64
 	gridOK  bool
 	cand    []int // scratch for inflated-radius candidates
+	marks   IDSet // receiver marks, empty between queries
 
 	// per-instant memoized exact positions: repeated queries at the same
 	// instant (candidate filtering, metric sweeps) reuse the cursor's
@@ -145,6 +150,7 @@ func NewMedium(model mobility.Model, cfg Config, rng *xrand.Source) (*Medium, er
 		stamp:   make([]uint64, model.N()),
 		epoch:   1,
 		cand:    make([]int, 0, 64),
+		marks:   NewIDSet(model.N()),
 	}, nil
 }
 
@@ -193,6 +199,33 @@ func (m *Medium) inflation(t float64) float64 {
 	return 2 * m.vmax * (t - m.gridAt)
 }
 
+// InnerRadius2 returns the squared radius of the inner disc of a receiver
+// query of range r over positions indexed up to disp meters away from where
+// the candidates are now, with the sender's position exact: a candidate
+// whose indexed squared distance from the sender is at most the returned
+// value is within r at the query instant, so its exact position need not be
+// resolved. It is -1, which no squared distance meets, when disp leaves no
+// inner disc.
+//
+// By the triangle inequality the true distance is at most the indexed one
+// plus disp, so (r − disp)² would do in exact arithmetic; the margin ε =
+// 1e-6 m + 1e-9·r keeps the shortcut inside the exact test dist² ≤ r²
+// under floating point. Leg interpolation, Dist2 and the disp product each
+// err by a few units in the last place: a relative 1e-15 on d², disp and
+// r, and an absolute 1e-15·|x| per coordinate x, under 1e-6 m for any
+// arena within 1e9 m of the origin. ε exceeds their sum, so every candidate
+// the shortcut admits would pass the exact test too and the receiver set is
+// the exact one bit for bit. The bound itself is the buffer-zone
+// displacement bound (Theorem 5): no node moves faster than
+// Model.MaxSpeed, which TestMaxSpeedBoundsDisplacement pins per model.
+func InnerRadius2(r, disp float64) float64 {
+	in := r - disp - (1e-6 + 1e-9*r)
+	if in <= 0 {
+		return -1
+	}
+	return in * in
+}
+
 // ensureGrid makes the grid usable for a query at time t: it rebuilds when
 // there is no grid yet, when t precedes the build instant, or when the
 // staleness inflation would exceed the slack budget.
@@ -235,20 +268,23 @@ func (m *Medium) ReceiversAt(t float64, sender int, r float64, dst []int) []int 
 	start := len(dst)
 	m.cand = m.grid.WithinUnsorted(p, r+m.inflation(t), m.cand[:0])
 	r2 := r * r
+	in2 := InnerRadius2(r, m.vmax*(t-m.gridAt))
 	for _, id := range m.cand {
 		if id == sender {
 			continue
 		}
-		// Exact filter: candidate sets may grow with staleness, but this
-		// test over true positions at t is the same one a fresh grid
-		// performs, so the receiver set is identical either way.
-		if m.posAt(id, t).Dist2(p) <= r2 {
-			dst = append(dst, id)
+		// The grid was built at gridAt ≤ t (ensureGrid) and the sender's
+		// position is exact, so a candidate indexed inside the inner disc
+		// is a receiver. The rest take the exact test over true positions
+		// at t, the one a fresh grid performs, so the receiver set is
+		// identical either way.
+		if m.gridPos[id].Dist2(p) <= in2 || m.posAt(id, t).Dist2(p) <= r2 {
+			m.marks.Add(id)
 		}
 	}
-	// Candidates arrive in cell-scan order; restore the ascending-id
-	// contract on the (smaller) filtered set.
-	SortIDs(dst[start:])
+	// Candidates arrive in cell-scan order; the mark set hands the
+	// receivers back in ascending-id order.
+	dst = m.marks.AppendSorted(dst)
 	if m.cfg.LossRate > 0 {
 		kept := dst[start:start]
 		for _, id := range dst[start:] {
@@ -304,16 +340,4 @@ func (m *Medium) LostAt(t float64, sender, id int) bool {
 	//lint:ignore noalloc Derive is by-value and never retains its label slice, so both stay on the stack; TestNoallocAnnotationsConform pins the steady state at zero
 	d := m.rng.Derive('t', math.Float64bits(t), uint64(sender), uint64(id))
 	return d.Float64() < m.cfg.LossRate
-}
-
-// SortIDs sorts a small id list in place with an allocation-free insertion
-// sort (sort.Ints pays generic-dispatch overhead at receiver-list sizes).
-//
-//manet:noalloc
-func SortIDs(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -143,6 +144,28 @@ func BenchmarkReceiversAt(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Distinct times defeat the cache: worst case.
 		buf = m.ReceiversAt(float64(i), i%100, 250, buf[:0])
+	}
+}
+
+// BenchmarkReceiversAtMoving is BenchmarkReceiversAt's query over a moving
+// scene: random waypoint at up to 40 m/s, each run of 100 queries spread over
+// the 0.1 s after a grid rebuild, so candidates near the disc's edge pay
+// exact-position lookups as they do in a simulation. (A static scene has no
+// displacement, which lets every candidate inside r skip its lookup.)
+func BenchmarkReceiversAtMoving(b *testing.B) {
+	const n, horizon = 100, 1000.0
+	m, err := NewMedium(newWaypointModel(b, n, 40, horizon, 1), Config{}, xrand.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]int, 0, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Every 100 queries the base instant moves 2 s on, past the 125 m
+		// slack at 40 m/s, so the first query of each run rebuilds the grid.
+		base := math.Mod(float64(i/100)*2, horizon)
+		buf = m.ReceiversAt(base+float64(i%100)*0.001, i%n, 250, buf[:0])
 	}
 }
 

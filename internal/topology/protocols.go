@@ -35,6 +35,7 @@ func (r RNG) Select(v View) []int {
 }
 
 // SelectInto implements ScratchSelector.
+//
 //manet:noalloc
 func (RNG) SelectInto(v View, dst []int, s *Scratch) []int {
 	u := v.Self
@@ -84,6 +85,7 @@ func (g Gabriel) Select(v View) []int {
 }
 
 // SelectInto implements ScratchSelector.
+//
 //manet:noalloc
 func (Gabriel) SelectInto(v View, dst []int, _ *Scratch) []int {
 	for _, n := range v.Neighbors {
@@ -137,6 +139,7 @@ func (m MST) Select(v View) []int {
 // no node outside the tree still has its best candidate edge from Self.
 // TestMSTKernelMatchesKruskal and FuzzSelectKernels pin the result against
 // an independent Kruskal oracle on tie-heavy inputs.
+//
 //manet:noalloc
 func (m MST) SelectInto(v View, dst []int, s *Scratch) []int {
 	selfIdx := s.viewNodes(v)
@@ -245,6 +248,7 @@ func (s SPT) Select(v View) []int {
 // a kept in-range link is one whose path cost equals its direct cost; a
 // neighbor beyond Range has a direct cost but no usable edge.
 // TestSPTKernelMatchesDijkstra pins it against graph.Dijkstra.
+//
 //manet:noalloc
 func (sp SPT) SelectInto(v View, dst []int, s *Scratch) []int {
 	if sp.Alpha < 1 {
@@ -283,6 +287,7 @@ func (y Yao) Select(v View) []int {
 }
 
 // SelectInto implements ScratchSelector.
+//
 //manet:noalloc
 func (y Yao) SelectInto(v View, dst []int, s *Scratch) []int {
 	if y.K <= 0 {
@@ -329,6 +334,7 @@ func (n None) Select(v View) []int {
 }
 
 // SelectInto implements ScratchSelector.
+//
 //manet:noalloc
 func (None) SelectInto(v View, dst []int, _ *Scratch) []int {
 	for _, n := range v.Neighbors {

@@ -47,6 +47,7 @@ type WeakScratchSelector interface {
 // allocation-free kernel when it has one and through plain Select
 // otherwise. Results are identical either way; only allocation behavior
 // differs.
+//
 //manet:noalloc
 func SelectInto(p Protocol, v View, dst []int, s *Scratch) []int {
 	if ip, ok := p.(ScratchSelector); ok {
@@ -56,6 +57,7 @@ func SelectInto(p Protocol, v View, dst []int, s *Scratch) []int {
 }
 
 // SelectWeakInto is SelectInto for weak-consistency selectors.
+//
 //manet:noalloc
 func SelectWeakInto(p WeakProtocol, v MultiView, dst []int, s *Scratch) []int {
 	if ip, ok := p.(WeakScratchSelector); ok {

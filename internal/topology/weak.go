@@ -36,6 +36,7 @@ func (w WeakRNG) SelectWeak(v MultiView) []int {
 // once; for non-NaN costs
 // x > max(a, b) ⇔ x > a && x > b, so the witness's far cost cMax(w,v) is
 // computed only once cMax(u,w) is below cMin(u,v).
+//
 //manet:noalloc
 func (WeakRNG) SelectWeakInto(v MultiView, dst []int, s *Scratch) []int {
 	d := len(v.Neighbors)
@@ -81,6 +82,7 @@ func (m WeakMST) SelectWeak(v MultiView) []int {
 
 // SelectWeakInto implements WeakScratchSelector. Its link cost is the
 // squared length itself, which energy(d², 2) + 0 is bit for bit.
+//
 //manet:noalloc
 func (m WeakMST) SelectWeakInto(v MultiView, dst []int, s *Scratch) []int {
 	return s.weakSearch(v, dst, m.Range, 2, 0, true)
@@ -110,6 +112,7 @@ func (s WeakSPT) SelectWeak(v MultiView) []int {
 }
 
 // SelectWeakInto implements WeakScratchSelector.
+//
 //manet:noalloc
 func (sp WeakSPT) SelectWeakInto(v MultiView, dst []int, s *Scratch) []int {
 	if sp.Alpha < 1 {
