@@ -45,14 +45,20 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSelectKernels$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/topology
 	$(GO) test -run '^$$' -fuzz '^FuzzDegreesAt$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/radio
 	$(GO) test -run '^$$' -fuzz '^FuzzParallelMatchesSerial$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/manet
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sweep
 
 # Tiny deterministic fault-injection sweep: the loss/delay/churn and
 # buffer-zone experiments at smoke scale, run twice and compared — any
-# nondeterminism in the non-ideal channel path fails the diff. Set FAULTS
-# (like SMOKE, FLEET and TRAFFIC below) to give concurrent runs on one host
-# their own compare files.
-FAULTS := /tmp/mstc_faults_smoke
+# nondeterminism in the non-ideal channel path fails the diff.
+#
+# Each smoke target works in its own directory: FAULTS, SMOKE, PARALLEL,
+# FLEET and TRAFFIC. Set them in the environment or on the make command line
+# to give concurrent runs on one host their own files. Each target empties
+# its directory first, so it refuses to run when the variable is empty.
+FAULTS ?= /tmp/mstc_faults_smoke
+need-dir = @test -n "$($(1))" || { echo "$@: $(1) is empty" >&2; exit 1; }
 faults-smoke:
+	$(call need-dir,FAULTS)
 	rm -rf $(FAULTS) && mkdir -p $(FAULTS)
 	$(GO) run ./cmd/paperfig -exp faults -quick -reps 2 -duration 8 > $(FAULTS)/faults_a.txt
 	$(GO) run ./cmd/paperfig -exp faults -quick -reps 2 -duration 8 > $(FAULTS)/faults_b.txt
@@ -68,9 +74,10 @@ faults-smoke:
 # two disjoint shards and merged with sweepctl must render the identical
 # bytes, with every record checksum verifying. Binaries are built first:
 # `go run` collapses the child's exit code to 1, and the 130 is asserted.
-SMOKE := /tmp/mstc_resume_smoke
+SMOKE ?= /tmp/mstc_resume_smoke
 PFLAGS := -exp fig6 -quick -reps 2 -duration 8
 resume-smoke:
+	$(call need-dir,SMOKE)
 	rm -rf $(SMOKE) && mkdir -p $(SMOKE)
 	$(GO) build -o $(SMOKE)/paperfig ./cmd/paperfig
 	$(GO) build -o $(SMOKE)/sweepctl ./cmd/sweepctl
@@ -94,8 +101,9 @@ resume-smoke:
 # TestParallelMatchesSerialMatrix, run by `make test`/`race`) is the deep
 # check; this one proves the end-to-end CLI plumbing.
 FAULTFLAGS := -exp faults -quick -reps 2 -duration 8
-PARALLEL := /tmp/mstc_parallel_smoke
+PARALLEL ?= /tmp/mstc_parallel_smoke
 parallel-smoke:
+	$(call need-dir,PARALLEL)
 	rm -rf $(PARALLEL) && mkdir -p $(PARALLEL)
 	$(GO) run ./cmd/paperfig $(PFLAGS) > $(PARALLEL)/serial.txt
 	$(GO) run ./cmd/paperfig $(PFLAGS) -domains 2 -engine-workers 4 > $(PARALLEL)/domains.txt
@@ -113,8 +121,9 @@ parallel-smoke:
 # The finished fleet store must be sha256-identical, record for record, to
 # a single-process `paperfig -store` sweep — the lease/steal/duplicate
 # machinery may cost time but never bytes.
-FLEET := /tmp/mstc_fleet_smoke
+FLEET ?= /tmp/mstc_fleet_smoke
 fleet-smoke:
+	$(call need-dir,FLEET)
 	rm -rf $(FLEET) && mkdir -p $(FLEET)
 	$(GO) build -o $(FLEET)/sweepd ./cmd/sweepd
 	$(GO) build -o $(FLEET)/paperfig ./cmd/paperfig
@@ -152,9 +161,10 @@ fleet-smoke:
 # fails the diff. The second leg computes the same task set through a
 # sweepd coordinator and one `paperfig -worker`; the fleet store must be
 # sha256-identical, record for record, to a single-process sweep.
-TRAFFIC := /tmp/mstc_traffic_smoke
+TRAFFIC ?= /tmp/mstc_traffic_smoke
 TRAFFLAGS := -exp traffic -quick -reps 2 -duration 8
 traffic-smoke:
+	$(call need-dir,TRAFFIC)
 	rm -rf $(TRAFFIC) && mkdir -p $(TRAFFIC)
 	$(GO) build -o $(TRAFFIC)/sweepd ./cmd/sweepd
 	$(GO) build -o $(TRAFFIC)/paperfig ./cmd/paperfig

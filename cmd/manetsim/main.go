@@ -29,6 +29,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"os/signal"
 	"sync/atomic"
@@ -112,6 +113,9 @@ func main() {
 		memProf      = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
+	if !(*duration > 0) || math.IsInf(*duration, 0) {
+		log.Fatalf("-duration must be positive and finite, got %g", *duration)
+	}
 
 	// Profiles go to their own files; stdout stays byte-identical whether
 	// or not profiling is enabled.

@@ -67,13 +67,18 @@ func main() {
 	if *quick {
 		o = experiment.QuickOptions()
 	}
-	if *reps > 0 {
+	// 0 keeps the default; any other value, invalid ones included, is
+	// copied for Options.Validate to judge.
+	if *reps != 0 {
 		o.Reps = *reps
 	}
-	if *duration > 0 {
+	if *duration != 0 { //lint:ignore float-eq zero value is the unset sentinel, exact by construction
 		o.Duration = *duration
 	}
 	o.Seed = *seed
+	if err := o.Validate(); err != nil {
+		log.Fatal(err)
+	}
 
 	tasks, err := experiment.TaskSet(*exp, o)
 	if err != nil {

@@ -119,39 +119,6 @@ func TestDigestUnchangedByStalenessCache(t *testing.T) {
 	}
 }
 
-// TestDigestUnchangedBySelectionCache is the whole-experiment pin of the
-// version-keyed selection cache's transparency contract (the unit-level
-// proof is manet's TestSelectionCacheTransparent): sha256 over every
-// result field must be identical with the cache enabled and disabled,
-// across the consistency mechanisms that drive all three cache key modes.
-func TestDigestUnchangedBySelectionCache(t *testing.T) {
-	o := tinyOptions()
-	o.N = 40
-	o.Duration = 8
-	var tasks []Run
-	for _, speed := range []float64{1, 160} {
-		tasks = append(tasks, Run{Protocol: "MST", Speed: speed})
-		tasks = append(tasks, Run{Protocol: "RNG", Speed: speed, Mech: manet.Mechanisms{Buffer: 10, ViewSync: true}})
-		tasks = append(tasks, Run{Protocol: "MST", Speed: speed, Mech: manet.Mechanisms{Reactive: true}})
-		tasks = append(tasks, Run{Protocol: "MST", Speed: speed, Mech: manet.Mechanisms{Proactive: true}})
-		tasks = append(tasks, Run{Protocol: "MST", Speed: speed, Mech: manet.Mechanisms{WeakK: 3}})
-	}
-
-	digest := func(disable bool) string {
-		o := o
-		o.NoSelectionCache = disable
-		results, err := Execute(o, tasks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resultsDigest(results)
-	}
-
-	if got, want := digest(false), digest(true); got != want {
-		t.Errorf("cached digest = %s, want %s (cache disabled): the selection cache changed results", got, want)
-	}
-}
-
 // TestDigestUnchangedByEngineParallelism is the whole-experiment pin of
 // the region-parallel engine's transparency contract (the unit-level proof
 // is manet's TestParallelMatchesSerialMatrix): sha256 over every result

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -98,6 +99,10 @@ func TestValidate(t *testing.T) {
 		func(o *Options) { o.Speeds = nil },
 		func(o *Options) { o.Reps = 0 },
 		func(o *Options) { o.Duration = 0 },
+		func(o *Options) { o.Duration = -1 },
+		func(o *Options) { o.Duration = math.NaN() },
+		func(o *Options) { o.Duration = math.Inf(1) },
+		func(o *Options) { o.Duration = math.Inf(-1) },
 	}
 	for i, mutate := range bad {
 		o := DefaultOptions()

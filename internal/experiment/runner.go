@@ -65,9 +65,8 @@ type Options struct {
 	// SnapshotEvery, if positive, samples strict (snapshot) connectivity of
 	// the directed effective topology every that many seconds in every run.
 	SnapshotEvery float64
-	// NoSelectionCache disables the per-node selection cache in every run.
-	// Results are identical with or without it (the determinism tests pin
-	// that); the knob only trades CPU for a differential check.
+	// NoSelectionCache has no effect, and no run reads it. The field stays
+	// only until the bench module stops setting it.
 	NoSelectionCache bool
 	// Domains, when >= 1, runs every simulation on the region-parallel
 	// engine with a Domains×Domains spatial decomposition. Results are
@@ -145,8 +144,8 @@ func (o Options) Validate() error {
 		return fmt.Errorf("experiment: no speeds")
 	case o.Reps < 1:
 		return fmt.Errorf("experiment: Reps = %d < 1", o.Reps)
-	case o.Duration <= 0:
-		return fmt.Errorf("experiment: Duration = %g", o.Duration)
+	case !(o.Duration > 0) || math.IsInf(o.Duration, 0):
+		return fmt.Errorf("experiment: Duration = %g, want positive and finite", o.Duration)
 	}
 	if err := o.Shard.Validate(); err != nil {
 		return err
@@ -338,16 +337,15 @@ func executeOne(o Options, r Run) (manet.Result, error) {
 		ch = r.Channel
 	}
 	cfg := manet.Config{
-		NormalRange:      o.NormalRange,
-		Mech:             r.Mech,
-		FloodRate:        o.FloodRate,
-		Radio:            o.Radio,
-		Channel:          ch,
-		SnapshotEvery:    o.SnapshotEvery,
-		NoSelectionCache: o.NoSelectionCache,
-		Domains:          o.Domains,
-		ParallelWorkers:  o.EngineWorkers,
-		Seed:             xrand.New(o.Seed).Sub('n', r.key(), uint64(r.Rep)).Uint64(),
+		NormalRange:     o.NormalRange,
+		Mech:            r.Mech,
+		FloodRate:       o.FloodRate,
+		Radio:           o.Radio,
+		Channel:         ch,
+		SnapshotEvery:   o.SnapshotEvery,
+		Domains:         o.Domains,
+		ParallelWorkers: o.EngineWorkers,
+		Seed:            xrand.New(o.Seed).Sub('n', r.key(), uint64(r.Rep)).Uint64(),
 	}
 	// A task carries exactly one probe workload: traffic and unicast
 	// overrides replace the flood probes rather than stacking on them.

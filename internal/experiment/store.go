@@ -29,7 +29,6 @@ import (
 //     (determinism across worker counts is pinned by
 //     TestDeterminismRegression),
 //   - Radio.Slack (pinned by TestDigestUnchangedByStalenessCache),
-//   - NoSelectionCache (pinned by TestDigestUnchangedBySelectionCache),
 //   - Speeds, Buffers, and Reps, which shape the *task set* — per-run
 //     results depend only on the Run fields, so raising Reps or adding a
 //     speed reuses every already-stored run.
@@ -39,7 +38,7 @@ import (
 //manet:hash-exclude Speeds task-set shape; per-run results depend only on Run fields
 //manet:hash-exclude Buffers task-set shape; per-run results depend only on Run fields
 //manet:hash-exclude Reps task-set shape; per-run results depend only on Run fields
-//manet:hash-exclude NoSelectionCache result-identical by construction, pinned by TestDigestUnchangedBySelectionCache
+//manet:hash-exclude NoSelectionCache has no effect; stays only until the bench module stops setting it
 //manet:hash-exclude Domains region-parallel engine is bit-identical to serial, pinned by TestDigestUnchangedByEngineParallelism
 //manet:hash-exclude EngineWorkers worker count never changes results, pinned by TestDigestUnchangedByEngineParallelism
 //manet:hash-exclude Store storage backend choice cannot change what is computed

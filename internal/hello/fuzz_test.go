@@ -1,7 +1,6 @@
 package hello
 
 import (
-	"math"
 	"slices"
 	"testing"
 
@@ -89,7 +88,6 @@ func (r *refTable) Len() int {
 type view struct {
 	latest, versioned, asOf []Message
 	hist                    [][]Message
-	stable                  float64
 }
 
 // probeVersions are the versions Versioned and AsOf are asked about.
@@ -115,14 +113,10 @@ func (r *refTable) view(now float64) view {
 			}
 		}
 	}
-	v.stable = math.Inf(1)
 	for _, h := range r.dense {
 		var hv []Message
 		if r.live(h, now) {
 			hv = h
-			if d := h[0].SentAt + r.expiry; r.expiry > 0 && d < v.stable {
-				v.stable = d
-			}
 		}
 		v.hist = append(v.hist, slices.Clone(hv))
 	}
@@ -139,7 +133,6 @@ func tableView(t *Table, now float64, n int) view {
 	for id := 0; id < n; id++ {
 		v.hist = append(v.hist, t.HistoryInto(nil, id, now))
 	}
-	v.stable = t.StableUntil(now)
 	return v
 }
 
@@ -153,7 +146,7 @@ func sameView(a, b view) bool {
 			return false
 		}
 	}
-	return !(a.stable < b.stable || a.stable > b.stable)
+	return true
 }
 
 // Fuzz op codes: each op is four bytes, [code, a, b, c].
@@ -172,12 +165,10 @@ func expiry(b byte) float64 { return [...]float64{0, 1, 2.5}[b%3] }
 // FuzzTable drives Table and the dense reference model through the same
 // random op sequence — Observe with out-of-order and duplicate versions,
 // Forget, GC, Reset, and time advancing monotonically — and after every op
-// checks that every query (Latest, Versioned, AsOf, History, StableUntil)
-// answers identically, that Len and GC agree (exactly for k > 1; for k = 1
-// up to reclaimed expired histories), and that the selection-cache
-// contract holds: whenever Version is unchanged and the query instant lies
-// within a past StableUntil horizon, the answers are those of that past
-// instant. Sender versions are given send times that never run backwards
+// checks that every query (Latest, Versioned, AsOf, History) answers
+// identically, that Len and GC agree (exactly for k > 1; for k = 1 up to
+// reclaimed expired histories), and that Version bumps on every visible
+// change (exactly as the reference's does for k > 1). Sender versions are given send times that never run backwards
 // (a late, lower version carries its earlier send time), the simulator's
 // own precondition for reclaim.
 //
@@ -238,11 +229,6 @@ func FuzzTable(f *testing.F) {
 			}
 		}
 		now := 10.0
-		cache := struct {
-			ver      uint64
-			at, till float64
-			view     view
-		}{ver: tb.Version(), till: -1}
 
 		for len(ops) >= 4 {
 			code, a, b, c := ops[0]%numOps, ops[1], ops[2], ops[3]
@@ -307,14 +293,6 @@ func FuzzTable(f *testing.F) {
 			}
 			if k == 1 && (tb.Len() > ref.Len() || tb.Len() < len(want.latest)) {
 				t.Fatalf("k=1 Len = %d outside [live %d, reference %d]", tb.Len(), len(want.latest), ref.Len())
-			}
-			// Selection-cache contract.
-			if tb.Version() == cache.ver && now >= cache.at && now <= cache.till && !sameView(got, cache.view) {
-				t.Fatalf("k=%d: Version %d unchanged within StableUntil %v, but answers moved between %v and %v",
-					k, cache.ver, cache.till, cache.at, now)
-			}
-			if tb.Version() != cache.ver || now > cache.till {
-				cache.ver, cache.at, cache.till, cache.view = tb.Version(), now, got.stable, got
 			}
 		}
 	})

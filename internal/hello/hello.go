@@ -10,7 +10,6 @@ package hello
 
 import (
 	"fmt"
-	"math"
 
 	"mstc/internal/geom"
 )
@@ -131,39 +130,15 @@ func (t *Table) K() int { return t.k }
 
 // Version returns the table's monotone mutation counter: it increases on
 // every visible state change (message stored or replaced, neighbor
-// forgotten, expired entry collected, reset) and never otherwise. Together
-// with an expiry horizon (StableUntil) it is an O(1) fingerprint of the
-// table's visible contents — the cache key of package manet's selection
-// cache.
+// forgotten, expired entry collected, reset) and never otherwise. A caller
+// that remembers it can tell in O(1) whether the table moved since; OLSR's
+// link-state check uses it to skip recomputing unchanged routes.
 func (t *Table) Version() uint64 { return t.ver }
-
-// StableUntil returns the latest instant through which the table's visible
-// contents are guaranteed unchanged absent mutations: the earliest expiry
-// deadline over currently-live histories (+Inf when nothing can expire).
-// For any now' in [now, StableUntil(now)] with Version unchanged, every
-// query (Latest, Versioned, AsOf, History) returns the same messages at
-// now' as at now — entries live at now stay live through the horizon, and
-// entries already expired can only revive via a new message, which bumps
-// Version.
-func (t *Table) StableUntil(now float64) float64 {
-	horizon := math.Inf(1)
-	if t.expiry <= 0 {
-		return horizon
-	}
-	for i := range t.ents {
-		if t.live(i, now) {
-			if d := t.msgs[i*t.k].SentAt + t.expiry; d < horizon {
-				horizon = d
-			}
-		}
-	}
-	return horizon
-}
 
 // Reset drops all stored state in place and sets a (possibly new) expiry,
 // reusing the table's backing storage. Unlike constructing a fresh table,
-// Reset keeps the mutation counter monotone, so stale cache entries keyed
-// by Version can never alias the post-reset state.
+// Reset keeps the mutation counter monotone, so a Version remembered from
+// before the reset can never match the post-reset state.
 func (t *Table) Reset(expiry float64) {
 	t.expiry = expiry
 	t.ver++

@@ -14,6 +14,7 @@ package manet
 
 import (
 	"fmt"
+	"math"
 
 	"mstc/internal/channel"
 	"mstc/internal/radio"
@@ -142,10 +143,9 @@ type Config struct {
 	// (clamped to [1, Domains²]; default 1, which runs the barriers inline
 	// on the caller's goroutine). Requires Domains >= 1.
 	ParallelWorkers int
-	// NoSelectionCache disables the version-keyed selection cache, forcing
-	// every selection to rebuild its view and rerun the protocol. Results
-	// are identical either way — the knob exists so differential tests can
-	// prove it.
+	// NoSelectionCache has no effect: every selection rebuilds its view and
+	// runs the protocol. The field stays only until the bench module stops
+	// setting it.
 	NoSelectionCache bool
 	// Seed drives every stochastic choice of the run.
 	Seed uint64
@@ -176,6 +176,9 @@ func (c Config) withDefaults() Config {
 
 // validate reports configuration errors.
 func (c Config) validate() error {
+	if err := c.checkFinite(); err != nil {
+		return err
+	}
 	switch {
 	case c.NormalRange <= 0:
 		return fmt.Errorf("manet: NormalRange must be positive, got %g", c.NormalRange)
@@ -228,6 +231,52 @@ func (c Config) validate() error {
 		return err
 	}
 	return c.Channel.Validate()
+}
+
+// checkFinite rejects a NaN or ±Inf in any float field a run reads,
+// nested configurations included. validate's range checks compare with <
+// and <=, which NaN passes, so a NaN would otherwise run silently.
+func (c Config) checkFinite() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"NormalRange", c.NormalRange},
+		{"HelloMin", c.HelloMin},
+		{"HelloMax", c.HelloMax},
+		{"HelloExpiry", c.HelloExpiry},
+		{"Mech.Buffer", c.Mech.Buffer},
+		{"Radio.Cell", c.Radio.Cell},
+		{"Radio.Delay", c.Radio.Delay},
+		{"Radio.LossRate", c.Radio.LossRate},
+		{"Radio.TxDuration", c.Radio.TxDuration},
+		{"Radio.Slack", c.Radio.Slack},
+		{"Channel.Loss.Rate", c.Channel.Loss.Rate},
+		{"Channel.Loss.MeanBurst", c.Channel.Loss.MeanBurst},
+		{"Channel.Loss.GoodLoss", c.Channel.Loss.GoodLoss},
+		{"Channel.Loss.BadLoss", c.Channel.Loss.BadLoss},
+		{"Channel.Delay.Min", c.Channel.Delay.Min},
+		{"Channel.Delay.Max", c.Channel.Delay.Max},
+		{"Channel.Churn.MeanUp", c.Channel.Churn.MeanUp},
+		{"Channel.Churn.MeanDown", c.Channel.Churn.MeanDown},
+		{"FloodRate", c.FloodRate},
+		{"Traffic.Rate", c.Traffic.Rate},
+		{"Traffic.RingTimeout", c.Traffic.RingTimeout},
+		{"Traffic.RouteLifetime", c.Traffic.RouteLifetime},
+		{"Traffic.TCInterval", c.Traffic.TCInterval},
+		{"Unicast.Rate", c.Unicast.Rate},
+		{"FloodSettle", c.FloodSettle},
+		{"ForwardJitterMax", c.ForwardJitterMax},
+		{"SampleRate", c.SampleRate},
+		{"SnapshotEvery", c.SnapshotEvery},
+		{"PosNoise", c.PosNoise},
+		{"EnergyAlpha", c.EnergyAlpha},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("manet: %s must be finite, got %g", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // ProtocolName returns the configured protocol's display name.

@@ -31,7 +31,6 @@ type node struct {
 	txRange       float64 // actual + buffer, clamped
 	cdsMarked     bool    // own Wu-Li marked status (CDSForward mechanism)
 	downUntil     float64 // churn: node is failed until this instant
-	cache         selCache
 }
 
 // isDown reports whether the node is failed at time t.
@@ -72,35 +71,12 @@ func (nd *node) ownAsOf(v uint64) hello.Message {
 }
 
 // View queries: the hello-table query a selection reads its view from, one
-// per distinct view-construction path. They double as the selection cache's
-// modes, which never share entries — a node's cache holds the result of
-// whichever query ran last.
+// per distinct view-construction path.
 const (
 	selModeLatest    = uint8(iota + 1) // latest messages (Table.LatestInto)
 	selModeVersioned                   // one exact version (Table.VersionedInto, reactive settle)
 	selModeAsOf                        // newest version <= pin (Table.AsOfInto, proactive forward)
 )
-
-// selCache memoizes one node's last selection, keyed by an O(1) fingerprint
-// of the view it was computed from: the hello table's mutation counter plus
-// an expiry horizon (the table's visible contents are provably unchanged
-// while the counter holds and now stays within [filledAt, stableUntil] —
-// expired entries can only revive through Observe, which bumps the counter,
-// and simulation time is monotone), the node's own view position, and the
-// mode discriminant with its pinned version. On a hit the selected set is
-// replayed verbatim; only the transmission range is recomputed, from the
-// node's current physical position against the cached neighbor positions —
-// exactly what ActualRange computes on the miss path.
-type selCache struct {
-	mode        uint8
-	tableVer    uint64
-	pin         uint64 // version (reactive) / pin (proactive); 0 for latest
-	selfPos     geom.Point
-	filledAt    float64
-	stableUntil float64
-	sel         []int
-	selPos      []geom.Point // cached positions of the selected neighbors
-}
 
 // positionSource resolves a node's exact position at a simulated instant.
 // The serial engine's selection context reads positions through the radio
@@ -119,7 +95,7 @@ type positionSource interface {
 // every domain its own, so concurrent domain workers never share scratch.
 // Nothing built from these buffers outlives the call that filled it
 // (selectors do not retain view slices, and anything stored — logical
-// sets, caches — is copied out into node-owned storage).
+// sets — is copied out into node-owned storage).
 type selCtx struct {
 	cfg *Config
 	pos positionSource
@@ -250,15 +226,12 @@ func NewNetwork(model mobility.Model, cfg Config) (*Network, error) {
 	backing := make([]node, n)
 	tables := hello.NewTablesN(k, expiry, n, n)
 	// Logical neighbor sets are small (2-8 for every protocol in the
-	// registry), so per-node selection storage — the live set plus the
-	// cache's replay copy — comes from three shared backing arrays, each
-	// handing every node a fixed-capacity window. A node outgrowing its
-	// window falls back to a plain append reallocation, so the capacity is
-	// a fast path, not a limit.
+	// registry), so every node's live set comes from one shared backing
+	// array, each node holding a fixed-capacity window. A node outgrowing
+	// its window falls back to a plain append reallocation, so the
+	// capacity is a fast path, not a limit.
 	const selCap = 8
 	logBack := make([]int, n*selCap)
-	selBack := make([]int, n*selCap)
-	posBack := make([]geom.Point, n*selCap)
 	for i := 0; i < n; i++ {
 		sub := root.Sub('h', uint64(i))
 		nd := &backing[i]
@@ -266,8 +239,6 @@ func NewNetwork(model mobility.Model, cfg Config) (*Network, error) {
 		nd.interval = sub.Uniform(cfg.HelloMin, cfg.HelloMax)
 		nd.table = tables[i]
 		nd.logical = logBack[i*selCap : i*selCap : (i+1)*selCap]
-		nd.cache.sel = selBack[i*selCap : i*selCap : (i+1)*selCap]
-		nd.cache.selPos = posBack[i*selCap : i*selCap : (i+1)*selCap]
 		nw.nodes[i] = nd
 	}
 	return nw, nil
@@ -304,9 +275,7 @@ func (nw *Network) Run(duration float64) Result {
 				down := rng.ExpFloat64() * meanDown
 				nd.downUntil = now + down
 				// Losing state on failure: the node reboots with an
-				// empty neighbor table and no selection. Reset keeps the
-				// table's mutation counter monotone, so selection-cache
-				// entries from before the failure can never be replayed.
+				// empty neighbor table and no selection.
 				nd.table.Reset(nw.cfg.HelloExpiry)
 				nw.setSelection(nd, nil, 0)
 				nw.eng.Schedule(now+down+rng.ExpFloat64()*meanUp, fail)
@@ -570,9 +539,6 @@ func (sc *selCtx) selectView(nd *node, now sim.Time, query uint8, pin uint64, se
 		sc.selectWeak(nd, now, selfPos)
 		return
 	}
-	if sc.replayCached(nd, now, query, pin, selfPos) {
-		return
-	}
 	switch query {
 	case selModeVersioned:
 		sc.msgBuf = nd.table.VersionedInto(sc.msgBuf[:0], pin, now)
@@ -588,63 +554,8 @@ func (sc *selCtx) selectView(nd *node, now sim.Time, query uint8, pin uint64, se
 	v := topology.View{Self: topology.NodeInfo{ID: nd.id, Pos: selfPos}, Neighbors: sc.nbrBuf}
 	v = v.EnsureCanon()
 	sc.selBuf = topology.SelectInto(sc.cfg.Protocol, v, sc.selBuf[:0], &sc.scratch)
-	sel := sc.selBuf
-	sc.fillCache(nd, now, query, pin, selfPos, v, sel)
 	v.Self.Pos = sc.pos.PositionAt(nd.id, now)
-	sc.applySelection(nd, v, sel)
-}
-
-// replayCached replays nd's memoized selection when the cached fingerprint
-// still describes the view the caller would build: same construction mode
-// and pinned version, same own position, an unchanged table mutation
-// counter, and a query time inside the cached validity window (at or after
-// the fill, at or before the expiry horizon — Table.StableUntil guarantees
-// every table query answers identically across that window). The selected
-// set is replayed as-is; the transmission range is recomputed from the
-// node's current physical position over the cached neighbor positions,
-// which is precisely ActualRange of the miss path's final view.
-func (sc *selCtx) replayCached(nd *node, now sim.Time, mode uint8, pin uint64, selfPos geom.Point) bool {
-	c := &nd.cache
-	if sc.cfg.NoSelectionCache || c.mode != mode || c.pin != pin ||
-		c.tableVer != nd.table.Version() || c.selfPos != selfPos ||
-		now < c.filledAt || now > c.stableUntil {
-		return false
-	}
-	cur := sc.pos.PositionAt(nd.id, now)
-	r := 0.0
-	for _, p := range c.selPos {
-		if d := cur.Dist(p); d > r {
-			r = d
-		}
-	}
-	sc.setSelection(nd, c.sel, r)
-	return true
-}
-
-// fillCache records the just-computed selection with its view fingerprint.
-// Neighbor positions are copied out of the (scratch-backed) view for the
-// hit path's range recomputation; sel and v.Neighbors both ascend by id, so
-// a merge scan pairs them in one pass.
-func (sc *selCtx) fillCache(nd *node, now sim.Time, mode uint8, pin uint64, selfPos geom.Point, v topology.View, sel []int) {
-	if sc.cfg.NoSelectionCache {
-		return
-	}
-	c := &nd.cache
-	c.mode, c.pin, c.selfPos = mode, pin, selfPos
-	c.tableVer = nd.table.Version()
-	c.filledAt = now
-	c.stableUntil = nd.table.StableUntil(now)
-	c.sel = append(c.sel[:0], sel...)
-	c.selPos = c.selPos[:0]
-	j := 0
-	for _, id := range sel {
-		for j < len(v.Neighbors) && v.Neighbors[j].ID < id {
-			j++
-		}
-		if j < len(v.Neighbors) && v.Neighbors[j].ID == id {
-			c.selPos = append(c.selPos, v.Neighbors[j].Pos)
-		}
-	}
+	sc.setSelection(nd, sc.selBuf, topology.ActualRange(v, sc.selBuf))
 }
 
 // selectWeak recomputes nd's selection under weak consistency: the view
@@ -696,10 +607,6 @@ func (sc *selCtx) selectWeak(nd *node, now sim.Time, selfPos geom.Point) {
 		}
 	}
 	sc.setSelection(nd, sel, r)
-}
-
-func (sc *selCtx) applySelection(nd *node, v topology.View, sel []int) {
-	sc.setSelection(nd, sel, topology.ActualRange(v, sel))
 }
 
 func (sc *selCtx) setSelection(nd *node, sel []int, actual float64) {

@@ -1,6 +1,8 @@
 package manet
 
 import (
+	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -104,6 +106,45 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := NewNetwork(model, Config{Protocol: topology.RNG{}, Radio: radio.Config{Delay: -1}}); err == nil {
 		t.Error("bad radio config accepted")
+	}
+}
+
+// floatFieldPaths returns the index path and dotted name of every float64
+// field of struct type typ, nested structs included.
+func floatFieldPaths(typ reflect.Type, prefix []int, name string) (paths [][]int, names []string) {
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		idx := append(append([]int(nil), prefix...), i)
+		switch {
+		case !f.IsExported():
+		case f.Type.Kind() == reflect.Float64:
+			paths, names = append(paths, idx), append(names, name+f.Name)
+		case f.Type.Kind() == reflect.Struct:
+			p, n := floatFieldPaths(f.Type, idx, name+f.Name+".")
+			paths, names = append(paths, p...), append(names, n...)
+		}
+	}
+	return paths, names
+}
+
+// TestConfigRejectsNonFinite sets every float field of Config, nested
+// configurations included, to NaN, +Inf and -Inf in turn: NewNetwork must
+// refuse each one rather than run on it.
+func TestConfigRejectsNonFinite(t *testing.T) {
+	model := connectedStatic(t, 1, 10, 5)
+	base := Config{Protocol: topology.RNG{}}
+	if _, err := NewNetwork(model, base); err != nil {
+		t.Fatalf("base config rejected: %v", err)
+	}
+	paths, names := floatFieldPaths(reflect.TypeOf(base), nil, "")
+	for i, path := range paths {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := base
+			reflect.ValueOf(&cfg).Elem().FieldByIndex(path).SetFloat(bad)
+			if _, err := NewNetwork(model, cfg); err == nil {
+				t.Errorf("%s = %v accepted", names[i], bad)
+			}
+		}
 	}
 }
 

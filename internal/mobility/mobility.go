@@ -12,6 +12,7 @@ package mobility
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"mstc/internal/geom"
@@ -137,6 +138,24 @@ func NewStaticUniform(arena geom.Rect, n int, horizon float64, rng *xrand.Source
 	return NewStatic(arena, UniformPoints(arena, n, rng.Sub('s')), horizon)
 }
 
+// field is one named float parameter of a model configuration.
+type field struct {
+	name string
+	v    float64
+}
+
+// checkFinite rejects a NaN or ±Inf among a configuration's float fields.
+// Each Validate runs it first: their range checks compare with < and <=,
+// which NaN passes, and an infinite horizon never finishes generating.
+func checkFinite(fs ...field) error {
+	for _, f := range fs {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("mobility: %s must be finite, got %g", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // WaypointConfig parameterizes the random waypoint model.
 type WaypointConfig struct {
 	N        int     // number of nodes
@@ -148,6 +167,10 @@ type WaypointConfig struct {
 
 // Validate reports whether the configuration is usable.
 func (c WaypointConfig) Validate() error {
+	if err := checkFinite(field{"SpeedMin", c.SpeedMin}, field{"SpeedMax", c.SpeedMax},
+		field{"Pause", c.Pause}, field{"Horizon", c.Horizon}); err != nil {
+		return err
+	}
 	switch {
 	case c.N <= 0:
 		return fmt.Errorf("mobility: N must be positive, got %d", c.N)
@@ -254,6 +277,10 @@ type WalkConfig struct {
 
 // Validate reports whether the configuration is usable.
 func (c WalkConfig) Validate() error {
+	if err := checkFinite(field{"SpeedMin", c.SpeedMin}, field{"SpeedMax", c.SpeedMax},
+		field{"Epoch", c.Epoch}, field{"Horizon", c.Horizon}); err != nil {
+		return err
+	}
 	switch {
 	case c.N <= 0:
 		return fmt.Errorf("mobility: N must be positive, got %d", c.N)

@@ -26,6 +26,10 @@ type DirectionConfig struct {
 
 // Validate reports whether the configuration is usable.
 func (c DirectionConfig) Validate() error {
+	if err := checkFinite(field{"SpeedMin", c.SpeedMin}, field{"SpeedMax", c.SpeedMax},
+		field{"Pause", c.Pause}, field{"Horizon", c.Horizon}); err != nil {
+		return err
+	}
 	switch {
 	case c.N <= 0:
 		return fmt.Errorf("mobility: N must be positive, got %d", c.N)
@@ -128,6 +132,11 @@ type GaussMarkovConfig struct {
 
 // Validate reports whether the configuration is usable.
 func (c GaussMarkovConfig) Validate() error {
+	if err := checkFinite(field{"MeanSpeed", c.MeanSpeed}, field{"SpeedSigma", c.SpeedSigma},
+		field{"DirSigma", c.DirSigma}, field{"Alpha", c.Alpha}, field{"Step", c.Step},
+		field{"Horizon", c.Horizon}); err != nil {
+		return err
+	}
 	switch {
 	case c.N <= 0:
 		return fmt.Errorf("mobility: N must be positive, got %d", c.N)

@@ -2,6 +2,7 @@ package mobility
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"mstc/internal/geom"
@@ -183,5 +184,36 @@ func TestModelsDeterministic(t *testing.T) {
 	d3, g3 := mk(10)
 	if d1 == d3 && g1 == g3 {
 		t.Error("different seeds gave identical positions")
+	}
+}
+
+// TestValidateRejectsNonFinite sets every float field of each model
+// configuration to NaN, +Inf and -Inf in turn: Validate must refuse each
+// one.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	valid := []interface{ Validate() error }{
+		WaypointConfig{N: 1, SpeedMin: 1, SpeedMax: 2, Horizon: 1},
+		WalkConfig{N: 1, SpeedMin: 1, SpeedMax: 2, Epoch: 1, Horizon: 1},
+		DirectionConfig{N: 1, SpeedMin: 1, SpeedMax: 2, Horizon: 1},
+		GaussMarkovConfig{N: 1, MeanSpeed: 1, Alpha: 0.5, Step: 1, Horizon: 1},
+	}
+	for _, c := range valid {
+		if err := c.Validate(); err != nil {
+			t.Fatalf("%T: valid config rejected: %v", c, err)
+		}
+		typ := reflect.TypeOf(c)
+		for i := 0; i < typ.NumField(); i++ {
+			if typ.Field(i).Type.Kind() != reflect.Float64 {
+				continue
+			}
+			for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				v := reflect.New(typ).Elem()
+				v.Set(reflect.ValueOf(c))
+				v.Field(i).SetFloat(bad)
+				if err := v.Interface().(interface{ Validate() error }).Validate(); err == nil {
+					t.Errorf("%T.%s = %v accepted", c, typ.Field(i).Name, bad)
+				}
+			}
+		}
 	}
 }
