@@ -45,6 +45,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSelectKernels$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/topology
 	$(GO) test -run '^$$' -fuzz '^FuzzDegreesAt$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/radio
 	$(GO) test -run '^$$' -fuzz '^FuzzParallelMatchesSerial$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/manet
+	$(GO) test -run '^$$' -fuzz '^FuzzConfigValidate$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/manet
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sweep
 
 # Tiny deterministic fault-injection sweep: the loss/delay/churn and

@@ -2,9 +2,25 @@ package main
 
 import (
 	"fmt"
+	"math"
 
 	"mstc/internal/channel"
 )
+
+// checkGeometry rejects an -arena side or a -range that is not a positive,
+// finite length in meters. Left through, a NaN or infinite arena builds a
+// degenerate scene that runs and reports zeros instead of failing.
+func checkGeometry(side, normalRange float64) error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"-arena", side}, {"-range", normalRange}} {
+		if !(f.v > 0) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("%s must be positive and finite, got %g", f.name, f.v)
+		}
+	}
+	return nil
+}
 
 // channelFlags are the raw non-ideal-channel flag values. They map onto
 // channel.Config in buildChannel, which also validates the combinations a

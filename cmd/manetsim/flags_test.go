@@ -1,6 +1,10 @@
 package main
 
 import (
+	"errors"
+	"flag"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -70,6 +74,36 @@ func TestBuildChannelConflicts(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
+// TestBadGeometryExitsTwo runs the command itself on a non-finite or
+// non-positive -arena or -range and expects the usage-error exit status 2,
+// with a message naming the flag, before any scene is built. The test
+// binary re-executes itself with the command's flags after "--"; in that
+// child, TestBadGeometryExitsTwo finds them in flag.Args() and runs main
+// with them.
+func TestBadGeometryExitsTwo(t *testing.T) {
+	if args := flag.Args(); len(args) > 0 {
+		os.Args = append([]string{"manetsim"}, args...)
+		flag.CommandLine = flag.NewFlagSet("manetsim", flag.ExitOnError)
+		main()
+		os.Exit(0)
+	}
+	if testing.Short() {
+		t.Skip("runs the command in a child process")
+	}
+	for _, args := range [][]string{
+		{"-arena", "NaN"}, {"-arena", "Inf"}, {"-arena", "0"},
+		{"-range", "NaN"}, {"-range", "-Inf"}, {"-range", "-5"},
+	} {
+		cmd := exec.Command(os.Args[0], append([]string{"-test.run=^TestBadGeometryExitsTwo$", "--"}, args...)...)
+		cmd.Dir = t.TempDir()
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), args[0]) {
+			t.Errorf("manetsim %s: %v, want exit status 2 and a message naming %s\n%s", strings.Join(args, " "), err, args[0], out)
 		}
 	}
 }

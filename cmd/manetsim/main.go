@@ -113,6 +113,10 @@ func main() {
 		memProf      = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
+	if err := checkGeometry(*side, *normalRange); err != nil {
+		log.Print(err)
+		os.Exit(2) // a usage error, like a flag that does not parse
+	}
 	if !(*duration > 0) || math.IsInf(*duration, 0) {
 		log.Fatalf("-duration must be positive and finite, got %g", *duration)
 	}

@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 
 	"mstc/internal/geom"
@@ -41,6 +42,10 @@ func main() {
 		out          = flag.String("o", "topology.svg", "output SVG path")
 	)
 	flag.Parse()
+	if err := checkGeometry(*side, *normalRange); err != nil {
+		log.Print(err)
+		os.Exit(2) // a usage error, like a flag that does not parse
+	}
 
 	p, err := topology.ByName(*protocolName, *normalRange)
 	if err != nil {
@@ -101,4 +106,19 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote %s (%d nodes, %d logical links)\n", *out, len(pts), logical.M())
+}
+
+// checkGeometry rejects an -arena side or a -range that is not a positive,
+// finite length in meters. Left through, a NaN arena or range renders a
+// degenerate scene with no links instead of failing.
+func checkGeometry(side, normalRange float64) error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"-arena", side}, {"-range", normalRange}} {
+		if !(f.v > 0) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("%s must be positive and finite, got %g", f.name, f.v)
+		}
+	}
+	return nil
 }

@@ -163,8 +163,10 @@ func (r Rect) Area() float64 {
 	return r.Width() * r.Height()
 }
 
-// Empty reports whether r contains no points.
-func (r Rect) Empty() bool { return r.Max.X < r.Min.X || r.Max.Y < r.Min.Y }
+// Empty reports whether r contains no points. A NaN bound contains none:
+// the test is written so that every comparison with NaN, which is false,
+// makes the rectangle empty.
+func (r Rect) Empty() bool { return !(r.Min.X <= r.Max.X && r.Min.Y <= r.Max.Y) }
 
 // Extend returns the smallest rectangle containing both r and p. Extending
 // a rectangle with Min at +Inf and Max at -Inf yields the point itself,

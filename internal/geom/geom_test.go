@@ -156,6 +156,41 @@ func TestRectEmptyAndClamp(t *testing.T) {
 	}
 }
 
+// TestRectEmptyNaN: a rectangle with a NaN bound contains no point, so it
+// is Empty, with an Area of 0; finite, infinite and degenerate bounds keep
+// the answer of the ordered comparison.
+func TestRectEmptyNaN(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, r := range []Rect{
+		Square(nan),
+		{Min: Pt(nan, 0), Max: Pt(10, 10)},
+		{Min: Pt(0, 0), Max: Pt(10, nan)},
+		{Min: Pt(0, nan), Max: Pt(nan, 10)},
+	} {
+		if !r.Empty() {
+			t.Errorf("%+v is not Empty", r)
+		}
+		if a := r.Area(); a != 0 {
+			t.Errorf("%+v: Area %v, want 0", r, a)
+		}
+	}
+	for _, c := range []struct {
+		r     Rect
+		empty bool
+	}{
+		{Square(0), false}, // a single point
+		{Square(900), false},
+		{Square(inf), false},
+		{Square(-1), true},
+		{Rect{Min: Pt(0, 5), Max: Pt(10, 4)}, true},
+		{Rect{Min: Pt(-inf, -inf), Max: Pt(inf, inf)}, false},
+	} {
+		if got := c.r.Empty(); got != c.empty {
+			t.Errorf("%+v: Empty %v, want %v", c.r, got, c.empty)
+		}
+	}
+}
+
 func TestRectExtend(t *testing.T) {
 	empty := Rect{Min: Pt(math.Inf(1), math.Inf(1)), Max: Pt(math.Inf(-1), math.Inf(-1))}
 	if !empty.Empty() {

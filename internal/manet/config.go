@@ -174,6 +174,18 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Bounds that keep every accepted configuration runnable. A periodic
+// process — beacons, metric samples, floods, unicast probes, traffic,
+// snapshots — fires at most once per minPeriod of simulated time: a period
+// far below it stops advancing the clock once it underflows against the
+// current instant (1e-300 s after 2.5 s is 2.5 s), and the run spins
+// forever. maxDomains caps the domain grid at 64 × 64, so a stray Domains
+// cannot allocate per-domain state by the billion.
+const (
+	minPeriod  = 1e-3
+	maxDomains = 64
+)
+
 // validate reports configuration errors.
 func (c Config) validate() error {
 	if err := c.checkFinite(); err != nil {
@@ -182,8 +194,10 @@ func (c Config) validate() error {
 	switch {
 	case c.NormalRange <= 0:
 		return fmt.Errorf("manet: NormalRange must be positive, got %g", c.NormalRange)
-	case c.HelloMin <= 0 || c.HelloMax < c.HelloMin:
-		return fmt.Errorf("manet: need 0 < HelloMin <= HelloMax, got [%g, %g]", c.HelloMin, c.HelloMax)
+	case c.HelloMin < minPeriod || c.HelloMax < c.HelloMin:
+		return fmt.Errorf("manet: need %g s <= HelloMin <= HelloMax, got [%g, %g]", minPeriod, c.HelloMin, c.HelloMax)
+	case c.HelloExpiry <= 0:
+		return fmt.Errorf("manet: HelloExpiry must be positive, got %g", c.HelloExpiry)
 	case c.Mech.Buffer < 0:
 		return fmt.Errorf("manet: negative buffer width %g", c.Mech.Buffer)
 	case c.Mech.WeakK < 0:
@@ -194,6 +208,16 @@ func (c Config) validate() error {
 		return fmt.Errorf("manet: no protocol configured")
 	case c.FloodRate < 0 || c.SampleRate <= 0:
 		return fmt.Errorf("manet: bad rates flood=%g sample=%g", c.FloodRate, c.SampleRate)
+	case c.FloodRate*minPeriod > 1 || c.SampleRate*minPeriod > 1 || c.Unicast.Rate*minPeriod > 1 ||
+		(c.Traffic.Enabled() && c.Traffic.Rate*minPeriod > 1):
+		return fmt.Errorf("manet: rates above %g/s (flood=%g sample=%g unicast=%g traffic=%g)",
+			1/minPeriod, c.FloodRate, c.SampleRate, c.Unicast.Rate, c.Traffic.Rate)
+	case c.SnapshotEvery < 0 || (c.SnapshotEvery > 0 && c.SnapshotEvery < minPeriod):
+		return fmt.Errorf("manet: SnapshotEvery must be 0 or at least %g s, got %g", minPeriod, c.SnapshotEvery)
+	case c.Traffic.Enabled() && c.Traffic.Mode == traffic.OLSR && c.Traffic.TCInterval < minPeriod:
+		return fmt.Errorf("manet: traffic TCInterval must be at least %g s, got %g", minPeriod, c.Traffic.TCInterval)
+	case c.FloodSettle < 0 || c.ForwardJitterMax < 0:
+		return fmt.Errorf("manet: negative FloodSettle %g or ForwardJitterMax %g", c.FloodSettle, c.ForwardJitterMax)
 	case c.Mech.Reactive && c.Mech.WeakK > 0:
 		return fmt.Errorf("manet: Reactive and WeakK are mutually exclusive")
 	case c.Mech.Proactive && (c.Mech.Reactive || c.Mech.WeakK > 0):
@@ -204,8 +228,8 @@ func (c Config) validate() error {
 		return fmt.Errorf("manet: CDSForward and SelfPruning are mutually exclusive")
 	case c.PosNoise < 0:
 		return fmt.Errorf("manet: negative PosNoise %g", c.PosNoise)
-	case c.Domains < 0:
-		return fmt.Errorf("manet: negative Domains %d", c.Domains)
+	case c.Domains < 0 || c.Domains > maxDomains:
+		return fmt.Errorf("manet: Domains %d outside [0, %d]", c.Domains, maxDomains)
 	case c.ParallelWorkers < 0:
 		return fmt.Errorf("manet: negative ParallelWorkers %d", c.ParallelWorkers)
 	case c.ParallelWorkers > 0 && c.Domains == 0:
@@ -223,6 +247,9 @@ func (c Config) validate() error {
 		return fmt.Errorf("manet: traffic and CDSForward are mutually exclusive (CDS restricts floods, which traffic replaces)")
 	case c.Unicast.Enabled() && (c.FloodRate > 0 || c.Traffic.Enabled()):
 		return fmt.Errorf("manet: unicast probes are mutually exclusive with flooding and traffic (one probe workload per run)")
+	}
+	if err := c.Radio.Validate(); err != nil {
+		return err
 	}
 	if err := c.Unicast.validate(); err != nil {
 		return err

@@ -1,10 +1,12 @@
 package manet
 
 import (
+	"math"
 	"testing"
 
 	"mstc/internal/channel"
 	"mstc/internal/topology"
+	"mstc/internal/traffic"
 )
 
 // FuzzParallelMatchesSerial is the fuzzed form of
@@ -82,5 +84,102 @@ func FuzzParallelMatchesSerial(f *testing.F) {
 			t.Errorf("%dx%d domains, %d workers: digest %s != serial %s (config %+v)",
 				par.Domains, par.Domains, par.ParallelWorkers, got[:16], want[:16], cfg)
 		}
+	})
+}
+
+// FuzzConfigValidate fuzzes Config.validate against what a run does with
+// the configuration: every scalar a run reads takes a fuzzer-drawn float64,
+// NaN, ±Inf, huge, tiny, zero and negative values included, with the
+// mechanisms, the traffic and unicast workloads, the channel and the domain
+// grid switched by fuzzer bits. NewNetwork must fail exactly when validate
+// (after defaults) rejects the configuration, and an accepted one must run
+// a 3 s horizon on a small random-waypoint scene without panicking. The
+// radio grid's Cell and Slack are not fuzzed: the cell count they imply
+// depends on the arena, which NewMedium checks and validate cannot see.
+func FuzzConfigValidate(f *testing.F) {
+	// bits: 0-5 mechanisms, 6-7 protocol, 8 WeakK on, 9-11 radio or
+	// channel impairment, 12-13 weak selector, 14-15 WeakK, 16-17 probe
+	// workload, 18-19 unicast hops or OLSR, 20-21 workers, 24-31 domains.
+	f.Add(uint64(1), uint32(0x0000_0040), 0.0, 0.0, 0.0, 0.0, 5.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+	f.Add(uint64(2), uint32(0x0221_0240), 0.0, 0.0, 0.0, 10.0, 5.0, 0.0, 0.15, 0.0, 0.0, 0.5)
+	f.Add(uint64(3), uint32(0x0310_d900), 0.0, 0.0, 0.0, 0.0, 5.0, 0.0, 0.0, 0.002, 4.0, 0.05)
+	f.Add(uint64(4), uint32(0x0003_0080), 200.0, 0.5, 1.0, 0.0, 0.0, 4.0, 0.0, 0.0, 0.0, 0.0)
+	f.Add(uint64(5), uint32(0x0006_0040), 0.0, 0.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0)
+	f.Add(uint64(6), uint32(0x0220_0048), 0.0, 0.0, 0.0, 20.0, 5.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+	f.Add(uint64(7), uint32(0x0000_0a92), 0.0, 0.0, 0.0, 30.0, 5.0, 0.0, 0.5, 0.0, 0.0, 3.0)
+	f.Add(uint64(8), uint32(0x0000_0040), math.NaN(), 1e-300, 1e300, math.Inf(-1), 1e300, 1e300, -1.0, 5e-324, 1e300, -0.0)
+	f.Add(uint64(9), uint32(0x4600_0040), 1e300, 0.0, 0.0, 0.0, 0.0, 1e300, 0.0, 0.0, 0.0, 1e-9)
+	f.Fuzz(func(t *testing.T, seed uint64, bits uint32, normal, helloMin, helloMax, buffer, floodRate, sampleRate, loss, jitter, alpha, period float64) {
+		const dur = 3.0
+		cfg := Config{
+			NormalRange:      normal,
+			HelloMin:         helloMin,
+			HelloMax:         helloMax,
+			FloodRate:        floodRate,
+			SampleRate:       sampleRate,
+			ForwardJitterMax: jitter,
+			EnergyAlpha:      alpha,
+			Seed:             seed,
+			Mech: Mechanisms{
+				Buffer:            buffer,
+				ViewSync:          bits&0x1 != 0,
+				PhysicalNeighbors: bits&0x2 != 0,
+				SelfPruning:       bits&0x4 != 0,
+				Reactive:          bits&0x8 != 0,
+				Proactive:         bits&0x10 != 0,
+				CDSForward:        bits&0x20 != 0,
+			},
+			Domains:         int(bits>>24) % 72, // past the 64 × 64 bound
+			ParallelWorkers: int(bits >> 20 & 3),
+		}
+		protocols := []topology.Protocol{nil, topology.RNG{}, topology.MST{}, topology.SPT{Alpha: 2, Range: 250}}
+		weaks := []topology.WeakProtocol{nil, topology.WeakRNG{}, topology.WeakMST{}, topology.WeakRNG{}}
+		cfg.Protocol = protocols[bits>>6&3]
+		cfg.Weak = weaks[bits>>12&3]
+		if bits&0x100 != 0 {
+			cfg.Mech.WeakK = int(bits>>14&3) - 1
+		}
+		// A float feeds one field of each family, so every field still
+		// meets the whole float range across inputs.
+		switch bits >> 9 & 7 {
+		case 1:
+			cfg.Radio.LossRate = loss
+		case 2:
+			cfg.Radio.Delay = period
+		case 3:
+			cfg.Channel.Loss = channel.LossConfig{Model: channel.Bernoulli, Rate: loss}
+		case 4:
+			cfg.Channel.Delay = channel.DelayConfig{Max: period}
+		case 5:
+			cfg.Channel.Churn = channel.ChurnConfig{MeanUp: period, MeanDown: loss}
+		case 6:
+			cfg.Radio.TxDuration = period
+		}
+		switch bits >> 16 & 3 {
+		case 1:
+			cfg.SnapshotEvery = period
+		case 2:
+			cfg.Unicast = UnicastConfig{Rate: sampleRate, MaxHops: int(bits >> 18 & 3)}
+		case 3:
+			mode := traffic.AODV
+			if bits&0x0008_0000 != 0 {
+				mode = traffic.OLSR
+			}
+			cfg.Traffic = traffic.Config{Mode: mode, Flows: 2, Rate: sampleRate, TCInterval: period}
+		}
+		cfg.PosNoise = loss * 10
+		cfg.HelloExpiry = period * 3
+		cfg.FloodSettle = period
+
+		model := parWaypoint(t, 2+int(seed%7), 5+float64(seed%20), dur, seed)
+		verr := cfg.withDefaults().validate()
+		nw, err := NewNetwork(model, cfg)
+		if (verr == nil) != (err == nil) {
+			t.Fatalf("validate says %v but NewNetwork says %v (config %+v)", verr, err, cfg)
+		}
+		if err != nil {
+			return
+		}
+		nw.Run(dur)
 	})
 }

@@ -139,7 +139,7 @@ type Network struct {
 
 	recvBuf []int
 
-	// per-sample scratch: every node's range and physical degree
+	// serial per-sample scratch: every node's range and physical degree
 	sampleRanges []float64
 	sampleDeg    []int
 
@@ -616,20 +616,30 @@ func (sc *selCtx) setSelection(nd *node, sel []int, actual float64) {
 }
 
 // sampleMetrics records the per-node transmission range and degrees. The
-// physical degrees come from one medium pass; the sums still run node by
-// node, so their rounding is that of one receiver query per node.
+// physical degrees are radio.Medium.Degree counts: one medium pass on the
+// serial engine, one barrier over the snapshot index on the parallel one.
+// Their sum is an integer below 2⁵³ however it is grouped, so adding it to
+// phyDegSum at once rounds exactly as adding node by node would.
 func (nw *Network) sampleMetrics(now sim.Time) {
-	for i, nd := range nw.nodes {
-		nw.sampleRanges[i] = nd.txRange
+	phy := 0
+	if nw.par != nil {
+		phy = nw.par.sampleDegrees(now)
+	} else {
+		for i, nd := range nw.nodes {
+			nw.sampleRanges[i] = nd.txRange
+		}
+		nw.sampleDeg = nw.med.DegreesAt(now, nw.sampleRanges, nw.sampleDeg[:0])
+		for _, k := range nw.sampleDeg {
+			phy += k
+		}
 	}
-	nw.sampleDeg = nw.med.DegreesAt(now, nw.sampleRanges, nw.sampleDeg[:0])
-	for i, nd := range nw.nodes {
+	for _, nd := range nw.nodes {
 		nw.rangeSum += nd.txRange
-		nw.rangeSamples++
 		nw.logDegSum += float64(len(nd.logical))
-		nw.phyDegSum += float64(nw.sampleDeg[i])
-		nw.degSamples++
 	}
+	nw.rangeSamples += len(nw.nodes)
+	nw.degSamples += len(nw.nodes)
+	nw.phyDegSum += float64(phy)
 }
 
 // EffectiveDigraphAt builds the directed effective topology at time t:

@@ -28,7 +28,7 @@ func TestNoallocAnnotationsConform(t *testing.T) {
 	want := []string{
 		"Network.forwardData", "Network.observe", "Network.scheduleHellos",
 		"delivery.Act", "helloDelivery.Act", "parRun.processDomain",
-		"parRun.processFloodScan", "parRun.processRecord", "parRun.processSegment",
+		"parRun.processFloodScan", "parRun.processRecord", "parRun.processSample", "parRun.processSegment",
 		"parRun.processSettle", "parRun.receivers", "trafficDelivery.Act",
 		"trafficState.olsrNextHop",
 	}
@@ -135,34 +135,57 @@ func TestTrafficSteadyStateAllocs(t *testing.T) {
 }
 
 // TestParallelStepNoalloc pins the region-parallel hot path (//manet:noalloc
-// on parRun.processDomain, parRun.processRecord and parRun.receivers): after
-// warm-up, a full synchronization window — batched resolve, grid rebuild,
-// domain assignment, record dispatch, and the inline single-worker barrier
-// — must allocate nothing.
+// on parRun.processDomain, parRun.processRecord, parRun.processSample and
+// parRun.receivers): after warm-up, a full synchronization window — batched
+// resolve, grid rebuild, domain assignment, record dispatch, and the inline
+// single-worker barrier — must allocate nothing. The sampled run adds the
+// 10 Hz metric samples as engine fences, each a snapshot and a sample
+// barrier over the domains, with radio loss on so Degree walks candidates.
 func TestParallelStepNoalloc(t *testing.T) {
-	model := parWaypoint(t, 48, 20, 60, 5)
-	cfg := Config{Protocol: topology.RNG{}, Domains: 2, ParallelWorkers: 1, Seed: 7}
-	nw, err := NewNetwork(model, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Drive the parallel clock directly, with no engine fences scheduled:
-	// every step is one pure hello window ending in a barrier.
-	pr := nw.newParRun()
-	defer pr.close()
-	const horizon = 1e9
-	for i := 0; i < 8; i++ { // warm up buffers, tables, selection scratch
-		pr.step(horizon)
-	}
-	if nw.helloTx == 0 {
-		t.Fatal("warm-up dispatched no hellos; the measurement is vacuous")
-	}
-	before := nw.helloTx
-	if allocs := testing.AllocsPerRun(60, func() { pr.step(horizon) }); allocs != 0 {
-		t.Errorf("parallel window: %.2f allocs/run in steady state, want 0", allocs)
-	}
-	if nw.helloTx == before {
-		t.Fatal("measured windows dispatched no hellos; the measurement is vacuous")
+	for _, sampled := range []bool{false, true} {
+		name := "windows"
+		if sampled {
+			name = "sampled"
+		}
+		t.Run(name, func(t *testing.T) {
+			model := parWaypoint(t, 48, 20, 60, 5)
+			cfg := Config{Protocol: topology.RNG{}, Domains: 2, ParallelWorkers: 1, Seed: 7}
+			if sampled {
+				cfg.Radio.LossRate = 0.1
+			}
+			nw, err := NewNetwork(model, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Drive the parallel clock directly. Unsampled, no engine
+			// fence is scheduled and every step is one pure hello window
+			// ending in a barrier; sampled, Run's sample schedule adds a
+			// fence every 0.1 s.
+			pr := nw.newParRun()
+			defer pr.close()
+			if sampled {
+				nw.par = pr
+				nw.eng.Every(0, 1/nw.cfg.SampleRate, nw.sampleMetrics)
+			}
+			const horizon = 1e9
+			for i := 0; i < 8; i++ { // warm up buffers, tables, selection scratch
+				pr.step(horizon)
+			}
+			if nw.helloTx == 0 {
+				t.Fatal("warm-up dispatched no hellos; the measurement is vacuous")
+			}
+			before, samples := nw.helloTx, nw.degSamples
+			if allocs := testing.AllocsPerRun(60, func() { pr.step(horizon) }); allocs != 0 {
+				t.Errorf("parallel window: %.2f allocs/run in steady state, want 0", allocs)
+			}
+			if nw.helloTx == before {
+				t.Fatal("measured windows dispatched no hellos; the measurement is vacuous")
+			}
+			if sampled && (nw.degSamples == samples || nw.phyDegSum == 0) {
+				t.Fatalf("measured windows took no degree sample (samples %d→%d, degree sum %g); the measurement is vacuous",
+					samples, nw.degSamples, nw.phyDegSum)
+			}
+		})
 	}
 }
 

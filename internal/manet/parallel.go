@@ -67,8 +67,13 @@ package manet
 //     delivery schedule exactly.
 //
 // Between windows the event engine drains everything else — flood
-// originations and scoring fences, churn, metric samples, snapshots —
-// exactly as the serial engine would.
+// originations and scoring fences, churn, strict-connectivity snapshots —
+// exactly as the serial engine would. A metric sample is a fence event
+// too, but it is not drained serially: it takes the ownership snapshot at
+// its instant and counts every node's physical degree in one barrier pass,
+// each domain over its owned nodes on the snapshot index (the serial
+// DegreesAt's count, radio.Medium.Degree), and the window that starts at
+// the fence reuses that snapshot.
 //
 // Results are bit-identical to the serial engine for any worker count and
 // any domain grid; the experiment-level differential matrix in
@@ -119,6 +124,7 @@ const (
 	modeSegment   = iota // drain the domain timeline (records + deferred) up to segH
 	modeSettle           // reactive settle pass over owned nodes
 	modeFloodScan        // receiver scan for the current flood transmit
+	modeSample           // physical-degree count of the owned nodes at sampleAt
 )
 
 // domainCtx is the per-domain mutable state: a private position cursor, a
@@ -142,6 +148,7 @@ type domainCtx struct {
 	del   sim.Heap[helloRecv] // deferred receptions
 	fout  []floodOut          // flood-scan outbox
 	qi    int                 // cursor into pr.queues[d]
+	deg   int                 // owned nodes' physical-degree sum of the last sample
 }
 
 // parRun is one region-parallel execution of Network.Run.
@@ -189,6 +196,8 @@ type parRun struct {
 	scanPos    geom.Point
 	scanR      float64
 
+	sampleAt float64 // instant of the current metric sample
+
 	rehome []sim.Entry[helloRecv] // snapshot re-homing scratch
 	fmerge []floodOut             // flood outbox merge scratch
 
@@ -209,6 +218,11 @@ func (nw *Network) newParRun() *parRun {
 	n := len(nw.nodes)
 	grid := nw.domGrid
 	doms := grid.Domains()
+	// Any cell size gives the same scans. Half the normal range keeps a
+	// receiver query to a few cells; the floor at 1/2048 of the arena's
+	// longer side keeps a tiny range from cutting it into millions.
+	arena := nw.model.Arena()
+	cell := math.Max(nw.cfg.NormalRange/2, math.Max(arena.Width(), arena.Height())/2048)
 	pr := &parRun{
 		nw:        nw,
 		grid:      grid,
@@ -217,7 +231,7 @@ func (nw *Network) newParRun() *parRun {
 		nextHello: make([]float64, n),
 		nextDue:   math.Inf(1),
 		posT:      make([]geom.Point, 0, n),
-		index:     spatial.MustIndex(nw.model.Arena(), nw.cfg.NormalRange/2),
+		index:     spatial.MustIndex(arena, cell),
 		domainOf:  make([]int, 0, n),
 		owned:     make([][]int, doms),
 		queues:    make([][]int32, doms),
@@ -343,7 +357,7 @@ func (pr *parRun) hasWork(end float64, incl bool) bool {
 // forward, a settle pass) observes it at.
 func (pr *parRun) runWindow(start, end float64, incl bool) {
 	pr.windowSeq++
-	pr.snapshot(start)
+	pr.snapshotAt(start)
 	pr.records = pr.records[:0]
 	pr.gRec = 0
 	for d := range pr.doms {
@@ -433,6 +447,19 @@ func (pr *parRun) snapshot(at float64) {
 	}
 	pr.snapAt = at
 	pr.snapped = true
+}
+
+// snapshotAt takes the snapshot at instant at unless the current one was
+// taken at exactly that instant — by a metric sample at the fence this
+// window starts from, or a fence-time flood transmit. A snapshot depends
+// only on its instant, and every deferred reception queued since sits in
+// its receiver's owner domain under that same assignment, so a second
+// snapshot at the instant would rebuild the same state and move no entry.
+func (pr *parRun) snapshotAt(at float64) {
+	if pr.snapped && pr.snapAt == at { //lint:ignore float-eq same simulated instant, exact by construction
+		return
+	}
+	pr.snapshot(at)
 }
 
 // ensureSnapshot refreshes the ownership snapshot when the current one has
@@ -605,6 +632,25 @@ func (pr *parRun) floodTransmit(fl *flood, sender int, now float64) {
 	}
 }
 
+// sampleDegrees returns the sum of every node's physical degree at instant
+// at, the metric sample's count, as one barrier pass: each domain counts
+// its owned nodes' discs on the snapshot index with radio.Medium.Degree,
+// the serial DegreesAt's definition, and the dispatcher adds the domain
+// sums. The snapshot is taken at exactly at, so the window that starts at
+// this fence reuses it.
+func (pr *parRun) sampleDegrees(at float64) int {
+	pr.snapshotAt(at)
+	pr.sampleAt = at
+	pr.mode = modeSample
+	pr.pool.Barrier()
+	pr.mode = modeSegment
+	sum := 0
+	for d := range pr.doms {
+		sum += pr.doms[d].deg
+	}
+	return sum
+}
+
 // processDomain runs one domain's share of the current barrier pass.
 //
 //manet:noalloc
@@ -615,6 +661,8 @@ func (pr *parRun) processDomain(d int) {
 		pr.processSettle(pd, d)
 	case modeFloodScan:
 		pr.processFloodScan(pd, d)
+	case modeSample:
+		pr.processSample(pd, d)
 	default:
 		pr.processSegment(pd, d)
 	}
@@ -688,6 +736,22 @@ func (pr *parRun) processSettle(pd *domainCtx, d int) {
 		nd := pr.nw.nodes[v]
 		pd.sel.selectView(nd, pr.setAt, selModeVersioned, pr.setVer, nd.advertisedPos)
 	}
+}
+
+// processSample counts the physical degrees of this domain's owned nodes
+// at the sample instant on the snapshot index (positions exact at
+// sampleAt) and leaves their sum in pd.deg.
+//
+//manet:noalloc
+func (pr *parRun) processSample(pd *domainCtx, d int) {
+	med := pr.nw.med
+	sum := 0
+	for _, v := range pr.owned[d] {
+		var k int
+		k, pd.cand = med.Degree(pr.index, pr.posT[v], pr.sampleAt, v, pr.nw.nodes[v].txRange, pd.cand)
+		sum += k
+	}
+	pd.deg = sum
 }
 
 // processFloodScan emits this domain's accepting receivers for the current

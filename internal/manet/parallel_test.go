@@ -534,3 +534,137 @@ func TestParallelEligibility(t *testing.T) {
 		})
 	}
 }
+
+// TestParallelSampleMatchesDegreesAt pins the parallel metric sample to the
+// serial definition: at every instant, the sum of the domains' degree
+// counts over the snapshot index equals the sum of Medium.DegreesAt's
+// per-node counts. Ranges mix 0, negative, normal and wider than the
+// arena; the medium is lossless (the count-only scan) or lossy (the
+// candidate walk with keyed loss draws). Each instant is sampled once at
+// a snapshot it shares with a window start and once a little later, where
+// the sample takes its own snapshot; a window started at the sample's
+// instant must find the state a fresh snapshot would build.
+func TestParallelSampleMatchesDegreesAt(t *testing.T) {
+	const dur = 12.0
+	model := parWaypoint(t, 80, 20, dur, 61)
+	ranges := []float64{0, -10, 90, 250, 3000}
+	for _, side := range []int{1, 2, 4} {
+		for _, loss := range []float64{0, 0.15} {
+			t.Run(fmt.Sprintf("%dx%d/loss=%g", side, side, loss), func(t *testing.T) {
+				cfg := Config{Protocol: topology.RNG{}, Domains: side, ParallelWorkers: 2, Seed: 9}
+				cfg.Radio.LossRate = loss
+				nw, err := NewNetwork(model, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pr := nw.newParRun()
+				defer pr.close()
+				rs := make([]float64, model.N())
+				for i, nd := range nw.nodes {
+					nd.txRange = ranges[i%len(ranges)]
+					rs[i] = nd.txRange
+				}
+				var deg []int
+				total := 0
+				for _, t0 := range []float64{0.5, 3.25, 7, 11.5} {
+					pr.snapshot(t0) // a window start
+					for _, at := range []float64{t0, t0 + 0.37} {
+						got := pr.sampleDegrees(at)
+						//lint:ignore float-eq the sample must leave the snapshot at exactly its instant
+						if pr.snapAt != at {
+							t.Fatalf("sample at %g left the snapshot at %g", at, pr.snapAt)
+						}
+						want := 0
+						deg = nw.med.DegreesAt(at, rs, deg[:0])
+						for _, k := range deg {
+							want += k
+						}
+						if got != want {
+							t.Fatalf("t=%g: domain degree sum %d, DegreesAt sum %d", at, got, want)
+						}
+						total += got
+
+						// The window that starts at this instant reuses the
+						// sample's snapshot: it must equal a fresh one.
+						posT := append([]geom.Point(nil), pr.posT...)
+						domainOf := append([]int(nil), pr.domainOf...)
+						boxes := make([]geom.Rect, len(pr.doms))
+						for d := range pr.doms {
+							boxes[d] = pr.doms[d].box
+						}
+						pr.snapshot(at)
+						if !reflect.DeepEqual(posT, pr.posT) || !reflect.DeepEqual(domainOf, pr.domainOf) {
+							t.Fatalf("t=%g: the sample's snapshot differs from a fresh one", at)
+						}
+						for d := range pr.doms {
+							if boxes[d] != pr.doms[d].box {
+								t.Fatalf("t=%g: domain %d box %v, fresh snapshot %v", at, d, boxes[d], pr.doms[d].box)
+							}
+						}
+					}
+				}
+				if total == 0 {
+					t.Fatal("vacuous: every sample counted no neighbour")
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkParallelSample times one metric sample on the region-parallel
+// engine at large-n's scale: n = 1000 at paper density (a 2846 m square),
+// random waypoint at 40 m/s, 2×2 domains on 2 workers, ranges as RNG
+// selected them over 3 s of beacons, a new instant per iteration.
+// "barrier" is the per-domain count barrier over a snapshot already taken
+// at the instant, as when the window starting at the sample's fence would
+// take it anyway; "snapshot+barrier" takes the snapshot too. "serial" is
+// Medium.DegreesAt over the same instants, the dispatcher-side pass the
+// parallel engine ran before samples became a barrier.
+func BenchmarkParallelSample(b *testing.B) {
+	const n, side, horizon = 1000, 2846.0, 60.0
+	lo, hi := mobility.SpeedSetdest(40)
+	model, err := mobility.NewRandomWaypoint(geom.Square(side), mobility.WaypointConfig{
+		N: n, SpeedMin: lo, SpeedMax: hi, Horizon: horizon,
+	}, xrand.New(3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	nw, err := NewNetwork(model, Config{Protocol: topology.RNG{}, Domains: 2, ParallelWorkers: 2, Seed: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	nw.Run(3)
+	at := func(i int) float64 { return 3 + math.Mod(float64(i)*0.1, horizon-4) }
+	for _, snap := range []bool{false, true} {
+		name := "barrier"
+		if snap {
+			name = "snapshot+barrier"
+		}
+		b.Run(name, func(b *testing.B) {
+			pr := nw.newParRun()
+			defer pr.close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !snap {
+					b.StopTimer()
+					pr.snapshot(at(i))
+					b.StartTimer()
+				}
+				pr.sampleDegrees(at(i))
+			}
+		})
+	}
+	b.Run("serial", func(b *testing.B) {
+		ranges := make([]float64, n)
+		for i, nd := range nw.nodes {
+			ranges[i] = nd.txRange
+		}
+		deg := make([]int, 0, n)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			deg = nw.med.DegreesAt(at(i), ranges, deg[:0])
+		}
+	})
+}

@@ -20,6 +20,7 @@ import (
 	"math"
 
 	"mstc/internal/geom"
+	"mstc/internal/spatial"
 )
 
 // DomainGrid is the g×g decomposition of an arena into spatial domains.
@@ -75,29 +76,9 @@ func (dg *DomainGrid) Window(vmax float64) float64 {
 // domainAt returns the domain index of position p, clamping out-of-arena
 // positions to the boundary domains.
 func (dg *DomainGrid) domainAt(p geom.Point) int {
-	ix := dg.clampX(int((p.X - dg.arena.Min.X) / dg.cw))
-	iy := dg.clampY(int((p.Y - dg.arena.Min.Y) / dg.ch))
+	ix := spatial.CellIndex((p.X-dg.arena.Min.X)/dg.cw, dg.g)
+	iy := spatial.CellIndex((p.Y-dg.arena.Min.Y)/dg.ch, dg.g)
 	return iy*dg.g + ix
-}
-
-func (dg *DomainGrid) clampX(ix int) int {
-	if ix < 0 {
-		return 0
-	}
-	if ix >= dg.g {
-		return dg.g - 1
-	}
-	return ix
-}
-
-func (dg *DomainGrid) clampY(iy int) int {
-	if iy < 0 {
-		return 0
-	}
-	if iy >= dg.g {
-		return dg.g - 1
-	}
-	return iy
 }
 
 // AssignInto appends the domain index of every position in pos to dst and
@@ -119,9 +100,9 @@ func (dg *DomainGrid) AssignInto(pos []geom.Point, dst []int) []int {
 // over-delivery is harmless — a domain that receives a transmission it has
 // no receivers for does no work beyond one receiver query that finds none.
 func (dg *DomainGrid) HaloBounds(p geom.Point, r float64) (ix0, iy0, ix1, iy1 int) {
-	ix0 = dg.clampX(int(math.Floor((p.X - r - dg.arena.Min.X) / dg.cw)))
-	ix1 = dg.clampX(int(math.Floor((p.X + r - dg.arena.Min.X) / dg.cw)))
-	iy0 = dg.clampY(int(math.Floor((p.Y - r - dg.arena.Min.Y) / dg.ch)))
-	iy1 = dg.clampY(int(math.Floor((p.Y + r - dg.arena.Min.Y) / dg.ch)))
+	ix0 = spatial.CellIndex((p.X-r-dg.arena.Min.X)/dg.cw, dg.g)
+	ix1 = spatial.CellIndex((p.X+r-dg.arena.Min.X)/dg.cw, dg.g)
+	iy0 = spatial.CellIndex((p.Y-r-dg.arena.Min.Y)/dg.ch, dg.g)
+	iy1 = spatial.CellIndex((p.Y+r-dg.arena.Min.Y)/dg.ch, dg.g)
 	return ix0, iy0, ix1, iy1
 }

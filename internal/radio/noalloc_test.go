@@ -32,6 +32,10 @@ func TestNoallocAnnotationsConform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	lossless, err := NewMedium(newWaypointModel(t, len(pts), 40, 1e4, 5), Config{}, xrand.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
 	ranges := make([]float64, len(pts))
 	for i := range ranges {
 		ranges[i] = 250
@@ -43,7 +47,18 @@ func TestNoallocAnnotationsConform(t *testing.T) {
 		"DomainGrid.AssignInto": func() { dst = dg.AssignInto(pts, dst[:0]) },
 		"Medium.DegreesAt":      func() { dst = med.DegreesAt(next(), ranges, dst[:0]) },
 		"Medium.ReceiversAt":    func() { dst = med.ReceiversAt(next(), 0, 250, dst[:0]) },
-		"IDSet.AppendSorted":    func() { marks.Add(0); dst = marks.AppendSorted(dst[:0]) },
+		"Medium.Degree": func() {
+			// Both kernels: the candidate walk under loss and the
+			// count-only scan without it.
+			at := next()
+			for _, m := range []*Medium{med, lossless} {
+				m.buildGrid(at)
+				for id := range pts {
+					_, dst = m.Degree(m.grid, m.gridPos[id], at, id, 250, dst)
+				}
+			}
+		},
+		"IDSet.AppendSorted": func() { marks.Add(0); dst = marks.AppendSorted(dst[:0]) },
 	}
 
 	annotated, err := lint.NoallocFuncs(".")

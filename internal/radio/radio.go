@@ -29,11 +29,15 @@
 // amortized.
 //
 // Metric samples ask for every node's physical degree at one instant.
-// DegreesAt answers them in one pass that rebuilds the grid exactly at the
-// sample instant and counts each node's disc without inflation. With
-// samples at 10 Hz, these rebuilds keep the grid fresh enough that the
-// slack-driven rebuild rarely fires; receiver sets are unchanged either
-// way.
+// Degree defines it once for both engines: the nodes within r of the
+// sender on an index of exact positions at the sample instant, counted
+// without building a list when the medium is lossless. The serial engine
+// asks DegreesAt, which rebuilds the medium's grid exactly at the sample
+// instant and counts each node's disc without inflation; with samples at
+// 10 Hz those rebuilds keep the grid fresh enough that the slack-driven
+// rebuild rarely fires. The region-parallel engine counts on its own
+// snapshot index instead, split by domain, and leaves the medium's grid
+// alone. Receiver sets are unchanged either way.
 package radio
 
 import (
@@ -81,6 +85,23 @@ func (c *Config) setDefaults() {
 	}
 }
 
+// Validate reports the configuration errors NewMedium rejects, except the
+// cell count, which depends on the arena: a negative delay, airtime or
+// cell size, or a loss rate outside [0, 1). The zero value is valid.
+func (c Config) Validate() error {
+	switch {
+	case c.Delay < 0:
+		return fmt.Errorf("radio: negative delay %g", c.Delay)
+	case !(c.LossRate >= 0 && c.LossRate < 1):
+		return fmt.Errorf("radio: loss rate %g outside [0, 1)", c.LossRate)
+	case c.TxDuration < 0:
+		return fmt.Errorf("radio: negative TxDuration %g", c.TxDuration)
+	case c.Cell < 0:
+		return fmt.Errorf("radio: negative cell size %g", c.Cell)
+	}
+	return nil
+}
+
 // Medium is the shared wireless channel. It serves receiver queries from a
 // bounded-staleness spatial grid (see the package comment): queries at
 // instants close to the last grid build reuse it with an inflated search
@@ -125,14 +146,8 @@ type Medium struct {
 // process only; pass any substream (it is unused when LossRate is 0).
 func NewMedium(model mobility.Model, cfg Config, rng *xrand.Source) (*Medium, error) {
 	cfg.setDefaults()
-	if cfg.Delay < 0 {
-		return nil, fmt.Errorf("radio: negative delay %g", cfg.Delay)
-	}
-	if cfg.LossRate < 0 || cfg.LossRate >= 1 {
-		return nil, fmt.Errorf("radio: loss rate %g outside [0, 1)", cfg.LossRate)
-	}
-	if cfg.TxDuration < 0 {
-		return nil, fmt.Errorf("radio: negative TxDuration %g", cfg.TxDuration)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	grid, err := spatial.NewIndex(model.Arena(), cfg.Cell)
 	if err != nil {
@@ -300,9 +315,9 @@ func (m *Medium) ReceiversAt(t float64, sender int, r float64, dst []int) []int 
 // DegreesAt appends to deg, for every node id, the number of receivers of
 // a transmission id would send at time t with range ranges[id]: the count
 // len(ReceiversAt(t, id, ranges[id], nil)) without building the set. It
-// rebuilds the grid at exactly t, so each node's disc is one uninflated
-// grid scan over the same positions, the same dist² ≤ r² test and the same
-// keyed loss draws ReceiversAt uses — the counts are identical by
+// rebuilds the grid at exactly t and counts each node's disc with Degree,
+// over the same positions, the same dist² ≤ r² test and the same keyed
+// loss draws ReceiversAt uses, so the counts are identical by
 // construction. One call serves a whole metric sample; the fresh grid also
 // serves the transmissions that follow it with a smaller inflation.
 //
@@ -312,18 +327,39 @@ func (m *Medium) DegreesAt(t float64, ranges []float64, deg []int) []int {
 		m.buildGrid(t)
 	}
 	for id, r := range ranges {
-		k := 0
-		if r > 0 {
-			m.cand = m.grid.WithinUnsorted(m.gridPos[id], r, m.cand[:0])
-			for _, v := range m.cand {
-				if v != id && !m.LostAt(t, id, v) {
-					k++
-				}
-			}
-		}
+		var k int
+		k, m.cand = m.Degree(m.grid, m.gridPos[id], t, id, r, m.cand)
 		deg = append(deg, k)
 	}
 	return deg
+}
+
+// Degree is the one definition of a physical degree, shared by both
+// engines' metric samples: the number of nodes other than id that receive
+// a transmission id sends at instant t from p with range r, counted on an
+// index ix that holds every node's exact position at t (id's own at p).
+// With no radio loss it is ix.CountWithin(p, r) − 1, for id itself is
+// indexed at distance 0; with loss it walks the candidates, reusing cand
+// as scratch, and drops each LostAt draw. A range r ≤ 0 reaches no one.
+// Safe for concurrent use with distinct cand slices: ix is only read and
+// LostAt advances no state.
+//
+//manet:noalloc
+func (m *Medium) Degree(ix *spatial.Index, p geom.Point, t float64, id int, r float64, cand []int) (int, []int) {
+	if !(r > 0) {
+		return 0, cand
+	}
+	if m.cfg.LossRate <= 0 {
+		return ix.CountWithin(p, r) - 1, cand
+	}
+	cand = ix.WithinUnsorted(p, r, cand[:0])
+	k := 0
+	for _, v := range cand {
+		if v != id && !m.LostAt(t, id, v) {
+			k++
+		}
+	}
+	return k, cand
 }
 
 // LostAt reports whether receiver id's copy of a transmission by sender at

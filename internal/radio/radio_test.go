@@ -171,24 +171,33 @@ func BenchmarkReceiversAtMoving(b *testing.B) {
 
 // BenchmarkDegreesAt is BenchmarkReceiversAt's scene asked the way a metric
 // sample asks it: every node's degree at one instant, a new instant per
-// iteration. ns/node compares with BenchmarkReceiversAt's ns/op.
+// iteration. ns/node compares with BenchmarkReceiversAt's ns/op. "count"
+// is the lossless medium, whose degrees are count-only grid scans; "lossy"
+// walks each disc's candidates for the keyed loss draws.
 func BenchmarkDegreesAt(b *testing.B) {
 	const n = 100
 	pts := mobility.UniformPoints(arena, n, xrand.New(1))
 	model := mobility.NewStatic(arena, pts, 1e9)
-	m, err := NewMedium(model, Config{}, xrand.New(1))
-	if err != nil {
-		b.Fatal(err)
+	for _, c := range []struct {
+		name string
+		loss float64
+	}{{"count", 0}, {"lossy", 0.2}} {
+		b.Run(c.name, func(b *testing.B) {
+			m, err := NewMedium(model, Config{LossRate: c.loss}, xrand.New(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			ranges := make([]float64, n)
+			for i := range ranges {
+				ranges[i] = 250
+			}
+			deg := make([]int, 0, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				deg = m.DegreesAt(float64(i), ranges, deg[:0])
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/node")
+		})
 	}
-	ranges := make([]float64, n)
-	for i := range ranges {
-		ranges[i] = 250
-	}
-	deg := make([]int, 0, n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		deg = m.DegreesAt(float64(i), ranges, deg[:0])
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/node")
 }

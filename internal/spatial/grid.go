@@ -38,17 +38,25 @@ type Index struct {
 	pts   []geom.Point
 }
 
+// maxCells bounds an index's cell count, so a cell size far below the
+// arena's scale fails fast instead of allocating the offsets of billions
+// of cells. At 4 B per cell it caps the offsets at 64 MiB.
+const maxCells = 1 << 24
+
 // NewIndex creates an index over the arena with the given cell size.
 // A cell size near the typical query radius is a good default.
 func NewIndex(arena geom.Rect, cell float64) (*Index, error) {
 	if arena.Empty() {
 		return nil, fmt.Errorf("spatial: empty arena")
 	}
-	if cell <= 0 {
-		return nil, fmt.Errorf("spatial: cell size must be positive, got %g", cell)
+	if !(cell > 0) || math.IsInf(cell, 1) {
+		return nil, fmt.Errorf("spatial: cell size must be positive and finite, got %g", cell)
 	}
-	nx := int(math.Ceil(arena.Width()/cell)) + 1
-	ny := int(math.Ceil(arena.Height()/cell)) + 1
+	fx, fy := math.Ceil(arena.Width()/cell)+1, math.Ceil(arena.Height()/cell)+1
+	if !(fx*fy <= maxCells) {
+		return nil, fmt.Errorf("spatial: cell size %g cuts the %gx%g arena into more than %d cells", cell, arena.Width(), arena.Height(), maxCells)
+	}
+	nx, ny := int(fx), int(fy)
 	return &Index{
 		arena: arena,
 		cell:  cell,
@@ -69,19 +77,21 @@ func MustIndex(arena geom.Rect, cell float64) *Index {
 }
 
 func (ix *Index) cellOf(p geom.Point) (cx, cy int) {
-	cx = int((p.X - ix.arena.Min.X) / ix.cell)
-	cy = int((p.Y - ix.arena.Min.Y) / ix.cell)
-	if cx < 0 {
-		cx = 0
-	} else if cx >= ix.nx {
-		cx = ix.nx - 1
+	return CellIndex((p.X-ix.arena.Min.X)/ix.cell, ix.nx), CellIndex((p.Y-ix.arena.Min.Y)/ix.cell, ix.ny)
+}
+
+// CellIndex returns ⌊f⌋ clamped to [0, n), for an offset f measured in
+// cells. The clamp runs on the float, so an offset too large for an int
+// (a query radius of 1e300 m) still lands on the edge cell, and NaN lands
+// on cell 0.
+func CellIndex(f float64, n int) int {
+	if !(f >= 1) {
+		return 0
 	}
-	if cy < 0 {
-		cy = 0
-	} else if cy >= ix.ny {
-		cy = ix.ny - 1
+	if f >= float64(n) {
+		return n - 1
 	}
-	return cx, cy
+	return int(f)
 }
 
 // Build (re)indexes the given positions; the point at index i belongs to
@@ -133,6 +143,30 @@ func (ix *Index) WithinUnsorted(p geom.Point, r float64, dst []int) []int {
 	cx0, cy0 := ix.cellOf(geom.Pt(p.X-r, p.Y-r))
 	cx1, cy1 := ix.cellOf(geom.Pt(p.X+r, p.Y+r))
 	return ix.scan(p, r, cx0, cy0, cx1, cy1, dst)
+}
+
+// CountWithin returns the number of indexed nodes within distance r of p
+// (inclusive): len(WithinUnsorted(p, r, nil)), counted over the same cells
+// with the same dist² ≤ r² test, without building the list.
+//
+//manet:noalloc
+func (ix *Index) CountWithin(p geom.Point, r float64) int {
+	if r < 0 {
+		return 0
+	}
+	cx0, cy0 := ix.cellOf(geom.Pt(p.X-r, p.Y-r))
+	cx1, cy1 := ix.cellOf(geom.Pt(p.X+r, p.Y+r))
+	r2 := r * r
+	k := 0
+	for cy := cy0; cy <= cy1; cy++ {
+		row := cy * ix.nx
+		for _, id := range ix.ids[ix.start[row+cx0]:ix.start[row+cx1+1]] {
+			if ix.pts[id].Dist2(p) <= r2 {
+				k++
+			}
+		}
+	}
+	return k
 }
 
 // WithinClipped is WithinUnsorted restricted to the cells that overlap

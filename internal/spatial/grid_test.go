@@ -47,6 +47,44 @@ func TestNewIndexValidation(t *testing.T) {
 	if _, err := NewIndex(arena, 250); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
+	// A cell far below the arena's scale would allocate the offsets of
+	// billions of cells; NaN and infinite sizes have no cell count at all.
+	for _, cell := range []float64{1e-3, 1e-300, math.NaN(), math.Inf(1)} {
+		if _, err := NewIndex(arena, cell); err == nil {
+			t.Errorf("cell=%g accepted", cell)
+		}
+	}
+}
+
+// TestCountWithinMatchesWithinUnsorted: CountWithin is the length of
+// WithinUnsorted's answer for every query, including negative and zero
+// radii, radii wider than the arena (up to 1e300 m and +Inf, whose cell
+// offsets overflow an int), and points and query centres outside the
+// arena, which clamp to edge cells.
+func TestCountWithinMatchesWithinUnsorted(t *testing.T) {
+	rng := xrand.New(11)
+	pts := make([]geom.Point, 150)
+	for i := range pts {
+		pts[i] = geom.Pt(rng.Uniform(-200, 1100), rng.Uniform(-200, 1100))
+	}
+	pts[7] = pts[3] // a duplicate: distance 0 under r = 0
+	radii := []float64{-1, 0, 1, 60, 125, 250, 2000, 1e300, math.Inf(1)}
+	for _, cell := range []float64{50, 125, 700} {
+		ix := MustIndex(arena, cell)
+		ix.Build(pts)
+		centres := append([]geom.Point{geom.Pt(-500, -500), geom.Pt(1400, 450), geom.Pt(450, 450)}, pts[:40]...)
+		for _, p := range centres {
+			for _, r := range radii {
+				want := len(ix.WithinUnsorted(p, r, nil))
+				if got := ix.CountWithin(p, r); got != want {
+					t.Fatalf("cell %g: CountWithin(%v, %g) = %d, WithinUnsorted has %d", cell, p, r, got, want)
+				}
+				if ref := len(bruteWithin(pts, p, r, nil)); r >= 0 && want != ref {
+					t.Fatalf("cell %g: WithinUnsorted(%v, %g) has %d, brute force %d", cell, p, r, want, ref)
+				}
+			}
+		}
+	}
 }
 
 func TestMustIndexPanics(t *testing.T) {
