@@ -47,6 +47,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParallelMatchesSerial$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/manet
 	$(GO) test -run '^$$' -fuzz '^FuzzConfigValidate$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/manet
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sweep
+	$(GO) test -run '^$$' -fuzz '^FuzzHandler$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fleet
 
 # Tiny deterministic fault-injection sweep: the loss/delay/churn and
 # buffer-zone experiments at smoke scale, run twice and compared — any

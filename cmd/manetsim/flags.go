@@ -36,11 +36,8 @@ type channelFlags struct {
 	Outage    float64 // -churn-outage: mean outage duration (s)
 }
 
-// buildChannel turns the flag values into a channel configuration. The
-// collision MAC's airtime (-txdur) is passed in so its conflict with
-// delayed delivery fails here, at flag level, with the flag names in the
-// message.
-func (f channelFlags) buildChannel(txDur float64) (channel.Config, error) {
+// buildChannel turns the flag values into a channel configuration.
+func (f channelFlags) buildChannel() (channel.Config, error) {
 	var cfg channel.Config
 	switch f.LossModel {
 	case "", "bernoulli":
@@ -61,9 +58,6 @@ func (f channelFlags) buildChannel(txDur float64) (channel.Config, error) {
 		return cfg, fmt.Errorf("unknown -loss-model %q (want bernoulli or gilbert)", f.LossModel)
 	}
 	if f.DelayMax > 0 || f.DelayMin > 0 {
-		if txDur > 0 {
-			return cfg, fmt.Errorf("-delay-max and -txdur are mutually exclusive (one timing model at a time)")
-		}
 		cfg.Delay = channel.DelayConfig{Min: f.DelayMin, Max: f.DelayMax}
 	}
 	if f.Churn > 0 {

@@ -39,7 +39,7 @@ func TestBuildChannelValid(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		cfg, err := tc.f.buildChannel(0)
+		cfg, err := tc.f.buildChannel()
 		if err != nil {
 			t.Errorf("%s: unexpected error: %v", tc.name, err)
 			continue
@@ -54,20 +54,18 @@ func TestBuildChannelConflicts(t *testing.T) {
 	cases := []struct {
 		name    string
 		f       channelFlags
-		txDur   float64
 		wantErr string
 	}{
-		{"burst without gilbert", channelFlags{Loss: 0.2, LossBurst: 5}, 0, "-loss-burst"},
-		{"gilbert without loss", channelFlags{LossModel: "gilbert"}, 0, "-loss > 0"},
-		{"unknown model", channelFlags{Loss: 0.1, LossModel: "markov"}, 0, "loss-model"},
-		{"delay vs txdur", channelFlags{DelayMax: 0.1}, 0.001, "-txdur"},
-		{"churn fraction too big", channelFlags{Churn: 1}, 0, "fraction"},
-		{"outage without churn", channelFlags{Outage: 2}, 0, "-churn-outage"},
-		{"loss rate over 1", channelFlags{Loss: 1.5}, 0, "rate"},
-		{"negative delay min", channelFlags{DelayMin: -0.1, DelayMax: 0.5}, 0, "delay"},
+		{"burst without gilbert", channelFlags{Loss: 0.2, LossBurst: 5}, "-loss-burst"},
+		{"gilbert without loss", channelFlags{LossModel: "gilbert"}, "-loss > 0"},
+		{"unknown model", channelFlags{Loss: 0.1, LossModel: "markov"}, "loss-model"},
+		{"churn fraction too big", channelFlags{Churn: 1}, "fraction"},
+		{"outage without churn", channelFlags{Outage: 2}, "-churn-outage"},
+		{"loss rate over 1", channelFlags{Loss: 1.5}, "rate"},
+		{"negative delay min", channelFlags{DelayMin: -0.1, DelayMax: 0.5}, "delay"},
 	}
 	for _, tc := range cases {
-		_, err := tc.f.buildChannel(tc.txDur)
+		_, err := tc.f.buildChannel()
 		if err == nil {
 			t.Errorf("%s: no error, want one mentioning %q", tc.name, tc.wantErr)
 			continue

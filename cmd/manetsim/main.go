@@ -39,7 +39,6 @@ import (
 	"mstc/internal/manet"
 	"mstc/internal/mobility"
 	"mstc/internal/profiling"
-	"mstc/internal/radio"
 	"mstc/internal/topology"
 	"mstc/internal/trace"
 	"mstc/internal/traffic"
@@ -85,8 +84,6 @@ func main() {
 		weakK        = flag.Int("weak", 0, "weak-consistency selection over K recent Hello messages (0 = off)")
 		reactive     = flag.Bool("reactive", false, "reactive strong consistency (synchronized Hello rounds)")
 		proactive    = flag.Bool("proactive", false, "proactive strong consistency (version-pinned packet views)")
-		prune        = flag.Bool("prune", false, "self-pruning broadcast (skip fully covered forwards)")
-		cdsFwd       = flag.Bool("cds", false, "CDS-gateway forwarding (implies -pn)")
 		floodRate    = flag.Float64("floods", 10, "connectivity probes per second")
 		floodSettle  = flag.Float64("settle", 0, "flood scoring deadline (s); 0 = default 0.5; raise under -delay-max")
 		unicastRate  = flag.Float64("unicast", 0, "greedy unicast probes per second (replaces flooding when > 0)")
@@ -102,7 +99,6 @@ func main() {
 		churnFrac    = flag.Float64("churn", 0, "channel churn: expected fraction of nodes down, in (0, 1)")
 		churnOutage  = flag.Float64("churn-outage", 0, "channel churn mean outage duration (s, default 2)")
 		posNoise     = flag.Float64("noise", 0, "advertised-position noise std-dev (m)")
-		txDur        = flag.Float64("txdur", 0, "per-packet airtime (s); > 0 enables the collision MAC")
 		seed         = flag.Uint64("seed", 1, "random seed")
 		snapshotDt   = flag.Float64("snapshots", 0, "strict-connectivity snapshot period (s); 0 = off")
 		domains      = flag.Int("domains", 0, "region-parallel engine: domains x domains spatial grid (0 = serial engine)")
@@ -173,7 +169,7 @@ func main() {
 		Loss: *lossRate, LossModel: *lossModel, LossBurst: *lossBurst,
 		DelayMin: *delayMin, DelayMax: *delayMax,
 		Churn: *churnFrac, Outage: *churnOutage,
-	}.buildChannel(*txDur)
+	}.buildChannel()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -182,7 +178,6 @@ func main() {
 		NormalRange: *normalRange,
 		FloodRate:   *floodRate,
 		FloodSettle: *floodSettle,
-		Radio:       radio.Config{TxDuration: *txDur},
 		Channel:     chCfg,
 		Seed:        *seed,
 		Mech: manet.Mechanisms{
@@ -192,8 +187,6 @@ func main() {
 			WeakK:             *weakK,
 			Reactive:          *reactive,
 			Proactive:         *proactive,
-			SelfPruning:       *prune,
-			CDSForward:        *cdsFwd,
 		},
 		SnapshotEvery:   *snapshotDt,
 		PosNoise:        *posNoise,
@@ -214,9 +207,6 @@ func main() {
 		cfg.Protocol = p
 	}
 
-	if *cdsFwd {
-		cfg.Mech.PhysicalNeighbors = true
-	}
 	if *trafficMode != "" {
 		mode, err := traffic.ModeByName(*trafficMode)
 		if err != nil {

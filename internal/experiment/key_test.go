@@ -22,8 +22,6 @@ func TestRunKeyCollisionFree(t *testing.T) {
 		{PhysicalNeighbors: true},
 		{Reactive: true},
 		{Proactive: true},
-		{PhysicalNeighbors: true, CDSForward: true},
-		{PhysicalNeighbors: true, SelfPruning: true},
 		{WeakK: 2},
 		{WeakK: 3},
 		{WeakK: 5},

@@ -184,12 +184,14 @@ type Run struct {
 // FNV-1a over a canonical byte encoding of every configuration-defining
 // field. The protocol name is hashed with a 0 terminator (no prefix
 // aliasing), Speed and Buffer as their exact IEEE-754 bit patterns, the
-// six mechanism booleans as one flag byte, and WeakK as a full word — so
+// four mechanism booleans as one flag byte, and WeakK as a full word — so
 // any two distinct configurations, including ones differing only in
-// CDSForward / SelfPruning / Proactive (which the previous ad-hoc XOR mix
-// ignored), get distinct substream labels. Rep is deliberately excluded:
-// repetitions of one configuration share the label and are distinguished
-// by the substream index.
+// Proactive (which the previous ad-hoc XOR mix ignored), get distinct
+// substream labels. Flag bits 8 and 16 are retired (they marked two
+// removed flood-forwarding mechanisms) and must not be reused: stores
+// journaled while they existed address records by these labels. Rep is
+// deliberately excluded: repetitions of one configuration share the label
+// and are distinguished by the substream index.
 //
 //manet:hashes Run
 //manet:hash-exclude Rep repetitions share the configuration label and are distinguished by the Sub(..., rep) substream index
@@ -222,12 +224,6 @@ func (r Run) key() uint64 {
 	}
 	if r.Mech.Reactive {
 		flags |= 4
-	}
-	if r.Mech.CDSForward {
-		flags |= 8
-	}
-	if r.Mech.SelfPruning {
-		flags |= 16
 	}
 	if r.Mech.Proactive {
 		flags |= 32

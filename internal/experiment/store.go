@@ -63,7 +63,7 @@ func (o Options) Fingerprint() string {
 	f(o.Radio.Cell)
 	f(o.Radio.Delay)
 	f(o.Radio.LossRate)
-	f(o.Radio.TxDuration)
+	word(0) // retired radio airtime field, kept so store addresses stay put
 	word(uint64(o.Channel.Loss.Model))
 	f(o.Channel.Loss.Rate)
 	f(o.Channel.Loss.MeanBurst)
@@ -81,7 +81,12 @@ func (o Options) Fingerprint() string {
 // Get compares it byte-for-byte against the requesting task, so even a
 // full hash collision on the record address degrades to a cache miss.
 func (r Run) desc() string {
-	d := fmt.Sprintf("%s speed=%g rep=%d mech=%+v", r.Protocol, r.Speed, r.Rep, r.Mech)
+	// The mechanisms are written out field by field in the layout %+v gave
+	// the struct when it still had two more flags; the retired ones are
+	// always false. %g is what %v prints for a float64.
+	m := r.Mech
+	d := fmt.Sprintf("%s speed=%g rep=%d mech={Buffer:%g ViewSync:%t PhysicalNeighbors:%t WeakK:%d Reactive:%t CDSForward:false SelfPruning:false Proactive:%t}",
+		r.Protocol, r.Speed, r.Rep, m.Buffer, m.ViewSync, m.PhysicalNeighbors, m.WeakK, m.Reactive, m.Proactive)
 	if r.Channel.Enabled() {
 		d += fmt.Sprintf(" chan=%+v", r.Channel)
 	}

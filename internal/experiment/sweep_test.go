@@ -217,15 +217,14 @@ func TestFingerprintSensitivity(t *testing.T) {
 	fp := base.Fingerprint()
 
 	changing := map[string]func(*Options){
-		"N":                func(o *Options) { o.N = 41 },
-		"ArenaSide":        func(o *Options) { o.ArenaSide = 800 },
-		"NormalRange":      func(o *Options) { o.NormalRange = 200 },
-		"Duration":         func(o *Options) { o.Duration = 6 },
-		"FloodRate":        func(o *Options) { o.FloodRate = 5 },
-		"Seed":             func(o *Options) { o.Seed = 2005 },
-		"Radio.TxDuration": func(o *Options) { o.Radio.TxDuration = 0.001 },
-		"Channel.Loss":     func(o *Options) { o.Channel.Loss.Rate = 0.1 },
-		"SnapshotEvery":    func(o *Options) { o.SnapshotEvery = 0.5 },
+		"N":             func(o *Options) { o.N = 41 },
+		"ArenaSide":     func(o *Options) { o.ArenaSide = 800 },
+		"NormalRange":   func(o *Options) { o.NormalRange = 200 },
+		"Duration":      func(o *Options) { o.Duration = 6 },
+		"FloodRate":     func(o *Options) { o.FloodRate = 5 },
+		"Seed":          func(o *Options) { o.Seed = 2005 },
+		"Channel.Loss":  func(o *Options) { o.Channel.Loss.Rate = 0.1 },
+		"SnapshotEvery": func(o *Options) { o.SnapshotEvery = 0.5 },
 	}
 	//lint:order-independent
 	for name, mutate := range changing {

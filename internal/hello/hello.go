@@ -17,7 +17,7 @@ import (
 // Message is one "Hello" advertisement: a node's id, the position it
 // advertises, the send timestamp, and a per-sender version number
 // (1 for the sender's first message, incrementing by 1). Payload is the
-// optional 2-hop gossip, nil unless the run's forwarding or routing layer
+// optional 2-hop gossip, nil unless the run's routing layer (OLSR)
 // reads it; keeping it behind one pointer keeps the stored message at
 // 48 bytes on flood-only runs.
 type Message struct {
@@ -28,17 +28,14 @@ type Message struct {
 	Payload *Payload
 }
 
-// Payload is the 2-hop gossip a "Hello" may carry. Neighbors and Marked
-// serve CDS-based broadcasting (references [34]/[35]): the sender's current
-// neighbor ids and its own Wu-Li marked status. Neighbors and MPRs serve
-// OLSR: the sender's logical neighbors and the multipoint relays it
-// selected among them — a receiver listed in MPRs knows the sender is one
-// of its MPR selectors. A payload is shared by every receiver's stored
-// copy of the message and is never mutated after sending.
+// Payload is the 2-hop gossip an OLSR "Hello" carries: the sender's
+// logical neighbors and the multipoint relays it selected among them — a
+// receiver listed in MPRs knows the sender is one of its MPR selectors. A
+// payload is shared by every receiver's stored copy of the message and is
+// never mutated after sending.
 type Payload struct {
 	Neighbors []int
 	MPRs      []int
-	Marked    bool
 }
 
 // Table is one node's neighbor table. It stores up to K recent messages per

@@ -144,12 +144,6 @@ func TestChannelConfigConflicts(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"delay with collision MAC", func() Config {
-			c := Config{Protocol: topology.RNG{}, Seed: 1}
-			c.Radio.TxDuration = 0.001
-			c.Channel.Delay = channel.DelayConfig{Max: 0.05}
-			return c
-		}()},
 		{"bad loss rate", func() Config {
 			c := Config{Protocol: topology.RNG{}, Seed: 1}
 			c.Channel.Loss = channel.LossConfig{Rate: 1.5}

@@ -44,20 +44,6 @@ type Mechanisms struct {
 	// at the start of each "Hello" interval with a shared version and
 	// select using only same-version messages.
 	Reactive bool
-	// CDSForward restricts flood forwarding to the connected dominating
-	// set computed distributedly by Wu-Li marking with Rule-1/2 pruning
-	// (references [34]/[35]): "Hello" messages additionally gossip
-	// neighbor lists and marked status, and only gateways re-forward.
-	// Requires PhysicalNeighbors (CDS broadcast replaces topology-layer
-	// receiver filtering as the overhead-reduction mechanism).
-	CDSForward bool
-	// SelfPruning reduces flood forwarding with neighborhood-aware
-	// self-pruning (the broadcast scheme of the paper's reference [34],
-	// Wu & Dai 2003): packets carry the sender's known 1-hop neighbor
-	// set, and a receiver re-forwards only if it has a neighbor the
-	// sender does not cover. Delivery accounting is unchanged — only
-	// redundant forwards are elided.
-	SelfPruning bool
 	// Proactive enables the proactive strong-consistency scheme (§4.1):
 	// "Hello" messages carry epoch-derived timestamps, every flood packet
 	// pins the last complete epoch, and each relaying node re-selects its
@@ -101,8 +87,7 @@ type Config struct {
 	// Traffic configures the unicast traffic subsystem: CBR flows routed
 	// by an AODV-style on-demand or OLSR-style proactive protocol over
 	// the controlled logical topology (see traffic.go). The zero value
-	// disables it. Mutually exclusive with FloodRate, the collision MAC,
-	// and CDS-restricted flooding.
+	// disables it. Mutually exclusive with FloodRate.
 	Traffic traffic.Config
 	// Unicast configures greedy geographic unicast probes (see
 	// unicast.go). The zero value disables them. Mutually exclusive with
@@ -222,10 +207,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("manet: Reactive and WeakK are mutually exclusive")
 	case c.Mech.Proactive && (c.Mech.Reactive || c.Mech.WeakK > 0):
 		return fmt.Errorf("manet: Proactive is mutually exclusive with Reactive and WeakK")
-	case c.Mech.CDSForward && !c.Mech.PhysicalNeighbors:
-		return fmt.Errorf("manet: CDSForward requires PhysicalNeighbors")
-	case c.Mech.CDSForward && c.Mech.SelfPruning:
-		return fmt.Errorf("manet: CDSForward and SelfPruning are mutually exclusive")
 	case c.PosNoise < 0:
 		return fmt.Errorf("manet: negative PosNoise %g", c.PosNoise)
 	case c.Domains < 0 || c.Domains > maxDomains:
@@ -234,17 +215,8 @@ func (c Config) validate() error {
 		return fmt.Errorf("manet: negative ParallelWorkers %d", c.ParallelWorkers)
 	case c.ParallelWorkers > 0 && c.Domains == 0:
 		return fmt.Errorf("manet: ParallelWorkers set but Domains is 0 (the serial engine has no workers)")
-	case c.Channel.Delay.Enabled() && c.Radio.TxDuration > 0:
-		// Collision resolution happens at airtime end; deferring delivery
-		// further would consult a pruned interference log. Model one
-		// non-ideal timing effect at a time.
-		return fmt.Errorf("manet: channel delay and the collision MAC (Radio.TxDuration) are mutually exclusive")
 	case c.Traffic.Enabled() && c.FloodRate > 0:
 		return fmt.Errorf("manet: traffic and flooding are mutually exclusive (one probe workload per run)")
-	case c.Traffic.Enabled() && c.Radio.TxDuration > 0:
-		return fmt.Errorf("manet: traffic and the collision MAC (Radio.TxDuration) are mutually exclusive")
-	case c.Traffic.Enabled() && c.Mech.CDSForward:
-		return fmt.Errorf("manet: traffic and CDSForward are mutually exclusive (CDS restricts floods, which traffic replaces)")
 	case c.Unicast.Enabled() && (c.FloodRate > 0 || c.Traffic.Enabled()):
 		return fmt.Errorf("manet: unicast probes are mutually exclusive with flooding and traffic (one probe workload per run)")
 	}
@@ -276,7 +248,6 @@ func (c Config) checkFinite() error {
 		{"Radio.Cell", c.Radio.Cell},
 		{"Radio.Delay", c.Radio.Delay},
 		{"Radio.LossRate", c.Radio.LossRate},
-		{"Radio.TxDuration", c.Radio.TxDuration},
 		{"Radio.Slack", c.Radio.Slack},
 		{"Channel.Loss.Rate", c.Channel.Loss.Rate},
 		{"Channel.Loss.MeanBurst", c.Channel.Loss.MeanBurst},

@@ -3,7 +3,6 @@ package manet
 import (
 	"math"
 
-	"mstc/internal/radio"
 	"mstc/internal/sim"
 )
 
@@ -91,58 +90,38 @@ func (nw *Network) carries(nd *node, rid int) bool {
 	return nw.cfg.Mech.PhysicalNeighbors || nd.hasLogical(rid)
 }
 
-// senderCover is the covered set a self-pruning sender's packet header
-// carries — the sender and its known 1-hop neighborhood — or nil without
-// self-pruning. The map is shared by the packet's pending receptions, so
-// it cannot be scratch-backed.
-func (nw *Network) senderCover(nd *node, now sim.Time) map[int]bool {
-	if !nw.cfg.Mech.SelfPruning {
-		return nil
-	}
-	nw.msgBuf = nd.table.LatestInto(nw.msgBuf[:0], now)
-	//lint:ignore noalloc the header map escapes into the pending receptions by design (see above); self-pruning runs accept this per-transmit cost
-	cover := make(map[int]bool, len(nw.msgBuf)+1)
-	cover[nd.id] = true
-	for _, m := range nw.msgBuf {
-		cover[m.From] = true
-	}
-	return cover
-}
-
 // transmit is one node's broadcast of the flood packet on the serial
 // engine: the sender preamble, then every receiver the topology layer
-// carries to schedules its reception after the airtime, the per-hop delay
-// and a small jitter.
+// carries to schedules its reception after the per-hop delay and a small
+// jitter.
 func (nw *Network) transmit(fl *flood, sender int, now sim.Time) {
 	nd := nw.nodes[sender]
 	if !nw.sendPreamble(nd, now, fl.pin) {
 		return
 	}
 	nw.dataTx++
-	tx, receivers := nw.med.Transmit(now, sender, nd.txRange, nw.recvBuf[:0])
+	receivers := nw.med.Transmit(now, sender, nd.txRange, nw.recvBuf[:0])
 	nw.recvBuf = receivers
-	airtime := nw.med.TxDuration()
-	cover := nw.senderCover(nd, now)
 	for _, rid := range receivers {
 		if fl.accepted[rid] || !nw.carries(nd, rid) {
 			continue
 		}
 		d := nw.dels.get()
-		*d = delivery{nw: nw, floodRecv: floodRecv{fl: fl, rid: rid, cover: cover, tx: tx, airtime: airtime}}
-		nw.eng.ScheduleActorIn(nw.floodDelay(fl, sender, rid, airtime), d)
+		*d = delivery{nw: nw, floodRecv: floodRecv{fl: fl, rid: rid}}
+		nw.eng.ScheduleActorIn(nw.floodDelay(fl, sender, rid), d)
 	}
 }
 
-// floodDelay is the total deferral of one flood reception: airtime plus the
-// constant per-hop radio delay plus the keyed forward jitter — and, on a
-// non-ideal channel, the reception's own bounded random delay (≤ Δ″). Every
-// random component is a pure function of (flood, forwarder, receiver), so
-// the serial engine and the region-parallel flood rounds resolve identical
+// floodDelay is the total deferral of one flood reception: the constant
+// per-hop radio delay plus the keyed forward jitter — and, on a non-ideal
+// channel, the reception's own bounded random delay (≤ Δ″). Every random
+// component is a pure function of (flood, forwarder, receiver), so the
+// serial engine and the region-parallel flood rounds resolve identical
 // deferrals regardless of evaluation order.
-func (nw *Network) floodDelay(fl *flood, sender, rid int, airtime float64) float64 {
+func (nw *Network) floodDelay(fl *flood, sender, rid int) float64 {
 	//lint:ignore noalloc Derive is by-value and never retains its label slice, so both stay on the stack; TestNoallocAnnotationsConform pins the steady state at zero
 	jit := nw.rng.Derive('j', fl.id, uint64(sender), uint64(rid))
-	delay := airtime + nw.med.Delay() + jit.Uniform(0, nw.cfg.ForwardJitterMax)
+	delay := nw.med.Delay() + jit.Uniform(0, nw.cfg.ForwardJitterMax)
 	if nw.ch.DelayEnabled() {
 		delay += nw.ch.FloodDelay(fl.id, sender, rid)
 	}
@@ -150,37 +129,25 @@ func (nw *Network) floodDelay(fl *flood, sender, rid int, airtime float64) float
 }
 
 // floodRecv is one pending flood-packet reception, as both engines queue
-// it: the flood, the receiver, the sender's covered set (self-pruning, nil
-// otherwise), and the transmission with its airtime (collision MAC, zero
-// otherwise).
+// it: the flood and the receiver.
 type floodRecv struct {
-	fl      *flood
-	rid     int
-	cover   map[int]bool
-	tx      radio.Tx
-	airtime float64
+	fl  *flood
+	rid int
 }
 
 // accept is a flood reception's acceptance step at instant at, resolved at
 // delivery time because the receiver may have accepted a concurrent copy
-// meanwhile, and under the collision MAC this copy may have been jammed.
-// An accepted packet is counted; accept then reports whether the receiver
-// forwards it — not when self-pruned (everything it reaches was covered)
-// or, under CDS forwarding, when it is no gateway.
+// meanwhile (or failed). It reports whether the receiver accepts — and so
+// counts and forwards — the packet: blind flooding over the controlled
+// topology (§5.1).
 func (nw *Network) accept(r floodRecv, at float64) bool {
 	fl, rid := r.fl, r.rid
 	if fl.accepted[rid] || nw.nodes[rid].isDown(at) {
 		return false
 	}
-	if r.airtime > 0 && nw.med.Collides(r.tx, rid) {
-		return false
-	}
 	fl.accepted[rid] = true
 	fl.count++
-	if r.cover != nil && !nw.coversNew(rid, at, r.cover) {
-		return false
-	}
-	return !nw.cfg.Mech.CDSForward || nw.nodes[rid].cdsMarked
+	return true
 }
 
 // delivery is a floodRecv scheduled on the serial engine as a pooled
@@ -201,16 +168,4 @@ func (d *delivery) Act(later sim.Time) {
 	if nw.accept(r, later) {
 		nw.transmit(r.fl, r.rid, later)
 	}
-}
-
-// coversNew reports whether node id knows a neighbor outside the sender's
-// covered set — the self-pruning forwarding condition.
-func (nw *Network) coversNew(id int, now sim.Time, cover map[int]bool) bool {
-	nw.msgBuf = nw.nodes[id].table.LatestInto(nw.msgBuf[:0], now)
-	for _, m := range nw.msgBuf {
-		if !cover[m.From] {
-			return true
-		}
-	}
-	return false
 }

@@ -15,9 +15,8 @@ import (
 // radio loss and delay, position noise, the reactive, proactive and weak
 // schemes — runs once on the serial engine and once on a 1×1 to 3×3 domain
 // grid with 1 to 4 workers. Either NewNetwork rejects the configuration, or
-// both runs hash to the same digest. Configurations the region-parallel
-// engine does not support (CDS forwarding) take the serial fallback, which
-// must match too.
+// both runs hash to the same digest. Mechanism bits 0x004 and 0x100 are
+// unused.
 func FuzzParallelMatchesSerial(f *testing.F) {
 	f.Add(uint64(1), uint8(20), uint8(4), uint16(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0))
 	f.Add(uint64(2), uint8(28), uint8(9), uint16(0x0003), uint8(130), uint8(90), uint8(200), uint8(40), uint8(60))
@@ -39,10 +38,8 @@ func FuzzParallelMatchesSerial(f *testing.F) {
 			Mech: Mechanisms{
 				ViewSync:          mech&0x001 != 0,
 				PhysicalNeighbors: mech&0x002 != 0,
-				SelfPruning:       mech&0x004 != 0,
 				Reactive:          mech&0x008 != 0,
 				Proactive:         mech&0x010 != 0,
-				CDSForward:        mech&0x100 != 0,
 			},
 		}
 		if mech&0x020 != 0 {
@@ -97,8 +94,8 @@ func FuzzParallelMatchesSerial(f *testing.F) {
 // radio grid's Cell and Slack are not fuzzed: the cell count they imply
 // depends on the arena, which NewMedium checks and validate cannot see.
 func FuzzConfigValidate(f *testing.F) {
-	// bits: 0-5 mechanisms, 6-7 protocol, 8 WeakK on, 9-11 radio or
-	// channel impairment, 12-13 weak selector, 14-15 WeakK, 16-17 probe
+	// bits: 0-1 and 3-4 mechanisms (2 and 5 unused), 6-7 protocol, 8 WeakK
+	// on, 9-11 radio or channel impairment (6 and 7: none), 12-13 weak selector, 14-15 WeakK, 16-17 probe
 	// workload, 18-19 unicast hops or OLSR, 20-21 workers, 24-31 domains.
 	f.Add(uint64(1), uint32(0x0000_0040), 0.0, 0.0, 0.0, 0.0, 5.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 	f.Add(uint64(2), uint32(0x0221_0240), 0.0, 0.0, 0.0, 10.0, 5.0, 0.0, 0.15, 0.0, 0.0, 0.5)
@@ -124,10 +121,8 @@ func FuzzConfigValidate(f *testing.F) {
 				Buffer:            buffer,
 				ViewSync:          bits&0x1 != 0,
 				PhysicalNeighbors: bits&0x2 != 0,
-				SelfPruning:       bits&0x4 != 0,
 				Reactive:          bits&0x8 != 0,
 				Proactive:         bits&0x10 != 0,
-				CDSForward:        bits&0x20 != 0,
 			},
 			Domains:         int(bits>>24) % 72, // past the 64 × 64 bound
 			ParallelWorkers: int(bits >> 20 & 3),
@@ -152,8 +147,6 @@ func FuzzConfigValidate(f *testing.F) {
 			cfg.Channel.Delay = channel.DelayConfig{Max: period}
 		case 5:
 			cfg.Channel.Churn = channel.ChurnConfig{MeanUp: period, MeanDown: loss}
-		case 6:
-			cfg.Radio.TxDuration = period
 		}
 		switch bits >> 16 & 3 {
 		case 1:

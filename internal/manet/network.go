@@ -4,7 +4,6 @@ import (
 	"math"
 	"slices"
 
-	"mstc/internal/cds"
 	"mstc/internal/channel"
 	"mstc/internal/geom"
 	"mstc/internal/graph"
@@ -29,7 +28,6 @@ type node struct {
 	logical       []int                       // current logical neighbor ids (ascending)
 	actualRange   float64
 	txRange       float64 // actual + buffer, clamped
-	cdsMarked     bool    // own Wu-Li marked status (CDSForward mechanism)
 	downUntil     float64 // churn: node is failed until this instant
 }
 
@@ -146,10 +144,6 @@ type Network struct {
 	// The serial selection context (promoted methods: nw.selectView and
 	// friends). Parallel domain contexts live in parRun.
 	selCtx
-
-	cdsNbrOf   map[int][]int // reused cds.View.NeighborsOf
-	cdsNbrBuf  []int
-	cdsMarkBuf map[int]bool
 
 	dels   pool[delivery]      // pooled flood deliveries
 	hellos pool[helloDelivery] // pooled delayed "Hello" deliveries
@@ -344,13 +338,9 @@ func (nw *Network) firstBeacon(nd *node) float64 {
 // rounds, and flood forwarding are all covered: their random components
 // are pure functions of each event's identity (or per-receiver chains
 // replayed in chronological order), so domain barriers resolve them
-// bit-identically to the serial engine. Four features remain ineligible,
-// all because their "Hello"/packet processing consumes shared, globally
-// ordered state that cannot be partitioned by receiver domain: the
-// collision MAC's interference log (every transmission contends with
-// every overlapping one, arena-wide), CDS forwarding (neighbor-list
-// payloads built from the sender's table at send time travel in the
-// packet and feed every receiver's marking state), the traffic
+// bit-identically to the serial engine. Two workloads remain ineligible,
+// both because their packet processing consumes shared, globally ordered
+// state that cannot be partitioned by receiver domain: the traffic
 // subsystem (route tables and link-state views mutate at arbitrary nodes
 // on every reception, so packet order across domains is semantic), and
 // unicast probes (each walks every node on its path at one instant). Such
@@ -358,13 +348,7 @@ func (nw *Network) firstBeacon(nd *node) float64 {
 // construction, so the fallback is a performance property, not a semantic
 // one).
 func (nw *Network) parallelEligible() bool {
-	if nw.cfg.Domains < 1 {
-		return false
-	}
-	if nw.cfg.Radio.TxDuration > 0 || nw.cfg.Mech.CDSForward || nw.cfg.Traffic.Enabled() || nw.cfg.Unicast.Enabled() {
-		return false
-	}
-	return true
+	return nw.cfg.Domains >= 1 && !nw.cfg.Traffic.Enabled() && !nw.cfg.Unicast.Enabled()
 }
 
 // reactiveSettle is the reactive scheme's fixed settle offset after each
@@ -421,39 +405,12 @@ func (nw *Network) sendHello(nd *node, now sim.Time) {
 		return
 	}
 	msg := nw.advertise(nd, now, nw.med.PositionAt(nd.id, now))
-	if nw.cfg.Mech.CDSForward {
-		nd.cdsMarked = nw.wuLiMarked(nd, now)
-		nw.msgBuf = nd.table.LatestInto(nw.msgBuf[:0], now)
-		// The payload travels in every receiver's stored message, so it
-		// must be freshly allocated (exact-sized) rather than scratch-backed.
-		p := &hello.Payload{Neighbors: make([]int, 0, len(nw.msgBuf)), Marked: nd.cdsMarked}
-		for _, m := range nw.msgBuf {
-			p.Neighbors = append(p.Neighbors, m.From)
-		}
-		msg.Payload = p
-	}
 	if nw.traf != nil {
-		// Traffic excludes CDSForward, so the assignment never clobbers a
-		// CDS payload; outside OLSR mode it is nil over nil.
+		// Outside OLSR mode the payload is nil.
 		msg.Payload = nw.traf.helloPayload(nd, now)
 	}
-	tx, receivers := nw.med.Transmit(now, nd.id, nw.cfg.NormalRange, nw.recvBuf[:0])
-	nw.recvBuf = receivers
-	if dur := nw.med.TxDuration(); dur > 0 {
-		// Collision MAC: reception resolves after the airtime, when every
-		// interfering transmission is known.
-		ids := make([]int, len(receivers))
-		copy(ids, receivers)
-		nw.eng.ScheduleIn(dur, func(at sim.Time) {
-			for _, rid := range ids {
-				if !nw.med.Collides(tx, rid) {
-					nw.observe(rid, msg, at)
-				}
-			}
-		})
-	} else {
-		nw.receive(msg, receivers)
-	}
+	nw.recvBuf = nw.med.Transmit(now, nd.id, nw.cfg.NormalRange, nw.recvBuf[:0])
+	nw.receive(msg, nw.recvBuf)
 	nw.selectView(nd, now, selModeLatest, 0, msg.Pos)
 }
 
@@ -472,14 +429,7 @@ func (nw *Network) scheduleReactiveRounds() {
 				continue // channel churn: a failed node misses its round
 			}
 			msg := nw.advertiseAs(nd, now, nw.med.PositionAt(nd.id, now), ver)
-			if nw.ch == nil {
-				// Ideal channel: a receiver query rather than a
-				// transmission, which keeps reactive hellos out of the
-				// collision MAC's interference log.
-				nw.recvBuf = nw.med.ReceiversAt(now, nd.id, nw.cfg.NormalRange, nw.recvBuf[:0])
-			} else {
-				_, nw.recvBuf = nw.med.Transmit(now, nd.id, nw.cfg.NormalRange, nw.recvBuf[:0])
-			}
+			nw.recvBuf = nw.med.Transmit(now, nd.id, nw.cfg.NormalRange, nw.recvBuf[:0])
 			nw.receive(msg, nw.recvBuf)
 		}
 		nw.eng.ScheduleIn(reactiveSettle, func(sel sim.Time) {
@@ -488,39 +438,6 @@ func (nw *Network) scheduleReactiveRounds() {
 			}
 		})
 	})
-}
-
-// wuLiMarked computes nd's Wu-Li status from its 2-hop view — marked iff
-// two known neighbors are not directly connected per their advertised
-// neighbor lists — then applies Rule-1/2 pruning against the neighbors'
-// advertised marked flags (references [34]/[35]). The cds.View map and the
-// marked-flag map are network-owned scratch cleared per call; cds reads
-// them purely, so nothing escapes the call.
-func (nw *Network) wuLiMarked(nd *node, now sim.Time) bool {
-	nw.msgBuf = nd.table.LatestInto(nw.msgBuf[:0], now)
-	if nw.cdsNbrOf == nil {
-		nw.cdsNbrOf = make(map[int][]int, len(nw.msgBuf))
-		nw.cdsMarkBuf = make(map[int]bool, len(nw.msgBuf))
-	}
-	clear(nw.cdsNbrOf)
-	clear(nw.cdsMarkBuf)
-	nw.cdsNbrBuf = nw.cdsNbrBuf[:0]
-	for _, m := range nw.msgBuf {
-		nw.cdsNbrBuf = append(nw.cdsNbrBuf, m.From)
-		if m.Payload != nil { // absent keys read as nil / unmarked
-			nw.cdsNbrOf[m.From] = m.Payload.Neighbors
-			nw.cdsMarkBuf[m.From] = m.Payload.Marked
-		}
-	}
-	v := cds.View{Self: nd.id, Neighbors: nw.cdsNbrBuf, NeighborsOf: nw.cdsNbrOf}
-	if !cds.Marked(v) {
-		return false
-	}
-	isMarked := func(x int) bool { return nw.cdsMarkBuf[x] }
-	if cds.Rule1(v, isMarked) || cds.Rule2(v, isMarked) {
-		return false
-	}
-	return true
 }
 
 // selectView recomputes nd's logical neighbors and transmission range from

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"mstc/internal/channel"
-	"mstc/internal/geom"
 	"mstc/internal/mobility"
 	"mstc/internal/radio"
 	"mstc/internal/topology"
@@ -466,98 +465,6 @@ func TestChurnValidation(t *testing.T) {
 	}
 }
 
-func TestCDSForwardCutsOverheadKeepsCoverage(t *testing.T) {
-	// Gateway-only forwarding should slash the forward count massively on
-	// a dense static network while preserving full coverage.
-	model := connectedStatic(t, 43, 100, 15)
-	run := func(cds bool) Result {
-		nw, err := NewNetwork(model, Config{
-			Protocol: topology.None{}, FloodRate: 10, Seed: 25,
-			Mech: Mechanisms{PhysicalNeighbors: true, CDSForward: cds},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return nw.Run(15)
-	}
-	blind, gated := run(false), run(true)
-	if gated.Connectivity < 0.99 {
-		t.Errorf("CDS broadcast coverage = %.3f, want ~1", gated.Connectivity)
-	}
-	if gated.DataTx >= blind.DataTx/2 {
-		t.Errorf("CDS forwarding saved too little: %d vs %d transmissions",
-			gated.DataTx, blind.DataTx)
-	}
-}
-
-func TestCDSForwardValidation(t *testing.T) {
-	model := connectedStatic(t, 1, 10, 5)
-	if _, err := NewNetwork(model, Config{
-		Protocol: topology.None{}, Mech: Mechanisms{CDSForward: true},
-	}); err == nil {
-		t.Error("CDSForward without PhysicalNeighbors accepted")
-	}
-	if _, err := NewNetwork(model, Config{
-		Protocol: topology.None{},
-		Mech:     Mechanisms{CDSForward: true, PhysicalNeighbors: true, SelfPruning: true},
-	}); err == nil {
-		t.Error("CDSForward + SelfPruning accepted")
-	}
-}
-
-func TestSelfPruningCutsOverheadKeepsCoverage(t *testing.T) {
-	// On a dense uncontrolled topology, self-pruning must slash the
-	// number of forwards without losing coverage.
-	model := connectedStatic(t, 41, 80, 15)
-	run := func(prune bool) Result {
-		nw, err := NewNetwork(model, Config{
-			Protocol: topology.None{}, FloodRate: 10, Seed: 19,
-			Mech: Mechanisms{SelfPruning: prune},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return nw.Run(15)
-	}
-	blind, pruned := run(false), run(true)
-	if pruned.Connectivity < blind.Connectivity-0.01 {
-		t.Errorf("pruning lost coverage: %.3f vs %.3f", pruned.Connectivity, blind.Connectivity)
-	}
-	if pruned.Connectivity < 0.999 {
-		t.Errorf("pruned coverage = %.3f, want ~1", pruned.Connectivity)
-	}
-	// The basic self-pruning rule only elides fully covered forwarders,
-	// which are rare on a 900 m arena with 250 m range — expect modest
-	// but strictly positive savings (the clique test below shows the
-	// dense-network extreme).
-	if pruned.DataTx >= blind.DataTx {
-		t.Errorf("pruning saved nothing: %d vs %d forwards", pruned.DataTx, blind.DataTx)
-	}
-}
-
-func TestSelfPruningClique(t *testing.T) {
-	// In a clique every node covers everyone: only the source transmits.
-	pts := make([]geom.Point, 12)
-	for i := range pts {
-		pts[i] = geom.Pt(float64(i)*10, 0)
-	}
-	model := mobility.NewStatic(arena, pts, 10)
-	nw, err := NewNetwork(model, Config{
-		Protocol: topology.None{}, FloodRate: 5, Seed: 20,
-		Mech: Mechanisms{SelfPruning: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := nw.Run(10)
-	if res.Connectivity < 0.999 {
-		t.Fatalf("clique coverage = %.3f", res.Connectivity)
-	}
-	if res.DataTx != res.Floods {
-		t.Errorf("DataTx = %d for %d floods, want exactly one tx per flood", res.DataTx, res.Floods)
-	}
-}
-
 func TestEnergyAccounting(t *testing.T) {
 	model := connectedStatic(t, 37, 80, 15)
 	run := func(p topology.Protocol, buffer float64) Result {
@@ -593,70 +500,6 @@ func TestEnergyAccounting(t *testing.T) {
 	// Hello energy: one unit per hello.
 	if mst.HelloEnergy != float64(mst.HelloTx) {
 		t.Errorf("HelloEnergy %v != HelloTx %d", mst.HelloEnergy, mst.HelloTx)
-	}
-}
-
-func TestCollisionMACStillFunctions(t *testing.T) {
-	// With a 1 ms airtime, beacons occasionally collide but the protocol
-	// still converges on a static network; flooding loses some packets to
-	// the broadcast storm yet delivers most of the network through RNG's
-	// redundancy.
-	model := connectedStatic(t, 23, 80, 20)
-	nw, err := NewNetwork(model, Config{
-		Protocol: topology.RNG{}, FloodRate: 10, Seed: 14,
-		Radio: radio.Config{TxDuration: 0.001},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := nw.Run(20)
-	if res.Connectivity < 0.6 {
-		t.Errorf("collision MAC collapsed static RNG: %.3f", res.Connectivity)
-	}
-	// The ideal MAC on the same instance delivers everything; collisions
-	// must only ever reduce delivery.
-	ideal, err := NewNetwork(model, Config{
-		Protocol: topology.RNG{}, FloodRate: 10, Seed: 14,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ires := ideal.Run(20)
-	if res.Connectivity > ires.Connectivity+1e-9 {
-		t.Errorf("collisions increased delivery: %.3f > %.3f", res.Connectivity, ires.Connectivity)
-	}
-}
-
-func TestCollisionMACJamsDenseSimultaneousForwards(t *testing.T) {
-	// A clique with a long airtime and near-zero forwarding jitter: flood
-	// forwards and hello beacons overlap constantly, so some receptions
-	// must be jammed — but the dense clique still delivers a solid
-	// majority. The ideal MAC on the same instance delivers everything.
-	pts := make([]geom.Point, 10)
-	for i := range pts {
-		pts[i] = geom.Pt(float64(i)*10, 0)
-	}
-	model := mobility.NewStatic(arena, pts, 10)
-	run := func(txDur float64) float64 {
-		nw, err := NewNetwork(model, Config{
-			Protocol: topology.None{}, FloodRate: 5, Seed: 15,
-			ForwardJitterMax: 1e-9,
-			Radio:            radio.Config{TxDuration: txDur},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return nw.Run(10).Connectivity
-	}
-	jammed, ideal := run(0.01), run(0)
-	if ideal < 0.999 {
-		t.Fatalf("ideal MAC clique delivery = %.3f, want 1", ideal)
-	}
-	if jammed >= 0.999 {
-		t.Error("collision MAC lost nothing despite saturated channel")
-	}
-	if jammed < 0.3 {
-		t.Errorf("collision MAC collapsed the clique: %.3f", jammed)
 	}
 }
 

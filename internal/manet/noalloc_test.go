@@ -40,7 +40,7 @@ func TestNoallocAnnotationsConform(t *testing.T) {
 	model := connectedStatic(t, 100, n, 1e9)
 	cfg := Config{Protocol: topology.RNG{}, Seed: 7}
 	// A bounded channel delay routes every hello through scheduleHellos and
-	// the pooled helloDelivery actors (the TxDuration==0 direct path would
+	// the pooled helloDelivery actors (the undelayed direct path would
 	// bypass them).
 	cfg.Channel.Delay = channel.DelayConfig{Max: 0.02}
 	nw, err := NewNetwork(model, cfg)

@@ -53,7 +53,7 @@ package manet
 //     global (time, seq) sim.Heap. The dispatcher pops the earliest
 //     reception, resolves acceptance serially (Network.accept, as the
 //     serial delivery.Act does), and on a forward runs the sender side
-//     serially (Network.sendPreamble, counters, cover capture) followed
+//     serially (Network.sendPreamble, counters) followed
 //     by one scan barrier: every domain runs the same snapshot-grid
 //     receiver scan (a domain beside the sender's disc finds no cells to
 //     scan) and emits accepting receivers to a per-domain outbox with
@@ -595,9 +595,9 @@ func (pr *parRun) floodStep() {
 
 // floodTransmit is one node's broadcast of the flood packet on the
 // parallel engine — the serial transmit with the receiver loop replaced by
-// a scan barrier. Sender-side work (preamble, counters, cover capture)
-// runs serially on the dispatcher through the network's own selection
-// context, exactly as the serial engine's transmit would at this instant.
+// a scan barrier. Sender-side work (preamble, counters) runs serially on
+// the dispatcher through the network's own selection context, exactly as
+// the serial engine's transmit would at this instant.
 func (pr *parRun) floodTransmit(fl *flood, sender int, now float64) {
 	nw := pr.nw
 	nd := nw.nodes[sender]
@@ -605,7 +605,6 @@ func (pr *parRun) floodTransmit(fl *flood, sender int, now float64) {
 		return
 	}
 	nw.dataTx++
-	cover := nw.senderCover(nd, now)
 	r := nd.txRange
 	if r <= 0 {
 		return // matches the radio's empty receiver set for r <= 0
@@ -628,7 +627,7 @@ func (pr *parRun) floodTransmit(fl *flood, sender int, now float64) {
 	sortFloodOutByRid(pr.fmerge)
 	for _, o := range pr.fmerge {
 		pr.fseq++
-		pr.fheap.Push(o.at, pr.fseq, floodRecv{fl: fl, rid: o.rid, cover: cover})
+		pr.fheap.Push(o.at, pr.fseq, floodRecv{fl: fl, rid: o.rid})
 	}
 }
 
@@ -769,7 +768,7 @@ func (pr *parRun) processFloodScan(pd *domainCtx, d int) {
 		if fl.accepted[rid] || !nw.carries(snd, rid) {
 			continue
 		}
-		pd.fout = append(pd.fout, floodOut{at: at + nw.floodDelay(fl, sender, rid, 0), rid: rid})
+		pd.fout = append(pd.fout, floodOut{at: at + nw.floodDelay(fl, sender, rid), rid: rid})
 	}
 }
 

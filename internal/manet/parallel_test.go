@@ -408,13 +408,11 @@ func TestSelectWeakUsesCallerSelfPos(t *testing.T) {
 }
 
 // TestParallelFallbackConfigs pins the automatic serial fallback. Exactly
-// four features remain unsupported by the region-parallel engine — the
-// collision MAC (cross-domain jamming state), CDS forwarding (a global
-// marking recomputed at snapshot fences), the traffic subsystem (route
-// tables and link-state views mutate at arbitrary nodes on every
-// reception, so packet order across domains is semantic), and unicast
-// probes (each walks every node on its path at one instant) — and they
-// must still run, on the serial path, producing results identical to
+// two workloads remain unsupported by the region-parallel engine — the
+// traffic subsystem (route tables and link-state views mutate at arbitrary
+// nodes on every reception, so packet order across domains is semantic),
+// and unicast probes (each walks every node on its path at one instant) —
+// and they must still run, on the serial path, producing results identical to
 // Domains = 0. If a config below ever becomes parallel-eligible, this test
 // fails so the eligibility table in DESIGN.md and the differential matrix
 // get extended first.
@@ -425,8 +423,6 @@ func TestParallelFallbackConfigs(t *testing.T) {
 		name   string
 		mutate func(*Config)
 	}{
-		{"collision-mac", func(c *Config) { c.Radio.TxDuration = 0.001 }},
-		{"cds-forward", func(c *Config) { c.Mech.CDSForward, c.Mech.PhysicalNeighbors = true, true }},
 		{"traffic-aodv", func(c *Config) {
 			c.FloodRate = 0
 			c.Traffic = traffic.Config{Mode: traffic.AODV, Flows: 4, Rate: 4}
@@ -496,14 +492,12 @@ func TestParallelEligibility(t *testing.T) {
 			c.Channel.Churn = channel.ChurnConfig{MeanUp: 6, MeanDown: 1}
 		}, true},
 		{"mechanisms", func(c *Config) {
-			c.Mech = Mechanisms{Buffer: 10, ViewSync: true, PhysicalNeighbors: true, Proactive: true, SelfPruning: true}
+			c.Mech = Mechanisms{Buffer: 10, ViewSync: true, PhysicalNeighbors: true, Proactive: true}
 		}, true},
 		{"weak", func(c *Config) {
 			c.Protocol, c.Weak = nil, topology.WeakRNG{}
 			c.Mech.WeakK = 3
 		}, true},
-		{"collision-mac", func(c *Config) { c.Radio.TxDuration = 0.001 }, false},
-		{"cds-forward", func(c *Config) { c.Mech.CDSForward, c.Mech.PhysicalNeighbors = true, true }, false},
 		{"traffic-aodv", func(c *Config) {
 			c.FloodRate = 0
 			c.Traffic = traffic.Config{Mode: traffic.AODV}

@@ -295,7 +295,7 @@ func (nw *Network) sendTo(p trafficPacket, u, target int, now sim.Time) bool {
 		return false
 	}
 	nw.traf.countTx(p.kind)
-	_, receivers := nw.med.Transmit(now, u, nd.txRange, nw.recvBuf[:0])
+	receivers := nw.med.Transmit(now, u, nd.txRange, nw.recvBuf[:0])
 	nw.recvBuf = receivers
 	found := false
 	for _, rid := range receivers {
@@ -322,7 +322,7 @@ func (nw *Network) broadcastCtrl(p trafficPacket, u int, now sim.Time) {
 		return
 	}
 	nw.traf.countTx(p.kind)
-	_, receivers := nw.med.Transmit(now, u, nd.txRange, nw.recvBuf[:0])
+	receivers := nw.med.Transmit(now, u, nd.txRange, nw.recvBuf[:0])
 	nw.recvBuf = receivers
 	for _, rid := range receivers {
 		if nw.carries(nd, rid) {
@@ -759,8 +759,7 @@ func (ts *trafficState) selectedBy(u, s int, now float64) bool {
 // current neighbor list and its MPR selection over the gossiped 2-hop
 // neighborhood (nil outside OLSR mode). The payload travels in every
 // receiver's stored message, so it is freshly allocated (exact-sized)
-// rather than scratch-backed — the same rule sendHello's CDSForward
-// payload follows.
+// rather than scratch-backed.
 func (ts *trafficState) helloPayload(nd *node, now float64) *hello.Payload {
 	if ts.cfg.Mode != traffic.OLSR {
 		return nil

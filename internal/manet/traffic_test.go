@@ -168,15 +168,4 @@ func TestTrafficConfigExclusions(t *testing.T) {
 	if _, err := NewNetwork(model, flood); err == nil {
 		t.Error("traffic + flooding accepted")
 	}
-	mac := base
-	mac.Radio.TxDuration = 0.001
-	if _, err := NewNetwork(model, mac); err == nil {
-		t.Error("traffic + collision MAC accepted")
-	}
-	cds := base
-	cds.Mech.PhysicalNeighbors = true
-	cds.Mech.CDSForward = true
-	if _, err := NewNetwork(model, cds); err == nil {
-		t.Error("traffic + CDSForward accepted")
-	}
 }

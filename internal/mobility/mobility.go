@@ -156,6 +156,17 @@ func checkFinite(fs ...field) error {
 	return nil
 }
 
+// checkArena rejects an arena a mobility model cannot draw positions in:
+// an empty one, or one with a NaN or infinite bound. Square(+Inf) is not
+// empty, yet every waypoint drawn in it would be Uniform(0, +Inf).
+func checkArena(arena geom.Rect) error {
+	if arena.Empty() {
+		return fmt.Errorf("mobility: empty arena")
+	}
+	return checkFinite(field{"arena Min.X", arena.Min.X}, field{"arena Min.Y", arena.Min.Y},
+		field{"arena Max.X", arena.Max.X}, field{"arena Max.Y", arena.Max.Y})
+}
+
 // WaypointConfig parameterizes the random waypoint model.
 type WaypointConfig struct {
 	N        int     // number of nodes
@@ -218,8 +229,8 @@ func NewRandomWaypoint(arena geom.Rect, cfg WaypointConfig, rng *xrand.Source) (
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if arena.Empty() {
-		return nil, fmt.Errorf("mobility: empty arena")
+	if err := checkArena(arena); err != nil {
+		return nil, err
 	}
 	m := &RandomWaypoint{
 		base: base{arena: arena, maxSpeed: cfg.SpeedMax, horizon: cfg.Horizon},
@@ -305,8 +316,8 @@ func NewRandomWalk(arena geom.Rect, cfg WalkConfig, rng *xrand.Source) (*RandomW
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if arena.Empty() {
-		return nil, fmt.Errorf("mobility: empty arena")
+	if err := checkArena(arena); err != nil {
+		return nil, err
 	}
 	m := &RandomWalk{
 		base: base{arena: arena, maxSpeed: cfg.SpeedMax, horizon: cfg.Horizon},

@@ -235,6 +235,54 @@ func TestWaypointConfigValidation(t *testing.T) {
 	}
 }
 
+// TestConstructorsRejectBadArena runs every arena-drawing constructor on
+// arenas no position can be drawn in. geom.Square(+Inf) is not Empty, so an
+// emptiness test alone lets it through to Uniform(0, +Inf) waypoints.
+func TestConstructorsRejectBadArena(t *testing.T) {
+	ctors := []struct {
+		name string
+		make func(geom.Rect) error
+	}{
+		{"RandomWaypoint", func(a geom.Rect) error {
+			_, err := NewRandomWaypoint(a, WaypointConfig{N: 1, SpeedMin: 1, SpeedMax: 2, Horizon: 1}, xrand.New(1))
+			return err
+		}},
+		{"RandomWalk", func(a geom.Rect) error {
+			_, err := NewRandomWalk(a, WalkConfig{N: 1, SpeedMin: 1, SpeedMax: 2, Epoch: 1, Horizon: 1}, xrand.New(1))
+			return err
+		}},
+		{"RandomDirection", func(a geom.Rect) error {
+			_, err := NewRandomDirection(a, DirectionConfig{N: 1, SpeedMin: 1, SpeedMax: 2, Horizon: 1}, xrand.New(1))
+			return err
+		}},
+		{"GaussMarkov", func(a geom.Rect) error {
+			_, err := NewGaussMarkov(a, GaussMarkovConfig{N: 1, MeanSpeed: 1, Alpha: 0.5, Horizon: 1}, xrand.New(1))
+			return err
+		}},
+	}
+	inf, nan := math.Inf(1), math.NaN()
+	arenas := []struct {
+		name  string
+		arena geom.Rect
+	}{
+		{"empty", geom.Rect{Min: geom.Pt(1, 1), Max: geom.Pt(0, 0)}},
+		{"square +Inf", geom.Square(inf)},
+		{"square NaN", geom.Square(nan)},
+		{"-Inf corner", geom.Rect{Min: geom.Pt(-inf, 0), Max: geom.Pt(900, 900)}},
+		{"+Inf height", geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(900, inf)}},
+	}
+	for _, c := range ctors {
+		if err := c.make(arena); err != nil {
+			t.Fatalf("%s rejected the valid arena: %v", c.name, err)
+		}
+		for _, a := range arenas {
+			if c.make(a.arena) == nil {
+				t.Errorf("%s accepted the %s arena %+v", c.name, a.name, a.arena)
+			}
+		}
+	}
+}
+
 func TestSpeedAround(t *testing.T) {
 	lo, hi := SpeedAround(40)
 	if lo != 20 || hi != 60 {

@@ -54,8 +54,8 @@ func NewRandomDirection(arena geom.Rect, cfg DirectionConfig, rng *xrand.Source)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if arena.Empty() {
-		return nil, fmt.Errorf("mobility: empty arena")
+	if err := checkArena(arena); err != nil {
+		return nil, err
 	}
 	m := &RandomDirection{
 		base: base{arena: arena, maxSpeed: cfg.SpeedMax, horizon: cfg.Horizon},
@@ -169,8 +169,8 @@ func NewGaussMarkov(arena geom.Rect, cfg GaussMarkovConfig, rng *xrand.Source) (
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if arena.Empty() {
-		return nil, fmt.Errorf("mobility: empty arena")
+	if err := checkArena(arena); err != nil {
+		return nil, err
 	}
 	maxSpeed := cfg.MeanSpeed + 4*cfg.SpeedSigma/math.Max(1e-9, math.Sqrt(1-cfg.Alpha*cfg.Alpha+1e-12))
 	if cfg.Alpha == 1 || cfg.SpeedSigma == 0 { //lint:ignore float-eq exact sentinel values select the degenerate constant-speed regime

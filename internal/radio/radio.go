@@ -62,10 +62,6 @@ type Config struct {
 	// LossRate is the probability that an individual reception fails,
 	// drawn independently per (transmission, receiver). Default 0.
 	LossRate float64
-	// TxDuration is the per-packet airtime in seconds. 0 (the default)
-	// gives the paper's collision-free ideal MAC; positive values enable
-	// the collision model in collision.go.
-	TxDuration float64
 	// Slack is the bounded-staleness budget in meters: the grid is
 	// reused as long as the query-radius inflation 2·vmax·(t−t0) stays
 	// within it. 0 (the default) means one grid cell; a negative value
@@ -86,16 +82,14 @@ func (c *Config) setDefaults() {
 }
 
 // Validate reports the configuration errors NewMedium rejects, except the
-// cell count, which depends on the arena: a negative delay, airtime or
-// cell size, or a loss rate outside [0, 1). The zero value is valid.
+// cell count, which depends on the arena: a negative delay or cell size,
+// or a loss rate outside [0, 1). The zero value is valid.
 func (c Config) Validate() error {
 	switch {
 	case c.Delay < 0:
 		return fmt.Errorf("radio: negative delay %g", c.Delay)
 	case !(c.LossRate >= 0 && c.LossRate < 1):
 		return fmt.Errorf("radio: loss rate %g outside [0, 1)", c.LossRate)
-	case c.TxDuration < 0:
-		return fmt.Errorf("radio: negative TxDuration %g", c.TxDuration)
 	case c.Cell < 0:
 		return fmt.Errorf("radio: negative cell size %g", c.Cell)
 	}
@@ -130,10 +124,6 @@ type Medium struct {
 	stamp []uint64
 	epoch uint64
 	lastT float64
-
-	// collision-model state (see collision.go)
-	txSeq uint64
-	txLog []txRecord
 
 	// ch is the attached non-ideal channel (nil = ideal). Transmissions —
 	// and only transmissions — pass through its loss chains; geometric
@@ -307,6 +297,21 @@ func (m *Medium) ReceiversAt(t float64, sender int, r float64, dst []int) []int 
 				kept = append(kept, id)
 			}
 		}
+		dst = dst[:start+len(kept)]
+	}
+	return dst
+}
+
+// Transmit appends to dst the receivers of a transmission by sender at time
+// t with range r. Without an attached channel it is ReceiversAt; with a
+// non-ideal one (SetChannel), each in-range receiver additionally passes
+// through its per-receiver loss chain, in ascending-id order, and dropped
+// receivers are removed from the returned set.
+func (m *Medium) Transmit(t float64, sender int, r float64, dst []int) []int {
+	start := len(dst)
+	dst = m.ReceiversAt(t, sender, r, dst)
+	if m.ch.LossEnabled() {
+		kept := m.ch.FilterLost(dst[start:])
 		dst = dst[:start+len(kept)]
 	}
 	return dst

@@ -41,6 +41,31 @@ func TestReceiversWithinRange(t *testing.T) {
 	}
 }
 
+// TestTransmitWithoutChannelIsReceiversAt: with no channel attached a
+// transmission reaches exactly the receiver query's set, radio loss
+// included, and appends after whatever dst already holds.
+func TestTransmitWithoutChannelIsReceiversAt(t *testing.T) {
+	lo, hi := mobility.SpeedAround(20)
+	model, err := mobility.NewRandomWaypoint(arena, mobility.WaypointConfig{
+		N: 40, SpeedMin: lo, SpeedMax: hi, Horizon: 20,
+	}, xrand.New(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMedium(model, Config{LossRate: 0.2}, xrand.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		at, sender := float64(i)*0.37, i%40
+		want := m.ReceiversAt(at, sender, 250, []int{-1})
+		got := m.Transmit(at, sender, 250, []int{-1})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("t=%g sender %d: Transmit = %v, ReceiversAt = %v", at, sender, got, want)
+		}
+	}
+}
+
 func TestReceiversExcludeSender(t *testing.T) {
 	pts := []geom.Point{geom.Pt(1, 1), geom.Pt(2, 1)}
 	m := staticMedium(t, pts, Config{})
