@@ -6,9 +6,10 @@ GO ?= go
 
 .PHONY: fmt build test race vet lint lint-json check bench-smoke bench-test fuzz-smoke faults-smoke resume-smoke parallel-smoke fleet-smoke traffic-smoke
 
-# Fails, listing the files, when any Go source is not gofmt-formatted.
+# Fails, listing the files, when any Go source in the tree (bench/ and
+# doc.go included) is not gofmt-formatted.
 fmt:
-	@out=$$(gofmt -l ./cmd ./internal ./examples); \
+	@out=$$(gofmt -l .); \
 	test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 build:
@@ -44,6 +45,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzGilbertElliott$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/channel
 	$(GO) test -run '^$$' -fuzz '^FuzzSelectKernels$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/topology
 	$(GO) test -run '^$$' -fuzz '^FuzzDegreesAt$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/radio
+	$(GO) test -run '^$$' -fuzz '^FuzzWaypoint$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/mobility
 	$(GO) test -run '^$$' -fuzz '^FuzzParallelMatchesSerial$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/manet
 	$(GO) test -run '^$$' -fuzz '^FuzzConfigValidate$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/manet
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sweep

@@ -7,10 +7,14 @@ import (
 	"mstc/internal/channel"
 )
 
-// checkGeometry rejects an -arena side or a -range that is not a positive,
-// finite length in meters. Left through, a NaN or infinite arena builds a
-// degenerate scene that runs and reports zeros instead of failing.
-func checkGeometry(side, normalRange float64) error {
+// checkGeometry rejects a node count -n below 1, and an -arena side or a
+// -range that is not a positive, finite length in meters. Left through, a
+// negative -n panics while placing nodes, and a NaN or infinite arena
+// builds a degenerate scene that runs and reports zeros instead of failing.
+func checkGeometry(n int, side, normalRange float64) error {
+	if n < 1 {
+		return fmt.Errorf("-n must be at least 1, got %d", n)
+	}
 	for _, f := range []struct {
 		name string
 		v    float64

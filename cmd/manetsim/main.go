@@ -9,8 +9,7 @@
 //	manetsim -protocol RNG -speed 20 -weak 3
 //	manetsim -protocol SPT-2 -speed 40 -reactive -buffer 10
 //	manetsim -protocol MST -speed 20 -proactive -buffer 30
-//	manetsim -protocol RNG -replay scenario.txt  # replay a recorded trace
-//	manetsim -record scenario.txt -speed 40      # record a mobility trace
+//	manetsim -protocol RNG -speed 0              # stationary nodes
 //
 // Routed CBR traffic (AODV on-demand / OLSR proactive, replaces flooding):
 //
@@ -32,6 +31,7 @@ import (
 	"math"
 	"os"
 	"os/signal"
+	"strings"
 	"sync/atomic"
 	"syscall"
 
@@ -40,7 +40,6 @@ import (
 	"mstc/internal/mobility"
 	"mstc/internal/profiling"
 	"mstc/internal/topology"
-	"mstc/internal/trace"
 	"mstc/internal/traffic"
 	"mstc/internal/xrand"
 )
@@ -51,8 +50,8 @@ func main() {
 
 	// Graceful interrupt: a single simulation run is the unit of work, so
 	// the first SIGINT/SIGTERM lets the in-flight run finish and print its
-	// metrics (and close any -record file cleanly), then the process exits
-	// 130. A second signal aborts immediately instead of killing mid-write.
+	// metrics, then the process exits 130. A second signal aborts
+	// immediately.
 	var interrupted atomic.Bool
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -70,12 +69,11 @@ func main() {
 	}()
 
 	var (
-		protocolName = flag.String("protocol", "RNG", "protocol: MST, RNG, GG, SPT-2, SPT-4, Yao-6, none")
+		protocolName = flag.String("protocol", "RNG", "protocol: "+strings.Join(topology.Names(), ", "))
 		n            = flag.Int("n", 100, "number of nodes")
 		side         = flag.Float64("arena", 900, "square arena side (m)")
 		normalRange  = flag.Float64("range", 250, "normal transmission range (m)")
-		speed        = flag.Float64("speed", 20, "average moving speed (m/s); per-leg speeds are uniform in (0, 2*speed]")
-		modelName    = flag.String("model", "waypoint", "mobility model: waypoint, walk, direction, gaussmarkov, static")
+		speed        = flag.Float64("speed", 20, "average moving speed (m/s); per-leg speeds are uniform in (0, 2*speed]; 0 = stationary nodes")
 		pause        = flag.Float64("pause", 0, "waypoint pause time (s)")
 		duration     = flag.Float64("duration", 100, "simulated seconds")
 		buffer       = flag.Float64("buffer", 0, "buffer-zone width (m)")
@@ -103,13 +101,11 @@ func main() {
 		snapshotDt   = flag.Float64("snapshots", 0, "strict-connectivity snapshot period (s); 0 = off")
 		domains      = flag.Int("domains", 0, "region-parallel engine: domains x domains spatial grid (0 = serial engine)")
 		workers      = flag.Int("workers", 0, "region-parallel worker goroutines (requires -domains); results are bit-identical to serial")
-		recordPath   = flag.String("record", "", "record the mobility trace to this file and exit")
-		replayPath   = flag.String("replay", "", "replay a recorded mobility trace instead of random waypoint")
 		cpuProf      = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf      = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
-	if err := checkGeometry(*side, *normalRange); err != nil {
+	if err := checkGeometry(*n, *side, *normalRange); err != nil {
 		log.Print(err)
 		os.Exit(2) // a usage error, like a flag that does not parse
 	}
@@ -130,39 +126,12 @@ func main() {
 	}
 	defer stopCPU()
 
-	var model mobility.Model
-	if *replayPath != "" {
-		f, err := os.Open(*replayPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tr, err := trace.Load(f)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		model = tr
-	} else {
-		m, err := buildModel(*modelName, geom.Square(*side), *n, *speed, *pause, *duration, xrand.New(*seed))
-		if err != nil {
-			log.Fatal(err)
-		}
-		model = m
-	}
-
-	if *recordPath != "" {
-		f, err := os.Create(*recordPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := trace.Record(f, model, 0.1); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("recorded %d-node %.0f s trace to %s\n", model.N(), model.Horizon(), *recordPath)
-		return
+	lo, hi := mobility.SpeedSetdest(*speed)
+	model, err := mobility.NewRandomWaypoint(geom.Square(*side), mobility.WaypointConfig{
+		N: *n, SpeedMin: lo, SpeedMax: hi, Pause: *pause, Horizon: *duration,
+	}, xrand.New(*seed))
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	chCfg, err := channelFlags{
@@ -263,32 +232,4 @@ func main() {
 	if res.Snapshots > 0 {
 		fmt.Printf("snapshot (strict)   %.4f  (%d snapshots)\n", res.SnapshotConnectivity, res.Snapshots)
 	}
-}
-
-// buildModel constructs the requested mobility model with speeds scaled
-// around the given average.
-func buildModel(name string, arena geom.Rect, n int, speed, pause, horizon float64, rng *xrand.Source) (mobility.Model, error) {
-	lo, hi := mobility.SpeedSetdest(speed)
-	switch name {
-	case "waypoint":
-		return mobility.NewRandomWaypoint(arena, mobility.WaypointConfig{
-			N: n, SpeedMin: lo, SpeedMax: hi, Pause: pause, Horizon: horizon,
-		}, rng)
-	case "walk":
-		return mobility.NewRandomWalk(arena, mobility.WalkConfig{
-			N: n, SpeedMin: lo, SpeedMax: hi, Epoch: 5, Horizon: horizon,
-		}, rng)
-	case "direction":
-		min, max := mobility.SpeedAround(speed) // direction model needs positive speeds
-		return mobility.NewRandomDirection(arena, mobility.DirectionConfig{
-			N: n, SpeedMin: min, SpeedMax: max, Pause: pause, Horizon: horizon,
-		}, rng)
-	case "gaussmarkov":
-		return mobility.NewGaussMarkov(arena, mobility.GaussMarkovConfig{
-			N: n, MeanSpeed: speed, SpeedSigma: speed / 4, DirSigma: 0.3, Alpha: 0.85, Horizon: horizon,
-		}, rng)
-	case "static":
-		return mobility.NewStaticUniform(arena, n, horizon, rng), nil
-	}
-	return nil, fmt.Errorf("unknown mobility model %q", name)
 }

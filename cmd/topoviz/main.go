@@ -15,6 +15,7 @@ import (
 	"log"
 	"math"
 	"os"
+	"strings"
 
 	"mstc/internal/geom"
 	"mstc/internal/mobility"
@@ -29,7 +30,7 @@ func main() {
 	log.SetPrefix("topoviz: ")
 
 	var (
-		protocolName = flag.String("protocol", "RNG", "protocol: MST, RNG, GG, SPT-2, SPT-4, Yao-6, CBTC, KNeigh-9, none")
+		protocolName = flag.String("protocol", "RNG", "protocol: "+strings.Join(topology.Names(), ", "))
 		n            = flag.Int("n", 100, "number of nodes")
 		side         = flag.Float64("arena", 900, "square arena side (m)")
 		normalRange  = flag.Float64("range", 250, "normal transmission range (m)")
@@ -42,7 +43,7 @@ func main() {
 		out          = flag.String("o", "topology.svg", "output SVG path")
 	)
 	flag.Parse()
-	if err := checkGeometry(*side, *normalRange); err != nil {
+	if err := checkGeometry(*n, *side, *normalRange); err != nil {
 		log.Print(err)
 		os.Exit(2) // a usage error, like a flag that does not parse
 	}
@@ -108,10 +109,15 @@ func main() {
 	fmt.Printf("wrote %s (%d nodes, %d logical links)\n", *out, len(pts), logical.M())
 }
 
-// checkGeometry rejects an -arena side or a -range that is not a positive,
-// finite length in meters. Left through, a NaN arena or range renders a
-// degenerate scene with no links instead of failing.
-func checkGeometry(side, normalRange float64) error {
+// checkGeometry rejects a node count -n below 1, and an -arena side or a
+// -range that is not a positive, finite length in meters. Left through, a
+// negative -n panics while placing nodes, -n 0 renders an empty scene, and
+// a NaN arena or range renders a degenerate scene with no links instead of
+// failing.
+func checkGeometry(n int, side, normalRange float64) error {
+	if n < 1 {
+		return fmt.Errorf("-n must be at least 1, got %d", n)
+	}
 	for _, f := range []struct {
 		name string
 		v    float64

@@ -3,7 +3,8 @@
 // 2006): localized topology-control protocols (RNG, Gabriel, local-MST,
 // minimum-energy SPT, Yao), the consistency and mobility-management
 // mechanisms that keep them connected under node movement, and the full
-// discrete-event simulation study that evaluates them.
+// discrete-event simulation study that evaluates them under random
+// waypoint mobility.
 //
 // The implementation lives under internal/; see README.md for the map,
 // DESIGN.md for the system inventory, and EXPERIMENTS.md for the

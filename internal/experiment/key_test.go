@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mstc/internal/manet"
+	"mstc/internal/topology"
 )
 
 // TestRunKeyCollisionFree enumerates the full configuration cross product
@@ -15,7 +16,7 @@ import (
 // exists to rule out.
 func TestRunKeyCollisionFree(t *testing.T) {
 	o := DefaultOptions()
-	protocols := []string{"MST", "RNG", "GG", "SPT-2", "SPT-4", "Yao-6", "CBTC", "CBTC-56", "KNeigh-9", "none"}
+	protocols := topology.Names()
 	mechs := []manet.Mechanisms{
 		{},
 		{ViewSync: true},

@@ -470,7 +470,7 @@ func (sc *selCtx) selectView(nd *node, now sim.Time, query uint8, pin uint64, se
 	}
 	v := topology.View{Self: topology.NodeInfo{ID: nd.id, Pos: selfPos}, Neighbors: sc.nbrBuf}
 	v = v.EnsureCanon()
-	sc.selBuf = topology.SelectInto(sc.cfg.Protocol, v, sc.selBuf[:0], &sc.scratch)
+	sc.selBuf = sc.cfg.Protocol.SelectInto(v, sc.selBuf[:0], &sc.scratch)
 	v.Self.Pos = sc.pos.PositionAt(nd.id, now)
 	sc.setSelection(nd, sc.selBuf, topology.ActualRange(v, sc.selBuf))
 }
@@ -505,7 +505,7 @@ func (sc *selCtx) selectWeak(nd *node, now sim.Time, selfPos geom.Point) {
 		sc.multiBuf = append(sc.multiBuf, topology.MultiNodeInfo{ID: m.From, Positions: sc.posBuf[start:len(sc.posBuf):len(sc.posBuf)]})
 	}
 	mv := topology.MultiView{Self: self, Neighbors: sc.multiBuf}
-	sc.selBuf = topology.SelectWeakInto(sc.cfg.Weak, mv, sc.selBuf[:0], &sc.scratch)
+	sc.selBuf = sc.cfg.Weak.SelectWeakInto(mv, sc.selBuf[:0], &sc.scratch)
 	sel := sc.selBuf
 	// Range must cover the farthest stored position of every selected
 	// neighbor (conservative). sel and mv.Neighbors both ascend by id, so

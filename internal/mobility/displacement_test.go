@@ -1,13 +1,11 @@
 package mobility_test
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
 	"mstc/internal/geom"
 	"mstc/internal/mobility"
-	"mstc/internal/trace"
 	"mstc/internal/xrand"
 )
 
@@ -29,32 +27,14 @@ func TestMaxSpeedBoundsDisplacement(t *testing.T) {
 		}
 		return m
 	}
-	rwp := must(mobility.NewRandomWaypoint(arena, mobility.WaypointConfig{
-		N: 20, SpeedMin: 1, SpeedMax: 40, Pause: 2, Horizon: horizon,
-	}, rng.Sub('w')))
-	// A replayed trace, sampled more coarsely than the waypoint legs so its
-	// interpolation cuts corners, and its MaxSpeed is an estimate from the
-	// samples rather than a configured value.
-	var buf bytes.Buffer
-	if err := trace.Record(&buf, rwp, 0.7); err != nil {
-		t.Fatal(err)
-	}
 	models := []struct {
 		name string
 		m    mobility.Model
 	}{
-		{"RandomWaypoint", rwp},
-		{"RandomDirection", must(mobility.NewRandomDirection(arena, mobility.DirectionConfig{
-			N: 20, SpeedMin: 5, SpeedMax: 30, Pause: 1, Horizon: horizon,
-		}, rng.Sub('d')))},
-		{"RandomWalk", must(mobility.NewRandomWalk(arena, mobility.WalkConfig{
-			N: 20, SpeedMin: 5, SpeedMax: 30, Epoch: 3, Horizon: horizon,
-		}, rng.Sub('k')))},
-		{"GaussMarkov", must(mobility.NewGaussMarkov(arena, mobility.GaussMarkovConfig{
-			N: 20, MeanSpeed: 15, SpeedSigma: 5, DirSigma: 0.5, Alpha: 0.75, Horizon: horizon,
-		}, rng.Sub('g')))},
+		{"RandomWaypoint", must(mobility.NewRandomWaypoint(arena, mobility.WaypointConfig{
+			N: 20, SpeedMin: 1, SpeedMax: 40, Pause: 2, Horizon: horizon,
+		}, rng.Sub('w')))},
 		{"Static", mobility.NewStaticUniform(arena, 20, horizon, rng.Sub('s'))},
-		{"trace.Trace", must(trace.Load(&buf))},
 	}
 	for _, tc := range models {
 		m := tc.m

@@ -1,6 +1,6 @@
-// Package mobility implements the node-mobility models used by the
-// simulator, chief among them the random waypoint model the paper evaluates
-// with (Camp, Boleng & Davies 2002; zero pause time in the paper's setup).
+// Package mobility implements the random waypoint model the paper evaluates
+// with (Camp, Boleng & Davies 2002; zero pause time in the paper's setup)
+// and a static placement.
 //
 // A Model answers "where is node i at time t" analytically: trajectories are
 // precomputed as piecewise-linear legs for a fixed time horizon, so the
@@ -222,9 +222,18 @@ type RandomWaypoint struct {
 	cfg WaypointConfig
 }
 
+// legBudget bounds the trajectory legs one model generates over all its
+// nodes. Paper-scale runs (100 nodes, 100 s, up to 160 m/s) need at most
+// about 1,700 legs and the large-n benchmark (1000 nodes, 5 s) about 1,000;
+// 100 stationary nodes (every leg a 1 s pause) reach the budget near a
+// 10,000 s horizon. Without it a huge finite horizon, or one so large that
+// t + dur == t, would append legs until memory runs out.
+const legBudget = 1 << 20
+
 // NewRandomWaypoint generates trajectories for the whole horizon. Node i's
 // trajectory depends only on (rng substream, i), so adding nodes does not
-// perturb existing ones.
+// perturb existing ones. It fails when the trajectories would need more
+// than legBudget legs in all.
 func NewRandomWaypoint(arena geom.Rect, cfg WaypointConfig, rng *xrand.Source) (*RandomWaypoint, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -237,13 +246,21 @@ func NewRandomWaypoint(arena geom.Rect, cfg WaypointConfig, rng *xrand.Source) (
 		cfg:  cfg,
 	}
 	m.tracks = make([]track, cfg.N)
+	budget := legBudget
 	for i := range m.tracks {
-		m.tracks[i] = waypointTrack(arena, cfg, rng.Sub('w', uint64(i)))
+		tr, ok := waypointTrack(arena, cfg, rng.Sub('w', uint64(i)), budget)
+		if !ok {
+			return nil, fmt.Errorf("mobility: %d nodes over a %g s horizon need more than %d trajectory legs", cfg.N, cfg.Horizon, legBudget)
+		}
+		m.tracks[i] = tr
+		budget -= len(tr.legs)
 	}
 	return m, nil
 }
 
-func waypointTrack(arena geom.Rect, cfg WaypointConfig, rng *xrand.Source) track {
+// waypointTrack generates one node's trajectory; ok is false when it would
+// need more than budget legs.
+func waypointTrack(arena geom.Rect, cfg WaypointConfig, rng *xrand.Source, budget int) (tr track, ok bool) {
 	pos := geom.Pt(
 		rng.Uniform(arena.Min.X, arena.Max.X),
 		rng.Uniform(arena.Min.Y, arena.Max.Y),
@@ -251,6 +268,9 @@ func waypointTrack(arena geom.Rect, cfg WaypointConfig, rng *xrand.Source) track
 	var legs []leg
 	t := 0.0
 	for t < cfg.Horizon {
+		if len(legs) >= budget {
+			return track{}, false
+		}
 		dst := geom.Pt(
 			rng.Uniform(arena.Min.X, arena.Max.X),
 			rng.Uniform(arena.Min.Y, arena.Max.Y),
@@ -272,130 +292,6 @@ func waypointTrack(arena geom.Rect, cfg WaypointConfig, rng *xrand.Source) track
 			t += cfg.Pause
 		}
 	}
-	return track{legs: legs}
-}
-
-// WalkConfig parameterizes the random walk (a.k.a. random direction with
-// reflection) model: each node travels in a uniformly random direction for
-// a fixed epoch, reflecting off arena walls.
-type WalkConfig struct {
-	N        int
-	SpeedMin float64
-	SpeedMax float64
-	Epoch    float64 // seconds per direction change
-	Horizon  float64
-}
-
-// Validate reports whether the configuration is usable.
-func (c WalkConfig) Validate() error {
-	if err := checkFinite(field{"SpeedMin", c.SpeedMin}, field{"SpeedMax", c.SpeedMax},
-		field{"Epoch", c.Epoch}, field{"Horizon", c.Horizon}); err != nil {
-		return err
-	}
-	switch {
-	case c.N <= 0:
-		return fmt.Errorf("mobility: N must be positive, got %d", c.N)
-	case c.SpeedMin < 0 || c.SpeedMax < c.SpeedMin:
-		return fmt.Errorf("mobility: need 0 <= SpeedMin <= SpeedMax, got [%g, %g]", c.SpeedMin, c.SpeedMax)
-	case c.Epoch <= 0:
-		return fmt.Errorf("mobility: Epoch must be positive, got %g", c.Epoch)
-	case c.Horizon <= 0:
-		return fmt.Errorf("mobility: Horizon must be positive, got %g", c.Horizon)
-	}
-	return nil
-}
-
-// RandomWalk implements the bounded random walk model.
-type RandomWalk struct {
-	base
-	cfg WalkConfig
-}
-
-// NewRandomWalk generates reflecting random-walk trajectories.
-func NewRandomWalk(arena geom.Rect, cfg WalkConfig, rng *xrand.Source) (*RandomWalk, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkArena(arena); err != nil {
-		return nil, err
-	}
-	m := &RandomWalk{
-		base: base{arena: arena, maxSpeed: cfg.SpeedMax, horizon: cfg.Horizon},
-		cfg:  cfg,
-	}
-	m.tracks = make([]track, cfg.N)
-	for i := range m.tracks {
-		m.tracks[i] = walkTrack(arena, cfg, rng.Sub('k', uint64(i)))
-	}
-	return m, nil
-}
-
-func walkTrack(arena geom.Rect, cfg WalkConfig, rng *xrand.Source) track {
-	pos := geom.Pt(
-		rng.Uniform(arena.Min.X, arena.Max.X),
-		rng.Uniform(arena.Min.Y, arena.Max.Y),
-	)
-	var legs []leg
-	t := 0.0
-	for t < cfg.Horizon {
-		speed := rng.Uniform(cfg.SpeedMin, cfg.SpeedMax)
-		dir := rng.Uniform(0, 2*3.141592653589793)
-		v := geom.Polar(speed, dir)
-		remaining := cfg.Epoch
-		// Advance in sub-legs, reflecting at walls, until the epoch ends.
-		for remaining > 1e-12 {
-			hit, frac := reflectTime(arena, pos, v, remaining)
-			dur := remaining * frac
-			next := pos.Add(v.Scale(dur))
-			next = arena.Clamp(next) // guard rounding at the wall
-			legs = append(legs, leg{t0: t, t1: t + dur, from: pos, to: next})
-			t += dur
-			remaining -= dur
-			pos = next
-			if hit == 0 {
-				break
-			}
-			if hit&1 != 0 {
-				v.DX = -v.DX
-			}
-			if hit&2 != 0 {
-				v.DY = -v.DY
-			}
-		}
-	}
-	return track{legs: legs}
-}
-
-// reflectTime computes how far along (fraction of dur) a node moving from p
-// with velocity v can travel before hitting a wall. hit is a bitmask:
-// bit 0 = vertical wall (reflect X), bit 1 = horizontal wall (reflect Y),
-// 0 = no wall hit within dur.
-func reflectTime(arena geom.Rect, p geom.Point, v geom.Vector, dur float64) (hit int, frac float64) {
-	frac = 1.0
-	if v.DX > 0 {
-		if f := (arena.Max.X - p.X) / (v.DX * dur); f < frac {
-			frac, hit = f, 1
-		}
-	} else if v.DX < 0 {
-		if f := (arena.Min.X - p.X) / (v.DX * dur); f < frac {
-			frac, hit = f, 1
-		}
-	}
-	if v.DY > 0 {
-		if f := (arena.Max.Y - p.Y) / (v.DY * dur); f < frac {
-			frac, hit = f, 2
-		} else if f == frac && hit == 1 { //lint:ignore float-eq exact equality is what distinguishes a corner hit from two wall hits
-			hit = 3 // corner
-		}
-	} else if v.DY < 0 {
-		if f := (arena.Min.Y - p.Y) / (v.DY * dur); f < frac {
-			frac, hit = f, 2
-		} else if f == frac && hit == 1 { //lint:ignore float-eq exact equality is what distinguishes a corner hit from two wall hits
-			hit = 3
-		}
-	}
-	if frac < 0 {
-		frac = 0
-	}
-	return hit, frac
+	// A pause leg may have taken the last iteration one past the budget.
+	return track{legs: legs}, len(legs) <= budget
 }

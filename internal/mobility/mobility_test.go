@@ -2,6 +2,7 @@ package mobility
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"mstc/internal/geom"
@@ -235,30 +236,13 @@ func TestWaypointConfigValidation(t *testing.T) {
 	}
 }
 
-// TestConstructorsRejectBadArena runs every arena-drawing constructor on
-// arenas no position can be drawn in. geom.Square(+Inf) is not Empty, so an
-// emptiness test alone lets it through to Uniform(0, +Inf) waypoints.
+// TestConstructorsRejectBadArena runs the waypoint constructor on arenas no
+// position can be drawn in. geom.Square(+Inf) is not Empty, so an emptiness
+// test alone lets it through to Uniform(0, +Inf) waypoints.
 func TestConstructorsRejectBadArena(t *testing.T) {
-	ctors := []struct {
-		name string
-		make func(geom.Rect) error
-	}{
-		{"RandomWaypoint", func(a geom.Rect) error {
-			_, err := NewRandomWaypoint(a, WaypointConfig{N: 1, SpeedMin: 1, SpeedMax: 2, Horizon: 1}, xrand.New(1))
-			return err
-		}},
-		{"RandomWalk", func(a geom.Rect) error {
-			_, err := NewRandomWalk(a, WalkConfig{N: 1, SpeedMin: 1, SpeedMax: 2, Epoch: 1, Horizon: 1}, xrand.New(1))
-			return err
-		}},
-		{"RandomDirection", func(a geom.Rect) error {
-			_, err := NewRandomDirection(a, DirectionConfig{N: 1, SpeedMin: 1, SpeedMax: 2, Horizon: 1}, xrand.New(1))
-			return err
-		}},
-		{"GaussMarkov", func(a geom.Rect) error {
-			_, err := NewGaussMarkov(a, GaussMarkovConfig{N: 1, MeanSpeed: 1, Alpha: 0.5, Horizon: 1}, xrand.New(1))
-			return err
-		}},
+	build := func(a geom.Rect) error {
+		_, err := NewRandomWaypoint(a, WaypointConfig{N: 1, SpeedMin: 1, SpeedMax: 2, Horizon: 1}, xrand.New(1))
+		return err
 	}
 	inf, nan := math.Inf(1), math.NaN()
 	arenas := []struct {
@@ -271,15 +255,63 @@ func TestConstructorsRejectBadArena(t *testing.T) {
 		{"-Inf corner", geom.Rect{Min: geom.Pt(-inf, 0), Max: geom.Pt(900, 900)}},
 		{"+Inf height", geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(900, inf)}},
 	}
-	for _, c := range ctors {
-		if err := c.make(arena); err != nil {
-			t.Fatalf("%s rejected the valid arena: %v", c.name, err)
+	if err := build(arena); err != nil {
+		t.Fatalf("valid arena rejected: %v", err)
+	}
+	for _, a := range arenas {
+		if build(a.arena) == nil {
+			t.Errorf("accepted the %s arena %+v", a.name, a.arena)
 		}
-		for _, a := range arenas {
-			if c.make(a.arena) == nil {
-				t.Errorf("%s accepted the %s arena %+v", c.name, a.name, a.arena)
+	}
+}
+
+// TestValidateRejectsNonFinite sets each float field of a valid waypoint
+// configuration to NaN and ±Inf in turn; Validate must reject every one.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	valid := WaypointConfig{N: 1, SpeedMin: 1, SpeedMax: 2, Horizon: 1}
+	if err := valid.Validate(); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
+	}
+	fields := []struct {
+		name string
+		f    func(*WaypointConfig) *float64
+	}{
+		{"SpeedMin", func(c *WaypointConfig) *float64 { return &c.SpeedMin }},
+		{"SpeedMax", func(c *WaypointConfig) *float64 { return &c.SpeedMax }},
+		{"Pause", func(c *WaypointConfig) *float64 { return &c.Pause }},
+		{"Horizon", func(c *WaypointConfig) *float64 { return &c.Horizon }},
+	}
+	for _, fd := range fields {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			c := valid
+			*fd.f(&c) = bad
+			if err := c.Validate(); err == nil {
+				t.Errorf("%s = %v accepted", fd.name, bad)
 			}
 		}
+	}
+}
+
+// TestLegBudgetFailsFast builds waypoint models whose horizons need more
+// legs than legBudget: two stationary nodes (1 s legs) one second past half
+// the budget each, and a horizon so large that a leg's duration no longer
+// advances the clock. Each must return the budget error instead of growing
+// trajectories without bound, while two stationary nodes that need exactly
+// legBudget legs still build.
+func TestLegBudgetFailsFast(t *testing.T) {
+	for _, c := range []WaypointConfig{
+		{N: 2, Horizon: legBudget/2 + 1},
+		{N: 1, SpeedMin: 0, SpeedMax: 10, Horizon: 1e300},
+		{N: 3, SpeedMin: 5, SpeedMax: 10, Pause: 1, Horizon: 1e300},
+	} {
+		_, err := NewRandomWaypoint(arena, c, xrand.New(1))
+		if err == nil || !strings.Contains(err.Error(), "trajectory legs") {
+			t.Errorf("%+v: error %v, want the leg-budget error", c, err)
+		}
+	}
+	c := WaypointConfig{N: 2, Horizon: legBudget / 2}
+	if _, err := NewRandomWaypoint(arena, c, xrand.New(1)); err != nil {
+		t.Errorf("%+v: %v", c, err)
 	}
 }
 
@@ -303,61 +335,6 @@ func TestZeroSpeedWaypointDoesNotHang(t *testing.T) {
 	p0 := m.PositionAt(0, 0)
 	if got := m.PositionAt(0, 10); got != p0 {
 		t.Errorf("zero-speed node moved from %v to %v", p0, got)
-	}
-}
-
-func TestRandomWalkStaysInArenaAndContinuous(t *testing.T) {
-	m, err := NewRandomWalk(arena, WalkConfig{
-		N: 20, SpeedMin: 10, SpeedMax: 30, Epoch: 4, Horizon: 100,
-	}, xrand.New(17))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const dt = 0.05
-	for id := 0; id < m.N(); id++ {
-		prev := m.PositionAt(id, 0)
-		for tt := dt; tt <= 100; tt += dt {
-			cur := m.PositionAt(id, tt)
-			if !cur.In(arena) {
-				t.Fatalf("node %d at t=%v outside arena: %v", id, tt, cur)
-			}
-			if d := cur.Dist(prev); d > m.MaxSpeed()*dt*1.001+1e-9 {
-				t.Fatalf("node %d jumped %v m in %v s", id, d, dt)
-			}
-			prev = cur
-		}
-	}
-}
-
-func TestRandomWalkActuallyMoves(t *testing.T) {
-	m, err := NewRandomWalk(arena, WalkConfig{
-		N: 5, SpeedMin: 20, SpeedMax: 20, Epoch: 2, Horizon: 50,
-	}, xrand.New(19))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id := 0; id < m.N(); id++ {
-		moved := 0.0
-		for tt := 0.0; tt < 49; tt++ {
-			moved += m.PositionAt(id, tt+1).Dist(m.PositionAt(id, tt))
-		}
-		if moved < 100 {
-			t.Errorf("node %d moved only %v m over 50 s at 20 m/s", id, moved)
-		}
-	}
-}
-
-func TestRandomWalkConfigValidation(t *testing.T) {
-	bad := []WalkConfig{
-		{N: 0, SpeedMin: 1, SpeedMax: 2, Epoch: 1, Horizon: 1},
-		{N: 1, SpeedMin: 2, SpeedMax: 1, Epoch: 1, Horizon: 1},
-		{N: 1, SpeedMin: 1, SpeedMax: 2, Epoch: 0, Horizon: 1},
-		{N: 1, SpeedMin: 1, SpeedMax: 2, Epoch: 1, Horizon: 0},
-	}
-	for i, c := range bad {
-		if _, err := NewRandomWalk(arena, c, xrand.New(1)); err == nil {
-			t.Errorf("case %d: NewRandomWalk accepted bad config %+v", i, c)
-		}
 	}
 }
 

@@ -29,9 +29,6 @@ func TestNoallocAnnotationsConform(t *testing.T) {
 	var wp WeakProtocol = WeakMST{Range: 275}
 
 	kernels := map[string]func(){
-		// The package-level wrappers are measured through a kernel-backed
-		// protocol; for protocols without a kernel they fall back to the
-		// allocating Select path by design.
 		"SelectInto":             func() { dst = SelectInto(ip, v, dst[:0], s) },
 		"SelectWeakInto":         func() { dst = SelectWeakInto(wp, mv, dst[:0], s) },
 		"RNG.SelectInto":         func() { dst = RNG{}.SelectInto(v, dst[:0], s) },

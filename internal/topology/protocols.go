@@ -8,8 +8,8 @@ import (
 )
 
 // Protocol selects logical neighbors from a consistent local view.
-// Implementations must be pure (no state mutated by Select) so that a single
-// value can serve every node of the network concurrently.
+// Implementations must be pure (no state mutated by selection) so that a
+// single value can serve every node of the network concurrently.
 type Protocol interface {
 	// Name returns the short protocol name used in tables ("RNG",
 	// "MST", "SPT-2", ...).
@@ -18,6 +18,10 @@ type Protocol interface {
 	// of view.Neighbors' ids, in ascending order. The view must be
 	// canonical (View.Canon).
 	Select(v View) []int
+	// SelectInto is Select's allocation-free kernel: it appends the same
+	// ids to dst and returns the extended slice. Scratch buffers are grown
+	// and reused; nothing in the returned slice aliases s.
+	SelectInto(v View, dst []int, s *Scratch) []int
 }
 
 // RNG is the relative-neighborhood-graph-based protocol (§2.1, link-removal
@@ -34,7 +38,7 @@ func (r RNG) Select(v View) []int {
 	return r.SelectInto(v, make([]int, 0, 4), &Scratch{})
 }
 
-// SelectInto implements ScratchSelector.
+// SelectInto implements Protocol.
 //
 //manet:noalloc
 func (RNG) SelectInto(v View, dst []int, s *Scratch) []int {
@@ -84,7 +88,7 @@ func (g Gabriel) Select(v View) []int {
 	return g.SelectInto(v, make([]int, 0, 4), &Scratch{})
 }
 
-// SelectInto implements ScratchSelector.
+// SelectInto implements Protocol.
 //
 //manet:noalloc
 func (Gabriel) SelectInto(v View, dst []int, _ *Scratch) []int {
@@ -123,7 +127,7 @@ func (m MST) Select(v View) []int {
 	return m.SelectInto(v, make([]int, 0, 4), &Scratch{})
 }
 
-// SelectInto implements ScratchSelector. The kernel is Prim rooted at Self.
+// SelectInto implements Protocol. The kernel is Prim rooted at Self.
 // Each step commits the candidate edge that is smallest under mstLess, the
 // §3.1 strict total order (cost, min id, max id), cost being the squared
 // length that the range test computes anyway — view indices ascend with
@@ -241,7 +245,7 @@ func (s SPT) Select(v View) []int {
 	return s.SelectInto(v, make([]int, 0, 4), &Scratch{})
 }
 
-// SelectInto implements ScratchSelector. The kernel runs the early-exit
+// SelectInto implements Protocol. The kernel runs the early-exit
 // Dijkstra search from Self (Scratch.searchEnergy) with each neighbor's
 // direct cost as its threshold: the link is kept unless a strictly cheaper
 // path exists. The best path includes the direct edge when it is usable, so
@@ -286,7 +290,7 @@ func (y Yao) Select(v View) []int {
 	return y.SelectInto(v, make([]int, 0, y.K), &Scratch{})
 }
 
-// SelectInto implements ScratchSelector.
+// SelectInto implements Protocol.
 //
 //manet:noalloc
 func (y Yao) SelectInto(v View, dst []int, s *Scratch) []int {
@@ -333,7 +337,7 @@ func (n None) Select(v View) []int {
 	return n.SelectInto(v, make([]int, 0, len(v.Neighbors)), &Scratch{})
 }
 
-// SelectInto implements ScratchSelector.
+// SelectInto implements Protocol.
 //
 //manet:noalloc
 func (None) SelectInto(v View, dst []int, _ *Scratch) []int {

@@ -308,7 +308,11 @@ func TestProtocolNames(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range []string{"MST", "RNG", "GG", "SPT-2", "SPT-4", "Yao-6", "none"} {
+	want := []string{"MST", "RNG", "GG", "SPT-2", "SPT-4", "Yao-6", "none"}
+	if got := Names(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Names() = %v, want %v", got, want)
+	}
+	for _, name := range Names() {
 		p, err := ByName(name, normalRange)
 		if err != nil {
 			t.Errorf("ByName(%q): %v", name, err)

@@ -2,7 +2,7 @@ package topology
 
 import (
 	"fmt"
-	"math"
+	"strings"
 )
 
 // Baselines returns the four baseline protocols of the paper's evaluation
@@ -17,33 +17,39 @@ func Baselines(normalRange float64) []Protocol {
 	}
 }
 
-// ByName returns the protocol with the given name ("MST", "RNG", "GG",
-// "SPT-2", "SPT-4", "Yao-6", "none", ...). normalRange parameterizes the
-// protocols that need the normal transmission range.
-func ByName(name string, normalRange float64) (Protocol, error) {
-	switch name {
-	case "MST":
-		return MST{Range: normalRange}, nil
-	case "RNG":
-		return RNG{}, nil
-	case "GG":
-		return Gabriel{}, nil
-	case "SPT-2":
-		return SPT{Alpha: 2, Range: normalRange}, nil
-	case "SPT-4":
-		return SPT{Alpha: 4, Range: normalRange}, nil
-	case "Yao-6":
-		return Yao{K: 6}, nil
-	case "CBTC":
-		return CBTC{Alpha: 2 * math.Pi / 3}, nil
-	case "CBTC-56":
-		return CBTC{Alpha: 5 * math.Pi / 6}, nil
-	case "KNeigh-9":
-		return KNeigh{K: 9}, nil
-	case "none":
-		return None{}, nil
+// protocols is the registry ByName and Names read: every protocol a run
+// can name, built for the given normal range. Each is found by its Name.
+func protocols(normalRange float64) []Protocol {
+	return []Protocol{
+		MST{Range: normalRange},
+		RNG{},
+		Gabriel{},
+		SPT{Alpha: 2, Range: normalRange},
+		SPT{Alpha: 4, Range: normalRange},
+		Yao{K: 6},
+		None{},
 	}
-	return nil, fmt.Errorf("topology: unknown protocol %q", name)
+}
+
+// Names returns the protocol names ByName accepts, in registry order.
+func Names() []string {
+	var names []string
+	for _, p := range protocols(0) {
+		names = append(names, p.Name())
+	}
+	return names
+}
+
+// ByName returns the registered protocol with the given name (one of
+// Names). normalRange parameterizes the protocols that need the normal
+// transmission range.
+func ByName(name string, normalRange float64) (Protocol, error) {
+	for _, p := range protocols(normalRange) {
+		if p.Name() == name {
+			return p, nil
+		}
+	}
+	return nil, fmt.Errorf("topology: unknown protocol %q (want one of %s)", name, strings.Join(Names(), ", "))
 }
 
 // WeakByName returns the weak-consistency variant of the given protocol

@@ -29,41 +29,18 @@ type Scratch struct {
 	done  []bool         // settled (search) / in the tree (MST)
 }
 
-// ScratchSelector is implemented by protocols with an allocation-free
-// selection kernel. SelectInto appends the selected logical neighbor ids
-// (ascending) to dst and returns the extended slice; the result is
-// bit-identical to Select on the same view. Scratch buffers are grown and
-// reused; nothing in the returned slice aliases the Scratch.
-type ScratchSelector interface {
-	SelectInto(v View, dst []int, s *Scratch) []int
-}
-
-// WeakScratchSelector is the weak-consistency analogue of ScratchSelector.
-type WeakScratchSelector interface {
-	SelectWeakInto(v MultiView, dst []int, s *Scratch) []int
-}
-
-// SelectInto runs p's selection appending into dst, through p's
-// allocation-free kernel when it has one and through plain Select
-// otherwise. Results are identical either way; only allocation behavior
-// differs.
+// SelectInto is p.SelectInto in function form.
 //
 //manet:noalloc
 func SelectInto(p Protocol, v View, dst []int, s *Scratch) []int {
-	if ip, ok := p.(ScratchSelector); ok {
-		return ip.SelectInto(v, dst, s)
-	}
-	return append(dst, p.Select(v)...)
+	return p.SelectInto(v, dst, s)
 }
 
-// SelectWeakInto is SelectInto for weak-consistency selectors.
+// SelectWeakInto is p.SelectWeakInto in function form.
 //
 //manet:noalloc
 func SelectWeakInto(p WeakProtocol, v MultiView, dst []int, s *Scratch) []int {
-	if ip, ok := p.(WeakScratchSelector); ok {
-		return ip.SelectWeakInto(v, dst, s)
-	}
-	return append(dst, p.SelectWeak(v)...)
+	return p.SelectWeakInto(v, dst, s)
 }
 
 // grown returns buf resized to n, growing the backing array if needed.

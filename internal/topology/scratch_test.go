@@ -282,7 +282,7 @@ func TestSquaredCostsMatchDistanceCosts(t *testing.T) {
 // must append exactly Select's output after any existing dst prefix, with a
 // Scratch shared dirty across protocols and trials.
 func TestSelectIntoMatchesSelect(t *testing.T) {
-	names := []string{"MST", "RNG", "GG", "SPT-2", "SPT-4", "Yao-6", "CBTC", "CBTC-56", "KNeigh-9", "none"}
+	names := Names()
 	rng := xrand.New(74)
 	s := &Scratch{}
 	prefix := []int{-7, 99}

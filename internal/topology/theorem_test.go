@@ -361,9 +361,9 @@ func isInf(x float64) bool { return x > 1e300 && x*2 == x }
 
 // TestSelectionGeometricInvariance: protocol selections depend only on the
 // geometry of the view, so translating and rotating every position must
-// leave them unchanged. (Yao and CBTC divide the plane into absolute-angle
-// cones, so they are translation- but not rotation-invariant; they are
-// checked for translation only.)
+// leave them unchanged. (Yao divides the plane into absolute-angle cones,
+// so it is translation- but not rotation-invariant; it is checked for
+// translation only.)
 func TestSelectionGeometricInvariance(t *testing.T) {
 	pts := connectedPoints(t, 31, 60)
 	translate := func(p geom.Point) geom.Point { return geom.Pt(p.X+137.5, p.Y-41.25) }
@@ -382,9 +382,9 @@ func TestSelectionGeometricInvariance(t *testing.T) {
 	}
 	rotationInvariant := []Protocol{
 		RNG{}, Gabriel{}, MST{Range: normalRange},
-		SPT{Alpha: 2, Range: normalRange}, KNeigh{K: 5},
+		SPT{Alpha: 2, Range: normalRange},
 	}
-	translationOnly := []Protocol{Yao{K: 6}, CBTC{Alpha: 2 * math.Pi / 3}}
+	translationOnly := []Protocol{Yao{K: 6}}
 	check := func(p Protocol, moved []geom.Point, what string) {
 		t.Helper()
 		for u := 0; u < len(pts); u += 7 {

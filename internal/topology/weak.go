@@ -17,6 +17,9 @@ type WeakProtocol interface {
 	// SelectWeak returns the ids of v.Self's logical neighbors, in
 	// ascending order.
 	SelectWeak(v MultiView) []int
+	// SelectWeakInto is SelectWeak's allocation-free kernel, appending
+	// into dst as Protocol.SelectInto does.
+	SelectWeakInto(v MultiView, dst []int, s *Scratch) []int
 }
 
 // WeakRNG applies enhanced removal condition 1: remove (u, v) iff some
@@ -31,7 +34,7 @@ func (w WeakRNG) SelectWeak(v MultiView) []int {
 	return w.SelectWeakInto(v, make([]int, 0, 4), &Scratch{})
 }
 
-// SelectWeakInto implements WeakScratchSelector. Costs are squared
+// SelectWeakInto implements WeakProtocol. Costs are squared
 // lengths (DistanceCost). cMin and cMax of each link at Self are computed
 // once; for non-NaN costs
 // x > max(a, b) ⇔ x > a && x > b, so the witness's far cost cMax(w,v) is
@@ -80,7 +83,7 @@ func (m WeakMST) SelectWeak(v MultiView) []int {
 	return m.SelectWeakInto(v, make([]int, 0, 4), &Scratch{})
 }
 
-// SelectWeakInto implements WeakScratchSelector. Its link cost is the
+// SelectWeakInto implements WeakProtocol. Its link cost is the
 // squared length itself, which energy(d², 2) + 0 is bit for bit.
 //
 //manet:noalloc
@@ -111,7 +114,7 @@ func (s WeakSPT) SelectWeak(v MultiView) []int {
 	return s.SelectWeakInto(v, make([]int, 0, 4), &Scratch{})
 }
 
-// SelectWeakInto implements WeakScratchSelector.
+// SelectWeakInto implements WeakProtocol.
 //
 //manet:noalloc
 func (sp WeakSPT) SelectWeakInto(v MultiView, dst []int, s *Scratch) []int {
