@@ -7,13 +7,14 @@ import (
 	"mstc/internal/channel"
 )
 
-// checkGeometry rejects a node count -n below 1, and an -arena side or a
+// checkGeometry rejects a node count -n below 2, and an -arena side or a
 // -range that is not a positive, finite length in meters. Left through, a
-// negative -n panics while placing nodes, and a NaN or infinite arena
-// builds a degenerate scene that runs and reports zeros instead of failing.
+// negative -n panics while placing nodes, a lone node has no other node
+// for a flood to reach, and a NaN or infinite arena builds a degenerate
+// scene that runs and reports zeros instead of failing.
 func checkGeometry(n int, side, normalRange float64) error {
-	if n < 1 {
-		return fmt.Errorf("-n must be at least 1, got %d", n)
+	if n < 2 {
+		return fmt.Errorf("-n must be at least 2, got %d", n)
 	}
 	for _, f := range []struct {
 		name string

@@ -77,7 +77,7 @@ func TestBuildChannelConflicts(t *testing.T) {
 }
 
 // TestBadGeometryExitsTwo runs the command itself on a non-finite or
-// non-positive -arena or -range, or an -n below 1, and expects the
+// non-positive -arena or -range, or an -n below 2, and expects the
 // usage-error exit status 2, with a message naming the flag, before any
 // scene is built. The test binary re-executes itself with the command's
 // flags after "--"; in that child, TestBadGeometryExitsTwo finds them in
@@ -95,7 +95,7 @@ func TestBadGeometryExitsTwo(t *testing.T) {
 	for _, args := range [][]string{
 		{"-arena", "NaN"}, {"-arena", "Inf"}, {"-arena", "0"},
 		{"-range", "NaN"}, {"-range", "-Inf"}, {"-range", "-5"},
-		{"-n", "-1"}, {"-n", "0"},
+		{"-n", "-1"}, {"-n", "0"}, {"-n", "1"},
 	} {
 		cmd := exec.Command(os.Args[0], append([]string{"-test.run=^TestBadGeometryExitsTwo$", "--"}, args...)...)
 		cmd.Dir = t.TempDir()

@@ -44,7 +44,11 @@ import (
 	"mstc/internal/xrand"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the whole command; it returns the process exit status instead of
+// exiting, so that its deferred profile writes run on every path.
+func run() (code int) {
 	log.SetFlags(0)
 	log.SetPrefix("manetsim: ")
 
@@ -64,7 +68,7 @@ func main() {
 	}()
 	defer func() {
 		if interrupted.Load() {
-			os.Exit(130)
+			code = 130
 		}
 	}()
 
@@ -107,22 +111,25 @@ func main() {
 	flag.Parse()
 	if err := checkGeometry(*n, *side, *normalRange); err != nil {
 		log.Print(err)
-		os.Exit(2) // a usage error, like a flag that does not parse
+		return 2 // a usage error, like a flag that does not parse
 	}
 	if !(*duration > 0) || math.IsInf(*duration, 0) {
-		log.Fatalf("-duration must be positive and finite, got %g", *duration)
+		log.Printf("-duration must be positive and finite, got %g", *duration)
+		return 1
 	}
 
 	// Profiles go to their own files; stdout stays byte-identical whether
 	// or not profiling is enabled.
 	defer func() {
 		if err := profiling.WriteHeap(*memProf); err != nil {
-			log.Fatal(err)
+			log.Print(err)
+			code = 1
 		}
 	}()
 	stopCPU, err := profiling.StartCPU(*cpuProf)
 	if err != nil {
-		log.Fatal(err)
+		log.Print(err)
+		return 1
 	}
 	defer stopCPU()
 
@@ -131,7 +138,8 @@ func main() {
 		N: *n, SpeedMin: lo, SpeedMax: hi, Pause: *pause, Horizon: *duration,
 	}, xrand.New(*seed))
 	if err != nil {
-		log.Fatal(err)
+		log.Print(err)
+		return 1
 	}
 
 	chCfg, err := channelFlags{
@@ -140,7 +148,8 @@ func main() {
 		Churn: *churnFrac, Outage: *churnOutage,
 	}.buildChannel()
 	if err != nil {
-		log.Fatal(err)
+		log.Print(err)
+		return 1
 	}
 
 	cfg := manet.Config{
@@ -165,13 +174,15 @@ func main() {
 	if *weakK > 0 {
 		w, err := topology.WeakByName(*protocolName, *normalRange)
 		if err != nil {
-			log.Fatal(err)
+			log.Print(err)
+			return 1
 		}
 		cfg.Weak = w
 	} else {
 		p, err := topology.ByName(*protocolName, *normalRange)
 		if err != nil {
-			log.Fatal(err)
+			log.Print(err)
+			return 1
 		}
 		cfg.Protocol = p
 	}
@@ -179,7 +190,8 @@ func main() {
 	if *trafficMode != "" {
 		mode, err := traffic.ModeByName(*trafficMode)
 		if err != nil {
-			log.Fatal(err)
+			log.Print(err)
+			return 1
 		}
 		cfg.Traffic = traffic.Config{
 			Mode:    mode,
@@ -195,7 +207,8 @@ func main() {
 	}
 	nw, err := manet.NewNetwork(model, cfg)
 	if err != nil {
-		log.Fatal(err)
+		log.Print(err)
+		return 1
 	}
 	res := nw.Run(*duration)
 
@@ -203,7 +216,7 @@ func main() {
 		ures := res.Unicast
 		fmt.Printf("unicast delivered   %.4f  (%d probes, %.1f avg hops)\n", ures.Delivered, ures.Probes, ures.AvgHops)
 		fmt.Printf("failures            %d local minima, %d range failures\n", ures.LocalMinima, ures.RangeFailures)
-		return
+		return 0
 	}
 	if *trafficMode != "" {
 		tr := res.Traffic
@@ -214,7 +227,7 @@ func main() {
 		fmt.Printf("routing overhead    %.2f control tx per delivered (%d RREQ, %d RREP, %d RERR, %d TC)\n",
 			tr.ControlPerData, tr.RREQTx, tr.RREPTx, tr.RERRTx, tr.TCTx)
 		fmt.Printf("overhead            %d hello tx, %d data tx\n", res.HelloTx, tr.DataTx)
-		return
+		return 0
 	}
 
 	fmt.Printf("protocol            %s\n", res.Protocol)
@@ -232,4 +245,5 @@ func main() {
 	if res.Snapshots > 0 {
 		fmt.Printf("snapshot (strict)   %.4f  (%d snapshots)\n", res.SnapshotConnectivity, res.Snapshots)
 	}
+	return 0
 }

@@ -45,7 +45,11 @@ import (
 	"mstc/internal/sweep"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the whole command; it returns the process exit status instead of
+// exiting, so that its deferred profile writes run on every path.
+func run() (code int) {
 	log.SetFlags(0)
 	log.SetPrefix("paperfig: ")
 
@@ -87,9 +91,10 @@ func main() {
 			EngineWorkers: *engWork,
 		}
 		if err := w.Run(); err != nil {
-			log.Fatal(err)
+			log.Print(err)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	// Resolve -exp against the registry up front: a typo must not start a
@@ -97,19 +102,21 @@ func main() {
 	selected, err := experiment.Lookup(*exp)
 	if err != nil {
 		log.Print(err)
-		os.Exit(2)
+		return 2
 	}
 
 	// Profiles go to their own files; stdout stays byte-identical whether
 	// or not profiling is enabled.
 	defer func() {
 		if err := profiling.WriteHeap(*memProf); err != nil {
-			log.Fatal(err)
+			log.Print(err)
+			code = 1
 		}
 	}()
 	stopCPU, err := profiling.StartCPU(*cpuProf)
 	if err != nil {
-		log.Fatal(err)
+		log.Print(err)
+		return 1
 	}
 	defer stopCPU()
 
@@ -143,19 +150,23 @@ func main() {
 
 	shard, err := sweep.ParseShard(*shardSpec)
 	if err != nil {
-		log.Fatal(err)
+		log.Print(err)
+		return 1
 	}
 	o.Shard = shard
 	if shard.Active() && *storeDir == "" {
-		log.Fatal("-shard requires -store: each shard journals its slice into its own store directory")
+		log.Print("-shard requires -store: each shard journals its slice into its own store directory")
+		return 1
 	}
 	if *resume && *storeDir == "" {
-		log.Fatal("-resume requires -store")
+		log.Print("-resume requires -store")
+		return 1
 	}
 	if *storeDir != "" {
 		st, err := sweep.Open(*storeDir)
 		if err != nil {
-			log.Fatal(err)
+			log.Print(err)
+			return 1
 		}
 		// Trusting prior records is an explicit opt-in: a non-empty store
 		// may hold runs from different options or an older binary, and
@@ -163,9 +174,11 @@ func main() {
 		// corrupt a figure. (Mismatched options are already fingerprint
 		// misses; the gate is for operator intent.)
 		if n, err := st.Count(); err != nil {
-			log.Fatal(err)
+			log.Print(err)
+			return 1
 		} else if n > 0 && !*resume {
-			log.Fatalf("store %s already holds %d runs; pass -resume to reuse them or choose a fresh directory", *storeDir, n)
+			log.Printf("store %s already holds %d runs; pass -resume to reuse them or choose a fresh directory", *storeDir, n)
+			return 1
 		}
 		o.Store = st
 	}
@@ -194,17 +207,15 @@ func main() {
 
 	if *datDir != "" {
 		if err := os.MkdirAll(*datDir, 0o755); err != nil {
-			log.Fatal(err)
+			log.Print(err)
+			return 1
 		}
 	}
-	save := func(name, content string) {
+	save := func(name, content string) error {
 		if *datDir == "" {
-			return
+			return nil
 		}
-		path := filepath.Join(*datDir, name)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			log.Fatal(err)
-		}
+		return os.WriteFile(filepath.Join(*datDir, name), []byte(content), 0o644)
 	}
 
 	for _, e := range selected {
@@ -216,17 +227,21 @@ func main() {
 		switch {
 		case errors.Is(err, sweep.ErrInterrupted):
 			log.Printf("%s: %v", e.Name, err)
-			os.Exit(130)
+			return 130
 		case errors.Is(err, sweep.ErrPartial):
 			// Expected under -shard: the slice is journaled; rendering
 			// needs the merged store.
 			log.Printf("%s: %v", e.Name, err)
 		case err != nil:
-			log.Fatalf("%s: %v", e.Name, err)
+			log.Printf("%s: %v", e.Name, err)
+			return 1
 		}
 		for _, out := range outs {
 			fmt.Println(out.Text)
-			save(out.File, out.Dat)
+			if err := save(out.File, out.Dat); err != nil {
+				log.Print(err)
+				return 1
+			}
 		}
 		if clock != nil {
 			// log prints to stderr, keeping stdout reproducible.
@@ -234,8 +249,9 @@ func main() {
 		}
 	}
 	if interrupted.Load() || (*maxRuns > 0 && computed.Load() >= int64(*maxRuns)) {
-		os.Exit(130)
+		return 130
 	}
+	return 0
 }
 
 // progressReporter returns the executor's Progress hook: it counts

@@ -88,6 +88,7 @@ func (r *refTable) Len() int {
 type view struct {
 	latest, versioned, asOf []Message
 	hist                    [][]Message
+	histories               []Message // HistoriesInto: the live hist, concatenated
 }
 
 // probeVersions are the versions Versioned and AsOf are asked about.
@@ -119,6 +120,7 @@ func (r *refTable) view(now float64) view {
 			hv = h
 		}
 		v.hist = append(v.hist, slices.Clone(hv))
+		v.histories = append(v.histories, hv...)
 	}
 	return v
 }
@@ -133,12 +135,13 @@ func tableView(t *Table, now float64, n int) view {
 	for id := 0; id < n; id++ {
 		v.hist = append(v.hist, t.HistoryInto(nil, id, now))
 	}
+	v.histories = t.HistoriesInto(nil, now)
 	return v
 }
 
 func sameView(a, b view) bool {
 	if !slices.Equal(a.latest, b.latest) || !slices.Equal(a.versioned, b.versioned) ||
-		!slices.Equal(a.asOf, b.asOf) || len(a.hist) != len(b.hist) {
+		!slices.Equal(a.asOf, b.asOf) || !slices.Equal(a.histories, b.histories) || len(a.hist) != len(b.hist) {
 		return false
 	}
 	for i := range a.hist {
@@ -165,7 +168,7 @@ func expiry(b byte) float64 { return [...]float64{0, 1, 2.5}[b%3] }
 // FuzzTable drives Table and the dense reference model through the same
 // random op sequence — Observe with out-of-order and duplicate versions,
 // Forget, GC, Reset, and time advancing monotonically — and after every op
-// checks that every query (Latest, Versioned, AsOf, History) answers
+// checks that every query (Latest, Versioned, AsOf, History, Histories) answers
 // identically, that Len and GC agree (exactly for k > 1; for k = 1 up to
 // reclaimed expired histories), and that Version bumps on every visible
 // change (exactly as the reference's does for k > 1). Sender versions are given send times that never run backwards

@@ -122,9 +122,6 @@ func NewTablesN(k int, expiry float64, n, count int) []*Table {
 	return out
 }
 
-// K returns the per-neighbor history depth.
-func (t *Table) K() int { return t.k }
-
 // Version returns the table's monotone mutation counter: it increases on
 // every visible state change (message stored or replaced, neighbor
 // forgotten, expired entry collected, reset) and never otherwise. A caller
@@ -315,6 +312,21 @@ func (t *Table) HistoryInto(dst []Message, id int, now float64) []Message {
 		return dst
 	}
 	return append(dst, t.history(i)...)
+}
+
+// HistoriesInto appends the stored history of every live neighbor, newest
+// first, in ascending neighbor id order: what LatestInto followed by
+// HistoryInto for each neighbor it lists would append, in one pass over
+// the table. A neighbor's messages are adjacent and share From.
+//
+//manet:noalloc
+func (t *Table) HistoriesInto(dst []Message, now float64) []Message {
+	for i := range t.ents {
+		if t.live(i, now) {
+			dst = append(dst, t.history(i)...)
+		}
+	}
+	return dst
 }
 
 // Versioned returns, per live neighbor, the stored message with exactly the

@@ -35,6 +35,7 @@ func TestNoallocAnnotationsConform(t *testing.T) {
 	accessors := map[string]func(){
 		"Table.LatestInto":    func() { dst = tbl.LatestInto(dst[:0], now) },
 		"Table.HistoryInto":   func() { dst = tbl.HistoryInto(dst[:0], n/2, now) },
+		"Table.HistoriesInto": func() { dst = tbl.HistoriesInto(dst[:0], now) },
 		"Table.VersionedInto": func() { dst = tbl.VersionedInto(dst[:0], ver, now) },
 		"Table.AsOfInto":      func() { dst = tbl.AsOfInto(dst[:0], ver, now) },
 	}

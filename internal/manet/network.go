@@ -1,6 +1,7 @@
 package manet
 
 import (
+	"fmt"
 	"math"
 	"slices"
 
@@ -102,7 +103,6 @@ type selCtx struct {
 	nbrBuf     []topology.NodeInfo // View.Neighbors scratch
 	multiBuf   []topology.MultiNodeInfo
 	posBuf     []geom.Point // flat backing for MultiNodeInfo.Positions
-	histBuf    []hello.Message
 	selfPosBuf []geom.Point
 	selBuf     []int            // SelectInto output scratch
 	scratch    topology.Scratch // protocol-kernel working storage
@@ -157,11 +157,16 @@ type Network struct {
 	par     *parRun           // set while runParallel drives the run: floods route through the domain barriers
 }
 
-// NewNetwork builds a run over the given mobility model.
+// NewNetwork builds a run over the given mobility model, which must hold
+// at least 2 nodes.
 func NewNetwork(model mobility.Model, cfg Config) (*Network, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
+	}
+	if n := model.N(); n < 2 {
+		// A flood's delivery is the share of the other n-1 nodes it reaches.
+		return nil, fmt.Errorf("manet: need at least 2 nodes, got %d: connectivity is measured over the nodes other than a flood's source", n)
 	}
 	root := xrand.New(cfg.Seed)
 	med, err := radio.NewMedium(model, cfg.Radio, root.Sub('r'))
@@ -487,22 +492,22 @@ func (sc *selCtx) selectView(nd *node, now sim.Time, query uint8, pin uint64, se
 func (sc *selCtx) selectWeak(nd *node, now sim.Time, selfPos geom.Point) {
 	sc.selfPosBuf = append(sc.selfPosBuf[:0], selfPos, sc.pos.PositionAt(nd.id, now))
 	self := topology.MultiNodeInfo{ID: nd.id, Positions: sc.selfPosBuf}
-	sc.msgBuf = nd.table.LatestInto(sc.msgBuf[:0], now)
-	// Pre-grow the flat position buffer so per-neighbor subslices stay
-	// valid while later neighbors append to it.
-	if need := len(sc.msgBuf) * nd.table.K(); cap(sc.posBuf) < need {
-		//lint:ignore noalloc amortized growth: the buffer is retained across calls; TestWeakSelectionSteadyStateAllocs pins the steady state at zero
-		sc.posBuf = make([]geom.Point, 0, 2*need)
-	}
+	// One pass over the table lists every live neighbor's history; the
+	// positions are copied out whole before any neighbor's subslice is
+	// taken, so a growing posBuf cannot leave one behind.
+	sc.msgBuf = nd.table.HistoriesInto(sc.msgBuf[:0], now)
 	sc.posBuf = sc.posBuf[:0]
-	sc.multiBuf = sc.multiBuf[:0]
 	for _, m := range sc.msgBuf {
-		start := len(sc.posBuf)
-		sc.histBuf = nd.table.HistoryInto(sc.histBuf[:0], m.From, now)
-		for _, h := range sc.histBuf {
-			sc.posBuf = append(sc.posBuf, h.Pos)
+		sc.posBuf = append(sc.posBuf, m.Pos)
+	}
+	sc.multiBuf = sc.multiBuf[:0]
+	for i := 0; i < len(sc.msgBuf); {
+		j := i + 1
+		for j < len(sc.msgBuf) && sc.msgBuf[j].From == sc.msgBuf[i].From {
+			j++
 		}
-		sc.multiBuf = append(sc.multiBuf, topology.MultiNodeInfo{ID: m.From, Positions: sc.posBuf[start:len(sc.posBuf):len(sc.posBuf)]})
+		sc.multiBuf = append(sc.multiBuf, topology.MultiNodeInfo{ID: sc.msgBuf[i].From, Positions: sc.posBuf[i:j:j]})
+		i = j
 	}
 	mv := topology.MultiView{Self: self, Neighbors: sc.multiBuf}
 	sc.selBuf = sc.cfg.Weak.SelectWeakInto(mv, sc.selBuf[:0], &sc.scratch)

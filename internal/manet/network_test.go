@@ -4,9 +4,11 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"mstc/internal/channel"
+	"mstc/internal/geom"
 	"mstc/internal/mobility"
 	"mstc/internal/radio"
 	"mstc/internal/topology"
@@ -105,6 +107,12 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := NewNetwork(model, Config{Protocol: topology.RNG{}, Radio: radio.Config{Delay: -1}}); err == nil {
 		t.Error("bad radio config accepted")
+	}
+	// A lone node has no other node for a flood to reach: its
+	// connectivity ratio would be 0/0.
+	lone := mobility.NewStatic(arena, []geom.Point{geom.Pt(1, 1)}, 5)
+	if _, err := NewNetwork(lone, Config{Protocol: topology.RNG{}}); err == nil || !strings.Contains(err.Error(), "at least 2 nodes") {
+		t.Errorf("one-node model: err = %v, want one asking for at least 2 nodes", err)
 	}
 }
 

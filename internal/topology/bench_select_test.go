@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math"
 	"testing"
 
 	"mstc/internal/geom"
@@ -44,6 +45,38 @@ func multiViewOf(v View) MultiView {
 	mv := MultiView{Self: MultiNodeInfo{ID: v.Self.ID, Positions: hist(v.Self.Pos)}}
 	for _, nb := range v.Neighbors {
 		mv.Neighbors = append(mv.Neighbors, MultiNodeInfo{ID: nb.ID, Positions: hist(nb.Pos)})
+	}
+	return mv
+}
+
+// fastWeakView is one node's k = 3 weak view at 160 m/s with 1 s beacons:
+// 100 nodes in a 900 m square, each on a straight leg at a uniform heading
+// and a speed uniform in (0, 320] m/s (the random waypoint legs of that
+// mean speed), each carrying the positions it advertised at t, t-1 s and
+// t-2 s. The observer, node 0 at the center at t, lists every node it
+// heard in that time: one within the 250 m range of it at some beacon. Its
+// own entry holds, as a beaconing node's does, the position it just
+// advertised and its current one: the same point. Wide
+// histories and a view that counts every node heard lately make this the
+// costliest regime for the weak kernels, and the one in which their pair
+// scans most often stop at a pair beyond the range.
+func fastWeakView() MultiView {
+	rng := xrand.New(9)
+	hist := func(p geom.Point) []geom.Point {
+		speed, heading := rng.Uniform(0, 320), rng.Uniform(0, 2*math.Pi)
+		dx, dy := speed*math.Cos(heading), speed*math.Sin(heading)
+		return []geom.Point{p, geom.Pt(p.X-dx, p.Y-dy), geom.Pt(p.X-2*dx, p.Y-2*dy)}
+	}
+	self := hist(geom.Pt(450, 450))
+	mv := MultiView{Self: MultiNodeInfo{ID: 0, Positions: []geom.Point{self[0], self[0]}}}
+	for id := 1; id < 100; id++ {
+		pos := hist(geom.Pt(rng.Uniform(0, 900), rng.Uniform(0, 900)))
+		for i, p := range pos {
+			if p.Dist(self[i]) <= normalRange {
+				mv.Neighbors = append(mv.Neighbors, MultiNodeInfo{ID: id, Positions: pos})
+				break
+			}
+		}
 	}
 	return mv
 }
@@ -108,6 +141,18 @@ func BenchmarkDenseSelect(b *testing.B) {
 // k = 3 history per node.
 func BenchmarkDenseSelectWeak(b *testing.B) {
 	mv := multiViewOf(denseBenchView())
+	for _, p := range []WeakProtocol{
+		WeakRNG{},
+		WeakMST{Range: normalRange},
+		WeakSPT{Alpha: 2, Range: normalRange},
+	} {
+		b.Run(p.Name(), func(b *testing.B) { benchSelectWeakView(b, p, mv) })
+	}
+}
+
+// BenchmarkFastSelectWeak runs the weak kernels on fastWeakView.
+func BenchmarkFastSelectWeak(b *testing.B) {
+	mv := fastWeakView()
 	for _, p := range []WeakProtocol{
 		WeakRNG{},
 		WeakMST{Range: normalRange},

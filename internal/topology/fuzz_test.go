@@ -3,6 +3,7 @@ package topology
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"mstc/internal/geom"
@@ -88,6 +89,70 @@ func fuzzSelectSeeds() [][]byte {
 		// at weight 2500; the id order commits Self's edge to id 11 first,
 		// and id 11 then takes id 6's tree edge, so Self keeps ids 4 and 11.
 		{0, 0, 0x00, 0x01, 0x21, 0x20},
+		weakBoundaryCases[0].data,
+		weakBoundaryCases[1].data,
+	}
+}
+
+// weakBoundaryCases are k = 2 views in which a weak kernel's pair scan
+// (maxDist2Within) meets one of its exit comparisons with equality, part
+// way through the scan, and the selections each kernel must make there.
+var weakBoundaryCases = []struct {
+	name             string
+	data             []byte // decodeFuzzView input
+	wRNG, wMST, wSPT []int  // wSPT with alpha 2
+}{
+	{
+		// Range 100 m. Self (id 0) at (0, 0), id 4 at (100, 0) and
+		// (75, 0), id 7 at (175, 0). The edge 4–7 scans 75² twice, then
+		// meets d² = 100² = R² exactly: that pair is within range, so
+		// the scan runs on, the edge is usable, and the relay through
+		// id 4 (bottleneck 100², sum 2·100²) beats the direct link to id
+		// 7 (cMin 175²). Every kernel removes id 7.
+		name: "pair at d² = R²",
+		data: []byte{25, 1, 0x00, 0x88, 0x04, 0x83, 0x07, 0x88},
+		wRNG: []int{4}, wMST: []int{4}, wSPT: []int{4},
+	},
+	{
+		// Unbounded range. Self (id 2) at (100, 100), id 3 at (100, 125)
+		// and (75, 125), id 6 at (175, 200): cMin(2, 6) = 125². The
+		// pairs of 3–6 are 11250 twice, then 125² exactly. wMST's key
+		// for id 6 is 125² from Self's row, so that pair ends the scan
+		// without a relaxation; for wRNG the witness id 3 is not
+		// strictly below cMin, so id 6 stays. wSPT's relay sum is above
+		// 125² whatever the scan does. Every kernel keeps both.
+		name: "pair at key[v] and at cMin",
+		data: []byte{0, 1, 0x44, 0x88, 0x54, 0x83, 0x87, 0x88},
+		wRNG: []int{3, 6}, wMST: []int{3, 6}, wSPT: []int{3, 6},
+	},
+}
+
+// TestWeakKernelExitBoundaries runs the weak kernels on weakBoundaryCases
+// and checks each selection against the hand-derived one and against the
+// kernel's reference. A pair at d² = R² or at cMin decides the outcome:
+// an exit on it taken the wrong way changes the selection. A pair at
+// key[v] decides nothing, since max(du, key[v]) < key[v] fails either
+// way, so that exit must only not change the key.
+func TestWeakKernelExitBoundaries(t *testing.T) {
+	for _, tc := range weakBoundaryCases {
+		mv, r, ok := decodeFuzzView(tc.data)
+		if !ok {
+			t.Fatalf("%s: view does not decode", tc.name)
+		}
+		s := &Scratch{}
+		wm, wsp := WeakMST{Range: r}, WeakSPT{Alpha: 2, Range: r}
+		for _, c := range []struct {
+			kernel    string
+			got, want []int
+			ref       []int
+		}{
+			{"wRNG", WeakRNG{}.SelectWeakInto(mv, nil, s), tc.wRNG, refWeakRNGSelect(mv, squared)},
+			{"wMST", wm.SelectWeakInto(mv, nil, s), tc.wMST, refWeakMSTSelect(wm, mv, squared)},
+			{"wSPT-2", wsp.SelectWeakInto(mv, nil, s), tc.wSPT, refWeakSPTSelect(wsp, mv, squared)},
+		} {
+			sameSet(t, tc.name+" "+c.kernel, c.got, c.want)
+			sameSet(t, tc.name+" "+c.kernel+" reference", c.ref, c.want)
+		}
 	}
 }
 
@@ -207,5 +272,49 @@ func mstCandidateTies(v View, r float64) (relax, commit bool) {
 			commit = commit || (nb != next && !inTree[nb] && bestFrom[nb] >= 0 && bestW[nb] == bestW[next])
 		}
 		u = next
+	}
+}
+
+// TestWeakKernelsEmptyPositionSets gives a neighbor, and then Self, no
+// stored position. A link to an empty set has cost +Inf (maxDist2), so it
+// must neither relay nor be removed: the neighbor stays selected, by each
+// kernel and by its reference, with or without a range bound.
+func TestWeakKernelsEmptyPositionSets(t *testing.T) {
+	pts := func(ps ...geom.Point) []geom.Point { return ps }
+	views := []MultiView{{
+		Self: MultiNodeInfo{ID: 0, Positions: pts(geom.Pt(0, 0), geom.Pt(0, 5))},
+		Neighbors: []MultiNodeInfo{
+			{ID: 1, Positions: pts(geom.Pt(50, 0), geom.Pt(55, 0))},
+			{ID: 2},
+			{ID: 3, Positions: pts(geom.Pt(100, 0))},
+		},
+	}, {
+		Self: MultiNodeInfo{ID: 2},
+		Neighbors: []MultiNodeInfo{
+			{ID: 1, Positions: pts(geom.Pt(50, 0))},
+			{ID: 3, Positions: pts(geom.Pt(100, 0))},
+		},
+	}}
+	for i, mv := range views {
+		for _, r := range []float64{0, 250} {
+			s := &Scratch{}
+			wm, wsp := WeakMST{Range: r}, WeakSPT{Alpha: 2, Range: r}
+			for _, c := range []struct {
+				kernel   string
+				got, ref []int
+			}{
+				{"wRNG", WeakRNG{}.SelectWeakInto(mv, nil, s), refWeakRNGSelect(mv, squared)},
+				{"wMST", wm.SelectWeakInto(mv, nil, s), refWeakMSTSelect(wm, mv, squared)},
+				{"wSPT-2", wsp.SelectWeakInto(mv, nil, s), refWeakSPTSelect(wsp, mv, squared)},
+			} {
+				label := fmt.Sprintf("view %d range %g %s", i, r, c.kernel)
+				sameSet(t, label, c.got, c.ref)
+				for _, nb := range mv.Neighbors {
+					if (len(nb.Positions) == 0 || len(mv.Self.Positions) == 0) && !slices.Contains(c.got, nb.ID) {
+						t.Errorf("%s: removed id %d across an empty position set: %v", label, nb.ID, c.got)
+					}
+				}
+			}
+		}
 	}
 }

@@ -105,6 +105,29 @@ func maxDist2(a, b []geom.Point) float64 {
 	return d2Max
 }
 
+// maxDist2Within returns maxDist2(a, b) and true when every pair of a
+// point of a and a point of b lies within r2 (d² ≤ r2) and below lim
+// (d² < lim). At the first pair that does not, it stops and returns
+// false, and it returns false when a set is empty, where maxDist2 is
+// +Inf. A NaN pair, which maxDist2 skips, is skipped here too. So for
+// non-NaN r2 and lim, ok reports maxDist2(a, b) ≤ r2 && maxDist2(a, b) <
+// lim, and d2Max is maxDist2's value bit for bit.
+func maxDist2Within(a, b []geom.Point, r2, lim float64) (d2Max float64, ok bool) {
+	d2Max = -1
+	for _, p := range a {
+		for _, q := range b {
+			d2 := p.Dist2(q)
+			if d2 > r2 || d2 >= lim {
+				return 0, false
+			}
+			if d2 > d2Max {
+				d2Max = d2
+			}
+		}
+	}
+	return d2Max, d2Max >= 0
+}
+
 // distRange returns the smallest and largest squared distance between a
 // point of a and a point of b (+Inf for both if either set is empty).
 func distRange(a, b []geom.Point) (d2Min, d2Max float64) {

@@ -34,11 +34,12 @@ func (w WeakRNG) SelectWeak(v MultiView) []int {
 	return w.SelectWeakInto(v, make([]int, 0, 4), &Scratch{})
 }
 
-// SelectWeakInto implements WeakProtocol. Costs are squared
-// lengths (DistanceCost). cMin and cMax of each link at Self are computed
-// once; for non-NaN costs
+// SelectWeakInto implements WeakProtocol. Costs are squared lengths.
+// cMin and cMax of each link at Self are computed once; for non-NaN costs
 // x > max(a, b) ⇔ x > a && x > b, so the witness's far cost cMax(w,v) is
-// computed only once cMax(u,w) is below cMin(u,v).
+// looked at only once cMax(u,w) is below cMin(u,v). Even then it is not
+// computed: x > max S ⇔ x > s for every s of S, so maxDist2Within stops
+// at the first pair of w and v that is not below cMin(u,v).
 //
 //manet:noalloc
 func (WeakRNG) SelectWeakInto(v MultiView, dst []int, s *Scratch) []int {
@@ -52,7 +53,10 @@ func (WeakRNG) SelectWeakInto(v MultiView, dst []int, s *Scratch) []int {
 	for i, n := range v.Neighbors {
 		removed := false
 		for j, w := range v.Neighbors {
-			if w.ID != n.ID && cMin[i] > cMax[j] && cMin[i] > maxDist2(w.Positions, n.Positions) {
+			if w.ID == n.ID || !(cMin[i] > cMax[j]) {
+				continue
+			}
+			if _, below := maxDist2Within(w.Positions, n.Positions, math.Inf(1), cMin[i]); below {
 				removed = true
 				break
 			}
@@ -134,6 +138,15 @@ func (sp WeakSPT) SelectWeakInto(v MultiView, dst []int, s *Scratch) []int {
 // existence test, on the same d² ≤ R² comparison the strong kernels and
 // the radio make). max, like a sum of non-negative costs, never settles a
 // key below its predecessor's, so searchEnergy's exit rules hold.
+//
+// An edge's pair scan stops at the first pair that decides the caller's
+// comparison (maxDist2Within). A pair beyond R² makes the edge unusable
+// whatever the others are. With bottleneck the cost is d² itself, so a
+// pair at or above key[v] already makes max(du, cMax) < key[v] fail, and
+// du ≥ key[v] fails it before any pair is looked at. Only a scan that
+// runs to its end yields cMax, and then it is maxDist2's value bit for
+// bit. The key exit holds only because energy(d², 2) + 0 is d²; the sum
+// takes the range exit alone.
 func (s *Scratch) weakSearch(v MultiView, dst []int, maxRange, alpha, fixed float64, bottleneck bool) []int {
 	src := s.multiViewNodes(v)
 	r2 := rangeBound(maxRange)
@@ -159,16 +172,17 @@ func (s *Scratch) weakSearch(v MultiView, dst []int, maxRange, alpha, fixed floa
 			if done[v] {
 				continue
 			}
-			if u != src { // src's row is preloaded
-				if d2 := maxDist2(pu, pos[v]); d2 <= r2 {
-					c := energy(d2, alpha) + fixed
-					nd := du + c
-					if bottleneck {
-						nd = max(du, c)
-					}
-					if nd < key[v] {
+			switch {
+			case u == src: // src's row is preloaded
+			case !bottleneck:
+				if d2, ok := maxDist2Within(pu, pos[v], r2, math.Inf(1)); ok {
+					if nd := du + (energy(d2, alpha) + fixed); nd < key[v] {
 						key[v] = nd
 					}
+				}
+			case du < key[v]: // else max(du, cMax) < key[v] cannot hold
+				if d2, ok := maxDist2Within(pu, pos[v], r2, key[v]); ok {
+					key[v] = max(du, d2)
 				}
 			}
 			kv := key[v]
