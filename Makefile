@@ -76,7 +76,8 @@ faults-smoke:
 # exiting 130), resumed from its store, and the resumed output is
 # byte-compared against an uninterrupted run. The same sweep computed as
 # two disjoint shards and merged with sweepctl must render the identical
-# bytes, with every record checksum verifying. Binaries are built first:
+# bytes, with every record checksum verifying, and sweepctl verify on a
+# missing directory must fail without creating it. Binaries are built first:
 # `go run` collapses the child's exit code to 1, and the 130 is asserted.
 SMOKE ?= /tmp/mstc_resume_smoke
 PFLAGS := -exp fig6 -quick -reps 2 -duration 8
@@ -93,6 +94,8 @@ resume-smoke:
 	$(SMOKE)/paperfig $(PFLAGS) -store $(SMOKE)/shard1 -shard 1/2
 	$(SMOKE)/sweepctl merge -into $(SMOKE)/merged $(SMOKE)/shard0 $(SMOKE)/shard1
 	$(SMOKE)/sweepctl verify $(SMOKE)/store $(SMOKE)/merged
+	! $(SMOKE)/sweepctl verify $(SMOKE)/missing
+	test ! -e $(SMOKE)/missing
 	$(SMOKE)/paperfig $(PFLAGS) -store $(SMOKE)/merged -resume > $(SMOKE)/merged.txt
 	cmp $(SMOKE)/direct.txt $(SMOKE)/merged.txt
 

@@ -7,6 +7,9 @@
 //	sweepctl verify <store>...                 re-verify every checksum; exit 1 on corruption
 //	sweepctl gc [-fingerprint <fp>] <store>... drop tmp files, failures, corrupt (and foreign) records
 //
+// Every store argument must name an existing store; only merge's -into
+// destination is created when missing.
+//
 // A typical sharded sweep:
 //
 //	paperfig -exp fig6 -store s0 -shard 0/2 &
@@ -58,8 +61,9 @@ func usage() {
 	os.Exit(2)
 }
 
+// open opens an existing store, exiting with status 1 when dir is not one.
 func open(dir string) *sweep.Store {
-	s, err := sweep.Open(dir)
+	s, err := sweep.OpenExisting(dir)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -104,6 +108,7 @@ func cmdStatus(args []string) {
 	}
 	for _, dir := range fs.Args() {
 		s := open(dir)
+		fmt.Printf("%s:\n", dir)
 		// Scan visits fingerprints in sorted order, so per-fingerprint
 		// aggregation is a streaming group-by.
 		var fps []string
@@ -137,7 +142,6 @@ func cmdStatus(args []string) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%s:\n", dir)
 		if len(fps) == 0 {
 			fmt.Println("  empty")
 		}
@@ -181,13 +185,22 @@ func cmdMerge(args []string) {
 	if *into == "" || fs.NArg() == 0 {
 		usage()
 	}
-	dst := open(*into)
-	for _, dir := range fs.Args() {
-		st, err := sweep.Merge(dst, open(dir))
+	// Every source must open before the destination is created, so a
+	// mistyped source leaves no empty destination behind.
+	srcs := make([]*sweep.Store, fs.NArg())
+	for i, dir := range fs.Args() {
+		srcs[i] = open(dir)
+	}
+	dst, err := sweep.Open(*into)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i, src := range srcs {
+		st, err := sweep.Merge(dst, src)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%s -> %s: %s\n", dir, *into, st)
+		fmt.Printf("%s -> %s: %s\n", fs.Arg(i), *into, st)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"mstc/internal/channel"
 	"mstc/internal/manet"
-	"mstc/internal/radio"
 	"mstc/internal/sweep"
 	"mstc/internal/traffic"
 )
@@ -23,11 +22,6 @@ func TestStoredRecordIdentity(t *testing.T) {
 	}{
 		{"default", DefaultOptions(), "2dd780cbaabea6c497034f22d561eec9"},
 		{"quick", QuickOptions(), "5fc0c39648fc60a640719a10b0b1f16b"},
-		{"radio", func() Options {
-			o := QuickOptions()
-			o.Radio = radio.Config{Cell: 100, Delay: 0.002, LossRate: 0.1}
-			return o
-		}(), "2fc76de4c731d8950b8db78f6884bcc8"},
 		{"channel", func() Options {
 			o := QuickOptions()
 			o.Channel = channel.Config{

@@ -28,12 +28,14 @@ import (
 //   - Workers and the Progress/Interrupt/Store/Shard/Retry plumbing
 //     (determinism across worker counts is pinned by
 //     TestDeterminismRegression),
-//   - Radio.Slack (pinned by TestDigestUnchangedByStalenessCache),
+//   - Radio, whose one field Slack is pinned by
+//     TestDigestUnchangedByStalenessCache,
 //   - Speeds, Buffers, and Reps, which shape the *task set* — per-run
 //     results depend only on the Run fields, so raising Reps or adding a
 //     speed reuses every already-stored run.
 //
 //manet:hashes Options
+//manet:hash-exclude Radio the staleness slack never changes results, pinned by TestDigestUnchangedByStalenessCache
 //manet:hash-exclude Workers determinism across worker counts is pinned by TestDeterminismRegression
 //manet:hash-exclude Speeds task-set shape; per-run results depend only on Run fields
 //manet:hash-exclude Buffers task-set shape; per-run results depend only on Run fields
@@ -60,10 +62,11 @@ func (o Options) Fingerprint() string {
 	f(o.Duration)
 	f(o.FloodRate)
 	word(o.Seed)
-	f(o.Radio.Cell)
-	f(o.Radio.Delay)
-	f(o.Radio.LossRate)
-	word(0) // retired radio airtime field, kept so store addresses stay put
+	// The retired radio cell size, delay, loss rate and airtime fields
+	// stay as one zero word each, so store addresses stay put.
+	for range 4 {
+		word(0)
+	}
 	word(uint64(o.Channel.Loss.Model))
 	f(o.Channel.Loss.Rate)
 	f(o.Channel.Loss.MeanBurst)

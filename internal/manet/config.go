@@ -69,7 +69,8 @@ type Config struct {
 	Weak topology.WeakProtocol
 	// Mech are the active mobility-management mechanisms.
 	Mech Mechanisms
-	// Radio configures the medium (per-hop delay, loss, grid cell).
+	// Radio configures the medium's bounded-staleness grid. Loss and
+	// delay are the channel's (Channel).
 	Radio radio.Config
 	// Channel configures the non-ideal channel subsystem: stochastic
 	// per-packet loss (Bernoulli or Gilbert–Elliott), bounded random
@@ -220,9 +221,6 @@ func (c Config) validate() error {
 	case c.Unicast.Enabled() && (c.FloodRate > 0 || c.Traffic.Enabled()):
 		return fmt.Errorf("manet: unicast probes are mutually exclusive with flooding and traffic (one probe workload per run)")
 	}
-	if err := c.Radio.Validate(); err != nil {
-		return err
-	}
 	if err := c.Unicast.validate(); err != nil {
 		return err
 	}
@@ -245,9 +243,6 @@ func (c Config) checkFinite() error {
 		{"HelloMax", c.HelloMax},
 		{"HelloExpiry", c.HelloExpiry},
 		{"Mech.Buffer", c.Mech.Buffer},
-		{"Radio.Cell", c.Radio.Cell},
-		{"Radio.Delay", c.Radio.Delay},
-		{"Radio.LossRate", c.Radio.LossRate},
 		{"Radio.Slack", c.Radio.Slack},
 		{"Channel.Loss.Rate", c.Channel.Loss.Rate},
 		{"Channel.Loss.MeanBurst", c.Channel.Loss.MeanBurst},

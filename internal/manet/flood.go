@@ -112,8 +112,8 @@ func (nw *Network) transmit(fl *flood, sender int, now sim.Time) {
 	}
 }
 
-// floodDelay is the total deferral of one flood reception: the constant
-// per-hop radio delay plus the keyed forward jitter — and, on a non-ideal
+// floodDelay is the total deferral of one flood reception: the keyed
+// forward jitter — and, on a non-ideal
 // channel, the reception's own bounded random delay (≤ Δ″). Every random
 // component is a pure function of (flood, forwarder, receiver), so the
 // serial engine and the region-parallel flood rounds resolve identical
@@ -121,7 +121,7 @@ func (nw *Network) transmit(fl *flood, sender int, now sim.Time) {
 func (nw *Network) floodDelay(fl *flood, sender, rid int) float64 {
 	//lint:ignore noalloc Derive is by-value and never retains its label slice, so both stay on the stack; TestNoallocAnnotationsConform pins the steady state at zero
 	jit := nw.rng.Derive('j', fl.id, uint64(sender), uint64(rid))
-	delay := nw.med.Delay() + jit.Uniform(0, nw.cfg.ForwardJitterMax)
+	delay := jit.Uniform(0, nw.cfg.ForwardJitterMax)
 	if nw.ch.DelayEnabled() {
 		delay += nw.ch.FloodDelay(fl.id, sender, rid)
 	}

@@ -12,18 +12,18 @@ import (
 // FuzzParallelMatchesSerial is the fuzzed form of
 // TestParallelMatchesSerialMatrix: a small random-waypoint network under a
 // fuzzer-drawn configuration — mechanism, channel loss, delay and churn,
-// radio loss and delay, position noise, the reactive, proactive and weak
+// position noise, the reactive, proactive and weak
 // schemes — runs once on the serial engine and once on a 1×1 to 3×3 domain
 // grid with 1 to 4 workers. Either NewNetwork rejects the configuration, or
 // both runs hash to the same digest. Mechanism bits 0x004 and 0x100 are
 // unused.
 func FuzzParallelMatchesSerial(f *testing.F) {
-	f.Add(uint64(1), uint8(20), uint8(4), uint16(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0))
-	f.Add(uint64(2), uint8(28), uint8(9), uint16(0x0003), uint8(130), uint8(90), uint8(200), uint8(40), uint8(60))
-	f.Add(uint64(3), uint8(16), uint8(7), uint16(0x0008), uint8(70), uint8(120), uint8(150), uint8(0), uint8(0))
-	f.Add(uint64(4), uint8(24), uint8(2), uint16(0x0217), uint8(0), uint8(40), uint8(0), uint8(25), uint8(30))
-	f.Add(uint64(5), uint8(12), uint8(11), uint16(0x00a0), uint8(200), uint8(0), uint8(90), uint8(80), uint8(120))
-	f.Fuzz(func(t *testing.T, seed uint64, nSel, grid uint8, mech uint16, loss, delay, churn, radioSel, noise uint8) {
+	f.Add(uint64(1), uint8(20), uint8(4), uint16(0), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(uint64(2), uint8(28), uint8(9), uint16(0x0003), uint8(130), uint8(90), uint8(200), uint8(60))
+	f.Add(uint64(3), uint8(16), uint8(7), uint16(0x0008), uint8(70), uint8(120), uint8(150), uint8(0))
+	f.Add(uint64(4), uint8(24), uint8(2), uint16(0x0217), uint8(0), uint8(40), uint8(0), uint8(30))
+	f.Add(uint64(5), uint8(12), uint8(11), uint16(0x00a0), uint8(200), uint8(0), uint8(90), uint8(120))
+	f.Fuzz(func(t *testing.T, seed uint64, nSel, grid uint8, mech uint16, loss, delay, churn, noise uint8) {
 		const dur = 4.0
 		n := 2 + int(nSel)%29
 		protocols := []topology.Protocol{topology.RNG{}, topology.MST{}, topology.SPT{Alpha: 2, Range: 250}, topology.Gabriel{}}
@@ -60,10 +60,6 @@ func FuzzParallelMatchesSerial(f *testing.F) {
 		if churn%2 == 1 {
 			cfg.Channel.Churn = channel.ChurnConfig{MeanUp: 3 + float64(churn%8), MeanDown: 0.2 + float64(churn%4)/3}
 		}
-		cfg.Radio.LossRate = float64(radioSel%4) / 10
-		if radioSel&0x10 != 0 {
-			cfg.Radio.Delay = 0.001
-		}
 		par := cfg
 		par.Domains = 1 + int(grid)%3
 		par.ParallelWorkers = 1 + int(grid/3)%4
@@ -91,14 +87,13 @@ func FuzzParallelMatchesSerial(f *testing.F) {
 // grid switched by fuzzer bits. NewNetwork must fail exactly when validate
 // (after defaults) rejects the configuration, and an accepted one must run
 // a 3 s horizon on a small random-waypoint scene without panicking. The
-// radio grid's Cell and Slack are not fuzzed: the cell count they imply
-// depends on the arena, which NewMedium checks and validate cannot see.
+// radio's staleness Slack is not fuzzed: no value of it changes a result.
 func FuzzConfigValidate(f *testing.F) {
 	// bits: 0-1 and 3-4 mechanisms (2 and 5 unused), 6-7 protocol, 8 WeakK
-	// on, 9-11 radio or channel impairment (6 and 7: none), 12-13 weak selector, 14-15 WeakK, 16-17 probe
+	// on, 9-11 channel impairment (0-2, 6 and 7: none), 12-13 weak selector, 14-15 WeakK, 16-17 probe
 	// workload, 18-19 unicast hops or OLSR, 20-21 workers, 24-31 domains.
 	f.Add(uint64(1), uint32(0x0000_0040), 0.0, 0.0, 0.0, 0.0, 5.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-	f.Add(uint64(2), uint32(0x0221_0240), 0.0, 0.0, 0.0, 10.0, 5.0, 0.0, 0.15, 0.0, 0.0, 0.5)
+	f.Add(uint64(2), uint32(0x0221_0640), 0.0, 0.0, 0.0, 10.0, 5.0, 0.0, 0.15, 0.0, 0.0, 0.5)
 	f.Add(uint64(3), uint32(0x0310_d900), 0.0, 0.0, 0.0, 0.0, 5.0, 0.0, 0.0, 0.002, 4.0, 0.05)
 	f.Add(uint64(4), uint32(0x0003_0080), 200.0, 0.5, 1.0, 0.0, 0.0, 4.0, 0.0, 0.0, 0.0, 0.0)
 	f.Add(uint64(5), uint32(0x0006_0040), 0.0, 0.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0)
@@ -137,10 +132,6 @@ func FuzzConfigValidate(f *testing.F) {
 		// A float feeds one field of each family, so every field still
 		// meets the whole float range across inputs.
 		switch bits >> 9 & 7 {
-		case 1:
-			cfg.Radio.LossRate = loss
-		case 2:
-			cfg.Radio.Delay = period
 		case 3:
 			cfg.Channel.Loss = channel.LossConfig{Model: channel.Bernoulli, Rate: loss}
 		case 4:

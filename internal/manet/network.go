@@ -169,7 +169,7 @@ func NewNetwork(model mobility.Model, cfg Config) (*Network, error) {
 		return nil, fmt.Errorf("manet: need at least 2 nodes, got %d: connectivity is measured over the nodes other than a flood's source", n)
 	}
 	root := xrand.New(cfg.Seed)
-	med, err := radio.NewMedium(model, cfg.Radio, root.Sub('r'))
+	med, err := radio.NewMedium(model, cfg.Radio, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -339,7 +339,7 @@ func (nw *Network) firstBeacon(nd *node) float64 {
 }
 
 // parallelEligible reports whether the configuration can run on the
-// region-parallel engine. Radio loss, channel loss and delay, reactive
+// region-parallel engine. Channel loss, delay and churn, reactive
 // rounds, and flood forwarding are all covered: their random components
 // are pure functions of each event's identity (or per-receiver chains
 // replayed in chronological order), so domain barriers resolve them

@@ -10,7 +10,6 @@ import (
 	"mstc/internal/channel"
 	"mstc/internal/geom"
 	"mstc/internal/mobility"
-	"mstc/internal/radio"
 	"mstc/internal/topology"
 	"mstc/internal/xrand"
 )
@@ -104,9 +103,6 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := NewNetwork(model, cfg); err == nil {
 			t.Errorf("case %d: bad config accepted: %+v", i, cfg)
 		}
-	}
-	if _, err := NewNetwork(model, Config{Protocol: topology.RNG{}, Radio: radio.Config{Delay: -1}}); err == nil {
-		t.Error("bad radio config accepted")
 	}
 	// A lone node has no other node for a flood to reach: its
 	// connectivity ratio would be 0/0.
@@ -395,7 +391,7 @@ func TestLossInjection(t *testing.T) {
 	model := connectedStatic(t, 17, 80, 15)
 	nw, err := NewNetwork(model, Config{
 		Protocol: topology.RNG{}, FloodRate: 10, Seed: 10,
-		Radio: radio.Config{LossRate: 0.1},
+		Channel: channel.Config{Loss: channel.LossConfig{Model: channel.Bernoulli, Rate: 0.1}},
 	})
 	if err != nil {
 		t.Fatal(err)

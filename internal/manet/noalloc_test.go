@@ -140,7 +140,8 @@ func TestTrafficSteadyStateAllocs(t *testing.T) {
 // resolve, grid rebuild, domain assignment, record dispatch, and the inline
 // single-worker barrier — must allocate nothing. The sampled run adds the
 // 10 Hz metric samples as engine fences, each a snapshot and a sample
-// barrier over the domains, with radio loss on so Degree walks candidates.
+// barrier over the domains, with Bernoulli channel loss on so the receiver
+// scans filter through the loss chains.
 func TestParallelStepNoalloc(t *testing.T) {
 	for _, sampled := range []bool{false, true} {
 		name := "windows"
@@ -151,7 +152,7 @@ func TestParallelStepNoalloc(t *testing.T) {
 			model := parWaypoint(t, 48, 20, 60, 5)
 			cfg := Config{Protocol: topology.RNG{}, Domains: 2, ParallelWorkers: 1, Seed: 7}
 			if sampled {
-				cfg.Radio.LossRate = 0.1
+				cfg.Channel.Loss = channel.LossConfig{Model: channel.Bernoulli, Rate: 0.1}
 			}
 			nw, err := NewNetwork(model, cfg)
 			if err != nil {

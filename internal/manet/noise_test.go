@@ -3,7 +3,7 @@ package manet
 import (
 	"testing"
 
-	"mstc/internal/radio"
+	"mstc/internal/channel"
 	"mstc/internal/topology"
 )
 
@@ -63,8 +63,8 @@ func TestWeakKHelpsUnderHelloLoss(t *testing.T) {
 		run := func(k int) float64 {
 			nw, err := NewNetwork(model, Config{
 				Weak: topology.WeakRNG{}, FloodRate: 10, Seed: 28 + rep,
-				Mech:  Mechanisms{WeakK: k},
-				Radio: radioConfigWithLoss(0.3),
+				Mech:    Mechanisms{WeakK: k},
+				Channel: channel.Config{Loss: channel.LossConfig{Model: channel.Bernoulli, Rate: 0.3}},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -78,9 +78,4 @@ func TestWeakKHelpsUnderHelloLoss(t *testing.T) {
 		t.Errorf("k=3 (%.3f) should beat k=1 (%.3f) under 30%% hello loss",
 			sum3/reps, sum1/reps)
 	}
-}
-
-// radioConfigWithLoss is a tiny helper keeping the loss literal readable.
-func radioConfigWithLoss(rate float64) radio.Config {
-	return radio.Config{LossRate: rate}
 }

@@ -31,8 +31,8 @@ package manet
 //     order — the serial event order, since each sender beacons at most
 //     once per instant — queued to every domain their halo disc can
 //     reach, and processed by a segment barrier: each domain runs the
-//     snapshot-grid receiver scan per record (exact-distance filter, keyed
-//     radio loss draw, per-receiver channel loss chains), then delivers
+//     snapshot-grid receiver scan per record (exact-distance filter,
+//     per-receiver channel loss chains), then delivers
 //     (or, under channel delay, defers) and re-selects the sender in its
 //     owner domain. Dispatch never outruns the processing horizon, so
 //     anything the dispatcher reads at a boundary instant — a flood
@@ -60,8 +60,8 @@ package manet
 //     their keyed delivery delays.
 //     Outboxes merge in ascending receiver order — the serial
 //     per-transmit schedule order — onto the global heap. Every random
-//     component of a flood reception (radio loss, channel loss
-//     chains, forward jitter, channel delay) is either a pure function
+//     component of a flood reception (channel loss chains, forward
+//     jitter, channel delay) is either a pure function
 //     of the reception's identity or a per-receiver chain advanced in
 //     chronological order, so the heap replays the serial engine's
 //     delivery schedule exactly.
@@ -743,12 +743,9 @@ func (pr *parRun) processSettle(pd *domainCtx, d int) {
 //
 //manet:noalloc
 func (pr *parRun) processSample(pd *domainCtx, d int) {
-	med := pr.nw.med
 	sum := 0
 	for _, v := range pr.owned[d] {
-		var k int
-		k, pd.cand = med.Degree(pr.index, pr.posT[v], pr.sampleAt, v, pr.nw.nodes[v].txRange, pd.cand)
-		sum += k
+		sum += radio.Degree(pr.index, pr.posT[v], pr.nw.nodes[v].txRange)
 	}
 	pd.deg = sum
 }
@@ -774,8 +771,8 @@ func (pr *parRun) processFloodScan(pd *domainCtx, d int) {
 
 // receivers returns the receivers owned by domain d of a transmission by
 // sender from its exact position pos at instant at with range r, in
-// ascending id order, after the keyed radio loss draw and the channel loss
-// chains — the serial Transmit's receiver set restricted to the domain.
+// ascending id order, after the channel loss chains — the serial
+// Transmit's receiver set restricted to the domain.
 //
 // Candidates come from the snapshot grid. A node indexed at its snapAt
 // position is at most vmax·|at−snapAt| away from where it is at at, and pos
@@ -788,11 +785,10 @@ func (pr *parRun) processFloodScan(pd *domainCtx, d int) {
 // makes a candidate indexed inside radio.InnerRadius2 a receiver outright;
 // the rest pass the serial radio's exact filter over positions at at, so
 // the set is exact. The radio's mark set restores ascending id order.
-// Radio loss is a pure function of the reception and chains are
-// per-receiver, advanced here in ascending-id order as the serial
-// FilterLost does — restricting either to one domain changes nothing.
-// Chains advance for every in-range radio-surviving receiver, down or not,
-// as the serial Transmit does before its isDown delivery check.
+// Chains are per-receiver, advanced here in ascending-id order as the
+// serial FilterLost does, so restricting them to one domain changes
+// nothing. Chains advance for every in-range receiver, down or not, as the
+// serial Transmit does before its isDown delivery check.
 //
 //manet:noalloc
 func (pr *parRun) receivers(pd *domainCtx, d, sender int, pos geom.Point, at, r float64) []int {
@@ -809,15 +805,8 @@ func (pr *parRun) receivers(pd *domainCtx, d, sender int, pos geom.Point, at, r 
 			pd.marks.Add(v)
 		}
 	}
-	recv := pd.marks.AppendSorted(pd.recv[:0])
-	pd.recv = recv
-	kept := recv[:0]
-	for _, v := range recv {
-		if !nw.med.LostAt(at, sender, v) {
-			kept = append(kept, v)
-		}
-	}
-	return nw.ch.FilterLost(kept)
+	pd.recv = pd.marks.AppendSorted(pd.recv[:0])
+	return nw.ch.FilterLost(pd.recv)
 }
 
 // sortFloodOutByRid is an allocation-free insertion sort for the small

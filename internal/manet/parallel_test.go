@@ -135,17 +135,15 @@ func TestParallelMatchesSerialMatrix(t *testing.T) {
 			}(),
 		},
 		{
-			// Radio-medium loss (keyed per-reception draws) stacked with
-			// i.i.d. channel loss chains: both filters must resolve
+			// I.i.d. channel loss chains: the filter must resolve
 			// identically inside the domain scans and the serial receiver
 			// loops.
-			name: "lossy-radio",
+			name: "lossy",
 			cfg: func() Config {
 				c := Config{
 					Protocol: topology.SPT{Alpha: 2, Range: 250}, FloodRate: 5,
 					Mech: Mechanisms{Buffer: 10, ViewSync: true}, Seed: 23,
 				}
-				c.Radio.LossRate = 0.15
 				c.Channel.Loss = channel.LossConfig{Model: channel.Bernoulli, Rate: 0.1}
 				return c
 			}(),
@@ -483,8 +481,6 @@ func TestParallelEligibility(t *testing.T) {
 			c.Channel.Loss = channel.LossConfig{Model: channel.GilbertElliott, Rate: 0.2, MeanBurst: 4}
 		}, true},
 		{"channel-churn", func(c *Config) { c.Channel.Churn = channel.ChurnConfig{MeanUp: 6, MeanDown: 1} }, true},
-		{"radio-loss", func(c *Config) { c.Radio.LossRate = 0.1 }, true},
-		{"radio-delay", func(c *Config) { c.Radio.Delay = 0.001 }, true},
 		{"reactive", func(c *Config) { c.Mech.Reactive = true }, true},
 		{"reactive-faulty", func(c *Config) {
 			c.Mech.Reactive = true
@@ -533,8 +529,9 @@ func TestParallelEligibility(t *testing.T) {
 // serial definition: at every instant, the sum of the domains' degree
 // counts over the snapshot index equals the sum of Medium.DegreesAt's
 // per-node counts. Ranges mix 0, negative, normal and wider than the
-// arena; the medium is lossless (the count-only scan) or lossy (the
-// candidate walk with keyed loss draws). Each instant is sampled once at
+// arena. The network runs on the ideal channel or with Bernoulli channel
+// loss, which degrees, a property of the disc, must ignore on both
+// engines. Each instant is sampled once at
 // a snapshot it shares with a window start and once a little later, where
 // the sample takes its own snapshot; a window started at the sample's
 // instant must find the state a fresh snapshot would build.
@@ -546,7 +543,7 @@ func TestParallelSampleMatchesDegreesAt(t *testing.T) {
 		for _, loss := range []float64{0, 0.15} {
 			t.Run(fmt.Sprintf("%dx%d/loss=%g", side, side, loss), func(t *testing.T) {
 				cfg := Config{Protocol: topology.RNG{}, Domains: side, ParallelWorkers: 2, Seed: 9}
-				cfg.Radio.LossRate = loss
+				cfg.Channel.Loss = channel.LossConfig{Model: channel.Bernoulli, Rate: loss}
 				nw, err := NewNetwork(model, cfg)
 				if err != nil {
 					t.Fatal(err)

@@ -331,13 +331,12 @@ func (nw *Network) broadcastCtrl(p trafficPacket, u int, now sim.Time) {
 	}
 }
 
-// scheduleTraffic defers one reception by the radio's constant per-hop
-// delay plus a keyed forwarding jitter, onto the kind-appropriate pooled
-// actor.
+// scheduleTraffic defers one reception by a keyed forwarding jitter, onto
+// the kind-appropriate pooled actor.
 func (nw *Network) scheduleTraffic(p trafficPacket, rid int, now sim.Time) {
 	ts := nw.traf
 	ts.uid++
-	delay := nw.med.Delay() + nw.trafficJitter(jitterHop, ts.uid, uint64(rid), nw.cfg.ForwardJitterMax)
+	delay := nw.trafficJitter(jitterHop, ts.uid, uint64(rid), nw.cfg.ForwardJitterMax)
 	if p.kind == pktData {
 		d := ts.data.get()
 		*d = trafficDelivery{nw: nw, pkt: p, rid: rid}

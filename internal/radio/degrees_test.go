@@ -9,24 +9,21 @@ import (
 
 // FuzzDegreesAt is the differential test for DegreesAt: at random instants
 // (forward, backward and repeated), with ranges that are zero, negative,
-// normal or wider than the arena, with and without radio loss and with the
-// default or a negative (rebuild-every-instant) slack, every count equals
+// normal or wider than the arena, and with the default or a negative
+// (rebuild-every-instant) slack, every count equals
 // the length of ReceiversAt's answer on a fresh medium. Receiver queries
 // interleaved on the medium under test must keep answering as a fresh
 // medium does, whatever grid DegreesAt left behind.
 func FuzzDegreesAt(f *testing.F) {
-	f.Add(uint64(1), uint8(40), uint8(40), false, false)
-	f.Add(uint64(2), uint8(60), uint8(160), true, false)
-	f.Add(uint64(3), uint8(7), uint8(1), true, true)
-	f.Add(uint64(4), uint8(0), uint8(0), false, true)
-	f.Fuzz(func(t *testing.T, seed uint64, nSel, speed uint8, lossy, exact bool) {
+	f.Add(uint64(1), uint8(40), uint8(40), false)
+	f.Add(uint64(2), uint8(60), uint8(160), false)
+	f.Add(uint64(3), uint8(7), uint8(1), true)
+	f.Add(uint64(4), uint8(0), uint8(0), true)
+	f.Fuzz(func(t *testing.T, seed uint64, nSel, speed uint8, exact bool) {
 		const horizon = 30.0
 		n := 1 + int(nSel)%80
 		model := newWaypointModel(t, n, 1+float64(speed), horizon, seed)
 		var cfg Config
-		if lossy {
-			cfg.LossRate = 0.3
-		}
 		if exact {
 			cfg.Slack = -1
 		}

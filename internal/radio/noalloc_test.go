@@ -13,7 +13,7 @@ import (
 // this package with testing.AllocsPerRun: the per-window domain assignment
 // and the medium's receiver and degree queries must allocate nothing when
 // appending into a recycled dst, even when every call is at a new instant
-// (a grid rebuild) and loss draws are on. Coverage is cross-checked against
+// (a grid rebuild). Coverage is cross-checked against
 // the annotation scan in both directions.
 func TestNoallocAnnotationsConform(t *testing.T) {
 	dg, err := NewDomainGrid(geom.Square(900), 4)
@@ -28,11 +28,7 @@ func TestNoallocAnnotationsConform(t *testing.T) {
 	dst := make([]int, 0, len(pts))
 	marks := NewIDSet(len(pts))
 
-	med, err := NewMedium(newWaypointModel(t, len(pts), 40, 1e4, 5), Config{LossRate: 0.2}, xrand.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lossless, err := NewMedium(newWaypointModel(t, len(pts), 40, 1e4, 5), Config{}, xrand.New(3))
+	med, err := NewMedium(newWaypointModel(t, len(pts), 40, 1e4, 5), Config{}, xrand.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,15 +43,10 @@ func TestNoallocAnnotationsConform(t *testing.T) {
 		"DomainGrid.AssignInto": func() { dst = dg.AssignInto(pts, dst[:0]) },
 		"Medium.DegreesAt":      func() { dst = med.DegreesAt(next(), ranges, dst[:0]) },
 		"Medium.ReceiversAt":    func() { dst = med.ReceiversAt(next(), 0, 250, dst[:0]) },
-		"Medium.Degree": func() {
-			// Both kernels: the candidate walk under loss and the
-			// count-only scan without it.
-			at := next()
-			for _, m := range []*Medium{med, lossless} {
-				m.buildGrid(at)
-				for id := range pts {
-					_, dst = m.Degree(m.grid, m.gridPos[id], at, id, 250, dst)
-				}
+		"Degree": func() {
+			med.buildGrid(next())
+			for id := range pts {
+				dst = append(dst[:0], Degree(med.grid, med.gridPos[id], 250))
 			}
 		},
 		"IDSet.AppendSorted": func() { marks.Add(0); dst = marks.AppendSorted(dst[:0]) },

@@ -4,9 +4,11 @@
 // matching the paper's simulation setup ("all simulations use an ideal MAC
 // layer without collision and contention", §5.1).
 //
-// Two knobs extend the ideal model for robustness experiments: a constant
-// per-hop delay (propagation plus processing) and an i.i.d. reception loss
-// probability used by failure-injection tests. Both default to zero.
+// The medium has no faults of its own. Reception loss and per-hop delay
+// belong to the non-ideal channel (internal/channel): Transmit passes each
+// in-range receiver through the attached channel's loss chains, and the
+// network adds the channel's delays. Receiver and degree queries are the
+// ideal disc on either engine.
 //
 // # Bounded-staleness spatial index
 //
@@ -31,7 +33,7 @@
 // Metric samples ask for every node's physical degree at one instant.
 // Degree defines it once for both engines: the nodes within r of the
 // sender on an index of exact positions at the sample instant, counted
-// without building a list when the medium is lossless. The serial engine
+// without building a list. The serial engine
 // asks DegreesAt, which rebuilds the medium's grid exactly at the sample
 // instant and counts each node's disc without inflation; with samples at
 // 10 Hz those rebuilds keep the grid fresh enough that the slack-driven
@@ -41,9 +43,6 @@
 package radio
 
 import (
-	"fmt"
-	"math"
-
 	"mstc/internal/channel"
 	"mstc/internal/geom"
 	"mstc/internal/mobility"
@@ -51,17 +50,12 @@ import (
 	"mstc/internal/xrand"
 )
 
+// cell is the spatial-index cell size in meters: half the paper's
+// normal transmission range.
+const cell = 125
+
 // Config parameterizes a Medium.
 type Config struct {
-	// Cell is the spatial-index cell size in meters (default 125, half
-	// the normal transmission range).
-	Cell float64
-	// Delay is the constant per-hop delivery delay in seconds
-	// (default 0: delivery at the instant of transmission).
-	Delay float64
-	// LossRate is the probability that an individual reception fails,
-	// drawn independently per (transmission, receiver). Default 0.
-	LossRate float64
 	// Slack is the bounded-staleness budget in meters: the grid is
 	// reused as long as the query-radius inflation 2·vmax·(t−t0) stays
 	// within it. 0 (the default) means one grid cell; a negative value
@@ -73,27 +67,9 @@ type Config struct {
 }
 
 func (c *Config) setDefaults() {
-	if c.Cell == 0 { //lint:ignore float-eq zero value is the unset sentinel, exact by construction
-		c.Cell = 125
-	}
 	if c.Slack == 0 { //lint:ignore float-eq zero value is the unset sentinel, exact by construction
-		c.Slack = c.Cell
+		c.Slack = cell
 	}
-}
-
-// Validate reports the configuration errors NewMedium rejects, except the
-// cell count, which depends on the arena: a negative delay or cell size,
-// or a loss rate outside [0, 1). The zero value is valid.
-func (c Config) Validate() error {
-	switch {
-	case c.Delay < 0:
-		return fmt.Errorf("radio: negative delay %g", c.Delay)
-	case !(c.LossRate >= 0 && c.LossRate < 1):
-		return fmt.Errorf("radio: loss rate %g outside [0, 1)", c.LossRate)
-	case c.Cell < 0:
-		return fmt.Errorf("radio: negative cell size %g", c.Cell)
-	}
-	return nil
 }
 
 // Medium is the shared wireless channel. It serves receiver queries from a
@@ -105,7 +81,6 @@ type Medium struct {
 	model mobility.Model
 	cur   *mobility.Cursor
 	cfg   Config
-	rng   *xrand.Source
 	vmax  float64
 
 	// bounded-staleness grid state
@@ -132,14 +107,12 @@ type Medium struct {
 	ch *channel.Model
 }
 
-// NewMedium builds a medium over the mobility model. rng feeds the loss
-// process only; pass any substream (it is unused when LossRate is 0).
-func NewMedium(model mobility.Model, cfg Config, rng *xrand.Source) (*Medium, error) {
+// NewMedium builds a medium over the mobility model. The source argument
+// is ignored: the ideal disc draws no randomness. It stays in the
+// signature for callers that still pass one.
+func NewMedium(model mobility.Model, cfg Config, _ *xrand.Source) (*Medium, error) {
 	cfg.setDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	grid, err := spatial.NewIndex(model.Arena(), cfg.Cell)
+	grid, err := spatial.NewIndex(model.Arena(), cell)
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +120,6 @@ func NewMedium(model mobility.Model, cfg Config, rng *xrand.Source) (*Medium, er
 		model:   model,
 		cur:     mobility.NewCursor(model),
 		cfg:     cfg,
-		rng:     rng,
 		vmax:    model.MaxSpeed(),
 		grid:    grid,
 		gridPos: make([]geom.Point, model.N()),
@@ -158,9 +130,6 @@ func NewMedium(model mobility.Model, cfg Config, rng *xrand.Source) (*Medium, er
 		marks:   NewIDSet(model.N()),
 	}, nil
 }
-
-// Delay returns the configured per-hop delivery delay.
-func (m *Medium) Delay() float64 { return m.cfg.Delay }
 
 // SetChannel attaches a non-ideal channel model. A nil model (the default)
 // is the ideal channel: Transmit consumes no channel randomness and the
@@ -261,7 +230,7 @@ func (m *Medium) buildGrid(t float64) {
 
 // ReceiversAt appends to dst the nodes that receive a transmission sent by
 // sender at time t with range r: every node other than the sender within
-// distance r at t, minus any losses. Results ascend by id.
+// distance r at t. Results ascend by id.
 //
 //manet:noalloc
 func (m *Medium) ReceiversAt(t float64, sender int, r float64, dst []int) []int {
@@ -270,7 +239,6 @@ func (m *Medium) ReceiversAt(t float64, sender int, r float64, dst []int) []int 
 	}
 	m.ensureGrid(t)
 	p := m.posAt(sender, t)
-	start := len(dst)
 	m.cand = m.grid.WithinUnsorted(p, r+m.inflation(t), m.cand[:0])
 	r2 := r * r
 	in2 := InnerRadius2(r, m.vmax*(t-m.gridAt))
@@ -289,17 +257,7 @@ func (m *Medium) ReceiversAt(t float64, sender int, r float64, dst []int) []int 
 	}
 	// Candidates arrive in cell-scan order; the mark set hands the
 	// receivers back in ascending-id order.
-	dst = m.marks.AppendSorted(dst)
-	if m.cfg.LossRate > 0 {
-		kept := dst[start:start]
-		for _, id := range dst[start:] {
-			if !m.LostAt(t, sender, id) {
-				kept = append(kept, id)
-			}
-		}
-		dst = dst[:start+len(kept)]
-	}
-	return dst
+	return m.marks.AppendSorted(dst)
 }
 
 // Transmit appends to dst the receivers of a transmission by sender at time
@@ -321,10 +279,10 @@ func (m *Medium) Transmit(t float64, sender int, r float64, dst []int) []int {
 // a transmission id would send at time t with range ranges[id]: the count
 // len(ReceiversAt(t, id, ranges[id], nil)) without building the set. It
 // rebuilds the grid at exactly t and counts each node's disc with Degree,
-// over the same positions, the same dist² ≤ r² test and the same keyed
-// loss draws ReceiversAt uses, so the counts are identical by
-// construction. One call serves a whole metric sample; the fresh grid also
-// serves the transmissions that follow it with a smaller inflation.
+// over the same positions and the same dist² ≤ r² test ReceiversAt uses,
+// so the counts are identical by construction. One call serves a whole
+// metric sample; the fresh grid also serves the transmissions that follow
+// it with a smaller inflation.
 //
 //manet:noalloc
 func (m *Medium) DegreesAt(t float64, ranges []float64, deg []int) []int {
@@ -332,53 +290,22 @@ func (m *Medium) DegreesAt(t float64, ranges []float64, deg []int) []int {
 		m.buildGrid(t)
 	}
 	for id, r := range ranges {
-		var k int
-		k, m.cand = m.Degree(m.grid, m.gridPos[id], t, id, r, m.cand)
-		deg = append(deg, k)
+		deg = append(deg, Degree(m.grid, m.gridPos[id], r))
 	}
 	return deg
 }
 
 // Degree is the one definition of a physical degree, shared by both
-// engines' metric samples: the number of nodes other than id that receive
-// a transmission id sends at instant t from p with range r, counted on an
-// index ix that holds every node's exact position at t (id's own at p).
-// With no radio loss it is ix.CountWithin(p, r) − 1, for id itself is
-// indexed at distance 0; with loss it walks the candidates, reusing cand
-// as scratch, and drops each LostAt draw. A range r ≤ 0 reaches no one.
-// Safe for concurrent use with distinct cand slices: ix is only read and
-// LostAt advances no state.
+// engines' metric samples: the number of other nodes within r of p, counted
+// on an index ix that holds every node's exact position at one instant,
+// the sender's own at p. That is ix.CountWithin(p, r) − 1, for the sender
+// is indexed at distance 0. A range r ≤ 0 reaches no one. Safe for
+// concurrent use: ix is only read.
 //
 //manet:noalloc
-func (m *Medium) Degree(ix *spatial.Index, p geom.Point, t float64, id int, r float64, cand []int) (int, []int) {
+func Degree(ix *spatial.Index, p geom.Point, r float64) int {
 	if !(r > 0) {
-		return 0, cand
+		return 0
 	}
-	if m.cfg.LossRate <= 0 {
-		return ix.CountWithin(p, r) - 1, cand
-	}
-	cand = ix.WithinUnsorted(p, r, cand[:0])
-	k := 0
-	for _, v := range cand {
-		if v != id && !m.LostAt(t, id, v) {
-			k++
-		}
-	}
-	return k, cand
-}
-
-// LostAt reports whether receiver id's copy of a transmission by sender at
-// instant t is dropped by the medium's loss process (Config.LossRate).
-// Loss is a pure function of (t, sender, id): the draw comes from a
-// substream keyed by the exact float bits of t plus both endpoints, so any
-// engine — and any evaluation order — resolves the same reception the same
-// way. Safe for concurrent use: deriving never advances the medium's loss
-// source, and no other medium state is touched.
-func (m *Medium) LostAt(t float64, sender, id int) bool {
-	if m.cfg.LossRate <= 0 {
-		return false
-	}
-	//lint:ignore noalloc Derive is by-value and never retains its label slice, so both stay on the stack; TestNoallocAnnotationsConform pins the steady state at zero
-	d := m.rng.Derive('t', math.Float64bits(t), uint64(sender), uint64(id))
-	return d.Float64() < m.cfg.LossRate
+	return ix.CountWithin(p, r) - 1
 }

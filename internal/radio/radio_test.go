@@ -42,8 +42,8 @@ func TestReceiversWithinRange(t *testing.T) {
 }
 
 // TestTransmitWithoutChannelIsReceiversAt: with no channel attached a
-// transmission reaches exactly the receiver query's set, radio loss
-// included, and appends after whatever dst already holds.
+// transmission reaches exactly the receiver query's set and appends after
+// whatever dst already holds.
 func TestTransmitWithoutChannelIsReceiversAt(t *testing.T) {
 	lo, hi := mobility.SpeedAround(20)
 	model, err := mobility.NewRandomWaypoint(arena, mobility.WaypointConfig{
@@ -52,7 +52,7 @@ func TestTransmitWithoutChannelIsReceiversAt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMedium(model, Config{LossRate: 0.2}, xrand.New(3))
+	m, err := NewMedium(model, Config{}, xrand.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,43 +116,21 @@ func TestPositionAt(t *testing.T) {
 	}
 }
 
-func TestLossRate(t *testing.T) {
-	pts := make([]geom.Point, 101)
-	for i := range pts {
-		pts[i] = geom.Pt(float64(i%10), float64(i/10)) // all within range
-	}
-	m := staticMedium(t, pts, Config{LossRate: 0.3})
-	total := 0
-	const trials = 200
-	for i := 0; i < trials; i++ {
-		total += len(m.ReceiversAt(0, 0, 1000, nil))
-	}
-	mean := float64(total) / trials
-	if mean < 0.6*100 || mean > 0.8*100 {
-		t.Errorf("mean receivers %v with 30%% loss, want ~70", mean)
-	}
-}
-
+// TestConfigValidation: the zero configuration and a nil source build a
+// medium over any arena the grid can cover, and an arena too large for the
+// 125 m grid is refused.
 func TestConfigValidation(t *testing.T) {
 	model := mobility.NewStatic(arena, []geom.Point{geom.Pt(1, 1)}, 10)
-	if _, err := NewMedium(model, Config{Delay: -1}, xrand.New(1)); err == nil {
-		t.Error("negative delay accepted")
-	}
-	if _, err := NewMedium(model, Config{LossRate: 1}, xrand.New(1)); err == nil {
-		t.Error("loss rate 1 accepted")
-	}
-	if _, err := NewMedium(model, Config{LossRate: -0.1}, xrand.New(1)); err == nil {
-		t.Error("negative loss accepted")
-	}
-	m, err := NewMedium(model, Config{Delay: 0.001}, xrand.New(1))
+	m, err := NewMedium(model, Config{}, nil)
 	if err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
-	if m.Delay() != 0.001 {
-		t.Errorf("Delay = %v", m.Delay())
-	}
 	if m.N() != 1 {
 		t.Errorf("N = %d", m.N())
+	}
+	huge := geom.Square(1e12)
+	if _, err := NewMedium(mobility.NewStatic(huge, []geom.Point{geom.Pt(1, 1)}, 10), Config{}, nil); err == nil {
+		t.Error("a grid of (1e12/125)² cells accepted")
 	}
 }
 
@@ -196,33 +174,24 @@ func BenchmarkReceiversAtMoving(b *testing.B) {
 
 // BenchmarkDegreesAt is BenchmarkReceiversAt's scene asked the way a metric
 // sample asks it: every node's degree at one instant, a new instant per
-// iteration. ns/node compares with BenchmarkReceiversAt's ns/op. "count"
-// is the lossless medium, whose degrees are count-only grid scans; "lossy"
-// walks each disc's candidates for the keyed loss draws.
+// iteration. ns/node compares with BenchmarkReceiversAt's ns/op; each
+// degree is a count-only grid scan.
 func BenchmarkDegreesAt(b *testing.B) {
 	const n = 100
 	pts := mobility.UniformPoints(arena, n, xrand.New(1))
-	model := mobility.NewStatic(arena, pts, 1e9)
-	for _, c := range []struct {
-		name string
-		loss float64
-	}{{"count", 0}, {"lossy", 0.2}} {
-		b.Run(c.name, func(b *testing.B) {
-			m, err := NewMedium(model, Config{LossRate: c.loss}, xrand.New(1))
-			if err != nil {
-				b.Fatal(err)
-			}
-			ranges := make([]float64, n)
-			for i := range ranges {
-				ranges[i] = 250
-			}
-			deg := make([]int, 0, n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				deg = m.DegreesAt(float64(i), ranges, deg[:0])
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/node")
-		})
+	m, err := NewMedium(mobility.NewStatic(arena, pts, 1e9), Config{}, xrand.New(1))
+	if err != nil {
+		b.Fatal(err)
 	}
+	ranges := make([]float64, n)
+	for i := range ranges {
+		ranges[i] = 250
+	}
+	deg := make([]int, 0, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		deg = m.DegreesAt(float64(i), ranges, deg[:0])
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/node")
 }

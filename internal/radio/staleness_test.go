@@ -92,44 +92,6 @@ func TestReceiversAtMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestReceiversAtLossIndependentOfSlack pins the subtler half of the
-// determinism contract: with a loss process attached, the randomness is
-// consumed per post-filter receiver in id order, so the surviving set is
-// also independent of the slack budget (not just the pre-loss set).
-func TestReceiversAtLossIndependentOfSlack(t *testing.T) {
-	const horizon = 20.0
-	model := newWaypointModel(t, 60, 80, horizon, 5)
-	run := func(slack float64) [][]int {
-		med, err := NewMedium(model, Config{Slack: slack, LossRate: 0.3}, xrand.New(77))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := xrand.New(42)
-		at := 0.0
-		var got [][]int
-		for q := 0; q < 300; q++ {
-			at += rng.Uniform(0, 0.1)
-			out := med.ReceiversAt(at, rng.Intn(model.N()), rng.Uniform(100, 300), nil)
-			got = append(got, out)
-		}
-		return got
-	}
-	want := run(-1) // exact-instant reference
-	for _, slack := range []float64{0, 25, 400} {
-		got := run(slack)
-		for q := range want {
-			if len(got[q]) != len(want[q]) {
-				t.Fatalf("slack %g query %d: %v != reference %v", slack, q, got[q], want[q])
-			}
-			for i := range want[q] {
-				if got[q][i] != want[q][i] {
-					t.Fatalf("slack %g query %d: %v != reference %v", slack, q, got[q], want[q])
-				}
-			}
-		}
-	}
-}
-
 // radialModel keeps node 0 at center and moves every other node straight
 // toward (dir −1) or away from (dir +1) it at vmax: node i is dist[i] from
 // the center at t0, so its positions at t0 and at t0+Δ are exactly vmax·Δ

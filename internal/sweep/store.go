@@ -141,6 +141,17 @@ func Open(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
+// OpenExisting returns the store rooted at dir without creating
+// anything: dir must already hold a store's runs directory. Tools that
+// inspect or maintain stores open them this way, so a mistyped path is an
+// error instead of a new empty store.
+func OpenExisting(dir string) (*Store, error) {
+	if fi, err := os.Stat(filepath.Join(dir, runsDirName)); err != nil || !fi.IsDir() {
+		return nil, fmt.Errorf("sweep: %s is not a result store (no %s directory)", dir, runsDirName)
+	}
+	return &Store{dir: dir}, nil
+}
+
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 

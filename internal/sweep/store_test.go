@@ -297,3 +297,30 @@ func TestCheckpointCorruptionSurfaces(t *testing.T) {
 		t.Errorf("checkpoint after rewrite = %+v, %v, %v, want %+v", got, ok, err, want)
 	}
 }
+
+// TestOpenExisting: a missing path or a directory that holds no store is
+// refused and left as it was; a store Open made opens and reads back.
+func TestOpenExisting(t *testing.T) {
+	root := t.TempDir()
+	missing := filepath.Join(root, "typo")
+	if _, err := OpenExisting(missing); err == nil {
+		t.Error("a missing path opened as a store")
+	}
+	if _, err := os.Stat(missing); !os.IsNotExist(err) {
+		t.Errorf("OpenExisting left something at the missing path: %v", err)
+	}
+	if _, err := OpenExisting(root); err == nil {
+		t.Error("a directory without a runs directory opened as a store")
+	}
+	k := Key{Fingerprint: "fp01", Run: 1, Rep: 0}
+	if err := mustOpen(t, filepath.Join(root, "s")).Put(k, "d", 1, sampleResult(1)); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenExisting(filepath.Join(root, "s"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get(k, "d"); !ok {
+		t.Error("the record Put through Open is missing through OpenExisting")
+	}
+}
