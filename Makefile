@@ -71,16 +71,21 @@ faults-smoke:
 	$(GO) run ./cmd/paperfig -exp bufferzone -quick -reps 2 -duration 8 > $(FAULTS)/bufzone_b.txt
 	cmp $(FAULTS)/bufzone_a.txt $(FAULTS)/bufzone_b.txt
 
-# Checkpoint / shard determinism smoke. A quick sweep is interrupted
+# Checkpoint / merge determinism smoke. A quick sweep is interrupted
 # halfway (-maxruns caps computed runs and drains exactly like SIGINT,
 # exiting 130), resumed from its store, and the resumed output is
-# byte-compared against an uninterrupted run. The same sweep computed as
-# two disjoint shards and merged with sweepctl must render the identical
-# bytes, with every record checksum verifying, and sweepctl verify on a
-# missing directory must fail without creating it. Binaries are built first:
-# `go run` collapses the child's exit code to 1, and the 130 is asserted.
+# byte-compared against an uninterrupted run. That store and a table1
+# store are merged with sweepctl. They overlap in part: table1's first two
+# reps are fig6 runs, its third is not (the rep count is not part of the
+# store address). Every record checksum must verify, and both experiments
+# must render their own bytes from the merged store with zero
+# recomputation (-maxruns 1 exits 130 as soon as one run is computed).
+# sweepctl verify on a missing directory must fail without creating it.
+# Binaries are built first: `go run` collapses the child's exit code to 1,
+# and the 130 is asserted.
 SMOKE ?= /tmp/mstc_resume_smoke
 PFLAGS := -exp fig6 -quick -reps 2 -duration 8
+T1FLAGS := -exp table1 -quick -reps 3 -duration 8
 resume-smoke:
 	$(call need-dir,SMOKE)
 	rm -rf $(SMOKE) && mkdir -p $(SMOKE)
@@ -90,14 +95,15 @@ resume-smoke:
 	$(SMOKE)/paperfig $(PFLAGS) -store $(SMOKE)/store -maxruns 7; test $$? -eq 130
 	$(SMOKE)/paperfig $(PFLAGS) -store $(SMOKE)/store -resume > $(SMOKE)/resumed.txt
 	cmp $(SMOKE)/direct.txt $(SMOKE)/resumed.txt
-	$(SMOKE)/paperfig $(PFLAGS) -store $(SMOKE)/shard0 -shard 0/2
-	$(SMOKE)/paperfig $(PFLAGS) -store $(SMOKE)/shard1 -shard 1/2
-	$(SMOKE)/sweepctl merge -into $(SMOKE)/merged $(SMOKE)/shard0 $(SMOKE)/shard1
-	$(SMOKE)/sweepctl verify $(SMOKE)/store $(SMOKE)/merged
+	$(SMOKE)/paperfig $(T1FLAGS) -store $(SMOKE)/table1 > $(SMOKE)/table1.txt
+	$(SMOKE)/sweepctl merge -into $(SMOKE)/merged $(SMOKE)/store $(SMOKE)/table1
+	$(SMOKE)/sweepctl verify $(SMOKE)/store $(SMOKE)/table1 $(SMOKE)/merged
 	! $(SMOKE)/sweepctl verify $(SMOKE)/missing
 	test ! -e $(SMOKE)/missing
-	$(SMOKE)/paperfig $(PFLAGS) -store $(SMOKE)/merged -resume > $(SMOKE)/merged.txt
+	$(SMOKE)/paperfig $(PFLAGS) -store $(SMOKE)/merged -resume -maxruns 1 > $(SMOKE)/merged.txt
 	cmp $(SMOKE)/direct.txt $(SMOKE)/merged.txt
+	$(SMOKE)/paperfig $(T1FLAGS) -store $(SMOKE)/merged -resume -maxruns 1 > $(SMOKE)/merged_table1.txt
+	cmp $(SMOKE)/table1.txt $(SMOKE)/merged_table1.txt
 
 # Region-parallel engine smoke: the same quick figure sweep on the serial
 # engine and on the domain-decomposed engine (2x2 domains, 4 workers) must

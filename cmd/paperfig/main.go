@@ -7,19 +7,15 @@
 //	paperfig -exp fig7 -reps 20 -duration 100   # paper scale
 //	paperfig -exp all -quick                    # fast pass over everything
 //
-// Long sweeps can be journaled, interrupted, resumed, and sharded across
-// processes through a result store (see internal/sweep and cmd/sweepctl):
+// Long sweeps can be journaled, interrupted and resumed through a result
+// store (see internal/sweep and cmd/sweepctl):
 //
 //	paperfig -exp all -store runs/           # journal every completed run
 //	^C                                       # graceful drain, exit 130
 //	paperfig -exp all -store runs/ -resume   # skip journaled runs, finish
 //
-//	paperfig -exp fig7 -store s0 -shard 0/2  # machine A computes half
-//	paperfig -exp fig7 -store s1 -shard 1/2  # machine B the other half
-//	sweepctl merge -into merged s0 s1
-//	paperfig -exp fig7 -store merged -resume # render, zero recomputation
-//
-// Or let a sweepd coordinator hand out the work (see cmd/sweepd):
+// To spread a sweep over machines, let a sweepd coordinator hand out the
+// work (see cmd/sweepd):
 //
 //	sweepd -exp fig7 -store runs/ &
 //	paperfig -worker http://127.0.0.1:7070  # on every spare machine
@@ -66,7 +62,6 @@ func run() (code int) {
 		timing    = flag.Bool("timing", false, "report wall-clock duration per experiment on stderr")
 		storeDir  = flag.String("store", "", "journal completed runs into this result store directory (see sweepctl)")
 		resume    = flag.Bool("resume", false, "reuse runs already journaled in -store instead of refusing a non-empty store")
-		shardSpec = flag.String("shard", "", "compute only slice i of n ('i/n'); requires -store, skips figure rendering")
 		maxRuns   = flag.Int("maxruns", 0, "stop gracefully after computing this many runs (0 = unlimited); exits 130 like an interrupt")
 		retries   = flag.Int("retries", 1, "extra attempts for a run that panics before journaling it as failed")
 		workerURL = flag.String("worker", "", "run as a sweep-fleet worker for this coordinator URL (see cmd/sweepd); most other flags are ignored")
@@ -148,14 +143,10 @@ func run() (code int) {
 	o.EngineWorkers = *engWork
 	o.Retry = *retries
 
-	shard, err := sweep.ParseShard(*shardSpec)
-	if err != nil {
+	// Judge the options before the store is opened: a rejected sweep
+	// leaves no directory behind.
+	if err := o.Validate(); err != nil {
 		log.Print(err)
-		return 1
-	}
-	o.Shard = shard
-	if shard.Active() && *storeDir == "" {
-		log.Print("-shard requires -store: each shard journals its slice into its own store directory")
 		return 1
 	}
 	if *resume && *storeDir == "" {
@@ -228,10 +219,6 @@ func run() (code int) {
 		case errors.Is(err, sweep.ErrInterrupted):
 			log.Printf("%s: %v", e.Name, err)
 			return 130
-		case errors.Is(err, sweep.ErrPartial):
-			// Expected under -shard: the slice is journaled; rendering
-			// needs the merged store.
-			log.Printf("%s: %v", e.Name, err)
 		case err != nil:
 			log.Printf("%s: %v", e.Name, err)
 			return 1

@@ -3,18 +3,17 @@
 // internal/sweep).
 //
 //	sweepctl status [-json] <store>...         record/failure/corrupt counts, checkpoint, summary
-//	sweepctl merge -into <dst> <src>...        combine shard stores into one
+//	sweepctl merge -into <dst> <src>...        combine the stores of separate sweeps into one
 //	sweepctl verify <store>...                 re-verify every checksum; exit 1 on corruption
 //	sweepctl gc [-fingerprint <fp>] <store>... drop tmp files, failures, corrupt (and foreign) records
 //
 // Every store argument must name an existing store; only merge's -into
 // destination is created when missing.
 //
-// A typical sharded sweep:
+// Two sweeps merged into one store that renders both:
 //
-//	paperfig -exp fig6 -store s0 -shard 0/2 &
-//	paperfig -exp fig6 -store s1 -shard 1/2 &
-//	wait
+//	paperfig -exp fig6 -store s0
+//	paperfig -exp table1 -store s1
 //	sweepctl merge -into merged s0 s1
 //	paperfig -exp fig6 -store merged -resume   # renders with zero recomputation
 package main
@@ -75,7 +74,7 @@ type fpStats struct {
 	done, failed, corrupt int
 	// conn summarizes connectivity across completed runs, folded from
 	// per-record singletons with the pairwise Welford merge — the same
-	// combination shard aggregation relies on.
+	// fold sweepd's live /status uses.
 	conn stats.Welford
 }
 

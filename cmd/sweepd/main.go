@@ -11,12 +11,10 @@
 //	curl -s http://127.0.0.1:7070/status | jq .
 //	curl -sN http://127.0.0.1:7070/events    # live NDJSON progress
 //
-// With -target-ci the daemon keeps issuing extra repetitions for
-// configurations whose relative CI95 stays above the target (up to
-// -max-reps) — adaptive replication instead of a fixed -reps. Without
-// it, the finished store is byte-identical to a single-process
-// `paperfig -store` sweep of the same experiment and merges cleanly
-// with `sweepctl merge`.
+// The daemon computes exactly the experiment's task set, minus the runs
+// the store already holds: the finished store is byte-identical to a
+// single-process `paperfig -store` sweep of the same experiment and
+// merges cleanly with `sweepctl merge`.
 package main
 
 import (
@@ -44,7 +42,7 @@ func main() {
 		addrFile = flag.String("addr-file", "", "write the bound address to this file (for scripts using port 0)")
 		exp      = flag.String("exp", "", "task set to sweep: "+strings.Join(experiment.TaskSetNames(), ", "))
 		quick    = flag.Bool("quick", false, "scaled-down options for a fast pass")
-		reps     = flag.Int("reps", 0, "base repetitions per configuration (default: paper's 20, or 3 with -quick)")
+		reps     = flag.Int("reps", 0, "repetitions per configuration (default: paper's 20, or 3 with -quick)")
 		duration = flag.Float64("duration", 0, "simulated seconds per run (default: paper's 100, or 20 with -quick)")
 		seed     = flag.Uint64("seed", 2004, "root seed")
 		storeDir = flag.String("store", "", "result store directory (required)")
@@ -52,8 +50,6 @@ func main() {
 		ttl      = flag.Duration("lease-ttl", 60*time.Second, "lease lifetime without a heartbeat before tasks are stolen")
 		batch    = flag.Int("lease-batch", 4, "maximum tasks granted per lease")
 		retries  = flag.Int("retries", 1, "per-run panic-retry budget advertised to workers")
-		targetCI = flag.Float64("target-ci", 0, "adaptive replication: extra reps until relative CI95 <= this (0 = fixed reps)")
-		maxReps  = flag.Int("max-reps", 0, "cap on total reps per configuration under -target-ci (default 10x base)")
 		exitDone = flag.Bool("exit-on-done", false, "exit 0 once the sweep completes instead of serving /status forever")
 	)
 	flag.Parse()
@@ -98,15 +94,13 @@ func main() {
 	}
 
 	c, err := fleet.New(fleet.Config{
-		Options:     o,
-		Tasks:       tasks,
-		Store:       st,
-		Clock:       time.Now, //lint:ignore no-wallclock the daemon is the one place wall time enters the fleet: lease deadlines and ETA; simulations never see it
-		LeaseTTL:    *ttl,
-		LeaseBatch:  *batch,
-		Retries:     *retries,
-		TargetRelCI: *targetCI,
-		MaxReps:     *maxReps,
+		Options:    o,
+		Tasks:      tasks,
+		Store:      st,
+		Clock:      time.Now, //lint:ignore no-wallclock the daemon is the one place wall time enters the fleet: lease deadlines and ETA; simulations never see it
+		LeaseTTL:   *ttl,
+		LeaseBatch: *batch,
+		Retries:    *retries,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -103,6 +103,10 @@ func TestValidate(t *testing.T) {
 		func(o *Options) { o.Duration = math.NaN() },
 		func(o *Options) { o.Duration = math.Inf(1) },
 		func(o *Options) { o.Duration = math.Inf(-1) },
+		func(o *Options) { o.Domains = -1 },
+		func(o *Options) { o.Domains = 100 },
+		func(o *Options) { o.Domains, o.EngineWorkers = 2, -1 },
+		func(o *Options) { o.EngineWorkers = 2 },
 	}
 	for i, mutate := range bad {
 		o := DefaultOptions()

@@ -1,14 +1,12 @@
 package experiment
 
 import (
-	"errors"
 	"fmt"
 
 	"mstc/internal/channel"
 	"mstc/internal/manet"
 	"mstc/internal/mobility"
 	"mstc/internal/stats"
-	"mstc/internal/sweep"
 )
 
 // Fault-injection experiments — the evaluation of the non-ideal channel
@@ -237,9 +235,6 @@ func figBufferZone(o Options, avgSpeed float64, delays, buffers []float64) (Figu
 
 // faults renders the fault-injection figures: connectivity under each loss
 // model, strict connectivity under Hello delay, and connectivity under churn.
-// Under a -shard slice every part journals its share, and faults returns
-// the parts' sweep.ErrPartial errors joined; any other error returns at
-// once.
 func faults(o Options) ([]Output, error) {
 	parts := []struct {
 		file string
@@ -255,20 +250,12 @@ func faults(o Options) ([]Output, error) {
 		{"faults_churn.dat", func() (Figure, error) { return figChurn(o, []float64{0, 0.1, 0.25, 0.5}) }},
 	}
 	var outs []Output
-	var partial []error
 	for _, p := range parts {
 		f, err := p.fig()
-		switch {
-		case errors.Is(err, sweep.ErrPartial):
-			partial = append(partial, err)
-		case err != nil:
+		if err != nil {
 			return nil, err
-		default:
-			outs = append(outs, f.output(p.file))
 		}
-	}
-	if partial != nil {
-		return nil, errors.Join(partial...)
+		outs = append(outs, f.output(p.file))
 	}
 	return outs, nil
 }

@@ -1,14 +1,12 @@
 package experiment
 
 import (
-	"errors"
 	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"mstc/internal/channel"
-	"mstc/internal/sweep"
 )
 
 // faultOptions is a tiny but physically meaningful scale for the fault
@@ -121,56 +119,37 @@ func TestKneeOf(t *testing.T) {
 	}
 }
 
-// TestFaultsShardsStoreFullRunSet checks faults under -shard i/2: each
-// shard journals its slice of every part (loss, delay, churn) and reports
-// sweep.ErrPartial, and the two shard stores merged hold exactly the runs
-// of an unsharded faults sweep, which then renders from them with zero
-// recomputation and the unsharded output.
-func TestFaultsShardsStoreFullRunSet(t *testing.T) {
+// TestFaultsWarmStoreComputesNothing checks that faults journals every
+// run of its parts (loss, delay, churn) into the store, and that a second
+// faults over the same store computes nothing and renders the same
+// outputs.
+func TestFaultsWarmStoreComputesNothing(t *testing.T) {
 	o := faultOptions()
 	o.Reps = 1
 	o.Duration = 2
-	full := openStore(t)
-	fo := o
-	fo.Store = full
-	want, err := faults(fo)
+	o.Store = openStore(t)
+	want, err := faults(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRuns, err := full.Count()
-	if err != nil {
-		t.Fatal(err)
+	stored, err := o.Store.Count()
+	if err != nil || stored == 0 {
+		t.Fatalf("cold faults stored %d runs (err %v), want its whole run set", stored, err)
 	}
 
-	merged := openStore(t)
-	for i := 0; i < 2; i++ {
-		st := openStore(t)
-		so := o
-		so.Store = st
-		so.Shard = sweep.Shard{Index: i, Count: 2}
-		if _, err := faults(so); !errors.Is(err, sweep.ErrPartial) {
-			t.Fatalf("shard %d error = %v, want sweep.ErrPartial", i, err)
-		}
-		if _, err := sweep.Merge(merged, st); err != nil {
-			t.Fatalf("merge shard %d: %v", i, err)
-		}
-	}
-	if got, err := merged.Count(); err != nil || got != wantRuns {
-		t.Fatalf("shards 0/2 + 1/2 stored %d runs (err %v), want the unsharded %d", got, err, wantRuns)
-	}
-
-	mo := o
-	mo.Store = merged
 	var computed atomic.Int64
-	mo.Progress = func(done, total int) { computed.Add(1) }
-	got, err := faults(mo)
+	o.Progress = func(done, total int) { computed.Add(1) }
+	got, err := faults(o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if computed.Load() != 0 {
-		t.Errorf("merged store recomputed %d runs, want 0", computed.Load())
+		t.Errorf("warm store recomputed %d runs, want 0", computed.Load())
+	}
+	if n, err := o.Store.Count(); err != nil || n != stored {
+		t.Errorf("warm faults left %d runs (err %v), want the cold sweep's %d", n, err, stored)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Error("faults rendered from the merged shard stores differ from the unsharded sweep")
+		t.Error("faults rendered from the warm store differ from the cold sweep")
 	}
 }

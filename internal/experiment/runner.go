@@ -84,13 +84,6 @@ type Options struct {
 	// tasks whose record already verifies without recomputing them. See
 	// internal/sweep for the on-disk format and crash-safety contract.
 	Store *sweep.Store
-	// Shard restricts computation to a deterministic slice of the task
-	// set (configuration group g is computed iff g % Count == Index).
-	// Requires Store; Execute returns sweep.ErrPartial once the slice is
-	// journaled, and full results only when foreign-shard records are
-	// already present (e.g. after a merge). The zero value disables
-	// sharding.
-	Shard sweep.Shard
 	// Retry is the number of additional attempts for a run whose
 	// simulation panics before it is journaled as a failure (0 = fail on
 	// the first panic). Deterministic configuration errors never retry.
@@ -147,13 +140,7 @@ func (o Options) Validate() error {
 	case !(o.Duration > 0) || math.IsInf(o.Duration, 0):
 		return fmt.Errorf("experiment: Duration = %g, want positive and finite", o.Duration)
 	}
-	if err := o.Shard.Validate(); err != nil {
-		return err
-	}
-	if o.Shard.Active() && o.Store == nil {
-		return fmt.Errorf("experiment: sharded execution requires a result store")
-	}
-	return nil
+	return manet.ValidateEngine(o.Domains, o.EngineWorkers)
 }
 
 // Run is one simulation task: a protocol/mechanism configuration at one
@@ -306,7 +293,7 @@ func forEachTask(workers, n int, fn func(i int)) {
 // Execute runs all tasks, Workers at a time, and returns their results in
 // task order. With Options.Store set, already-journaled runs are read
 // back instead of recomputed and fresh completions are journaled; see
-// executeAll (store.go) for the resumable/sharded semantics.
+// executeAll (store.go) for the resumable semantics.
 func Execute(o Options, tasks []Run) ([]manet.Result, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err

@@ -25,7 +25,7 @@ import (
 // result-affecting Options field. Fields that provably cannot change a
 // result are excluded, so records are shared across them:
 //
-//   - Workers and the Progress/Interrupt/Store/Shard/Retry plumbing
+//   - Workers and the Progress/Interrupt/Store/Retry plumbing
 //     (determinism across worker counts is pinned by
 //     TestDeterminismRegression),
 //   - Radio, whose one field Slack is pinned by
@@ -44,7 +44,6 @@ import (
 //manet:hash-exclude Domains region-parallel engine is bit-identical to serial, pinned by TestDigestUnchangedByEngineParallelism
 //manet:hash-exclude EngineWorkers worker count never changes results, pinned by TestDigestUnchangedByEngineParallelism
 //manet:hash-exclude Store storage backend choice cannot change what is computed
-//manet:hash-exclude Shard sharding selects which runs compute, never their values
 //manet:hash-exclude Retry retries replay the same deterministic run
 //manet:hash-exclude Interrupt interruption stops dispatch; completed runs are unchanged
 //manet:hash-exclude Progress reporting callback cannot affect results
@@ -132,51 +131,26 @@ func recoverRun(retries int, f func() (manet.Result, error)) (res manet.Result, 
 	}
 }
 
-// taskState tracks how each task of one Execute call was satisfied.
-type taskState uint8
-
-const (
-	taskPending taskState = iota // queued for computation
-	taskDone                     // computed (and journaled, with a store)
-	taskHit                      // satisfied from the store
-	taskForeign                  // owned by another shard, not in the store
-	taskSkipped                  // interrupt drained it before dispatch
-	taskFailed                   // retry budget exhausted
-)
-
 // checkpointEvery is how many completions pass between advisory
 // checkpoint flushes. The per-record journal is flushed on *every*
 // completion regardless; this only paces the progress summary.
 const checkpointEvery = 32
 
 // executeAll is the single execution path behind Execute: it resolves
-// store hits, applies the shard partition, fans the remaining tasks over
-// the worker pool with panic recovery and a bounded retry budget,
-// journals completions, and honors the graceful-interrupt hook.
+// store hits, fans the remaining tasks over the worker pool with panic
+// recovery and a bounded retry budget, journals completions, and honors
+// the graceful-interrupt hook.
 func executeAll(o Options, tasks []Run) ([]manet.Result, error) {
 	results := make([]manet.Result, len(tasks))
-	state := make([]taskState, len(tasks))
 	keys := make([]sweep.Key, len(tasks))
 	var pending []int
 
 	if o.Store != nil {
 		fp := o.Fingerprint()
-		group := make(map[uint64]int, len(tasks))
 		for i, t := range tasks {
-			k := t.key()
-			g, seen := group[k]
-			if !seen {
-				g = len(group)
-				group[k] = g
-			}
 			keys[i] = t.storeKey(fp)
 			if res, ok := o.Store.Get(keys[i], t.desc()); ok {
 				results[i] = res
-				state[i] = taskHit
-				continue
-			}
-			if !o.Shard.Owns(g) {
-				state[i] = taskForeign
 				continue
 			}
 			pending = append(pending, i)
@@ -190,11 +164,12 @@ func executeAll(o Options, tasks []Run) ([]manet.Result, error) {
 
 	errs := make([]error, len(tasks))
 	var done atomic.Int64
+	var interrupted atomic.Bool
 	total := len(pending)
 	forEachTask(o.Workers, len(pending), func(j int) {
 		i := pending[j]
 		if o.Interrupt != nil && o.Interrupt() {
-			state[i] = taskSkipped
+			interrupted.Store(true)
 			return
 		}
 		t := tasks[i]
@@ -202,7 +177,6 @@ func executeAll(o Options, tasks []Run) ([]manet.Result, error) {
 			return executeOne(o, t)
 		})
 		if err != nil {
-			state[i] = taskFailed
 			errs[i] = fmt.Errorf("%s: %w", t.desc(), err)
 			if o.Store != nil {
 				if perr := o.Store.PutFailure(keys[i], t.desc(), attempts, err.Error()); perr != nil {
@@ -212,7 +186,6 @@ func executeAll(o Options, tasks []Run) ([]manet.Result, error) {
 			return
 		}
 		results[i] = res
-		state[i] = taskDone
 		if o.Store != nil {
 			if perr := o.Store.Put(keys[i], t.desc(), attempts, res); perr != nil {
 				errs[i] = perr
@@ -231,19 +204,10 @@ func executeAll(o Options, tasks []Run) ([]manet.Result, error) {
 		}
 	})
 
-	interrupted, foreign := false, false
-	for i := range state {
-		switch state[i] {
-		case taskSkipped:
-			interrupted = true
-		case taskForeign:
-			foreign = true
-		}
-	}
 	if o.Store != nil && total > 0 {
 		fp := keys[pending[0]].Fingerprint
 		_ = o.Store.WriteCheckpoint(sweep.Checkpoint{
-			Fingerprint: fp, Done: int(done.Load()), Total: total, Interrupted: interrupted,
+			Fingerprint: fp, Done: int(done.Load()), Total: total, Interrupted: interrupted.Load(),
 		})
 	}
 	for _, err := range errs {
@@ -251,12 +215,9 @@ func executeAll(o Options, tasks []Run) ([]manet.Result, error) {
 			return nil, err
 		}
 	}
-	if interrupted {
+	if interrupted.Load() {
 		return nil, fmt.Errorf("%d of %d runs remaining (in-flight runs journaled): %w",
 			total-int(done.Load()), total, sweep.ErrInterrupted)
-	}
-	if foreign {
-		return nil, fmt.Errorf("shard %s stored %d runs: %w", o.Shard, int(done.Load()), sweep.ErrPartial)
 	}
 	return results, nil
 }

@@ -12,8 +12,8 @@ import (
 )
 
 // These are the acceptance tests of the sweep-orchestration subsystem:
-// an interrupted-then-resumed sweep and a 4-shard merged sweep must both
-// produce sha256-identical results to the plain single-process path —
+// an interrupted-then-resumed sweep and a sweep merged from two stores
+// must both produce sha256-identical results to the plain single-process path —
 // under the ideal channel and under a faulty one — and a cold Execute
 // over a warm store must compute nothing.
 
@@ -140,27 +140,25 @@ func TestInterruptResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestShardMergeBitIdentical computes the sweep as 4 independent shard
-// slices into 4 separate stores (each Execute reporting
-// sweep.ErrPartial), merges them, and requires the merged store to
+// TestMergeBitIdentical computes two disjoint halves of the sweep into
+// two separate stores, merges them, and requires the merged store to
 // render sha256-identical results with zero recomputation.
-func TestShardMergeBitIdentical(t *testing.T) {
+func TestMergeBitIdentical(t *testing.T) {
 	o := sweepTestOptions()
 	tasks := sweepTestTasks()
 	want := directDigest(t, o, tasks)
 
-	const shards = 4
 	merged := openStore(t)
-	for i := 0; i < shards; i++ {
+	half := len(tasks) / 2
+	for i, part := range [][]Run{tasks[:half], tasks[half:]} {
 		st := openStore(t)
 		so := o
 		so.Store = st
-		so.Shard = sweep.Shard{Index: i, Count: shards}
-		if _, err := Execute(so, tasks); !errors.Is(err, sweep.ErrPartial) {
-			t.Fatalf("shard %d error = %v, want sweep.ErrPartial", i, err)
+		if _, err := Execute(so, part); err != nil {
+			t.Fatalf("half %d: %v", i, err)
 		}
 		if _, err := sweep.Merge(merged, st); err != nil {
-			t.Fatalf("merge shard %d: %v", i, err)
+			t.Fatalf("merge half %d: %v", i, err)
 		}
 	}
 
@@ -173,39 +171,10 @@ func TestShardMergeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := resultsDigest(results); got != want {
-		t.Errorf("4-shard merged digest = %s, want %s (single-process)", got, want)
+		t.Errorf("merged digest = %s, want %s (single-process)", got, want)
 	}
 	if computed.Load() != 0 {
 		t.Errorf("merged store recomputed %d runs, want 0", computed.Load())
-	}
-}
-
-// TestShardsAreDisjointAndComplete checks the executor-level partition:
-// across the 4 shard stores every task is journaled exactly once.
-func TestShardsAreDisjointAndComplete(t *testing.T) {
-	o := sweepTestOptions()
-	tasks := sweepTestTasks()
-	const shards = 4
-	fp := o.Fingerprint()
-	counts := make([]int, len(tasks))
-	for i := 0; i < shards; i++ {
-		st := openStore(t)
-		so := o
-		so.Store = st
-		so.Shard = sweep.Shard{Index: i, Count: shards}
-		if _, err := Execute(so, tasks); !errors.Is(err, sweep.ErrPartial) {
-			t.Fatalf("shard %d error = %v, want sweep.ErrPartial", i, err)
-		}
-		for j, task := range tasks {
-			if _, ok := st.Get(task.storeKey(fp), task.desc()); ok {
-				counts[j]++
-			}
-		}
-	}
-	for j, n := range counts {
-		if n != 1 {
-			t.Errorf("task %d (%s) journaled by %d shards, want exactly 1", j, tasks[j].desc(), n)
-		}
 	}
 }
 

@@ -28,7 +28,7 @@ func (r Run) StoreKey(fingerprint string) sweep.Key { return r.storeKey(fingerpr
 // ConfigKey returns the run's configuration substream key — the label
 // shared by all repetitions of one (protocol, speed, mechanisms,
 // channel) configuration. The fleet coordinator groups tasks by it for
-// the adaptive-replication stopping rule.
+// its per-configuration status and aggregates.
 func (r Run) ConfigKey() uint64 { return r.key() }
 
 // ConfigDesc is Desc with the repetition index elided: the label of the

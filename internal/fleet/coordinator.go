@@ -17,8 +17,8 @@ type Config struct {
 	// Options are the sweep-wide experiment options (result-affecting
 	// fields feed the fingerprint and the JobSpec served to workers).
 	Options experiment.Options
-	// Tasks is the base task set. Store hits are resolved at
-	// construction; the rest is leased out.
+	// Tasks is the task set. Store hits are resolved at construction;
+	// the rest is leased out.
 	Tasks []experiment.Run
 	// Store journals every completion; it must be non-nil.
 	Store *sweep.Store
@@ -32,16 +32,6 @@ type Config struct {
 	LeaseBatch int
 	// Retries is the per-run panic-retry budget advertised to workers.
 	Retries int
-	// TargetRelCI enables adaptive replication when positive: after a
-	// configuration's base reps are journaled, extra reps are issued one
-	// at a time while the group's relative CI95 over connectivity
-	// exceeds this target. 0 disables the policy (fixed -reps), which is
-	// what keeps a fleet store byte-identical to a single-process sweep
-	// of the same task set.
-	TargetRelCI float64
-	// MaxReps caps total reps per configuration under adaptive
-	// replication. Default 10× the group's base count.
-	MaxReps int
 }
 
 // taskState is the lease-protocol lifecycle of one task.
@@ -60,9 +50,6 @@ type taskEntry struct {
 	desc  string
 	group uint64 // configuration substream key
 	state taskState
-	// extra marks adaptively issued repetitions (rep >= the group's
-	// base count).
-	extra bool
 }
 
 type lease struct {
@@ -73,18 +60,13 @@ type lease struct {
 	tasks []int
 }
 
-// configState tracks one configuration group for the stopping rule.
+// configState tracks one configuration group's journaled outcomes.
 type configState struct {
-	key  uint64
-	desc string
-	base int // reps in the base task set
-	// issued counts all reps issued (base + extras); the next extra rep
-	// index is exactly `issued`.
-	issued  int
-	done    int
-	failed  int
-	pending int // issued but not yet journaled (pending or leased)
-	conn    stats.Welford
+	run    experiment.Run // the group's first task
+	reps   int            // the group's tasks in the task set
+	done   int
+	failed int
+	conn   stats.Welford
 }
 
 // Coordinator is the lease-granting, store-owning sweep service. All
@@ -101,8 +83,6 @@ type Coordinator struct {
 	ttl         time.Duration
 	batch       int
 	retries     int
-	targetRelCI float64
-	maxReps     int
 
 	tasks   []taskEntry
 	pending []int // task indices awaiting a lease, FIFO; stolen work re-queues at the front
@@ -155,30 +135,24 @@ func New(cfg Config) (*Coordinator, error) {
 		ttl:         cfg.LeaseTTL,
 		batch:       cfg.LeaseBatch,
 		retries:     cfg.Retries,
-		targetRelCI: cfg.TargetRelCI,
-		maxReps:     cfg.MaxReps,
 		leases:      make(map[uint64]*lease),
 		groups:      make(map[uint64]*configState),
 		workers:     make(map[string]bool),
 		doneCh:      make(chan struct{}),
 		subs:        make(map[*subscriber]bool),
 	}
-	for _, r := range cfg.Tasks {
-		c.addTask(r, false)
-	}
-	if c.targetRelCI > 0 && c.maxReps == 0 {
-		// Default cap: an order of magnitude beyond the base reps of the
-		// largest group.
-		for _, g := range c.groupOrder {
-			if n := 10 * c.groups[g].base; n > c.maxReps {
-				c.maxReps = n
-			}
+	c.tasks = make([]taskEntry, len(cfg.Tasks))
+	for i, r := range cfg.Tasks {
+		g := r.ConfigKey()
+		cs := c.groups[g]
+		if cs == nil {
+			cs = &configState{run: r}
+			c.groups[g] = cs
+			c.groupOrder = append(c.groupOrder, g)
 		}
-	}
-	// Resolve store hits after grouping so the Welford partials include
-	// them (a resumed adaptive sweep continues its stopping rule).
-	for i := range c.tasks {
+		cs.reps++
 		t := &c.tasks[i]
+		*t = taskEntry{run: r, key: r.StoreKey(c.fingerprint), desc: r.Desc(), group: g}
 		if res, ok := c.store.Get(t.key, t.desc); ok {
 			t.state = taskDone
 			c.hits++
@@ -191,36 +165,9 @@ func New(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// addTask appends a task entry and updates its configuration group.
-func (c *Coordinator) addTask(r experiment.Run, extra bool) int {
-	id := len(c.tasks)
-	g := r.ConfigKey()
-	cs := c.groups[g]
-	if cs == nil {
-		cs = &configState{key: g, desc: r.ConfigDesc()}
-		c.groups[g] = cs
-		c.groupOrder = append(c.groupOrder, g)
-	}
-	if !extra {
-		cs.base++
-	}
-	cs.issued++
-	cs.pending++
-	c.tasks = append(c.tasks, taskEntry{
-		run:   r,
-		key:   r.StoreKey(c.fingerprint),
-		desc:  r.Desc(),
-		group: g,
-		state: taskPending,
-		extra: extra,
-	})
-	return id
-}
-
-// settleGroup records one journaled success for a task's group.
+// settleGroup records one journaled outcome for a task's group.
 func (c *Coordinator) settleGroup(t *taskEntry, connectivity float64, ok bool) {
 	cs := c.groups[t.group]
-	cs.pending--
 	if ok {
 		cs.done++
 		var one stats.Welford
@@ -241,8 +188,8 @@ func (c *Coordinator) Job() JobSpec {
 	return j
 }
 
-// DoneCh is closed when the sweep completes (all tasks journaled and
-// the adaptive policy satisfied). cmd/sweepd uses it for -exit-on-done.
+// DoneCh is closed when the sweep completes (all tasks journaled).
+// cmd/sweepd uses it for -exit-on-done.
 func (c *Coordinator) DoneCh() <-chan struct{} { return c.doneCh }
 
 // reapExpired returns expired leases' unfinished tasks to the front of
@@ -277,7 +224,6 @@ func (c *Coordinator) Lease(req LeaseRequest) LeaseReply {
 	now := c.clock()
 	c.workers[req.Worker] = true
 	c.reapExpired(now)
-	c.extendAdaptive(now)
 	c.checkComplete(now)
 	if c.complete {
 		return LeaseReply{Done: true}
@@ -394,7 +340,6 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteReply, error) {
 	if rep.Accepted > 0 && c.computed%checkpointEvery == 0 {
 		c.flushCheckpoint(false)
 	}
-	c.extendAdaptive(now)
 	c.checkComplete(now)
 	rep.Done = c.complete
 	return rep, nil
@@ -428,46 +373,8 @@ func (c *Coordinator) Interrupt() {
 	}
 }
 
-// extendAdaptive applies the sequential stopping rule: for each
-// configuration with every issued rep journaled, at least its base reps
-// done, RelCI above target, and headroom under the cap, issue exactly
-// one more repetition. One at a time is the point — the new rep's
-// result decides whether another is needed, which is what makes the
-// rule sequential rather than a fixed over-provision.
-func (c *Coordinator) extendAdaptive(now time.Time) {
-	if c.targetRelCI <= 0 {
-		return
-	}
-	for _, g := range c.groupOrder {
-		cs := c.groups[g]
-		if cs.pending > 0 || cs.done < cs.base || cs.issued >= c.maxReps {
-			continue
-		}
-		if cs.conn.RelCI() <= c.targetRelCI {
-			continue
-		}
-		r := c.tasks[c.taskOfGroup(g)].run
-		r.Rep = cs.issued
-		id := c.addTask(r, true)
-		c.pending = append(c.pending, id)
-		c.publish(Event{Type: "extend", Task: id,
-			Desc: fmt.Sprintf("%s rep=%d (relCI %.4f > %.4f)", cs.desc, r.Rep, cs.conn.RelCI(), c.targetRelCI)}, now)
-	}
-}
-
-// taskOfGroup returns the index of some task of group g (the first; it
-// exists by construction).
-func (c *Coordinator) taskOfGroup(g uint64) int {
-	for i := range c.tasks {
-		if c.tasks[i].group == g {
-			return i
-		}
-	}
-	panic("fleet: group without tasks")
-}
-
 // checkComplete flips the coordinator into its terminal state once no
-// task is pending or leased and the adaptive policy issued nothing.
+// task is pending or leased.
 func (c *Coordinator) checkComplete(now time.Time) {
 	if c.complete {
 		return
@@ -538,25 +445,13 @@ func (c *Coordinator) Status(includeConfigs bool) Status {
 		conn.Merge(c.groups[g].conn)
 	}
 	st.Store.Connectivity = metricOf(conn)
-	if c.targetRelCI > 0 {
-		ad := &AdaptiveStatus{TargetRelCI: c.targetRelCI, MaxReps: c.maxReps}
-		for _, g := range c.groupOrder {
-			cs := c.groups[g]
-			ad.Extra += cs.issued - cs.base
-			if cs.done >= cs.base && cs.conn.RelCI() <= c.targetRelCI {
-				ad.Converged++
-			}
-		}
-		st.Adaptive = ad
-	}
 	if includeConfigs {
 		for _, g := range c.groupOrder {
 			cs := c.groups[g]
 			st.Configs = append(st.Configs, ConfigStatus{
-				Desc:       cs.desc,
-				Key:        fmt.Sprintf("%016x", cs.key),
-				BaseReps:   cs.base,
-				Issued:     cs.issued,
+				Desc:       cs.run.ConfigDesc(),
+				Key:        fmt.Sprintf("%016x", g),
+				Reps:       cs.reps,
 				DoneReps:   cs.done,
 				FailedReps: cs.failed,
 				Mean:       cs.conn.Mean(),
@@ -578,11 +473,10 @@ func (c *Coordinator) Aggregates() []Aggregate {
 	byGroup := make(map[uint64]*Aggregate, len(c.groupOrder))
 	out := make([]Aggregate, 0, len(c.groupOrder))
 	for _, g := range c.groupOrder {
-		cs := c.groups[g]
+		r := c.groups[g].run
 		out = append(out, Aggregate{
-			Desc: cs.desc, Key: fmt.Sprintf("%016x", cs.key),
-			Protocol: c.tasks[c.taskOfGroup(g)].run.Protocol,
-			Speed:    c.tasks[c.taskOfGroup(g)].run.Speed,
+			Desc: r.ConfigDesc(), Key: fmt.Sprintf("%016x", g),
+			Protocol: r.Protocol, Speed: r.Speed,
 		})
 		byGroup[g] = &out[len(out)-1]
 	}

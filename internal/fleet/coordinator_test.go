@@ -314,154 +314,8 @@ func TestResumeFromStore(t *testing.T) {
 	if status.Hits != 2 || status.Pending != 2 || status.Done != 2 {
 		t.Errorf("resumed status = %+v, want 2 hits / 2 pending", status)
 	}
-	// The resumed coordinator's stopping statistic includes the hits.
+	// The resumed coordinator's connectivity summary includes the hits.
 	if status.Store.Connectivity.N != 2 {
 		t.Errorf("resumed Welford N = %d, want 2", status.Store.Connectivity.N)
-	}
-}
-
-// TestAdaptiveReplication is the acceptance test of the stopping rule: a
-// high-variance configuration demonstrably receives more repetitions
-// than a zero-variance one under the same target.
-func TestAdaptiveReplication(t *testing.T) {
-	clk := newFakeClock()
-	st := testStore(t)
-	const base = 3
-	c, err := New(Config{
-		Options:     experiment.DefaultOptions(),
-		Tasks:       repTasks(base, 10, 40), // speed 10: noisy; speed 40: constant
-		Store:       st,
-		Clock:       clk.Now,
-		LeaseBatch:  8,
-		TargetRelCI: 0.05,
-		MaxReps:     9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Synthetic results: the speed-10 group alternates 0.2/0.8 per rep
-	// (relative CI ~ 1, never converging), the speed-40 group is exactly
-	// 0.5 every rep (relative CI 0 after its base reps).
-	for i := 0; i < 100; i++ {
-		rep := c.Lease(LeaseRequest{Worker: "w"})
-		if rep.Done {
-			break
-		}
-		if len(rep.Tasks) == 0 {
-			t.Fatalf("lease %d: no tasks and not done", i)
-		}
-		var outs []Outcome
-		for _, task := range rep.Tasks {
-			conn := 0.5
-			if task.Run.Speed == 10 {
-				conn = 0.2 + 0.6*float64(task.Run.Rep%2)
-			}
-			outs = append(outs, Outcome{Task: task.ID, Attempts: 1, Result: result(conn)})
-		}
-		if _, err := c.Complete(CompleteRequest{Lease: rep.Lease, Worker: "w", Outcomes: outs}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	select {
-	case <-c.DoneCh():
-	default:
-		t.Fatal("adaptive sweep did not terminate")
-	}
-
-	status := c.Status(true)
-	var noisy, constant ConfigStatus
-	for _, cs := range status.Configs {
-		switch {
-		case strings.Contains(cs.Desc, "speed=10"):
-			noisy = cs
-		case strings.Contains(cs.Desc, "speed=40"):
-			constant = cs
-		}
-	}
-	if noisy.Desc == "" || constant.Desc == "" {
-		t.Fatalf("configs missing from status: %+v", status.Configs)
-	}
-	if constant.Issued != base {
-		t.Errorf("zero-variance config issued %d reps, want exactly base %d", constant.Issued, base)
-	}
-	if noisy.Issued <= constant.Issued {
-		t.Errorf("high-variance config issued %d reps, zero-variance %d: adaptive replication had no effect",
-			noisy.Issued, constant.Issued)
-	}
-	if noisy.Issued != 9 {
-		t.Errorf("non-converging config issued %d reps, want the MaxReps cap 9", noisy.Issued)
-	}
-	if status.Adaptive == nil || status.Adaptive.Extra != noisy.Issued-base {
-		t.Errorf("adaptive status = %+v, want Extra=%d", status.Adaptive, noisy.Issued-base)
-	}
-
-	// Extra reps are ordinary content-addressed records: rep indices
-	// base..MaxReps-1, each journaled exactly once.
-	reps := map[int]int{}
-	if err := st.Scan(func(info sweep.RecordInfo) error {
-		if strings.Contains(info.Record.Desc, "speed=10") {
-			reps[info.Record.Rep]++
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for rep := 0; rep < 9; rep++ {
-		if reps[rep] != 1 {
-			t.Errorf("noisy config rep %d journaled %d times, want 1", rep, reps[rep])
-		}
-	}
-}
-
-// TestAdaptiveStopsOnConvergence: a group whose extra reps tighten the
-// CI below target stops before the cap.
-func TestAdaptiveStopsOnConvergence(t *testing.T) {
-	clk := newFakeClock()
-	c, err := New(Config{
-		Options:     experiment.DefaultOptions(),
-		Tasks:       repTasks(2, 40),
-		Store:       testStore(t),
-		Clock:       clk.Now,
-		LeaseBatch:  8,
-		TargetRelCI: 0.2,
-		MaxReps:     50,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reps 0 and 1 disagree (0.4 vs 0.6: RelCI ≈ 2.54 > 0.2), every
-	// later rep is 0.5; the CI shrinks as reps accumulate and the rule
-	// must stop well short of the 50-rep cap.
-	for i := 0; i < 200; i++ {
-		rep := c.Lease(LeaseRequest{Worker: "w"})
-		if rep.Done {
-			break
-		}
-		var outs []Outcome
-		for _, task := range rep.Tasks {
-			conn := 0.5
-			if task.Run.Rep < 2 {
-				conn = 0.4 + 0.2*float64(task.Run.Rep)
-			}
-			outs = append(outs, Outcome{Task: task.ID, Attempts: 1, Result: result(conn)})
-		}
-		if _, err := c.Complete(CompleteRequest{Lease: rep.Lease, Worker: "w", Outcomes: outs}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	status := c.Status(true)
-	if !status.Complete {
-		t.Fatal("sweep did not complete")
-	}
-	cs := status.Configs[0]
-	if cs.Issued <= 2 || cs.Issued >= 50 {
-		t.Errorf("issued %d reps, want between base and cap (converged early)", cs.Issued)
-	}
-	if cs.RelCI > 0.2 {
-		t.Errorf("final RelCI %.4f above target 0.2", cs.RelCI)
-	}
-	if status.Adaptive.Converged != 1 {
-		t.Errorf("Converged = %d, want 1", status.Adaptive.Converged)
 	}
 }

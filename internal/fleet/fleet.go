@@ -17,18 +17,9 @@
 // time, never correctness: duplicate completions are detected by task
 // state and absorbed idempotently.
 //
-// # Adaptive replication
-//
-// With a target relative confidence-interval width configured, the
-// coordinator applies a sequential stopping rule per configuration
-// group (in the spirit of the CI-width sequential analysis of
-// simulation studies): once a configuration's base repetitions are all
-// journaled, it keeps issuing one extra repetition at a time while the
-// group's relative CI95 (stats.Welford.RelCI over connectivity) exceeds
-// the target and the per-group cap is not reached. Extra repetitions
-// are ordinary runs at the next rep index — content-addressed per
-// (runKey, rep) exactly like base reps — so the resulting store still
-// merges byte-identically with any other store of the same sweep.
+// The coordinator computes exactly its task set, minus the runs its
+// store already holds: a fleet store is byte-identical to the store a
+// single-process sweep of the same task set writes.
 //
 // # Time
 //
@@ -76,11 +67,6 @@ type JobSpec struct {
 	// Retries is the per-run panic-retry budget workers apply
 	// (experiment.ComputeRunRetry), mirroring the in-process executor.
 	Retries int `json:"retries"`
-	// Domains/EngineWorkers select the region-parallel engine for each
-	// run. Result-invariant (excluded from the fingerprint), so workers
-	// may override them locally.
-	Domains       int `json:"domains,omitempty"`
-	EngineWorkers int `json:"engine_workers,omitempty"`
 }
 
 // JobFromOptions extracts the wire spec from resolved options.
@@ -97,14 +83,13 @@ func JobFromOptions(o experiment.Options, retries int) JobSpec {
 		Channel:       o.Channel,
 		Fingerprint:   o.Fingerprint(),
 		Retries:       retries,
-		Domains:       o.Domains,
-		EngineWorkers: o.EngineWorkers,
 	}
 }
 
 // Options reconstructs the experiment options a worker computes runs
 // under. Task-set-shape fields (Speeds, Buffers, Reps) are irrelevant to
-// single-run execution and stay zero.
+// single-run execution and stay zero, and the engine knobs (Domains,
+// EngineWorkers) are the worker's own.
 func (j JobSpec) Options() experiment.Options {
 	return experiment.Options{
 		N:             j.N,
@@ -116,8 +101,6 @@ func (j JobSpec) Options() experiment.Options {
 		SnapshotEvery: j.SnapshotEvery,
 		Radio:         j.Radio,
 		Channel:       j.Channel,
-		Domains:       j.Domains,
-		EngineWorkers: j.EngineWorkers,
 	}
 }
 
@@ -189,8 +172,8 @@ type CompleteReply struct {
 // Status is the live coordinator state served at GET /status.
 type Status struct {
 	Fingerprint string `json:"fingerprint"`
-	// Task counts. Total includes adaptively issued extras; Hits counts
-	// tasks satisfied from the store when the daemon started.
+	// Task counts. Hits counts tasks satisfied from the store when the
+	// daemon started.
 	Total   int `json:"total"`
 	Done    int `json:"done"`
 	Failed  int `json:"failed"`
@@ -206,45 +189,27 @@ type Status struct {
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
 	RunsPerSecond  float64 `json:"runs_per_second"`
 	ETASeconds     float64 `json:"eta_seconds"`
-	// Complete is true once every task is journaled (done or failed) and
-	// the adaptive policy wants nothing more.
+	// Complete is true once every task is journaled (done or failed).
 	Complete bool `json:"complete"`
 	// Store is the live per-fingerprint record summary, in the same
 	// encoding `sweepctl status -json` emits for an offline store.
 	Store FingerprintSummary `json:"store"`
-	// Adaptive summarizes the stopping rule when enabled.
-	Adaptive *AdaptiveStatus `json:"adaptive,omitempty"`
-	// Configs is the per-configuration breakdown (rep counts and the
-	// stopping statistic), in first-appearance order.
+	// Configs is the per-configuration breakdown (rep counts and
+	// connectivity), in first-appearance order.
 	Configs []ConfigStatus `json:"configs,omitempty"`
 }
 
-// AdaptiveStatus summarizes the adaptive-replication policy.
-type AdaptiveStatus struct {
-	TargetRelCI float64 `json:"target_rel_ci"`
-	MaxReps     int     `json:"max_reps"`
-	// Extra counts repetitions issued beyond the base task set.
-	Extra int `json:"extra"`
-	// Converged counts configurations whose RelCI is at or below target
-	// (among those with all base reps journaled).
-	Converged int `json:"converged"`
-}
-
-// ConfigStatus is one configuration group's progress and stopping
-// statistic.
+// ConfigStatus is one configuration group's progress and connectivity.
 type ConfigStatus struct {
 	Desc string `json:"desc"`
 	// Key is the configuration substream key (hex, for stable JSON).
 	Key string `json:"key"`
-	// BaseReps is the group's repetition count in the base task set;
-	// Issued counts all reps issued including adaptive extras; DoneReps
-	// and FailedReps count journaled outcomes.
-	BaseReps   int `json:"base_reps"`
-	Issued     int `json:"issued"`
+	// Reps is the group's repetition count in the task set; DoneReps and
+	// FailedReps count journaled outcomes.
+	Reps       int `json:"reps"`
 	DoneReps   int `json:"done_reps"`
 	FailedReps int `json:"failed_reps,omitempty"`
-	// Mean and RelCI are the stopping statistic (connectivity) over the
-	// journaled reps.
+	// Mean and RelCI summarize connectivity over the journaled reps.
 	Mean  float64 `json:"mean"`
 	RelCI float64 `json:"rel_ci"`
 }
@@ -252,7 +217,7 @@ type ConfigStatus struct {
 // Event is one NDJSON line of the GET /events stream.
 type Event struct {
 	Seq  uint64 `json:"seq"`
-	Type string `json:"type"` // grant, complete, failure, expire, steal, extend, done
+	Type string `json:"type"` // grant, complete, failure, expire, done
 	// UnixMillis is the coordinator clock's timestamp.
 	UnixMillis int64  `json:"unix_ms"`
 	Worker     string `json:"worker,omitempty"`

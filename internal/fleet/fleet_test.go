@@ -155,6 +155,11 @@ func TestEndToEndHTTP(t *testing.T) {
 	if len(status.Configs) != 2 {
 		t.Errorf("configs = %d, want 2 (RNG, MST)", len(status.Configs))
 	}
+	for _, cs := range status.Configs {
+		if cs.Reps != 2 || cs.DoneReps != 2 {
+			t.Errorf("%s: %d/%d reps done, want 2/2", cs.Desc, cs.DoneReps, cs.Reps)
+		}
+	}
 	if status.Store.Runs != len(tasks) || status.Store.Connectivity.N != len(tasks) {
 		t.Errorf("store summary = %+v", status.Store)
 	}
@@ -172,7 +177,13 @@ func TestEndToEndHTTP(t *testing.T) {
 	if len(aggs) != 2 {
 		t.Fatalf("aggregates = %d, want 2", len(aggs))
 	}
-	for _, a := range aggs {
+	// Groups in first-appearance order: RNG (tasks 0, 1), MST (2, 3).
+	for i, a := range aggs {
+		r := tasks[2*i]
+		if a.Protocol != r.Protocol || a.Speed != r.Speed || a.Desc != r.ConfigDesc() { //lint:ignore float-eq speeds are copied from the task, never computed
+			t.Errorf("aggregate %d = %s %g %q, want %s %g %q",
+				i, a.Protocol, a.Speed, a.Desc, r.Protocol, r.Speed, r.ConfigDesc())
+		}
 		if a.Reps != 2 {
 			t.Errorf("%s: %d reps aggregated, want 2", a.Desc, a.Reps)
 		}
@@ -229,6 +240,39 @@ func TestWorkerFingerprintMismatch(t *testing.T) {
 	err := w.Run()
 	if err == nil || !strings.Contains(err.Error(), "fingerprint mismatch") {
 		t.Errorf("worker error = %v, want fingerprint mismatch", err)
+	}
+}
+
+// TestWorkerRejectsBadEngineKnobs: a worker whose engine knobs every run
+// would reject returns an error before it leases anything, so it neither
+// journals failure records nor holds tasks another worker could compute.
+func TestWorkerRejectsBadEngineKnobs(t *testing.T) {
+	st := testStore(t)
+	c, err := New(Config{
+		Options: e2eOptions(),
+		Tasks:   repTasks(2, 40),
+		Store:   st,
+		Clock:   newFakeClock().Now,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	for _, knobs := range [][2]int{{100, 0}, {-1, 0}, {0, 2}, {2, -1}} {
+		w := &Worker{URL: srv.URL, Name: "bad", Sleep: func(time.Duration) {},
+			Domains: knobs[0], EngineWorkers: knobs[1]}
+		if err := w.Run(); err == nil {
+			t.Errorf("worker with Domains=%d EngineWorkers=%d ran", knobs[0], knobs[1])
+		}
+	}
+	status := c.Status(false)
+	if status.Pending != 2 || status.Leased != 0 || status.Failed != 0 || status.Workers != 0 {
+		t.Errorf("status after rejected workers = %+v, want 2 pending and nothing leased, failed or seen", status)
+	}
+	records := 0
+	if err := st.Scan(func(sweep.RecordInfo) error { records++; return nil }); err != nil || records != 0 {
+		t.Errorf("store holds %d records (err %v), want none", records, err)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mstc/internal/experiment"
+	"mstc/internal/manet"
 )
 
 // Worker is the client side of the lease protocol: a loop that leases
@@ -33,15 +34,22 @@ type Worker struct {
 	Sleep func(time.Duration)
 	// Logf, when non-nil, receives progress lines (stderr in the CLIs).
 	Logf func(format string, args ...any)
-	// Override engine knobs locally when non-zero (result-invariant).
+	// Domains and EngineWorkers select the engine every run of this
+	// worker uses (experiment.Options); they never change a result.
 	Domains, EngineWorkers int
 }
 
 // Run executes the worker loop until the coordinator reports the sweep
 // complete. It returns an error on protocol failures (unreachable
-// coordinator, fingerprint mismatch), never on individual run failures
-// — those are journaled as failure records and the loop continues.
+// coordinator, fingerprint mismatch, invalid engine knobs), never on
+// individual run failures — those are journaled as failure records and
+// the loop continues.
 func (w *Worker) Run() error {
+	// Bad engine knobs would fail every run this worker leases; refuse
+	// them before asking the coordinator for anything.
+	if err := manet.ValidateEngine(w.Domains, w.EngineWorkers); err != nil {
+		return fmt.Errorf("fleet: worker engine: %w", err)
+	}
 	if w.Client == nil {
 		w.Client = &http.Client{Timeout: 30 * time.Second}
 	}
@@ -57,10 +65,7 @@ func (w *Worker) Run() error {
 		return fmt.Errorf("fleet: fetch job spec: %w", err)
 	}
 	opts := job.Options()
-	if w.Domains > 0 {
-		opts.Domains = w.Domains
-		opts.EngineWorkers = w.EngineWorkers
-	}
+	opts.Domains, opts.EngineWorkers = w.Domains, w.EngineWorkers
 	// Version-skew guard: the fingerprint covers every result-affecting
 	// option, so a worker whose binary computes a different fingerprint
 	// from the same spec would journal records under a wrong address —

@@ -210,16 +210,13 @@ func (c Config) validate() error {
 		return fmt.Errorf("manet: Proactive is mutually exclusive with Reactive and WeakK")
 	case c.PosNoise < 0:
 		return fmt.Errorf("manet: negative PosNoise %g", c.PosNoise)
-	case c.Domains < 0 || c.Domains > maxDomains:
-		return fmt.Errorf("manet: Domains %d outside [0, %d]", c.Domains, maxDomains)
-	case c.ParallelWorkers < 0:
-		return fmt.Errorf("manet: negative ParallelWorkers %d", c.ParallelWorkers)
-	case c.ParallelWorkers > 0 && c.Domains == 0:
-		return fmt.Errorf("manet: ParallelWorkers set but Domains is 0 (the serial engine has no workers)")
 	case c.Traffic.Enabled() && c.FloodRate > 0:
 		return fmt.Errorf("manet: traffic and flooding are mutually exclusive (one probe workload per run)")
 	case c.Unicast.Enabled() && (c.FloodRate > 0 || c.Traffic.Enabled()):
 		return fmt.Errorf("manet: unicast probes are mutually exclusive with flooding and traffic (one probe workload per run)")
+	}
+	if err := ValidateEngine(c.Domains, c.ParallelWorkers); err != nil {
+		return err
 	}
 	if err := c.Unicast.validate(); err != nil {
 		return err
@@ -228,6 +225,21 @@ func (c Config) validate() error {
 		return err
 	}
 	return c.Channel.Validate()
+}
+
+// ValidateEngine reports errors in the engine knobs Config.Domains and
+// Config.ParallelWorkers. Callers that fan one engine setting over many
+// runs check it once up front with this, before any run starts.
+func ValidateEngine(domains, workers int) error {
+	switch {
+	case domains < 0 || domains > maxDomains:
+		return fmt.Errorf("manet: Domains %d outside [0, %d]", domains, maxDomains)
+	case workers < 0:
+		return fmt.Errorf("manet: negative ParallelWorkers %d", workers)
+	case workers > 0 && domains == 0:
+		return fmt.Errorf("manet: ParallelWorkers set but Domains is 0 (the serial engine has no workers)")
+	}
+	return nil
 }
 
 // checkFinite rejects a NaN or ±Inf in any float field a run reads,

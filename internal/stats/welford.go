@@ -73,8 +73,8 @@ func (w *Welford) String() string {
 func (w *Welford) RelCI() float64 { return relCI(w.Mean(), w.CI95()) }
 
 // State exposes the accumulator's internal triple (n, mean, M2) so a
-// partial can be serialized — e.g. into a sweep shard's summary — and
-// rebuilt bit-exactly with WelfordFromState on the merging side.
+// partial can be serialized and rebuilt bit-exactly with
+// WelfordFromState on the merging side.
 func (w Welford) State() (n int, mean, m2 float64) {
 	return w.n, w.mean, w.m2
 }

@@ -17,8 +17,8 @@ type MergeStats struct {
 	// SkippedFailed counts source failure records (never merged).
 	SkippedFailed int
 	// SkippedCorrupt counts source records that failed checksum or
-	// decode verification (reported, not copied — the owning shard
-	// re-runs them on resume).
+	// decode verification (reported, not copied — a sweep over the
+	// destination re-runs them).
 	SkippedCorrupt int
 }
 
@@ -27,8 +27,9 @@ type MergeStats struct {
 // runs are deterministic, so a divergent duplicate means one side is
 // wrong and the merge aborts rather than pick a winner. Failure and
 // corrupt records are skipped (and counted): only verified results
-// migrate. Combining n shard stores this way yields a store
-// byte-equivalent to a single-process sweep's.
+// migrate. Stores of separate sweeps, overlapping or not, combine this
+// way into one that renders each of their figures without recomputing
+// a run.
 func Merge(dst, src *Store) (MergeStats, error) {
 	var st MergeStats
 	err := src.Scan(func(info RecordInfo) error {

@@ -1,7 +1,6 @@
 // Package sweep is the persistence and orchestration layer for experiment
-// execution: a content-addressed on-disk result store, a deterministic
-// shard partition of a run set, and a merge operation combining shard
-// stores back into one.
+// execution: a content-addressed on-disk result store, and a merge
+// operation combining the stores of separate sweeps into one.
 //
 // The store holds one record per completed simulation run, addressed by
 // the run's configuration substream key (experiment.Run.key) plus the
@@ -35,21 +34,13 @@ import (
 	"mstc/internal/manet"
 )
 
-// Sentinel errors shared by the store-aware executor and the CLIs.
-var (
-	// ErrInterrupted reports a sweep that drained gracefully before
-	// completing: in-flight runs finished and were journaled, queued runs
-	// were skipped. Re-running with the same store resumes from the
-	// journal. CLIs exit 130 on it.
-	//lint:ignore global-mutable-state errors.New sentinel, assigned once and only compared with errors.Is
-	ErrInterrupted = errors.New("sweep interrupted")
-	// ErrPartial reports a sharded execution that computed and stored its
-	// slice of the run set: results for foreign shards are missing by
-	// design, so aggregate output cannot be rendered until shard stores
-	// are merged.
-	//lint:ignore global-mutable-state errors.New sentinel, assigned once and only compared with errors.Is
-	ErrPartial = errors.New("sweep shard slice stored; results partial")
-)
+// ErrInterrupted reports a sweep that drained gracefully before
+// completing: in-flight runs finished and were journaled, queued runs
+// were skipped. Re-running with the same store resumes from the
+// journal. CLIs exit 130 on it.
+//
+//lint:ignore global-mutable-state errors.New sentinel, assigned once and only compared with errors.Is
+var ErrInterrupted = errors.New("sweep interrupted")
 
 // Key addresses one record: the options fingerprint, the run's
 // configuration substream key, and the repetition index.
