@@ -42,7 +42,7 @@ lint-json:
 # `go test -fuzz` accepts one target per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTable$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/hello
-	$(GO) test -run '^$$' -fuzz '^FuzzGilbertElliott$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/channel
+	$(GO) test -run '^$$' -fuzz '^FuzzBuildChannel$$' -fuzztime 10s -fuzzminimizetime 1s ./cmd/manetsim
 	$(GO) test -run '^$$' -fuzz '^FuzzSelectKernels$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/topology
 	$(GO) test -run '^$$' -fuzz '^FuzzDegreesAt$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/radio
 	$(GO) test -run '^$$' -fuzz '^FuzzWaypoint$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/mobility
@@ -51,7 +51,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sweep
 	$(GO) test -run '^$$' -fuzz '^FuzzHandler$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fleet
 
-# Tiny deterministic fault-injection sweep: the loss/delay/churn and
+# Tiny deterministic fault-injection sweep: the loss/delay and
 # buffer-zone experiments at smoke scale, run twice and compared — any
 # nondeterminism in the non-ideal channel path fails the diff.
 #
@@ -108,7 +108,7 @@ resume-smoke:
 # Region-parallel engine smoke: the same quick figure sweep on the serial
 # engine and on the domain-decomposed engine (2x2 domains, 4 workers) must
 # render byte-identical output — once on the ideal channel and once on the
-# faulty-channel sweep (bursty loss + delayed delivery + churn), which
+# faulty-channel sweep (i.i.d. loss, then delayed delivery), which
 # exercises the parallel loss-chain, delivery-heap, and re-homing paths end
 # to end. The in-process digest matrix (manet's
 # TestParallelMatchesSerialMatrix, run by `make test`/`race`) is the deep

@@ -27,58 +27,20 @@ func checkGeometry(n int, side, normalRange float64) error {
 	return nil
 }
 
-// channelFlags are the raw non-ideal-channel flag values. They map onto
-// channel.Config in buildChannel, which also validates the combinations a
-// flag parser can get wrong before manet's config validation would reject
-// them with a less actionable message.
+// channelFlags are the raw non-ideal-channel flag values.
 type channelFlags struct {
-	Loss      float64 // -loss: per-packet loss probability
-	LossModel string  // -loss-model: bernoulli | gilbert
-	LossBurst float64 // -loss-burst: Gilbert–Elliott mean burst length
-	DelayMin  float64 // -delay-min: minimum per-delivery delay (s)
-	DelayMax  float64 // -delay-max: maximum per-delivery delay Δ″ (s)
-	Churn     float64 // -churn: expected fraction of nodes down
-	Outage    float64 // -churn-outage: mean outage duration (s)
+	Loss     float64 // -loss: per-packet loss probability
+	DelayMin float64 // -delay-min: minimum per-delivery delay (s)
+	DelayMax float64 // -delay-max: maximum per-delivery delay Δ″ (s)
 }
 
-// buildChannel turns the flag values into a channel configuration.
+// buildChannel copies every flag value into a channel configuration and
+// validates it, so a negative or NaN value fails here instead of running
+// an ideal channel.
 func (f channelFlags) buildChannel() (channel.Config, error) {
-	var cfg channel.Config
-	switch f.LossModel {
-	case "", "bernoulli":
-		if f.LossBurst > 0 {
-			return cfg, fmt.Errorf("-loss-burst requires -loss-model gilbert")
-		}
-		if f.Loss > 0 {
-			cfg.Loss = channel.LossConfig{Model: channel.Bernoulli, Rate: f.Loss}
-		}
-	case "gilbert":
-		if f.Loss <= 0 {
-			return cfg, fmt.Errorf("-loss-model gilbert requires -loss > 0")
-		}
-		cfg.Loss = channel.LossConfig{
-			Model: channel.GilbertElliott, Rate: f.Loss, MeanBurst: f.LossBurst,
-		}
-	default:
-		return cfg, fmt.Errorf("unknown -loss-model %q (want bernoulli or gilbert)", f.LossModel)
-	}
-	if f.DelayMax > 0 || f.DelayMin > 0 {
-		cfg.Delay = channel.DelayConfig{Min: f.DelayMin, Max: f.DelayMax}
-	}
-	if f.Churn > 0 {
-		if f.Churn >= 1 {
-			return cfg, fmt.Errorf("-churn %g is an expected down fraction, want (0, 1)", f.Churn)
-		}
-		outage := f.Outage
-		if outage <= 0 {
-			outage = 2
-		}
-		cfg.Churn = channel.ChurnConfig{
-			MeanUp:   outage * (1 - f.Churn) / f.Churn,
-			MeanDown: outage,
-		}
-	} else if f.Outage > 0 {
-		return cfg, fmt.Errorf("-churn-outage requires -churn > 0")
+	cfg := channel.Config{
+		Loss:  channel.LossConfig{Rate: f.Loss},
+		Delay: channel.DelayConfig{Min: f.DelayMin, Max: f.DelayMax},
 	}
 	return cfg, cfg.Validate()
 }

@@ -3,12 +3,18 @@ package main
 import (
 	"errors"
 	"flag"
+	"math"
 	"os"
 	"os/exec"
 	"strings"
 	"testing"
 
 	"mstc/internal/channel"
+	"mstc/internal/geom"
+	"mstc/internal/manet"
+	"mstc/internal/mobility"
+	"mstc/internal/topology"
+	"mstc/internal/xrand"
 )
 
 func TestBuildChannelValid(t *testing.T) {
@@ -18,24 +24,14 @@ func TestBuildChannelValid(t *testing.T) {
 		want func(channel.Config) bool
 	}{
 		{"ideal", channelFlags{}, func(c channel.Config) bool { return !c.Enabled() }},
-		{"bernoulli", channelFlags{Loss: 0.2}, func(c channel.Config) bool {
-			return c.Loss.Model == channel.Bernoulli && c.Loss.Rate == 0.2 //lint:ignore float-eq flag value passed through unchanged
-		}},
-		{"explicit bernoulli", channelFlags{Loss: 0.2, LossModel: "bernoulli"}, func(c channel.Config) bool {
-			return c.Loss.Model == channel.Bernoulli
-		}},
-		{"gilbert", channelFlags{Loss: 0.3, LossModel: "gilbert", LossBurst: 5}, func(c channel.Config) bool {
-			return c.Loss.Model == channel.GilbertElliott && c.Loss.MeanBurst == 5 //lint:ignore float-eq flag value passed through unchanged
+		{"loss", channelFlags{Loss: 0.2}, func(c channel.Config) bool {
+			return c.Loss.Rate == 0.2 && !c.Delay.Enabled() //lint:ignore float-eq flag value passed through unchanged
 		}},
 		{"delay", channelFlags{DelayMin: 0.01, DelayMax: 0.5}, func(c channel.Config) bool {
 			return c.Delay.Enabled() && c.Delay.Min == 0.01 && c.Delay.Max == 0.5 //lint:ignore float-eq flag values passed through unchanged
 		}},
-		{"churn default outage", channelFlags{Churn: 0.5}, func(c channel.Config) bool {
-			// Expected down fraction 1/2 with the 2 s default outage → 2 s up.
-			return c.Churn.MeanUp == 2 && c.Churn.MeanDown == 2 //lint:ignore float-eq exact arithmetic on flag values
-		}},
-		{"churn custom outage", channelFlags{Churn: 0.25, Outage: 4}, func(c channel.Config) bool {
-			return c.Churn.MeanUp == 12 && c.Churn.MeanDown == 4 //lint:ignore float-eq exact arithmetic on flag values
+		{"loss and delay", channelFlags{Loss: 0.1, DelayMax: 0.2}, func(c channel.Config) bool {
+			return c.Loss.Enabled() && c.Delay.Enabled()
 		}},
 	}
 	for _, tc := range cases {
@@ -51,18 +47,20 @@ func TestBuildChannelValid(t *testing.T) {
 }
 
 func TestBuildChannelConflicts(t *testing.T) {
+	nan := math.NaN()
 	cases := []struct {
 		name    string
 		f       channelFlags
 		wantErr string
 	}{
-		{"burst without gilbert", channelFlags{Loss: 0.2, LossBurst: 5}, "-loss-burst"},
-		{"gilbert without loss", channelFlags{LossModel: "gilbert"}, "-loss > 0"},
-		{"unknown model", channelFlags{Loss: 0.1, LossModel: "markov"}, "loss-model"},
-		{"churn fraction too big", channelFlags{Churn: 1}, "fraction"},
-		{"outage without churn", channelFlags{Outage: 2}, "-churn-outage"},
 		{"loss rate over 1", channelFlags{Loss: 1.5}, "rate"},
+		{"negative loss rate", channelFlags{Loss: -0.5}, "rate"},
+		{"NaN loss rate", channelFlags{Loss: nan}, "rate"},
 		{"negative delay min", channelFlags{DelayMin: -0.1, DelayMax: 0.5}, "delay"},
+		{"negative delay min alone", channelFlags{DelayMin: -1}, "delay"},
+		{"delay min above max", channelFlags{DelayMin: 0.5}, "delay"},
+		{"NaN delay max", channelFlags{DelayMax: nan}, "delay"},
+		{"infinite delay max", channelFlags{DelayMax: math.Inf(1)}, "delay"},
 	}
 	for _, tc := range cases {
 		_, err := tc.f.buildChannel()
@@ -74,6 +72,40 @@ func TestBuildChannelConflicts(t *testing.T) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.wantErr)
 		}
 	}
+}
+
+// FuzzBuildChannel: for any -loss, -delay-min and -delay-max, buildChannel
+// either fails, or returns a configuration holding exactly the flag
+// values, which the simulator then accepts and runs on a small static
+// scene.
+func FuzzBuildChannel(f *testing.F) {
+	f.Add(0.0, 0.0, 0.0)
+	f.Add(0.2, 0.0, 0.0)
+	f.Add(0.0, 0.01, 0.5)
+	f.Add(0.1, 0.2, 0.2)
+	f.Add(-0.5, -1.0, math.NaN())
+	f.Add(0.999, 0.0, 1e300)
+	arena := geom.Square(300)
+	model := mobility.NewStatic(arena, mobility.UniformPoints(arena, 6, xrand.New(1)), 2)
+	f.Fuzz(func(t *testing.T, loss, delayMin, delayMax float64) {
+		fl := channelFlags{Loss: loss, DelayMin: delayMin, DelayMax: delayMax}
+		cfg, err := fl.buildChannel()
+		if err != nil {
+			return
+		}
+		for _, p := range [][2]float64{{cfg.Loss.Rate, loss}, {cfg.Delay.Min, delayMin}, {cfg.Delay.Max, delayMax}} {
+			if math.Float64bits(p[0]) != math.Float64bits(p[1]) {
+				t.Fatalf("flags %+v built %+v", fl, cfg)
+			}
+		}
+		nw, err := manet.NewNetwork(model, manet.Config{
+			Protocol: topology.RNG{}, FloodRate: 2, Channel: cfg, Seed: 1,
+		})
+		if err != nil {
+			t.Fatalf("flags %+v: buildChannel accepted %+v but NewNetwork rejects it: %v", fl, cfg, err)
+		}
+		nw.Run(2)
+	})
 }
 
 // TestBadGeometryExitsTwo runs the command itself on a non-finite or

@@ -16,12 +16,10 @@
 //	manetsim -protocol RNG -speed 20 -traffic aodv -buffer 10 -viewsync
 //	manetsim -protocol none -traffic olsr -traffic-flows 16 -traffic-rate 4
 //
-// Non-ideal channel (loss, delay, churn fault injection):
+// Non-ideal channel (loss and delay fault injection):
 //
 //	manetsim -protocol RNG -speed 40 -loss 0.2                     # i.i.d. loss
-//	manetsim -protocol RNG -loss 0.2 -loss-model gilbert           # bursty loss
 //	manetsim -protocol MST -delay-max 0.5 -buffer 40 -settle 2     # delayed Hellos
-//	manetsim -protocol RNG -churn 0.25 -churn-outage 2             # node crashes
 package main
 
 import (
@@ -94,12 +92,8 @@ func run() (code int) {
 		trafficRate  = flag.Float64("traffic-rate", 0, "CBR packets per second per flow (default 2)")
 		trafficPkts  = flag.Int("traffic-packets", 0, "per-flow packet budget (0 = unlimited)")
 		lossRate     = flag.Float64("loss", 0, "channel per-packet loss probability")
-		lossModel    = flag.String("loss-model", "", "loss model: bernoulli (default) or gilbert (bursty)")
-		lossBurst    = flag.Float64("loss-burst", 0, "Gilbert-Elliott mean burst length in packets (default 8)")
 		delayMin     = flag.Float64("delay-min", 0, "minimum per-delivery channel delay (s)")
 		delayMax     = flag.Float64("delay-max", 0, "maximum per-delivery channel delay (s); > 0 enables delayed delivery")
-		churnFrac    = flag.Float64("churn", 0, "channel churn: expected fraction of nodes down, in (0, 1)")
-		churnOutage  = flag.Float64("churn-outage", 0, "channel churn mean outage duration (s, default 2)")
 		posNoise     = flag.Float64("noise", 0, "advertised-position noise std-dev (m)")
 		seed         = flag.Uint64("seed", 1, "random seed")
 		snapshotDt   = flag.Float64("snapshots", 0, "strict-connectivity snapshot period (s); 0 = off")
@@ -142,11 +136,7 @@ func run() (code int) {
 		return 1
 	}
 
-	chCfg, err := channelFlags{
-		Loss: *lossRate, LossModel: *lossModel, LossBurst: *lossBurst,
-		DelayMin: *delayMin, DelayMax: *delayMax,
-		Churn: *churnFrac, Outage: *churnOutage,
-	}.buildChannel()
+	chCfg, err := channelFlags{Loss: *lossRate, DelayMin: *delayMin, DelayMax: *delayMax}.buildChannel()
 	if err != nil {
 		log.Print(err)
 		return 1

@@ -1,22 +1,18 @@
 // Package channel is the non-ideal channel subsystem: deterministic,
 // seedable fault injection layered over the ideal-disc radio. It models the
-// three degradations the paper's mobility-management mechanisms were
+// two degradations the paper's mobility-management mechanisms were
 // designed to survive —
 //
-//   - per-packet stochastic loss, either i.i.d. (Bernoulli) or bursty
-//     (a two-state Gilbert–Elliott chain per receiver), probing the weak-
-//     consistency tolerance of lost "Hello"s (Theorems 3–4);
+//   - i.i.d. (Bernoulli) per-packet loss, probing the weak-consistency
+//     tolerance of lost "Hello"s (Theorems 3–4);
 //   - bounded random per-delivery delay drawn uniformly from [Min, Max],
-//     the Δ″ of Theorem 5's buffer zone l = 2·Δ″·v;
-//   - node churn (crash/recover with exponential holding times) that
-//     silences a node's "Hello"s and floods while it is down, the failure
-//     model behind the fault-tolerance discussion of §2.2.
+//     the Δ″ of Theorem 5's buffer zone l = 2·Δ″·v.
 //
 // Determinism contract: every stochastic choice draws from a dedicated
 // xrand substream derived from the Model's root source — per-receiver loss
-// chains from ('l', id), per-delivery delays from substreams of the ('d')
-// parent keyed by the delivery's identity (see HelloDelay/FloodDelay), and
-// per-node churn from ('k', id).
+// chains from ('l', id), one uniform per packet, and per-delivery delays
+// from substreams of the ('d') parent keyed by the delivery's identity
+// (see HelloDelay/FloodDelay).
 // The ideal configuration (zero value) builds no Model at all and consumes
 // no randomness, so simulations with the default channel are bit-identical
 // to ones that predate this package (pinned by the experiment package's
@@ -25,107 +21,28 @@ package channel
 
 import (
 	"fmt"
+	"math"
 
 	"mstc/internal/xrand"
 )
 
-// LossModel selects the per-packet loss process.
-type LossModel uint8
-
-const (
-	// Bernoulli drops each reception independently with probability Rate.
-	// It is the zero value: a LossConfig{Rate: p} is i.i.d. loss.
-	Bernoulli LossModel = iota
-	// GilbertElliott drops according to a two-state burst chain: a Good
-	// state losing with probability GoodLoss and a Bad state losing with
-	// probability BadLoss, with geometric sojourn times tuned so the
-	// stationary loss rate equals Rate and the mean Bad-state burst is
-	// MeanBurst packets.
-	GilbertElliott
-)
-
-// String names the model (flag values of cmd/manetsim).
-func (m LossModel) String() string {
-	switch m {
-	case Bernoulli:
-		return "bernoulli"
-	case GilbertElliott:
-		return "gilbert"
-	}
-	return fmt.Sprintf("LossModel(%d)", uint8(m))
-}
-
-// LossConfig parameterizes the loss process. The zero value is lossless.
+// LossConfig parameterizes the loss process: each reception is dropped
+// independently with probability Rate. The zero value is lossless.
 type LossConfig struct {
-	// Model selects Bernoulli (default) or GilbertElliott.
-	Model LossModel
-	// Rate is the long-run (stationary) loss probability in [0, 1).
-	// 0 disables loss.
+	// Rate is the per-packet loss probability in [0, 1). 0 disables loss.
 	Rate float64
-	// MeanBurst is the Gilbert–Elliott mean Bad-state sojourn in packets
-	// (default 8). Ignored by Bernoulli.
-	MeanBurst float64
-	// GoodLoss and BadLoss are the Gilbert–Elliott per-state loss
-	// probabilities (defaults 0 and 1). Ignored by Bernoulli.
-	GoodLoss, BadLoss float64
 }
 
 // Enabled reports whether the loss process drops anything.
 func (c LossConfig) Enabled() bool { return c.Rate > 0 }
 
-// withDefaults fills the Gilbert–Elliott defaults: pure erasure bursts
-// (GoodLoss 0, BadLoss 1) with a mean burst of 8 packets.
-func (c LossConfig) withDefaults() LossConfig {
-	if c.Model == GilbertElliott {
-		if c.MeanBurst == 0 { //lint:ignore float-eq zero value is the unset sentinel, exact by construction
-			c.MeanBurst = 8
-		}
-		if c.BadLoss == 0 { //lint:ignore float-eq zero value is the unset sentinel, exact by construction
-			c.BadLoss = 1
-		}
-	}
-	return c
-}
-
-// validate reports loss-configuration errors (after defaults).
+// validate reports loss-configuration errors. The test is the negated
+// in-range check, so a NaN rate fails it.
 func (c LossConfig) validate() error {
-	if c.Rate < 0 || c.Rate >= 1 {
+	if !(c.Rate >= 0 && c.Rate < 1) {
 		return fmt.Errorf("channel: loss rate %g outside [0, 1)", c.Rate)
 	}
-	switch c.Model {
-	case Bernoulli:
-	case GilbertElliott:
-		if !c.Enabled() {
-			return nil
-		}
-		if c.MeanBurst < 1 {
-			return fmt.Errorf("channel: Gilbert–Elliott mean burst %g < 1 packet", c.MeanBurst)
-		}
-		if c.GoodLoss < 0 || c.BadLoss > 1 || c.GoodLoss >= c.BadLoss {
-			return fmt.Errorf("channel: Gilbert–Elliott needs 0 <= GoodLoss < BadLoss <= 1, got [%g, %g]", c.GoodLoss, c.BadLoss)
-		}
-		if c.Rate < c.GoodLoss || c.Rate >= c.BadLoss {
-			return fmt.Errorf("channel: stationary rate %g outside per-state losses [%g, %g)", c.Rate, c.GoodLoss, c.BadLoss)
-		}
-		if _, pGB, _ := c.geParams(); pGB > 1 {
-			return fmt.Errorf("channel: rate %g unreachable with mean burst %g (Good→Bad probability %g > 1); lengthen the burst or lower the rate", c.Rate, c.MeanBurst, pGB)
-		}
-	default:
-		return fmt.Errorf("channel: unknown loss model %d", c.Model)
-	}
 	return nil
-}
-
-// geParams derives the Gilbert–Elliott chain parameters from the target
-// stationary loss rate and mean burst length: the stationary Bad-state
-// probability piB solves Rate = (1-piB)·GoodLoss + piB·BadLoss, the
-// Bad→Good probability is 1/MeanBurst (geometric sojourn), and the
-// Good→Bad probability follows from detailed balance piG·pGB = piB·pBG.
-func (c LossConfig) geParams() (piB, pGB, pBG float64) {
-	piB = (c.Rate - c.GoodLoss) / (c.BadLoss - c.GoodLoss)
-	pBG = 1 / c.MeanBurst
-	pGB = piB * pBG / (1 - piB)
-	return piB, pGB, pBG
 }
 
 // DelayConfig bounds the per-delivery random delay: each reception is
@@ -138,140 +55,51 @@ type DelayConfig struct {
 // Enabled reports whether deliveries are deferred.
 func (c DelayConfig) Enabled() bool { return c.Max > 0 }
 
-// validate reports delay-configuration errors.
+// validate reports delay-configuration errors. The test is the negated
+// in-range check, so a NaN or infinite bound fails it.
 func (c DelayConfig) validate() error {
-	if c.Min < 0 || c.Max < c.Min {
-		return fmt.Errorf("channel: need 0 <= delay Min <= Max, got [%g, %g]", c.Min, c.Max)
+	if !(c.Min >= 0 && c.Min <= c.Max && c.Max <= math.MaxFloat64) {
+		return fmt.Errorf("channel: need finite 0 <= delay Min <= Max, got [%g, %g]", c.Min, c.Max)
 	}
 	return nil
 }
 
-// ChurnConfig parameterizes the node fault process: each node alternates
-// between up and down states with independent exponential holding times.
-// While down a node neither beacons, receives, nor forwards, and it reboots
-// with empty protocol state. The zero value disables churn.
-type ChurnConfig struct {
-	// MeanUp is the mean up-time in seconds before a crash.
-	MeanUp float64
-	// MeanDown is the mean outage duration in seconds.
-	MeanDown float64
-}
-
-// Enabled reports whether the fault process is active.
-func (c ChurnConfig) Enabled() bool { return c.MeanUp > 0 && c.MeanDown > 0 }
-
-// validate reports churn-configuration errors.
-func (c ChurnConfig) validate() error {
-	if c.MeanUp < 0 || c.MeanDown < 0 || (c.MeanUp > 0) != (c.MeanDown > 0) {
-		return fmt.Errorf("channel: churn needs both MeanUp and MeanDown positive (or both zero), got [%g, %g]", c.MeanUp, c.MeanDown)
-	}
-	return nil
-}
-
-// Config composes the three fault processes. The zero value is the ideal
-// channel: no loss, no delay, no churn, no randomness consumed.
+// Config composes the two fault processes. The zero value is the ideal
+// channel: no loss, no delay, no randomness consumed.
 type Config struct {
 	Loss  LossConfig
 	Delay DelayConfig
-	Churn ChurnConfig
 }
 
 // Enabled reports whether any fault process is configured — false means the
 // channel is ideal and no Model needs to exist.
 func (c Config) Enabled() bool {
-	return c.Loss.Enabled() || c.Delay.Enabled() || c.Churn.Enabled()
+	return c.Loss.Enabled() || c.Delay.Enabled()
 }
 
-// WithDefaults returns c with unset loss-model fields defaulted.
-func (c Config) WithDefaults() Config {
-	c.Loss = c.Loss.withDefaults()
-	return c
-}
-
-// Validate reports configuration errors. It applies defaults first, so a
-// Config straight from flags validates the same way NewModel sees it.
+// Validate reports configuration errors.
 func (c Config) Validate() error {
-	c = c.WithDefaults()
 	if err := c.Loss.validate(); err != nil {
 		return err
 	}
-	if err := c.Delay.validate(); err != nil {
-		return err
-	}
-	return c.Churn.validate()
+	return c.Delay.validate()
 }
 
-// LossProcess is one receiver's loss chain. Bernoulli draws one uniform per
-// packet; Gilbert–Elliott draws exactly two (loss decision, then state
-// transition), so the stream position after k packets is config-independent
-// within a model — reproducibility per seed is trivial to audit.
-type LossProcess struct {
-	cfg LossConfig
-	pGB float64 // Good→Bad transition probability
-	pBG float64 // Bad→Good transition probability
-	bad bool
-	rng *xrand.Source
-}
-
-// NewLossProcess builds a chain over its own random source. cfg must have
-// passed Validate; defaults are applied here so callers can pass a raw
-// config. The chain starts in the Good state.
-func NewLossProcess(cfg LossConfig, rng *xrand.Source) *LossProcess {
-	cfg = cfg.withDefaults()
-	p := &LossProcess{cfg: cfg, rng: rng}
-	if cfg.Model == GilbertElliott && cfg.Enabled() {
-		_, p.pGB, p.pBG = cfg.geParams()
-	}
-	return p
-}
-
-// Bad reports whether the chain currently sits in the Bad (burst) state.
-func (p *LossProcess) Bad() bool { return p.bad }
-
-// Lost advances the chain by one packet and reports whether that packet is
-// dropped.
-func (p *LossProcess) Lost() bool {
-	if !p.cfg.Enabled() {
-		return false
-	}
-	if p.cfg.Model == Bernoulli {
-		return p.rng.Float64() < p.cfg.Rate
-	}
-	// Gilbert–Elliott: emit from the current state, then transition.
-	loss := p.cfg.GoodLoss
-	if p.bad {
-		loss = p.cfg.BadLoss
-	}
-	lost := p.rng.Float64() < loss
-	if u := p.rng.Float64(); p.bad {
-		if u < p.pBG {
-			p.bad = false
-		}
-	} else {
-		if u < p.pGB {
-			p.bad = true
-		}
-	}
-	return lost
-}
-
-// Model is one run's channel state: per-receiver loss chains, the delay
-// substream parent, and the churn substream root. Build with NewModel; nil
-// is the ideal channel everywhere a *Model is accepted. The loss chains
-// are single-goroutine state like the engine that advances them; the delay
-// parent is derivation-only and therefore safe to key from concurrently.
+// Model is one run's channel state: per-receiver loss chains and the delay
+// substream parent. Build with NewModel; nil is the ideal channel
+// everywhere a *Model is accepted. The loss chains are single-goroutine
+// state like the engine that advances them; the delay parent is
+// derivation-only and therefore safe to key from concurrently.
 type Model struct {
 	cfg   Config
-	links []*LossProcess // per-receiver chains; nil when loss is off
-	delay *xrand.Source  // keyed per-delivery delay parent; nil when delay is off
-	root  *xrand.Source
+	links []*xrand.Source // per-receiver loss chains; nil when loss is off
+	delay *xrand.Source   // keyed per-delivery delay parent; nil when delay is off
 }
 
 // NewModel validates cfg and builds the channel state for n receivers over
 // the given root substream. An ideal cfg returns (nil, nil): callers keep a
 // nil Model and pay nothing.
 func NewModel(cfg Config, n int, rng *xrand.Source) (*Model, error) {
-	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -281,11 +109,11 @@ func NewModel(cfg Config, n int, rng *xrand.Source) (*Model, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("channel: need a positive receiver count, got %d", n)
 	}
-	m := &Model{cfg: cfg, root: rng}
+	m := &Model{cfg: cfg}
 	if cfg.Loss.Enabled() {
-		m.links = make([]*LossProcess, n)
+		m.links = make([]*xrand.Source, n)
 		for i := range m.links {
-			m.links[i] = NewLossProcess(cfg.Loss, rng.Sub('l', uint64(i)))
+			m.links[i] = rng.Sub('l', uint64(i))
 		}
 	}
 	if cfg.Delay.Enabled() {
@@ -294,32 +122,20 @@ func NewModel(cfg Config, n int, rng *xrand.Source) (*Model, error) {
 	return m, nil
 }
 
-// Config returns the validated configuration the model was built from.
-func (m *Model) Config() Config { return m.cfg }
-
 // LossEnabled reports whether receptions can be dropped. Safe on nil.
 func (m *Model) LossEnabled() bool { return m != nil && m.links != nil }
 
-// Lost advances receiver id's loss chain by one packet and reports whether
-// that reception is dropped.
-func (m *Model) Lost(id int) bool {
-	if !m.LossEnabled() {
-		return false
-	}
-	return m.links[id].Lost()
-}
-
 // FilterLost removes lost receivers from ids in place (preserving order)
-// and returns the kept prefix. Chains advance once per listed receiver, in
-// the order given — callers pass ascending ids, so randomness consumption
-// is position-independent and deterministic.
+// and returns the kept prefix. Each listed receiver's chain draws one
+// uniform, in the order given — callers pass ascending ids, so randomness
+// consumption is position-independent and deterministic.
 func (m *Model) FilterLost(ids []int) []int {
 	if !m.LossEnabled() {
 		return ids
 	}
 	kept := ids[:0]
 	for _, id := range ids {
-		if !m.links[id].Lost() {
+		if m.links[id].Float64() >= m.cfg.Loss.Rate {
 			kept = append(kept, id)
 		}
 	}
@@ -358,19 +174,4 @@ func (m *Model) HelloDelay(sender, rid int, sentBits uint64) float64 {
 func (m *Model) FloodDelay(fid uint64, sender, rid int) float64 {
 	d := m.delay.Derive(delayKindFlood, fid, uint64(sender), uint64(rid))
 	return d.Uniform(m.cfg.Delay.Min, m.cfg.Delay.Max)
-}
-
-// ChurnEnabled reports whether the node fault process is active. Safe on nil.
-func (m *Model) ChurnEnabled() bool { return m != nil && m.cfg.Churn.Enabled() }
-
-// ChurnMeans returns the exponential holding-time means (up, down).
-func (m *Model) ChurnMeans() (up, down float64) {
-	return m.cfg.Churn.MeanUp, m.cfg.Churn.MeanDown
-}
-
-// ChurnRNG derives node id's dedicated churn substream. The derivation is
-// pure, so the schedule a node fails on is independent of every other
-// stochastic process in the run.
-func (m *Model) ChurnRNG(id int) *xrand.Source {
-	return m.root.Sub('k', uint64(id))
 }

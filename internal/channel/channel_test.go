@@ -11,31 +11,26 @@ func TestConfigValidate(t *testing.T) {
 	good := []Config{
 		{},
 		{Loss: LossConfig{Rate: 0.3}},
-		{Loss: LossConfig{Model: GilbertElliott, Rate: 0.2}},
-		{Loss: LossConfig{Model: GilbertElliott, Rate: 0.2, MeanBurst: 4, GoodLoss: 0.01, BadLoss: 0.9}},
 		{Delay: DelayConfig{Max: 0.5}},
 		{Delay: DelayConfig{Min: 0.1, Max: 0.5}},
-		{Churn: ChurnConfig{MeanUp: 20, MeanDown: 2}},
+		{Delay: DelayConfig{Min: 0.5, Max: 0.5}},
 	}
 	for i, c := range good {
 		if err := c.Validate(); err != nil {
 			t.Errorf("case %d: valid config rejected: %v", i, err)
 		}
 	}
+	nan, inf := math.NaN(), math.Inf(1)
 	bad := []Config{
 		{Loss: LossConfig{Rate: -0.1}},
 		{Loss: LossConfig{Rate: 1}},
-		{Loss: LossConfig{Model: GilbertElliott, Rate: 0.2, MeanBurst: 0.5}},
-		{Loss: LossConfig{Model: GilbertElliott, Rate: 0.2, GoodLoss: 0.5, BadLoss: 0.4}},
-		{Loss: LossConfig{Model: GilbertElliott, Rate: 0.05, GoodLoss: 0.1}},
-		// Unreachable stationary rate: piB/(1-piB) / MeanBurst > 1.
-		{Loss: LossConfig{Model: GilbertElliott, Rate: 0.9, MeanBurst: 1}},
-		{Loss: LossConfig{Model: LossModel(9), Rate: 0.1}},
+		{Loss: LossConfig{Rate: nan}},
 		{Delay: DelayConfig{Min: -1, Max: 1}},
 		{Delay: DelayConfig{Min: 2, Max: 1}},
-		{Churn: ChurnConfig{MeanUp: 20}},
-		{Churn: ChurnConfig{MeanDown: 2}},
-		{Churn: ChurnConfig{MeanUp: -1, MeanDown: -1}},
+		{Delay: DelayConfig{Min: nan, Max: 1}},
+		{Delay: DelayConfig{Max: nan}},
+		{Delay: DelayConfig{Max: inf}},
+		{Delay: DelayConfig{Min: inf, Max: inf}},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -53,7 +48,7 @@ func TestIdealConfigBuildsNoModel(t *testing.T) {
 		t.Fatalf("ideal config built a model: %+v", m)
 	}
 	// The nil model is usable everywhere.
-	if m.LossEnabled() || m.DelayEnabled() || m.ChurnEnabled() {
+	if m.LossEnabled() || m.DelayEnabled() {
 		t.Error("nil model reports an enabled fault process")
 	}
 	ids := []int{1, 2, 3}
@@ -64,105 +59,20 @@ func TestIdealConfigBuildsNoModel(t *testing.T) {
 
 func TestBernoulliLongRunRate(t *testing.T) {
 	for _, rate := range []float64{0.05, 0.2, 0.5} {
-		p := NewLossProcess(LossConfig{Rate: rate}, xrand.New(7).Sub('l', 0))
-		const n = 200000
-		lost := 0
-		for i := 0; i < n; i++ {
-			if p.Lost() {
-				lost++
-			}
+		m, err := NewModel(Config{Loss: LossConfig{Rate: rate}}, 1, xrand.New(7))
+		if err != nil {
+			t.Fatal(err)
 		}
-		got := float64(lost) / n
+		const n = 200000
+		kept := 0
+		ids := []int{0}
+		for i := 0; i < n; i++ {
+			kept += len(m.FilterLost(ids[:1]))
+		}
+		got := 1 - float64(kept)/n
 		if math.Abs(got-rate) > 0.01 {
 			t.Errorf("rate %g: long-run loss %g", rate, got)
 		}
-	}
-}
-
-// lossBits draws n packets and returns the loss sequence.
-func lossBits(cfg LossConfig, seed uint64, n int) []bool {
-	p := NewLossProcess(cfg, xrand.New(seed))
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = p.Lost()
-	}
-	return out
-}
-
-func TestGilbertElliottReproduciblePerSeed(t *testing.T) {
-	cfg := LossConfig{Model: GilbertElliott, Rate: 0.2, MeanBurst: 6}
-	a := lossBits(cfg, 42, 5000)
-	b := lossBits(cfg, 42, 5000)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("sequences diverge at packet %d", i)
-		}
-	}
-	c := lossBits(cfg, 43, 5000)
-	same := 0
-	for i := range a {
-		if a[i] == c[i] {
-			same++
-		}
-	}
-	if same == len(a) {
-		t.Error("distinct seeds produced identical loss sequences")
-	}
-}
-
-func TestGilbertElliottStationaryRate(t *testing.T) {
-	cases := []LossConfig{
-		{Model: GilbertElliott, Rate: 0.1},
-		{Model: GilbertElliott, Rate: 0.3, MeanBurst: 4},
-		{Model: GilbertElliott, Rate: 0.15, MeanBurst: 10, GoodLoss: 0.02, BadLoss: 0.8},
-	}
-	for _, cfg := range cases {
-		if err := (Config{Loss: cfg}).Validate(); err != nil {
-			t.Fatalf("config %+v: %v", cfg, err)
-		}
-		const n = 400000
-		lost := 0
-		p := NewLossProcess(cfg, xrand.New(2026).Sub('t'))
-		for i := 0; i < n; i++ {
-			if p.Lost() {
-				lost++
-			}
-		}
-		got := float64(lost) / n
-		// Bursty chains mix slowly; 400k packets put the sample mean well
-		// within ±0.015 of the stationary rate for these burst lengths.
-		if math.Abs(got-cfg.Rate) > 0.015 {
-			t.Errorf("config %+v: long-run loss %g, want %g", cfg, got, cfg.Rate)
-		}
-	}
-}
-
-func TestGilbertElliottBursts(t *testing.T) {
-	// With pure erasure states, losses arrive in runs whose mean length
-	// tracks MeanBurst — the property that distinguishes the chain from
-	// Bernoulli at the same rate.
-	cfg := LossConfig{Model: GilbertElliott, Rate: 0.2, MeanBurst: 8}
-	bits := lossBits(cfg, 99, 400000)
-	runs, runLen := 0, 0
-	cur := 0
-	for _, lost := range bits {
-		if lost {
-			cur++
-		} else if cur > 0 {
-			runs++
-			runLen += cur
-			cur = 0
-		}
-	}
-	if runs == 0 {
-		t.Fatal("no loss bursts observed")
-	}
-	mean := float64(runLen) / float64(runs)
-	// The observed burst length is the Bad-state sojourn truncated by the
-	// (rare at these parameters) within-state delivery, so it sits near
-	// MeanBurst and far above the Bernoulli expectation 1/(1-rate) = 1.25.
-	if mean < 4 || mean > 12 {
-		t.Errorf("mean burst length %g, want near %g", mean, cfg.MeanBurst)
 	}
 }
 
@@ -202,16 +112,17 @@ func TestFilterLostPreservesOrderAndAdvancesPerReceiver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reference: the same per-receiver substreams drawn directly.
-	ref := make([]*LossProcess, 6)
+	// Reference: the same per-receiver substreams drawn directly, one
+	// uniform per packet.
+	ref := make([]*xrand.Source, 6)
 	for i := range ref {
-		ref[i] = NewLossProcess(cfg.Loss, xrand.New(11).Sub('l', uint64(i)))
+		ref[i] = xrand.New(11).Sub('l', uint64(i))
 	}
 	ids := []int{0, 2, 3, 5}
 	for round := 0; round < 200; round++ {
 		var want []int
 		for _, id := range ids {
-			if !ref[id].Lost() {
+			if ref[id].Float64() >= cfg.Loss.Rate {
 				want = append(want, id)
 			}
 		}
@@ -225,23 +136,5 @@ func TestFilterLostPreservesOrderAndAdvancesPerReceiver(t *testing.T) {
 				t.Fatalf("round %d: kept %v, want %v", round, got, want)
 			}
 		}
-	}
-}
-
-func TestChurnRNGIndependentPerNode(t *testing.T) {
-	m, err := NewModel(Config{Churn: ChurnConfig{MeanUp: 10, MeanDown: 1}}, 4, xrand.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if up, down := m.ChurnMeans(); up != 10 || down != 1 {
-		t.Fatalf("churn means (%g, %g)", up, down)
-	}
-	a := m.ChurnRNG(0).Float64()
-	b := m.ChurnRNG(1).Float64()
-	if a == b { //lint:ignore float-eq independent substreams colliding exactly is the failure under test
-		t.Error("distinct nodes share a churn stream")
-	}
-	if again := m.ChurnRNG(0).Float64(); again != a { //lint:ignore float-eq pure derivation must reproduce exactly
-		t.Error("ChurnRNG derivation is not pure")
 	}
 }

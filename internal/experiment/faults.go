@@ -12,8 +12,8 @@ import (
 // Fault-injection experiments — the evaluation of the non-ideal channel
 // subsystem (internal/channel), beyond the paper's ideal-medium figures:
 //
-//   - figLoss / figChurn: weak (flood) connectivity versus stochastic
-//     packet loss and node churn, per baseline protocol.
+//   - figLoss: weak (flood) connectivity versus i.i.d. packet loss, per
+//     baseline protocol.
 //   - figDelay: strict effective-topology connectivity versus the bounded
 //     "Hello" delivery delay Δ″ — the degradation Theorem 5 analyses.
 //   - figBufferZone: the empirical Theorem 5 check. For each Δ″, sweep the
@@ -68,15 +68,15 @@ func faultSweep(o Options, protocols []string, speed float64, mech manet.Mechani
 }
 
 // figLoss plots weak connectivity of the baseline protocols against the
-// per-packet loss rate under the given loss model, at moderate mobility
-// (20 m/s average). Rate 0 is the ideal channel.
-func figLoss(o Options, model channel.LossModel, rates []float64) (Figure, error) {
+// per-packet (Bernoulli) loss rate, at moderate mobility (20 m/s average).
+// Rate 0 is the ideal channel.
+func figLoss(o Options, rates []float64) (Figure, error) {
 	const speed = 20
 	specs := make([]faultSpec, 0, len(rates))
 	for _, rate := range rates {
 		var ch channel.Config
 		if rate > 0 {
-			ch.Loss = channel.LossConfig{Model: model, Rate: rate}
+			ch.Loss = channel.LossConfig{Rate: rate}
 		}
 		specs = append(specs, faultSpec{x: rate, ch: ch})
 	}
@@ -86,7 +86,7 @@ func figLoss(o Options, model channel.LossModel, rates []float64) (Figure, error
 		return Figure{}, err
 	}
 	return Figure{
-		Title:  fmt.Sprintf("Faults: connectivity vs %s loss rate (20 m/s)", model),
+		Title:  "Faults: connectivity vs bernoulli loss rate (20 m/s)",
 		XLabel: "loss rate",
 		YLabel: "connectivity ratio",
 		Series: series,
@@ -122,36 +122,6 @@ func figDelay(o Options, delays []float64) (Figure, error) {
 		Title:  "Faults: snapshot connectivity vs max Hello delay (20 m/s, no buffer)",
 		XLabel: "max delay (s)",
 		YLabel: "snapshot connectivity",
-		Series: series,
-	}, nil
-}
-
-// figChurn plots weak connectivity of the baseline protocols against the
-// expected fraction of nodes down under channel churn (mean outage fixed at
-// 2 s; the up-time follows from the target fraction). Fraction 0 is the
-// ideal channel.
-func figChurn(o Options, downFracs []float64) (Figure, error) {
-	const speed, meanDown = 20, 2.0
-	specs := make([]faultSpec, 0, len(downFracs))
-	for _, frac := range downFracs {
-		var ch channel.Config
-		if frac > 0 {
-			ch.Churn = channel.ChurnConfig{
-				MeanUp:   meanDown * (1 - frac) / frac,
-				MeanDown: meanDown,
-			}
-		}
-		specs = append(specs, faultSpec{x: frac, ch: ch})
-	}
-	series, err := faultSweep(o, BaselineNames(), speed, manet.Mechanisms{}, specs,
-		func(r manet.Result) float64 { return r.Connectivity })
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
-		Title:  "Faults: connectivity vs expected fraction of nodes down (20 m/s)",
-		XLabel: "down fraction",
-		YLabel: "connectivity ratio",
 		Series: series,
 	}, nil
 }
@@ -233,21 +203,15 @@ func figBufferZone(o Options, avgSpeed float64, delays, buffers []float64) (Figu
 	return f, t, nil
 }
 
-// faults renders the fault-injection figures: connectivity under each loss
-// model, strict connectivity under Hello delay, and connectivity under churn.
+// faults renders the fault-injection figures: connectivity under loss and
+// strict connectivity under Hello delay.
 func faults(o Options) ([]Output, error) {
 	parts := []struct {
 		file string
 		fig  func() (Figure, error)
 	}{
-		{"faults_loss_" + channel.Bernoulli.String() + ".dat", func() (Figure, error) {
-			return figLoss(o, channel.Bernoulli, []float64{0, 0.1, 0.2, 0.4, 0.6})
-		}},
-		{"faults_loss_" + channel.GilbertElliott.String() + ".dat", func() (Figure, error) {
-			return figLoss(o, channel.GilbertElliott, []float64{0, 0.1, 0.2, 0.4, 0.6})
-		}},
+		{"faults_loss_bernoulli.dat", func() (Figure, error) { return figLoss(o, []float64{0, 0.1, 0.2, 0.4, 0.6}) }},
 		{"faults_delay.dat", func() (Figure, error) { return figDelay(o, []float64{0, 0.25, 0.5, 1.0}) }},
-		{"faults_churn.dat", func() (Figure, error) { return figChurn(o, []float64{0, 0.1, 0.25, 0.5}) }},
 	}
 	var outs []Output
 	for _, p := range parts {

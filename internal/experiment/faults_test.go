@@ -5,8 +5,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-
-	"mstc/internal/channel"
 )
 
 // faultOptions is a tiny but physically meaningful scale for the fault
@@ -22,7 +20,7 @@ func faultOptions() Options {
 
 func TestFigLossDegradesMonotonically(t *testing.T) {
 	rates := []float64{0, 0.3, 0.7}
-	f, err := figLoss(faultOptions(), channel.Bernoulli, rates)
+	f, err := figLoss(faultOptions(), rates)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,19 +50,6 @@ func TestFigDelayRuns(t *testing.T) {
 			if y <= 0 || y > 1 {
 				t.Errorf("%s[%d]: snapshot connectivity %.3f outside (0, 1]", s.Name, i, y)
 			}
-		}
-	}
-}
-
-func TestFigChurnDegrades(t *testing.T) {
-	f, err := figChurn(faultOptions(), []float64{0, 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range f.Series {
-		if s.Y[1] >= s.Y[0] {
-			t.Errorf("%s: connectivity %.3f with half the nodes down >= %.3f ideal",
-				s.Name, s.Y[1], s.Y[0])
 		}
 	}
 }
@@ -120,7 +105,7 @@ func TestKneeOf(t *testing.T) {
 }
 
 // TestFaultsWarmStoreComputesNothing checks that faults journals every
-// run of its parts (loss, delay, churn) into the store, and that a second
+// run of its parts (loss, delay) into the store, and that a second
 // faults over the same store computes nothing and renders the same
 // outputs.
 func TestFaultsWarmStoreComputesNothing(t *testing.T) {

@@ -25,13 +25,12 @@ func TestStoredRecordIdentity(t *testing.T) {
 		{"channel", func() Options {
 			o := QuickOptions()
 			o.Channel = channel.Config{
-				Loss:  channel.LossConfig{Model: channel.GilbertElliott, Rate: 0.2, MeanBurst: 4, BadLoss: 0.9},
+				Loss:  channel.LossConfig{Rate: 0.2},
 				Delay: channel.DelayConfig{Min: 0.001, Max: 0.004},
-				Churn: channel.ChurnConfig{MeanUp: 30, MeanDown: 2},
 			}
 			o.SnapshotEvery = 0.5
 			return o
-		}(), "7c21d0484ead1f8f5136af6d15400863"},
+		}(), "84c467c5b488fd206258bd85f44e3214"},
 	}
 	for _, tc := range fps {
 		if got := tc.o.Fingerprint(); got != tc.want {
@@ -68,12 +67,16 @@ func TestStoredRecordIdentity(t *testing.T) {
 			"MST speed=40 rep=0 mech={Buffer:1e-05 ViewSync:false PhysicalNeighbors:false WeakK:3 Reactive:false CDSForward:false SelfPruning:false Proactive:false}",
 			0xf3b997b1889dfa03},
 		{"channel", Run{Protocol: "RNG", Speed: 40, Rep: 2, Channel: channel.Config{
-			Loss:  channel.LossConfig{Model: channel.GilbertElliott, Rate: 0.2, MeanBurst: 4, BadLoss: 0.9},
+			Loss:  channel.LossConfig{Rate: 0.2},
 			Delay: channel.DelayConfig{Max: 0.003},
-			Churn: channel.ChurnConfig{MeanUp: 30, MeanDown: 2},
 		}},
-			"RNG speed=40 rep=2 mech={Buffer:0 ViewSync:false PhysicalNeighbors:false WeakK:0 Reactive:false CDSForward:false SelfPruning:false Proactive:false} chan={Loss:{Model:gilbert Rate:0.2 MeanBurst:4 GoodLoss:0 BadLoss:0.9} Delay:{Min:0 Max:0.003} Churn:{MeanUp:30 MeanDown:2}}",
-			0xcab9d92050a7304d},
+			"RNG speed=40 rep=2 mech={Buffer:0 ViewSync:false PhysicalNeighbors:false WeakK:0 Reactive:false CDSForward:false SelfPruning:false Proactive:false} chan={Loss:{Model:bernoulli Rate:0.2 MeanBurst:0 GoodLoss:0 BadLoss:0} Delay:{Min:0 Max:0.003} Churn:{MeanUp:0 MeanDown:0}}",
+			0x964c617f1e2b8058},
+		{"bufferzone-delay", Run{Protocol: "MST", Speed: 20, Channel: channel.Config{
+			Delay: channel.DelayConfig{Min: 0.5, Max: 0.5},
+		}},
+			"MST speed=20 rep=0 mech={Buffer:0 ViewSync:false PhysicalNeighbors:false WeakK:0 Reactive:false CDSForward:false SelfPruning:false Proactive:false} chan={Loss:{Model:bernoulli Rate:0 MeanBurst:0 GoodLoss:0 BadLoss:0} Delay:{Min:0.5 Max:0.5} Churn:{MeanUp:0 MeanDown:0}}",
+			0xc5cb44508d7fbe0a},
 		{"traffic", Run{Protocol: "SPT-2", Speed: 20, Traffic: traffic.Config{Mode: traffic.OLSR, Flows: 4, Rate: 2, TCInterval: 5}},
 			"SPT-2 speed=20 rep=0 mech={Buffer:0 ViewSync:false PhysicalNeighbors:false WeakK:0 Reactive:false CDSForward:false SelfPruning:false Proactive:false} traffic={Mode:olsr Flows:4 Rate:2 Packets:0 TTLStart:0 TTLMax:0 MaxRetries:0 RingTimeout:0 RouteLifetime:0 TCInterval:5}",
 			0x9d8de0b20cafbc4d},

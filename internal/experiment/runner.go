@@ -57,7 +57,7 @@ type Options struct {
 	// medium's defaults). Results are independent of the bounded-staleness
 	// knob Radio.Slack by construction; the determinism tests pin that.
 	Radio radio.Config
-	// Channel applies a non-ideal channel (loss, delay, churn) to every run
+	// Channel applies a non-ideal channel (loss, delay) to every run
 	// that does not set its own Run.Channel. The zero value is the ideal
 	// channel, and leaves every substream label — and hence every result —
 	// bit-identical to an evaluation without the subsystem.
@@ -219,18 +219,20 @@ func (r Run) key() uint64 {
 	word(uint64(r.Mech.WeakK))
 	// Channel parameters are hashed only when the task's channel is
 	// non-ideal: the ideal default must keep every pre-channel substream
-	// label (and hence every golden digest) bit-identical.
+	// label (and hence every golden digest) bit-identical. The retired
+	// loss-model byte and burst-loss and churn words stay as zeros, so
+	// store addresses stay put.
 	if r.Channel.Enabled() {
 		mix(1)
-		mix(byte(r.Channel.Loss.Model))
+		mix(0)
 		word(math.Float64bits(r.Channel.Loss.Rate))
-		word(math.Float64bits(r.Channel.Loss.MeanBurst))
-		word(math.Float64bits(r.Channel.Loss.GoodLoss))
-		word(math.Float64bits(r.Channel.Loss.BadLoss))
+		word(0)
+		word(0)
+		word(0)
 		word(math.Float64bits(r.Channel.Delay.Min))
 		word(math.Float64bits(r.Channel.Delay.Max))
-		word(math.Float64bits(r.Channel.Churn.MeanUp))
-		word(math.Float64bits(r.Channel.Churn.MeanDown))
+		word(0)
+		word(0)
 	}
 	// Workload overrides follow the same conditional pattern, each under
 	// its own domain-separation byte: flood-workload run keys (and hence

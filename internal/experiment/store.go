@@ -66,15 +66,17 @@ func (o Options) Fingerprint() string {
 	for range 4 {
 		word(0)
 	}
-	word(uint64(o.Channel.Loss.Model))
+	// The retired loss-model, burst-loss and churn fields likewise stay
+	// as zero words.
+	word(0)
 	f(o.Channel.Loss.Rate)
-	f(o.Channel.Loss.MeanBurst)
-	f(o.Channel.Loss.GoodLoss)
-	f(o.Channel.Loss.BadLoss)
+	for range 3 {
+		word(0)
+	}
 	f(o.Channel.Delay.Min)
 	f(o.Channel.Delay.Max)
-	f(o.Channel.Churn.MeanUp)
-	f(o.Channel.Churn.MeanDown)
+	word(0)
+	word(0)
 	f(o.SnapshotEvery)
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
@@ -90,7 +92,13 @@ func (r Run) desc() string {
 	d := fmt.Sprintf("%s speed=%g rep=%d mech={Buffer:%g ViewSync:%t PhysicalNeighbors:%t WeakK:%d Reactive:%t CDSForward:false SelfPruning:false Proactive:%t}",
 		r.Protocol, r.Speed, r.Rep, m.Buffer, m.ViewSync, m.PhysicalNeighbors, m.WeakK, m.Reactive, m.Proactive)
 	if r.Channel.Enabled() {
-		d += fmt.Sprintf(" chan=%+v", r.Channel)
+		// The channel too is written field by field, in the layout %+v
+		// gave it when it still had a loss model, burst-loss parameters
+		// and churn. Every configuration that survives held bernoulli and
+		// zeros there.
+		c := r.Channel
+		d += fmt.Sprintf(" chan={Loss:{Model:bernoulli Rate:%g MeanBurst:0 GoodLoss:0 BadLoss:0} Delay:{Min:%g Max:%g} Churn:{MeanUp:0 MeanDown:0}}",
+			c.Loss.Rate, c.Delay.Min, c.Delay.Max)
 	}
 	if r.Traffic.Enabled() {
 		d += fmt.Sprintf(" traffic=%+v", r.Traffic)

@@ -20,7 +20,10 @@ import (
 // sweepTestTasks mixes ideal-channel and faulty-channel runs across
 // several configuration groups (6 ideal + 2 faulty groups, 2 reps each).
 func sweepTestTasks() []Run {
-	lossy := channel.Config{Loss: channel.LossConfig{Model: channel.GilbertElliott, Rate: 0.2}}
+	lossy := channel.Config{
+		Loss:  channel.LossConfig{Rate: 0.2},
+		Delay: channel.DelayConfig{Max: 0.05},
+	}
 	var tasks []Run
 	for rep := 0; rep < 2; rep++ {
 		for _, p := range []string{"RNG", "MST", "SPT-2"} {

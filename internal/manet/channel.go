@@ -14,16 +14,14 @@ import (
 // engine as a pooled helloDelivery actor, on the region-parallel engine on
 // its receiver's domain heap.
 
-// observe is one "Hello" reception: receiver rid stores msg unless it is
-// down at instant at. The hello table keeps the k highest versions per
-// sender, so out-of-order arrivals — a short delay overtaking a long one —
-// resolve correctly without reordering here.
+// observe is one "Hello" reception: receiver rid stores msg. The hello
+// table keeps the k highest versions per sender, so out-of-order arrivals
+// — a short delay overtaking a long one — resolve correctly without
+// reordering here.
 //
 //manet:noalloc
-func (nw *Network) observe(rid int, msg hello.Message, at float64) {
-	if nd := nw.nodes[rid]; !nd.isDown(at) {
-		nd.table.Observe(msg)
-	}
+func (nw *Network) observe(rid int, msg hello.Message) {
+	nw.nodes[rid].table.Observe(msg)
 }
 
 // receive hands a beacon sent at msg.SentAt to its receivers on the serial
@@ -34,7 +32,7 @@ func (nw *Network) receive(msg hello.Message, receivers []int) {
 		return
 	}
 	for _, rid := range receivers {
-		nw.observe(rid, msg, msg.SentAt)
+		nw.observe(rid, msg)
 	}
 }
 
@@ -55,10 +53,10 @@ type helloDelivery struct {
 // Act resolves the delivery.
 //
 //manet:noalloc
-func (d *helloDelivery) Act(now sim.Time) {
+func (d *helloDelivery) Act(sim.Time) {
 	nw, r := d.nw, d.helloRecv
 	nw.hellos.put(d)
-	nw.observe(r.rid, r.msg, now)
+	nw.observe(r.rid, r.msg)
 }
 
 // scheduleHellos defers msg's delivery to every receiver by an independent

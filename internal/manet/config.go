@@ -72,15 +72,11 @@ type Config struct {
 	// Radio configures the medium's bounded-staleness grid. Loss and
 	// delay are the channel's (Channel).
 	Radio radio.Config
-	// Channel configures the non-ideal channel subsystem: stochastic
-	// per-packet loss (Bernoulli or Gilbert–Elliott), bounded random
-	// per-delivery delay (Theorem 5's Δ″), and node churn driven by
-	// dedicated substreams. The zero value is the ideal channel and is
-	// provably bit-identical to not having the subsystem at all. Churn
-	// (Channel.Churn) makes each node alternate between up and down states
-	// with exponentially distributed durations; a down node neither
-	// beacons, receives, nor forwards — the failure model behind the
-	// fault-tolerance discussion of §2.2.
+	// Channel configures the non-ideal channel subsystem: i.i.d.
+	// per-packet loss and bounded random per-delivery delay (Theorem 5's
+	// Δ″), driven by dedicated substreams. The zero value is the ideal
+	// channel and is provably bit-identical to not having the subsystem
+	// at all.
 	Channel channel.Config
 	// FloodRate is floods per second used to probe weak connectivity
 	// (10 in the paper). 0 disables flooding.
@@ -257,13 +253,8 @@ func (c Config) checkFinite() error {
 		{"Mech.Buffer", c.Mech.Buffer},
 		{"Radio.Slack", c.Radio.Slack},
 		{"Channel.Loss.Rate", c.Channel.Loss.Rate},
-		{"Channel.Loss.MeanBurst", c.Channel.Loss.MeanBurst},
-		{"Channel.Loss.GoodLoss", c.Channel.Loss.GoodLoss},
-		{"Channel.Loss.BadLoss", c.Channel.Loss.BadLoss},
 		{"Channel.Delay.Min", c.Channel.Delay.Min},
 		{"Channel.Delay.Max", c.Channel.Delay.Max},
-		{"Channel.Churn.MeanUp", c.Channel.Churn.MeanUp},
-		{"Channel.Churn.MeanDown", c.Channel.Churn.MeanDown},
 		{"FloodRate", c.FloodRate},
 		{"Traffic.Rate", c.Traffic.Rate},
 		{"Traffic.RingTimeout", c.Traffic.RingTimeout},

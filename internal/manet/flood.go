@@ -56,17 +56,12 @@ func (nw *Network) originateFlood(now sim.Time) {
 }
 
 // sendPreamble is the sender side every data transmission opens with, on
-// either engine and for every packet kind: a failed sender sends nothing
-// (false), otherwise it re-selects (see reselect) and pays the energy of
-// one transmission at its current range. The caller counts the
-// transmission under its packet kind.
-func (nw *Network) sendPreamble(nd *node, now sim.Time, pin uint64) bool {
-	if nd.isDown(now) {
-		return false // failed between acceptance and forward
-	}
+// either engine and for every packet kind: the sender re-selects (see
+// reselect) and pays the energy of one transmission at its current range.
+// The caller counts the transmission under its packet kind.
+func (nw *Network) sendPreamble(nd *node, now sim.Time, pin uint64) {
 	nw.reselect(nd, now, pin)
 	nw.dataEnergy += energyOf(nd.txRange/nw.cfg.NormalRange, nw.cfg.EnergyAlpha)
-	return true
 }
 
 // reselect is a forwarder's on-the-fly re-selection: on the view pinned to
@@ -96,9 +91,7 @@ func (nw *Network) carries(nd *node, rid int) bool {
 // jitter.
 func (nw *Network) transmit(fl *flood, sender int, now sim.Time) {
 	nd := nw.nodes[sender]
-	if !nw.sendPreamble(nd, now, fl.pin) {
-		return
-	}
+	nw.sendPreamble(nd, now, fl.pin)
 	nw.dataTx++
 	receivers := nw.med.Transmit(now, sender, nd.txRange, nw.recvBuf[:0])
 	nw.recvBuf = receivers
@@ -135,14 +128,14 @@ type floodRecv struct {
 	rid int
 }
 
-// accept is a flood reception's acceptance step at instant at, resolved at
-// delivery time because the receiver may have accepted a concurrent copy
-// meanwhile (or failed). It reports whether the receiver accepts — and so
+// accept is a flood reception's acceptance step, resolved at delivery
+// time because the receiver may have accepted a concurrent copy
+// meanwhile. It reports whether the receiver accepts — and so
 // counts and forwards — the packet: blind flooding over the controlled
 // topology (§5.1).
-func (nw *Network) accept(r floodRecv, at float64) bool {
+func (nw *Network) accept(r floodRecv) bool {
 	fl, rid := r.fl, r.rid
-	if fl.accepted[rid] || nw.nodes[rid].isDown(at) {
+	if fl.accepted[rid] {
 		return false
 	}
 	fl.accepted[rid] = true
@@ -165,7 +158,7 @@ func (d *delivery) Act(later sim.Time) {
 	// Release before resolving: the recursive transmit below may pool new
 	// deliveries, and d's payload is already copied out.
 	nw.dels.put(d)
-	if nw.accept(r, later) {
+	if nw.accept(r) {
 		nw.transmit(r.fl, r.rid, later)
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 // FuzzParallelMatchesSerial is the fuzzed form of
 // TestParallelMatchesSerialMatrix: a small random-waypoint network under a
-// fuzzer-drawn configuration — mechanism, channel loss, delay and churn,
+// fuzzer-drawn configuration — mechanism, channel loss and delay,
 // position noise, the reactive, proactive and weak
 // schemes — runs once on the serial engine and once on a 1×1 to 3×3 domain
 // grid with 1 to 4 workers. Either NewNetwork rejects the configuration, or
@@ -23,7 +23,7 @@ func FuzzParallelMatchesSerial(f *testing.F) {
 	f.Add(uint64(3), uint8(16), uint8(7), uint16(0x0008), uint8(70), uint8(120), uint8(150), uint8(0))
 	f.Add(uint64(4), uint8(24), uint8(2), uint16(0x0217), uint8(0), uint8(40), uint8(0), uint8(30))
 	f.Add(uint64(5), uint8(12), uint8(11), uint16(0x00a0), uint8(200), uint8(0), uint8(90), uint8(120))
-	f.Fuzz(func(t *testing.T, seed uint64, nSel, grid uint8, mech uint16, loss, delay, churn, noise uint8) {
+	f.Fuzz(func(t *testing.T, seed uint64, nSel, grid uint8, mech uint16, loss, delay, delayMin, noise uint8) {
 		const dur = 4.0
 		n := 2 + int(nSel)%29
 		protocols := []topology.Protocol{topology.RNG{}, topology.MST{}, topology.SPT{Alpha: 2, Range: 250}, topology.Gabriel{}}
@@ -48,17 +48,12 @@ func FuzzParallelMatchesSerial(f *testing.F) {
 		if mech&0x200 != 0 {
 			cfg.Mech.Buffer = 10
 		}
-		switch loss % 3 {
-		case 1:
-			cfg.Channel.Loss = channel.LossConfig{Model: channel.Bernoulli, Rate: float64(loss%40) / 100}
-		case 2:
-			cfg.Channel.Loss = channel.LossConfig{Model: channel.GilbertElliott, Rate: float64(loss%40) / 100, MeanBurst: 2 + float64(loss%5)}
+		if loss%3 != 0 {
+			cfg.Channel.Loss = channel.LossConfig{Rate: float64(loss%40) / 100}
 		}
 		if delay%2 == 1 {
-			cfg.Channel.Delay = channel.DelayConfig{Max: 0.01 + float64(delay%50)/200}
-		}
-		if churn%2 == 1 {
-			cfg.Channel.Churn = channel.ChurnConfig{MeanUp: 3 + float64(churn%8), MeanDown: 0.2 + float64(churn%4)/3}
+			dMax := 0.01 + float64(delay%50)/200
+			cfg.Channel.Delay = channel.DelayConfig{Min: dMax * float64(delayMin%4) / 4, Max: dMax}
 		}
 		par := cfg
 		par.Domains = 1 + int(grid)%3
@@ -133,11 +128,14 @@ func FuzzConfigValidate(f *testing.F) {
 		// meets the whole float range across inputs.
 		switch bits >> 9 & 7 {
 		case 3:
-			cfg.Channel.Loss = channel.LossConfig{Model: channel.Bernoulli, Rate: loss}
+			cfg.Channel.Loss = channel.LossConfig{Rate: loss}
 		case 4:
 			cfg.Channel.Delay = channel.DelayConfig{Max: period}
 		case 5:
-			cfg.Channel.Churn = channel.ChurnConfig{MeanUp: period, MeanDown: loss}
+			cfg.Channel = channel.Config{
+				Loss:  channel.LossConfig{Rate: loss},
+				Delay: channel.DelayConfig{Min: loss, Max: period},
+			}
 		}
 		switch bits >> 16 & 3 {
 		case 1:

@@ -29,11 +29,7 @@ type node struct {
 	logical       []int                       // current logical neighbor ids (ascending)
 	actualRange   float64
 	txRange       float64 // actual + buffer, clamped
-	downUntil     float64 // churn: node is failed until this instant
 }
-
-// isDown reports whether the node is failed at time t.
-func (nd *node) isDown(t float64) bool { return t < nd.downUntil }
 
 // hasLogical reports whether id is one of nd's logical neighbors: a binary
 // search of the ascending logical set (2-8 entries for every protocol in
@@ -248,39 +244,19 @@ func (nw *Network) Engine() *sim.Engine { return nw.eng }
 
 // Run executes the simulation for the given duration (seconds) and returns
 // the aggregated result. It is the one driver of a run: it schedules the
-// beacons (or reactive rounds), churn, sampling, snapshots, and exactly one
+// beacons (or reactive rounds), sampling, snapshots, and exactly one
 // probe workload — floods (FloodRate), routed traffic (Traffic), or greedy
 // unicast probes (Unicast).
 //
 // With Config.Domains >= 1 (and a configuration the region-parallel engine
 // supports — see parallelEligible) the "Hello" traffic runs through the
-// domain-decomposed engine of parallel.go; everything else (floods, churn,
+// domain-decomposed engine of parallel.go; everything else (floods,
 // sampling, snapshots) stays on the serial event engine as synchronization
 // fences. Results are bit-identical either way.
 func (nw *Network) Run(duration float64) Result {
 	par := nw.parallelEligible()
 	if !par {
 		nw.scheduleBeacons()
-	}
-	// Churn: the channel's fail/recover process, drawn from the channel's
-	// own per-node substreams.
-	if nw.ch.ChurnEnabled() {
-		meanUp, meanDown := nw.ch.ChurnMeans()
-		for _, nd := range nw.nodes {
-			nd := nd
-			rng := nw.ch.ChurnRNG(nd.id)
-			var fail func(now sim.Time)
-			fail = func(now sim.Time) {
-				down := rng.ExpFloat64() * meanDown
-				nd.downUntil = now + down
-				// Losing state on failure: the node reboots with an
-				// empty neighbor table and no selection.
-				nd.table.Reset(nw.cfg.HelloExpiry)
-				nw.setSelection(nd, nil, 0)
-				nw.eng.Schedule(now+down+rng.ExpFloat64()*meanUp, fail)
-			}
-			nw.eng.Schedule(rng.ExpFloat64()*meanUp, fail)
-		}
 	}
 	if nw.cfg.FloodRate > 0 {
 		// Warm-up: let every node beacon at least twice before probing.
@@ -339,7 +315,7 @@ func (nw *Network) firstBeacon(nd *node) float64 {
 }
 
 // parallelEligible reports whether the configuration can run on the
-// region-parallel engine. Channel loss, delay and churn, reactive
+// region-parallel engine. Channel loss and delay, reactive
 // rounds, and flood forwarding are all covered: their random components
 // are pure functions of each event's identity (or per-receiver chains
 // replayed in chronological order), so domain barriers resolve them
@@ -406,9 +382,6 @@ func (nw *Network) advertiseAs(nd *node, now float64, pos geom.Point, ver uint64
 // sendHello advertises node nd's current position to everyone within the
 // normal range and refreshes nd's logical neighbor selection.
 func (nw *Network) sendHello(nd *node, now sim.Time) {
-	if nd.isDown(now) {
-		return
-	}
 	msg := nw.advertise(nd, now, nw.med.PositionAt(nd.id, now))
 	if nw.traf != nil {
 		// Outside OLSR mode the payload is nil.
@@ -430,9 +403,6 @@ func (nw *Network) scheduleReactiveRounds() {
 		round++
 		ver := round
 		for _, nd := range nw.nodes {
-			if nd.isDown(now) {
-				continue // channel churn: a failed node misses its round
-			}
 			msg := nw.advertiseAs(nd, now, nw.med.PositionAt(nd.id, now), ver)
 			nw.recvBuf = nw.med.Transmit(now, nd.id, nw.cfg.NormalRange, nw.recvBuf[:0])
 			nw.receive(msg, nw.recvBuf)

@@ -391,7 +391,7 @@ func TestLossInjection(t *testing.T) {
 	model := connectedStatic(t, 17, 80, 15)
 	nw, err := NewNetwork(model, Config{
 		Protocol: topology.RNG{}, FloodRate: 10, Seed: 10,
-		Channel: channel.Config{Loss: channel.LossConfig{Model: channel.Bernoulli, Rate: 0.1}},
+		Channel: channel.Config{Loss: channel.LossConfig{Rate: 0.1}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -427,45 +427,6 @@ func TestOverheadCounters(t *testing.T) {
 	}
 	if q := quiet.Run(10); q.DataTx != 0 {
 		t.Errorf("DataTx = %d without floods", q.DataTx)
-	}
-}
-
-func TestChurnDegradesButDoesNotCollapse(t *testing.T) {
-	// With ~10% of nodes down at any time (mean 18 s up, 2 s down), a
-	// redundant protocol keeps most of the network reachable; delivery
-	// must sit strictly between the churn-free run and collapse.
-	model := connectedStatic(t, 61, 100, 20)
-	run := func(churn channel.ChurnConfig) Result {
-		nw, err := NewNetwork(model, Config{
-			Protocol: topology.SPT{Alpha: 2, Range: 250}, FloodRate: 10, Seed: 26,
-			Channel: channel.Config{Churn: churn},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return nw.Run(20)
-	}
-	clean := run(channel.ChurnConfig{})
-	churned := run(channel.ChurnConfig{MeanUp: 18, MeanDown: 2})
-	if churned.Connectivity >= clean.Connectivity {
-		t.Errorf("churn did not hurt: %.3f vs %.3f", churned.Connectivity, clean.Connectivity)
-	}
-	if churned.Connectivity < 0.3 {
-		t.Errorf("light churn collapsed the network: %.3f", churned.Connectivity)
-	}
-}
-
-func TestChurnValidation(t *testing.T) {
-	model := connectedStatic(t, 1, 10, 5)
-	for _, churn := range []channel.ChurnConfig{
-		{MeanUp: 1},   // one-sided
-		{MeanDown: 1}, // one-sided
-		{MeanUp: -1, MeanDown: 1},
-	} {
-		cfg := Config{Protocol: topology.RNG{}, Channel: channel.Config{Churn: churn}}
-		if _, err := NewNetwork(model, cfg); err == nil {
-			t.Errorf("bad churn accepted: %+v", churn)
-		}
 	}
 }
 

@@ -152,7 +152,7 @@ func TestParallelStepNoalloc(t *testing.T) {
 			model := parWaypoint(t, 48, 20, 60, 5)
 			cfg := Config{Protocol: topology.RNG{}, Domains: 2, ParallelWorkers: 1, Seed: 7}
 			if sampled {
-				cfg.Channel.Loss = channel.LossConfig{Model: channel.Bernoulli, Rate: 0.1}
+				cfg.Channel.Loss = channel.LossConfig{Rate: 0.1}
 			}
 			nw, err := NewNetwork(model, cfg)
 			if err != nil {

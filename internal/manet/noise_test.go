@@ -64,7 +64,7 @@ func TestWeakKHelpsUnderHelloLoss(t *testing.T) {
 			nw, err := NewNetwork(model, Config{
 				Weak: topology.WeakRNG{}, FloodRate: 10, Seed: 28 + rep,
 				Mech:    Mechanisms{WeakK: k},
-				Channel: channel.Config{Loss: channel.LossConfig{Model: channel.Bernoulli, Rate: 0.3}},
+				Channel: channel.Config{Loss: channel.LossConfig{Rate: 0.3}},
 			})
 			if err != nil {
 				t.Fatal(err)

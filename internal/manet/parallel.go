@@ -67,7 +67,7 @@ package manet
 //     delivery schedule exactly.
 //
 // Between windows the event engine drains everything else — flood
-// originations and scoring fences, churn, strict-connectivity snapshots —
+// originations and scoring fences, strict-connectivity snapshots —
 // exactly as the serial engine would. A metric sample is a fence event
 // too, but it is not drained serially: it takes the ownership snapshot at
 // its instant and counts every node's physical degree in one barrier pass,
@@ -493,9 +493,6 @@ func (pr *parRun) dispatchTo(H float64, incl bool) {
 			at := pr.nextRound
 			pr.round++
 			for _, nd := range nw.nodes {
-				if nd.isDown(at) {
-					continue // channel churn: a failed node misses its round
-				}
 				pos := pr.cur.PositionAt(nd.id, at)
 				msg := nw.advertiseAs(nd, at, pos, pr.round)
 				pr.records = append(pr.records, helloRecord{at: at, sender: nd.id, truePos: pos, msg: msg})
@@ -509,11 +506,9 @@ func (pr *parRun) dispatchTo(H float64, incl bool) {
 		for i, nd := range nw.nodes {
 			at := pr.nextHello[i]
 			for parDue(at, H, incl) {
-				if !nd.isDown(at) {
-					pos := pr.cur.PositionAt(nd.id, at)
-					msg := nw.advertise(nd, at, pos)
-					pr.records = append(pr.records, helloRecord{at: at, sender: nd.id, truePos: pos, msg: msg})
-				}
+				pos := pr.cur.PositionAt(nd.id, at)
+				msg := nw.advertise(nd, at, pos)
+				pr.records = append(pr.records, helloRecord{at: at, sender: nd.id, truePos: pos, msg: msg})
 				at += nd.interval
 			}
 			pr.nextHello[i] = at
@@ -588,7 +583,7 @@ func (pr *parRun) settlePass() {
 // dispatcher; the transmit's receiver scan is the only parallel part.
 func (pr *parRun) floodStep() {
 	e := pr.fheap.Pop()
-	if pr.nw.accept(e.V, e.At) {
+	if pr.nw.accept(e.V) {
 		pr.floodTransmit(e.V.fl, e.V.rid, e.At)
 	}
 }
@@ -601,9 +596,7 @@ func (pr *parRun) floodStep() {
 func (pr *parRun) floodTransmit(fl *flood, sender int, now float64) {
 	nw := pr.nw
 	nd := nw.nodes[sender]
-	if !nw.sendPreamble(nd, now, fl.pin) {
-		return
-	}
+	nw.sendPreamble(nd, now, fl.pin)
 	nw.dataTx++
 	r := nd.txRange
 	if r <= 0 {
@@ -685,7 +678,7 @@ func (pr *parRun) processSegment(pd *domainCtx, d int) {
 				return
 			}
 			e := pd.del.Pop()
-			pr.nw.observe(e.V.rid, e.V.msg, e.At)
+			pr.nw.observe(e.V.rid, e.V.msg)
 		case recOK:
 			ri := int(q[pd.qi])
 			if !parDue(pr.records[ri].at, pr.segH, pr.segIncl) {
@@ -718,7 +711,7 @@ func (pr *parRun) processRecord(pd *domainCtx, d int, ri int) {
 		}
 	} else {
 		for _, rid := range recv {
-			nw.observe(rid, rec.msg, rec.at)
+			nw.observe(rid, rec.msg)
 		}
 	}
 	if !pr.reactive && pr.domainOf[rec.sender] == d {
@@ -787,8 +780,7 @@ func (pr *parRun) processFloodScan(pd *domainCtx, d int) {
 // the set is exact. The radio's mark set restores ascending id order.
 // Chains are per-receiver, advanced here in ascending-id order as the
 // serial FilterLost does, so restricting them to one domain changes
-// nothing. Chains advance for every in-range receiver, down or not, as the
-// serial Transmit does before its isDown delivery check.
+// nothing.
 //
 //manet:noalloc
 func (pr *parRun) receivers(pd *domainCtx, d, sender int, pos geom.Point, at, r float64) []int {

@@ -102,10 +102,7 @@ func TestParallelMatchesSerialMatrix(t *testing.T) {
 					Protocol: topology.SPT{Alpha: 2, Range: 250}, FloodRate: 5,
 					PosNoise: 5, Seed: 11,
 				}
-				c.Channel.Loss = channel.LossConfig{
-					Model: channel.GilbertElliott, Rate: 0.3, MeanBurst: 6,
-				}
-				c.Channel.Churn = channel.ChurnConfig{MeanUp: 6, MeanDown: 1}
+				c.Channel.Loss = channel.LossConfig{Rate: 0.3}
 				return c
 			}(),
 		},
@@ -123,14 +120,13 @@ func TestParallelMatchesSerialMatrix(t *testing.T) {
 			// bounded random delay, so the parallel engine must drain the
 			// per-domain delivery heaps (including re-homing pending items
 			// across ownership snapshots) bit-identically to the serial
-			// actor schedule. Churn forces delivery-time down-checks.
+			// actor schedule.
 			name: "delayed",
 			cfg: func() Config {
 				c := Config{
 					Protocol: topology.RNG{}, FloodRate: 5, Seed: 19,
 				}
 				c.Channel.Delay = channel.DelayConfig{Min: 0.01, Max: 0.4}
-				c.Channel.Churn = channel.ChurnConfig{MeanUp: 6, MeanDown: 1}
 				return c
 			}(),
 		},
@@ -144,7 +140,7 @@ func TestParallelMatchesSerialMatrix(t *testing.T) {
 					Protocol: topology.SPT{Alpha: 2, Range: 250}, FloodRate: 5,
 					Mech: Mechanisms{Buffer: 10, ViewSync: true}, Seed: 23,
 				}
-				c.Channel.Loss = channel.LossConfig{Model: channel.Bernoulli, Rate: 0.1}
+				c.Channel.Loss = channel.LossConfig{Rate: 0.1}
 				return c
 			}(),
 		},
@@ -158,9 +154,9 @@ func TestParallelMatchesSerialMatrix(t *testing.T) {
 			},
 		},
 		{
-			// Reactive rounds on a faulty channel: down nodes skip their
-			// round, receptions defer through the delivery heaps, and the
-			// settle passes must still read each round's advertisements.
+			// Reactive rounds on a faulty channel: receptions are lost or
+			// defer through the delivery heaps, and the settle passes must
+			// still read each round's advertisements.
 			// The delay bound deliberately STRADDLES the 0.05 s settle
 			// offset: part of each round's deliveries must land after its
 			// settle pass, so a parallel drain that runs ahead of a
@@ -174,8 +170,7 @@ func TestParallelMatchesSerialMatrix(t *testing.T) {
 					Mech: Mechanisms{Reactive: true}, Seed: 31,
 				}
 				c.Channel.Delay = channel.DelayConfig{Min: 0.01, Max: 0.15}
-				c.Channel.Loss = channel.LossConfig{Model: channel.GilbertElliott, Rate: 0.2, MeanBurst: 4}
-				c.Channel.Churn = channel.ChurnConfig{MeanUp: 8, MeanDown: 1}
+				c.Channel.Loss = channel.LossConfig{Rate: 0.2}
 				return c
 			}(),
 		},
@@ -476,16 +471,16 @@ func TestParallelEligibility(t *testing.T) {
 	}{
 		{"ideal", func(c *Config) {}, true},
 		{"channel-delay", func(c *Config) { c.Channel.Delay = channel.DelayConfig{Max: 0.05} }, true},
-		{"channel-loss-bernoulli", func(c *Config) { c.Channel.Loss = channel.LossConfig{Model: channel.Bernoulli, Rate: 0.2} }, true},
-		{"channel-loss-ge", func(c *Config) {
-			c.Channel.Loss = channel.LossConfig{Model: channel.GilbertElliott, Rate: 0.2, MeanBurst: 4}
+		{"channel-loss-bernoulli", func(c *Config) { c.Channel.Loss = channel.LossConfig{Rate: 0.2} }, true},
+		{"channel-loss-delay", func(c *Config) {
+			c.Channel.Loss = channel.LossConfig{Rate: 0.2}
+			c.Channel.Delay = channel.DelayConfig{Max: 0.05}
 		}, true},
-		{"channel-churn", func(c *Config) { c.Channel.Churn = channel.ChurnConfig{MeanUp: 6, MeanDown: 1} }, true},
 		{"reactive", func(c *Config) { c.Mech.Reactive = true }, true},
 		{"reactive-faulty", func(c *Config) {
 			c.Mech.Reactive = true
 			c.Channel.Delay = channel.DelayConfig{Max: 0.05}
-			c.Channel.Churn = channel.ChurnConfig{MeanUp: 6, MeanDown: 1}
+			c.Channel.Loss = channel.LossConfig{Rate: 0.2}
 		}, true},
 		{"mechanisms", func(c *Config) {
 			c.Mech = Mechanisms{Buffer: 10, ViewSync: true, PhysicalNeighbors: true, Proactive: true}
@@ -543,7 +538,7 @@ func TestParallelSampleMatchesDegreesAt(t *testing.T) {
 		for _, loss := range []float64{0, 0.15} {
 			t.Run(fmt.Sprintf("%dx%d/loss=%g", side, side, loss), func(t *testing.T) {
 				cfg := Config{Protocol: topology.RNG{}, Domains: side, ParallelWorkers: 2, Seed: 9}
-				cfg.Channel.Loss = channel.LossConfig{Model: channel.Bernoulli, Rate: loss}
+				cfg.Channel.Loss = channel.LossConfig{Rate: loss}
 				nw, err := NewNetwork(model, cfg)
 				if err != nil {
 					t.Fatal(err)

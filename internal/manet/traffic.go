@@ -253,9 +253,6 @@ func (ts *trafficState) emit(f *trafficFlow, now sim.Time, duration float64) {
 	f.sent++
 	ts.sent++
 	nw := ts.nw
-	if nw.nodes[f.src].isDown(now) {
-		return // a failed source loses the packet
-	}
 	switch ts.cfg.Mode {
 	case traffic.AODV:
 		rt := ts.routes[f.src]
@@ -291,9 +288,7 @@ func (ts *trafficState) emit(f *trafficFlow, now sim.Time, duration float64) {
 // link-layer feedback AODV's RERR path keys on.
 func (nw *Network) sendTo(p trafficPacket, u, target int, now sim.Time) bool {
 	nd := nw.nodes[u]
-	if !nw.sendPreamble(nd, now, 0) {
-		return false
-	}
+	nw.sendPreamble(nd, now, 0)
 	nw.traf.countTx(p.kind)
 	receivers := nw.med.Transmit(now, u, nd.txRange, nw.recvBuf[:0])
 	nw.recvBuf = receivers
@@ -318,9 +313,7 @@ func (nw *Network) sendTo(p trafficPacket, u, target int, now sim.Time) bool {
 // receiver passing the topology-layer filter.
 func (nw *Network) broadcastCtrl(p trafficPacket, u int, now sim.Time) {
 	nd := nw.nodes[u]
-	if !nw.sendPreamble(nd, now, 0) {
-		return
-	}
+	nw.sendPreamble(nd, now, 0)
 	nw.traf.countTx(p.kind)
 	receivers := nw.med.Transmit(now, u, nd.txRange, nw.recvBuf[:0])
 	nw.recvBuf = receivers
@@ -380,9 +373,6 @@ func (d *trafficDelivery) Act(now sim.Time) {
 	nw, p, rid := d.nw, d.pkt, d.rid
 	ts := nw.traf
 	ts.data.put(d)
-	if nw.nodes[rid].isDown(now) {
-		return
-	}
 	if rid == p.dst {
 		ts.delivered++
 		ts.delaySum += now - p.sentAt
@@ -476,9 +466,6 @@ type trafficCtrl struct {
 func (c *trafficCtrl) Act(now sim.Time) {
 	nw, p, rid := c.nw, c.pkt, c.rid
 	nw.traf.ctrl.put(c)
-	if nw.nodes[rid].isDown(now) {
-		return
-	}
 	switch p.kind {
 	case pktRREQ:
 		nw.handleRREQ(p, rid, now)
@@ -506,10 +493,6 @@ func (ts *trafficState) startDiscovery(f *trafficFlow, now sim.Time) {
 func (ts *trafficState) issueRREQ(f *trafficFlow, now sim.Time) {
 	nw := ts.nw
 	u := f.src
-	if nw.nodes[u].isDown(now) {
-		ts.abortDiscovery(f)
-		return
-	}
 	ts.nodeSeq[u]++ // AODV: the originator increments its own seq per RREQ
 	ts.rreqSeq[u]++
 	id := ts.rreqSeq[u]
@@ -702,9 +685,6 @@ func (ts *trafficState) olsrNextHop(nd *node, dst int, now float64) (int, bool) 
 // MPR-selector set (the neighbors whose latest hello names nd as MPR)
 // under a fresh ANSN. Nodes nobody selected stay silent.
 func (ts *trafficState) originateTC(nd *node, now sim.Time) {
-	if nd.isDown(now) {
-		return
-	}
 	ts.msgBuf = nd.table.LatestInto(ts.msgBuf[:0], now)
 	count := 0
 	for _, m := range ts.msgBuf {

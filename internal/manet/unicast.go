@@ -50,8 +50,7 @@ type UnicastResult struct {
 	// LocalMinima counts probes dropped with no closer logical neighbor.
 	LocalMinima int
 	// RangeFailures counts probes dropped because the chosen next hop was
-	// no longer within transmission range (outdated information) or was
-	// down (churn).
+	// no longer within transmission range (outdated information).
 	RangeFailures int
 	// Probes is the number of scored probes.
 	Probes int
@@ -69,9 +68,9 @@ func (nw *Network) RunUnicast(duration float64, uc UnicastConfig) (UnicastResult
 }
 
 // startUnicast schedules the probe workload: after the flood warm-up,
-// Rate probes per second between uniformly drawn endpoints. A probe whose
-// source is down is not scored. Both endpoints are drawn before any check,
-// so the root stream advances identically with or without churn.
+// Rate probes per second between uniformly drawn endpoints. Both endpoints
+// are drawn before the src == dst check, so every probe instant advances
+// the root stream by two draws.
 func (nw *Network) startUnicast() {
 	n := len(nw.nodes)
 	maxHops := nw.cfg.Unicast.MaxHops
@@ -83,7 +82,7 @@ func (nw *Network) startUnicast() {
 		src := nw.rng.Intn(n)
 		//lint:ignore substream historical draw order: probe endpoints ride the root network stream, mirroring originateFlood; a Sub would change unicast digests
 		dst := nw.rng.Intn(n)
-		if src == dst || nw.nodes[src].isDown(now) {
+		if src == dst {
 			return
 		}
 		nw.routeProbe(src, dst, maxHops, now)
@@ -124,10 +123,10 @@ func (nw *Network) routeProbe(src, dst, maxHops int, now sim.Time) {
 			res.LocalMinima++
 			return
 		}
-		// The hop physically succeeds only if next is up and inside cur's
-		// current transmission range.
+		// The hop physically succeeds only if next is inside cur's current
+		// transmission range.
 		d := nw.med.PositionAt(cur, now).Dist(nw.med.PositionAt(next, now))
-		if d > nd.txRange || nw.nodes[next].isDown(now) {
+		if d > nd.txRange {
 			res.RangeFailures++
 			return
 		}

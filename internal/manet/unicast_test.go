@@ -73,25 +73,6 @@ func TestUnicastMobilityRangeFailures(t *testing.T) {
 	}
 }
 
-// TestUnicastHonoursChurn: probes ride Run, so channel churn applies to
-// them — a down source sends nothing and a down next hop fails the probe.
-// Heavy churn (half the nodes down on average) must therefore cost
-// delivery.
-func TestUnicastHonoursChurn(t *testing.T) {
-	model := connectedStatic(t, 51, 80, 15)
-	cfg := Config{Protocol: topology.None{}, Seed: 21}
-	clean := runUnicast(t, model, cfg, 15, 20).Unicast
-	cfg.Channel.Churn = channel.ChurnConfig{MeanUp: 2, MeanDown: 2}
-	churned := runUnicast(t, model, cfg, 15, 20).Unicast
-	if churned.Probes == 0 {
-		t.Fatal("churned run scored no probes")
-	}
-	if churned.Delivered >= clean.Delivered {
-		t.Errorf("churn did not cost unicast delivery: %.3f with churn vs %.3f without",
-			churned.Delivered, clean.Delivered)
-	}
-}
-
 // TestRunUnicastMatchesConfigUnicast: the RunUnicast wrapper is exactly Run
 // with Config.Unicast set, field for field.
 func TestRunUnicastMatchesConfigUnicast(t *testing.T) {
@@ -99,7 +80,7 @@ func TestRunUnicastMatchesConfigUnicast(t *testing.T) {
 	cfg := Config{
 		Protocol: topology.Gabriel{}, Seed: 25, SnapshotEvery: 2,
 		Mech:    Mechanisms{Buffer: 10, ViewSync: true},
-		Channel: channel.Config{Churn: channel.ChurnConfig{MeanUp: 18, MeanDown: 2}},
+		Channel: channel.Config{Loss: channel.LossConfig{Rate: 0.1}, Delay: channel.DelayConfig{Max: 0.05}},
 	}
 	uc := UnicastConfig{Rate: 20, MaxHops: 30}
 	viaWrapper, err := NewNetwork(model, cfg)

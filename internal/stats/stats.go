@@ -64,27 +64,6 @@ func (s *Sample) String() string {
 	return fmt.Sprintf("%.4f ± %.4f", s.Mean(), s.CI95())
 }
 
-// RelCI returns the relative 95 % confidence-interval half-width
-// CI95/|mean| — the precision measure sequential stopping rules compare
-// against a target (reps are added until RelCI falls below it). It is
-// zero-safe: a zero mean with zero half-width reads as converged (0),
-// while a zero mean with spread reads as never-converged (+Inf), so a
-// threshold comparison keeps requesting reps rather than dividing by
-// zero.
-func (s *Sample) RelCI() float64 { return relCI(s.Mean(), s.CI95()) }
-
-// relCI is the shared zero-safe CI95/|mean| ratio behind Sample.RelCI
-// and Welford.RelCI.
-func relCI(mean, ci float64) float64 {
-	if ci == 0 { //lint:ignore float-eq CI95 is exactly 0 for n < 2 and for zero variance; both mean "no spread"
-		return 0
-	}
-	if mean == 0 { //lint:ignore float-eq exact-zero mean is the one undefined point of the ratio
-		return math.Inf(1)
-	}
-	return ci / math.Abs(mean)
-}
-
 // tCrit95 returns the two-sided 95 % critical value of Student's t with the
 // given degrees of freedom. Exact table through 30 df, then the common
 // large-sample approximations.
@@ -109,12 +88,4 @@ func tCrit95(df int) float64 {
 	default:
 		return 1.960
 	}
-}
-
-// Merge folds the observations of o into s. Useful when per-worker samples
-// are combined after a parallel sweep.
-func (s *Sample) Merge(o Sample) {
-	s.n += o.n
-	s.sum += o.sum
-	s.sum2 += o.sum2
 }

@@ -74,30 +74,6 @@ func TestCI95Coverage(t *testing.T) {
 	}
 }
 
-func TestMergeEquivalence(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := xrand.New(seed)
-		var whole, a, b Sample
-		n := 2 + rng.Intn(50)
-		for i := 0; i < n; i++ {
-			x := rng.Uniform(-100, 100)
-			whole.Add(x)
-			if i%2 == 0 {
-				a.Add(x)
-			} else {
-				b.Add(x)
-			}
-		}
-		a.Merge(b)
-		return a.N() == whole.N() &&
-			math.Abs(a.Mean()-whole.Mean()) < 1e-9 &&
-			math.Abs(a.Variance()-whole.Variance()) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestTCritMonotone(t *testing.T) {
 	prev := math.Inf(1)
 	for df := 1; df <= 200; df++ {
@@ -132,18 +108,18 @@ func TestVarianceNeverNegative(t *testing.T) {
 }
 
 func TestRelCI(t *testing.T) {
-	add := func(xs ...float64) *Sample {
-		var s Sample
+	add := func(xs ...float64) *Welford {
+		var w Welford
 		for _, x := range xs {
-			s.Add(x)
+			w.Add(x)
 		}
-		return &s
+		return &w
 	}
 	// Closed form for {m-d, m+d}: sd = d*sqrt(2), CI95 = 12.706*d, so
 	// RelCI = 12.706*d/|m|.
 	cases := []struct {
 		name string
-		s    *Sample
+		w    *Welford
 		want float64
 	}{
 		{"empty", add(), 0},
@@ -154,7 +130,7 @@ func TestRelCI(t *testing.T) {
 		{"negative mean", add(-8, -12), 12.706 * 2 / 10},
 	}
 	for _, tc := range cases {
-		if got := tc.s.RelCI(); math.Abs(got-tc.want) > 1e-12 {
+		if got := tc.w.RelCI(); math.Abs(got-tc.want) > 1e-12 {
 			t.Errorf("%s: RelCI = %v, want %v", tc.name, got, tc.want)
 		}
 	}
@@ -166,6 +142,8 @@ func TestRelCI(t *testing.T) {
 	}
 }
 
+// TestRelCIWelfordMatchesSample: Welford's relative CI equals the
+// moment-form Sample's CI95/|mean| on well-conditioned data.
 func TestRelCIWelfordMatchesSample(t *testing.T) {
 	rng := xrand.New(7)
 	var s Sample
@@ -175,12 +153,8 @@ func TestRelCIWelfordMatchesSample(t *testing.T) {
 		s.Add(x)
 		w.Add(x)
 	}
-	if ds, dw := s.RelCI(), w.RelCI(); math.Abs(ds-dw) > 1e-12 {
-		t.Errorf("Sample.RelCI = %v, Welford.RelCI = %v", ds, dw)
-	}
-	var we Welford
-	if we.RelCI() != 0 {
-		t.Errorf("empty Welford RelCI = %v, want 0", we.RelCI())
+	if ds, dw := s.CI95()/math.Abs(s.Mean()), w.RelCI(); math.Abs(ds-dw) > 1e-12 {
+		t.Errorf("Sample CI95/|mean| = %v, Welford.RelCI = %v", ds, dw)
 	}
 }
 

@@ -68,22 +68,19 @@ func (w *Welford) String() string {
 }
 
 // RelCI returns the relative 95 % confidence-interval half-width
-// CI95/|mean|, with the same zero-safe convention as Sample.RelCI: 0
-// when there is no spread, +Inf for spread around a zero mean.
-func (w *Welford) RelCI() float64 { return relCI(w.Mean(), w.CI95()) }
-
-// State exposes the accumulator's internal triple (n, mean, M2) so a
-// partial can be serialized and rebuilt bit-exactly with
-// WelfordFromState on the merging side.
-func (w Welford) State() (n int, mean, m2 float64) {
-	return w.n, w.mean, w.m2
-}
-
-// WelfordFromState rebuilds the accumulator State exported. Passing a
-// triple not produced by State yields an accumulator whose statistics
-// are whatever the triple encodes; garbage in, garbage out.
-func WelfordFromState(n int, mean, m2 float64) Welford {
-	return Welford{n: n, mean: mean, m2: m2}
+// CI95/|mean|. It is zero-safe: no spread (n < 2, or zero variance) reads
+// as 0, while spread around an exactly-zero mean reads as +Inf, the one
+// undefined point of the ratio.
+func (w *Welford) RelCI() float64 {
+	ci := w.CI95()
+	if ci == 0 { //lint:ignore float-eq CI95 is exactly 0 for n < 2 and for zero variance; both mean "no spread"
+		return 0
+	}
+	mean := w.Mean()
+	if mean == 0 { //lint:ignore float-eq exact-zero mean is the one undefined point of the ratio
+		return math.Inf(1)
+	}
+	return ci / math.Abs(mean)
 }
 
 // Merge folds the observations of o into w (Chan et al.'s pairwise update),

@@ -172,17 +172,3 @@ func TestWelfordMergeIdentity(t *testing.T) {
 		}
 	}
 }
-
-// TestWelfordStateRoundTrip: State/WelfordFromState preserve the
-// accumulator bit-for-bit, which is what lets a shard summary travel
-// through JSON and merge as if it never left the process.
-func TestWelfordStateRoundTrip(t *testing.T) {
-	rng := xrand.New(271828)
-	for trial := 0; trial < 50; trial++ {
-		tr := rng.Sub(uint64(trial))
-		w := accumulate(randomData(tr, tr.Intn(100)))
-		if got := WelfordFromState(w.State()); got != w {
-			t.Fatalf("State round-trip changed the accumulator: %v, want %v", got, w)
-		}
-	}
-}
