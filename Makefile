@@ -133,13 +133,15 @@ parallel-smoke:
 # and recomputed by the survivor, and it is SIGKILLed once sweepd exits.
 # The finished fleet store must be sha256-identical, record for record, to
 # a single-process `paperfig -store` sweep — the lease/steal/duplicate
-# machinery may cost time but never bytes.
+# machinery may cost time but never bytes — and `sweepctl status` must
+# print the same per-fingerprint counts and connectivity for both stores.
 FLEET ?= /tmp/mstc_fleet_smoke
 fleet-smoke:
 	$(call need-dir,FLEET)
 	rm -rf $(FLEET) && mkdir -p $(FLEET)
 	$(GO) build -o $(FLEET)/sweepd ./cmd/sweepd
 	$(GO) build -o $(FLEET)/paperfig ./cmd/paperfig
+	$(GO) build -o $(FLEET)/sweepctl ./cmd/sweepctl
 	set -e; \
 	$(FLEET)/sweepd $(PFLAGS) -store $(FLEET)/fleet -addr 127.0.0.1:0 \
 		-addr-file $(FLEET)/addr -lease-ttl 3s -exit-on-done 2> $(FLEET)/sweepd.log & \
@@ -167,6 +169,9 @@ fleet-smoke:
 	cd $(FLEET)/fleet  && find runs -type f | sort | xargs sha256sum > $(FLEET)/fleet.sum
 	cd $(FLEET)/direct && find runs -type f | sort | xargs sha256sum > $(FLEET)/direct.sum
 	cmp $(FLEET)/fleet.sum $(FLEET)/direct.sum
+	$(FLEET)/sweepctl status $(FLEET)/fleet | grep '^  fingerprint ' > $(FLEET)/fleet.status
+	$(FLEET)/sweepctl status $(FLEET)/direct | grep '^  fingerprint ' > $(FLEET)/direct.status
+	cmp $(FLEET)/fleet.status $(FLEET)/direct.status
 
 # Traffic-subsystem smoke: the routing comparison (AODV/OLSR CBR flows
 # over controlled vs unit-disk topology) run twice and byte-compared —

@@ -108,13 +108,13 @@ func FuzzBuildChannel(f *testing.F) {
 	})
 }
 
-// TestBadGeometryExitsTwo runs the command itself on a non-finite or
-// non-positive -arena or -range, or an -n below 2, and expects the
-// usage-error exit status 2, with a message naming the flag, before any
-// scene is built. The test binary re-executes itself with the command's
-// flags after "--"; in that child, TestBadGeometryExitsTwo finds them in
-// flag.Args() and runs main with them.
-func TestBadGeometryExitsTwo(t *testing.T) {
+// TestBadFlagsExitTwo runs the command itself on a non-finite or
+// non-positive -arena, -range or -duration, an -n below 2, or a channel
+// flag out of range, and expects the usage-error exit status 2, with a
+// message naming the flag, before any scene is built. The test binary
+// re-executes itself with the command's flags after "--"; in that child,
+// TestBadFlagsExitTwo finds them in flag.Args() and runs main with them.
+func TestBadFlagsExitTwo(t *testing.T) {
 	if args := flag.Args(); len(args) > 0 {
 		os.Args = append([]string{"manetsim"}, args...)
 		flag.CommandLine = flag.NewFlagSet("manetsim", flag.ExitOnError)
@@ -128,8 +128,11 @@ func TestBadGeometryExitsTwo(t *testing.T) {
 		{"-arena", "NaN"}, {"-arena", "Inf"}, {"-arena", "0"},
 		{"-range", "NaN"}, {"-range", "-Inf"}, {"-range", "-5"},
 		{"-n", "-1"}, {"-n", "0"}, {"-n", "1"},
+		{"-duration", "0"}, {"-duration", "NaN"},
+		{"-loss", "NaN"}, {"-loss", "1.5"},
+		{"-delay-min", "-1"}, {"-delay-max", "Inf"},
 	} {
-		cmd := exec.Command(os.Args[0], append([]string{"-test.run=^TestBadGeometryExitsTwo$", "--"}, args...)...)
+		cmd := exec.Command(os.Args[0], append([]string{"-test.run=^TestBadFlagsExitTwo$", "--"}, args...)...)
 		cmd.Dir = t.TempDir()
 		out, err := cmd.CombinedOutput()
 		var exit *exec.ExitError

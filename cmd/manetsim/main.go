@@ -26,7 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"os"
 	"os/signal"
 	"strings"
@@ -103,13 +102,14 @@ func run() (code int) {
 		memProf      = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
-	if err := checkGeometry(*n, *side, *normalRange); err != nil {
+	if err := checkScene(*n, *side, *normalRange, *duration); err != nil {
 		log.Print(err)
 		return 2 // a usage error, like a flag that does not parse
 	}
-	if !(*duration > 0) || math.IsInf(*duration, 0) {
-		log.Printf("-duration must be positive and finite, got %g", *duration)
-		return 1
+	chCfg, err := channelFlags{Loss: *lossRate, DelayMin: *delayMin, DelayMax: *delayMax}.buildChannel()
+	if err != nil {
+		log.Print(err)
+		return 2
 	}
 
 	// Profiles go to their own files; stdout stays byte-identical whether
@@ -131,12 +131,6 @@ func run() (code int) {
 	model, err := mobility.NewRandomWaypoint(geom.Square(*side), mobility.WaypointConfig{
 		N: *n, SpeedMin: lo, SpeedMax: hi, Pause: *pause, Horizon: *duration,
 	}, xrand.New(*seed))
-	if err != nil {
-		log.Print(err)
-		return 1
-	}
-
-	chCfg, err := channelFlags{Loss: *lossRate, DelayMin: *delayMin, DelayMax: *delayMax}.buildChannel()
 	if err != nil {
 		log.Print(err)
 		return 1

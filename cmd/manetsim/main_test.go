@@ -15,7 +15,7 @@ import (
 // after profiling has started. It expects exit status 1 and two complete
 // profiles: gzip data, not the empty files a deferred write skipped by
 // os.Exit would leave. The child process runs main as
-// TestBadGeometryExitsTwo's does.
+// TestBadFlagsExitTwo's does.
 func TestFatalErrorKeepsProfiles(t *testing.T) {
 	if args := flag.Args(); len(args) > 0 {
 		os.Args = append([]string{"manetsim"}, args...)

@@ -120,7 +120,7 @@ func TestWorkerBadEngineKnobsExitOne(t *testing.T) {
 	if code != 1 {
 		t.Errorf("paperfig -worker -domains 100: exit %d, want 1\n%s", code, out)
 	}
-	if s := c.Status(false); s.Pending != len(tasks) || s.Failed != 0 {
+	if s := c.Status(); s.Pending != len(tasks) || s.Failed != 0 {
 		t.Errorf("coordinator after the rejected worker: %d pending, %d failed; want %d pending, 0 failed",
 			s.Pending, s.Failed, len(tasks))
 	}

@@ -26,7 +26,6 @@ import (
 	"os"
 
 	"mstc/internal/fleet"
-	"mstc/internal/stats"
 	"mstc/internal/sweep"
 )
 
@@ -69,15 +68,6 @@ func open(dir string) *sweep.Store {
 	return s
 }
 
-// fpStats aggregates one fingerprint's records for the status report.
-type fpStats struct {
-	done, failed, corrupt int
-	// conn summarizes connectivity across completed runs, folded from
-	// per-record singletons with the pairwise Welford merge — the same
-	// fold sweepd's live /status uses.
-	conn stats.Welford
-}
-
 func cmdStatus(args []string) {
 	fs := flag.NewFlagSet("status", flag.ExitOnError)
 	failures := fs.Int("failures", 3, "failure records to detail per fingerprint")
@@ -86,18 +76,18 @@ func cmdStatus(args []string) {
 	if fs.NArg() == 0 {
 		usage()
 	}
-	if *jsonOut {
-		// One StoreSummary per store, via the shared fleet encoding — a
-		// dashboard parses identical shapes from an offline store and a
-		// live daemon.
-		var sums []fleet.StoreSummary
-		for _, dir := range fs.Args() {
-			sum, err := fleet.SummarizeStore(open(dir))
-			if err != nil {
-				log.Fatal(err)
-			}
-			sums = append(sums, sum)
+	// One StoreSummary per store, via the shared fleet encoding — a
+	// dashboard parses identical shapes from an offline store and a live
+	// daemon, and the text report renders the same fold.
+	var sums []fleet.StoreSummary
+	for _, dir := range fs.Args() {
+		sum, err := fleet.SummarizeStore(open(dir), *failures)
+		if err != nil {
+			log.Fatal(err)
 		}
+		sums = append(sums, sum)
+	}
+	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(sums); err != nil {
@@ -105,66 +95,33 @@ func cmdStatus(args []string) {
 		}
 		return
 	}
-	for _, dir := range fs.Args() {
-		s := open(dir)
-		fmt.Printf("%s:\n", dir)
-		// Scan visits fingerprints in sorted order, so per-fingerprint
-		// aggregation is a streaming group-by.
-		var fps []string
-		agg := make(map[string]*fpStats)
-		shown := make(map[string]int)
-		err := s.Scan(func(info sweep.RecordInfo) error {
-			st := agg[info.Fingerprint]
-			if st == nil {
-				st = &fpStats{}
-				agg[info.Fingerprint] = st
-				fps = append(fps, info.Fingerprint)
-			}
-			switch {
-			case info.Err != nil:
-				st.corrupt++
-			case info.Failed:
-				st.failed++
-				if shown[info.Fingerprint] < *failures {
-					shown[info.Fingerprint]++
-					fmt.Printf("  FAILED (%d attempts) %s: %.120s\n",
-						info.Record.Attempts, info.Record.Desc, info.Record.Failure)
-				}
-			default:
-				var one stats.Welford
-				one.Add(info.Record.Result.Connectivity)
-				st.conn.Merge(one)
-				st.done++
-			}
-			return nil
-		})
-		if err != nil {
-			log.Fatal(err)
+	for i, sum := range sums {
+		fmt.Printf("%s:\n", fs.Arg(i))
+		for _, f := range sum.Failures {
+			fmt.Printf("  FAILED (%d attempts) %s: %.120s\n", f.Attempts, f.Desc, f.Message)
 		}
-		if len(fps) == 0 {
+		if len(sum.Fingerprints) == 0 {
 			fmt.Println("  empty")
 		}
-		for _, fp := range fps {
-			st := agg[fp]
-			fmt.Printf("  fingerprint %s: %d runs", fp, st.done)
-			if st.failed > 0 {
-				fmt.Printf(", %d failed", st.failed)
+		for _, fp := range sum.Fingerprints {
+			fmt.Printf("  fingerprint %s: %d runs", fp.Fingerprint, fp.Runs)
+			if fp.Failed > 0 {
+				fmt.Printf(", %d failed", fp.Failed)
 			}
-			if st.corrupt > 0 {
-				fmt.Printf(", %d corrupt", st.corrupt)
+			if fp.Corrupt > 0 {
+				fmt.Printf(", %d corrupt", fp.Corrupt)
 			}
-			if st.conn.N() > 0 {
-				fmt.Printf("  (connectivity %s)", st.conn.String())
+			if c := fp.Connectivity; c.N > 0 {
+				fmt.Printf("  (connectivity %.4f ± %.4f)", c.Mean, c.CI95)
 			}
 			fmt.Println()
 		}
-		cp, ok, cperr := s.ReadCheckpoint()
-		if cperr != nil {
+		if sum.CheckpointError != "" {
 			// Advisory file only — records are intact — but the operator
 			// should know it was damaged rather than see it vanish.
-			fmt.Printf("  WARNING: %v\n", cperr)
+			fmt.Printf("  WARNING: %s\n", sum.CheckpointError)
 		}
-		if ok {
+		if cp := sum.Checkpoint; cp != nil {
 			state := "complete"
 			if cp.Interrupted {
 				state = "interrupted"

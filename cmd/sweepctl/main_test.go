@@ -1,14 +1,17 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"mstc/internal/fleet"
 	"mstc/internal/manet"
 	"mstc/internal/sweep"
 )
@@ -119,5 +122,65 @@ func TestStatusFailuresUnderTheirStore(t *testing.T) {
 	}
 	if !strings.HasPrefix(out, first+":") {
 		t.Errorf("output must open with %s's header:\n%s", first, out)
+	}
+}
+
+// TestStatusFailuresPerFingerprint: with two fingerprints of four failure
+// records each, `status -failures 2` details two records per fingerprint,
+// and the text report and -json detail the same records.
+func TestStatusFailuresPerFingerprint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the command in a child process")
+	}
+	dir := filepath.Join(t.TempDir(), "store")
+	s, err := sweep.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fp := range []string{"fp01", "fp02"} {
+		for run := uint64(1); run <= 4; run++ {
+			desc := fmt.Sprintf("%s RNG speed=%d rep=0", fp, run)
+			if err := s.PutFailure(sweep.Key{Fingerprint: fp, Run: run}, desc, 2, "panic: boom"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	text, code := sweepctl(t, "status", "-failures", "2", dir)
+	if code != 0 {
+		t.Fatalf("sweepctl status: exit %d\n%s", code, text)
+	}
+	out, code := sweepctl(t, "status", "-json", "-failures", "2", dir)
+	if code != 0 {
+		t.Fatalf("sweepctl status -json: exit %d\n%s", code, out)
+	}
+	var sums []fleet.StoreSummary
+	if err := json.Unmarshal([]byte(out), &sums); err != nil {
+		t.Fatalf("status -json: %v\n%s", err, out)
+	}
+	if len(sums) != 1 {
+		t.Fatalf("status -json: %d summaries, want 1", len(sums))
+	}
+	perFP := make(map[string]int)
+	var fromJSON []string
+	for _, f := range sums[0].Failures {
+		perFP[f.Fingerprint]++
+		fromJSON = append(fromJSON, fmt.Sprintf("  FAILED (%d attempts) %s: %s", f.Attempts, f.Desc, f.Message))
+	}
+	if perFP["fp01"] != 2 || perFP["fp02"] != 2 || len(perFP) != 2 {
+		t.Errorf("status -json details %v failures per fingerprint, want 2 each", perFP)
+	}
+	var fromText []string
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "  FAILED") {
+			fromText = append(fromText, line)
+		}
+	}
+	if strings.Join(fromText, "\n") != strings.Join(fromJSON, "\n") {
+		t.Errorf("text details:\n%s\njson details:\n%s", strings.Join(fromText, "\n"), strings.Join(fromJSON, "\n"))
+	}
+	for _, fp := range sums[0].Fingerprints {
+		if fp.Failed != 4 {
+			t.Errorf("fingerprint %s: %d failed, want the exact count 4", fp.Fingerprint, fp.Failed)
+		}
 	}
 }

@@ -116,7 +116,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	status := c.Status(false)
+	status := c.Status()
 	log.Printf("serving %s (%d tasks, %d store hits, %d pending) on http://%s",
 		*exp, status.Total, status.Hits, status.Pending, bound)
 
@@ -136,11 +136,11 @@ func main() {
 			log.Print("interrupt: checkpoint flushed, shutting down")
 			exit <- 130
 		case <-c.DoneCh():
-			final := c.Status(false)
+			final := c.Status()
 			log.Printf("sweep complete: %d done, %d failed, %d computed by %d workers",
 				final.Done, final.Failed, final.Computed, final.Workers)
 			if !*exitDone {
-				// Keep serving /status and /aggregate for inspection.
+				// Keep serving /status for inspection.
 				select {
 				case <-sigc:
 				}

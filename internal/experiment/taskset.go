@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"strings"
 
 	"mstc/internal/manet"
 	"mstc/internal/sweep"
@@ -27,17 +26,10 @@ func (r Run) StoreKey(fingerprint string) sweep.Key { return r.storeKey(fingerpr
 
 // ConfigKey returns the run's configuration substream key — the label
 // shared by all repetitions of one (protocol, speed, mechanisms,
-// channel) configuration. The fleet coordinator groups tasks by it for
-// its per-configuration status and aggregates.
+// channel) configuration, from which each rep's store address and
+// simulation seed derive. It lets code outside this package rebuild a
+// run's seed exactly as the executor does.
 func (r Run) ConfigKey() uint64 { return r.key() }
-
-// ConfigDesc is Desc with the repetition index elided: the label of the
-// run's configuration group, stable across reps.
-func (r Run) ConfigDesc() string {
-	base := r
-	base.Rep = 0
-	return strings.Replace(base.desc(), " rep=0", "", 1)
-}
 
 // ComputeRun executes one task with no retry policy. It is the unit of
 // work a fleet worker performs; determinism guarantees the result is

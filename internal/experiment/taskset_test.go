@@ -172,14 +172,3 @@ func TestComputeRunMatchesExecutor(t *testing.T) {
 		}
 	}
 }
-
-func TestConfigDescElidesRep(t *testing.T) {
-	a := Run{Protocol: "RNG", Speed: 40, Rep: 0}
-	b := Run{Protocol: "RNG", Speed: 40, Rep: 7}
-	if a.ConfigDesc() != b.ConfigDesc() {
-		t.Errorf("ConfigDesc differs across reps: %q vs %q", a.ConfigDesc(), b.ConfigDesc())
-	}
-	if a.ConfigDesc() == a.Desc() {
-		t.Errorf("ConfigDesc still contains the rep: %q", a.ConfigDesc())
-	}
-}

@@ -48,7 +48,6 @@ type taskEntry struct {
 	run   experiment.Run
 	key   sweep.Key
 	desc  string
-	group uint64 // configuration substream key
 	state taskState
 }
 
@@ -58,15 +57,6 @@ type lease struct {
 	deadline time.Time
 	// tasks are the granted task indices still owned by this lease.
 	tasks []int
-}
-
-// configState tracks one configuration group's journaled outcomes.
-type configState struct {
-	run    experiment.Run // the group's first task
-	reps   int            // the group's tasks in the task set
-	done   int
-	failed int
-	conn   stats.Welford
 }
 
 // Coordinator is the lease-granting, store-owning sweep service. All
@@ -89,13 +79,12 @@ type Coordinator struct {
 	leases  map[uint64]*lease
 	nextID  uint64
 
-	groups     map[uint64]*configState
-	groupOrder []uint64
-
 	workers map[string]bool
 	hits    int
 	done    int // journaled successes (store hits included)
 	failed  int
+	// conn folds the connectivity of every journaled success.
+	conn stats.Welford
 	// computed counts worker-journaled completions (success or failure)
 	// this session; it drives ETA and checkpoint pacing.
 	computed int
@@ -136,46 +125,24 @@ func New(cfg Config) (*Coordinator, error) {
 		batch:       cfg.LeaseBatch,
 		retries:     cfg.Retries,
 		leases:      make(map[uint64]*lease),
-		groups:      make(map[uint64]*configState),
 		workers:     make(map[string]bool),
 		doneCh:      make(chan struct{}),
 		subs:        make(map[*subscriber]bool),
 	}
 	c.tasks = make([]taskEntry, len(cfg.Tasks))
 	for i, r := range cfg.Tasks {
-		g := r.ConfigKey()
-		cs := c.groups[g]
-		if cs == nil {
-			cs = &configState{run: r}
-			c.groups[g] = cs
-			c.groupOrder = append(c.groupOrder, g)
-		}
-		cs.reps++
 		t := &c.tasks[i]
-		*t = taskEntry{run: r, key: r.StoreKey(c.fingerprint), desc: r.Desc(), group: g}
+		*t = taskEntry{run: r, key: r.StoreKey(c.fingerprint), desc: r.Desc()}
 		if res, ok := c.store.Get(t.key, t.desc); ok {
 			t.state = taskDone
 			c.hits++
 			c.done++
-			c.settleGroup(t, res.Connectivity, true)
+			c.conn.Add(res.Connectivity)
 			continue
 		}
 		c.pending = append(c.pending, i)
 	}
 	return c, nil
-}
-
-// settleGroup records one journaled outcome for a task's group.
-func (c *Coordinator) settleGroup(t *taskEntry, connectivity float64, ok bool) {
-	cs := c.groups[t.group]
-	if ok {
-		cs.done++
-		var one stats.Welford
-		one.Add(connectivity)
-		cs.conn.Merge(one)
-	} else {
-		cs.failed++
-	}
 }
 
 // Fingerprint returns the options fingerprint the sweep journals under.
@@ -307,7 +274,6 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteReply, error) {
 			t.state = taskFailed
 			c.failed++
 			c.computed++
-			c.settleGroup(t, 0, false)
 			c.publish(Event{Type: "failure", Worker: req.Worker, Lease: req.Lease,
 				Task: out.Task, Desc: t.desc}, now)
 		} else {
@@ -320,7 +286,7 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteReply, error) {
 			t.state = taskDone
 			c.done++
 			c.computed++
-			c.settleGroup(t, out.Result.Connectivity, true)
+			c.conn.Add(out.Result.Connectivity)
 			c.publish(Event{Type: "complete", Worker: req.Worker, Lease: req.Lease,
 				Task: out.Task, Desc: t.desc}, now)
 		}
@@ -408,7 +374,7 @@ func (c *Coordinator) checkComplete(now time.Time) {
 }
 
 // Status snapshots the coordinator.
-func (c *Coordinator) Status(includeConfigs bool) Status {
+func (c *Coordinator) Status() Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.clock()
@@ -439,101 +405,9 @@ func (c *Coordinator) Status(includeConfigs bool) Status {
 			st.ETASeconds = float64(st.Pending+st.Leased) / st.RunsPerSecond
 		}
 	}
-	st.Store = FingerprintSummary{Fingerprint: c.fingerprint, Runs: c.done, Failed: c.failed}
-	var conn stats.Welford
-	for _, g := range c.groupOrder {
-		conn.Merge(c.groups[g].conn)
-	}
-	st.Store.Connectivity = metricOf(conn)
-	if includeConfigs {
-		for _, g := range c.groupOrder {
-			cs := c.groups[g]
-			st.Configs = append(st.Configs, ConfigStatus{
-				Desc:       cs.run.ConfigDesc(),
-				Key:        fmt.Sprintf("%016x", g),
-				Reps:       cs.reps,
-				DoneReps:   cs.done,
-				FailedReps: cs.failed,
-				Mean:       cs.conn.Mean(),
-				RelCI:      cs.conn.RelCI(),
-			})
-		}
-	}
+	st.Store = FingerprintSummary{Fingerprint: c.fingerprint, Runs: c.done, Failed: c.failed,
+		Connectivity: metricOf(c.conn)}
 	return st
-}
-
-// Aggregates folds the journaled results of every configuration group
-// into per-metric Welford summaries — the "figures as a service" query,
-// answerable while the sweep is still running. The fold is the same
-// pairwise Merge the offline tooling uses, so a mid-sweep aggregate is
-// exactly the final aggregate restricted to the reps journaled so far.
-func (c *Coordinator) Aggregates() []Aggregate {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	byGroup := make(map[uint64]*Aggregate, len(c.groupOrder))
-	out := make([]Aggregate, 0, len(c.groupOrder))
-	for _, g := range c.groupOrder {
-		r := c.groups[g].run
-		out = append(out, Aggregate{
-			Desc: r.ConfigDesc(), Key: fmt.Sprintf("%016x", g),
-			Protocol: r.Protocol, Speed: r.Speed,
-		})
-		byGroup[g] = &out[len(out)-1]
-	}
-	for i := range c.tasks {
-		t := &c.tasks[i]
-		if t.state != taskDone {
-			continue
-		}
-		res, ok := c.store.Get(t.key, t.desc)
-		if !ok {
-			continue // journaled then externally corrupted; skip, don't lie
-		}
-		a := byGroup[t.group]
-		a.Reps++
-		mergeOne(&a.Connectivity, res.Connectivity)
-		mergeOne(&a.TxRange, res.AvgTxRange)
-		mergeOne(&a.LogicalDegree, res.AvgLogicalDegree)
-		mergeOne(&a.PhysicalDegree, res.AvgPhysicalDegree)
-		mergeOne(&a.HelloTx, float64(res.HelloTx))
-		mergeOne(&a.DataTx, float64(res.DataTx))
-	}
-	return out
-}
-
-// Aggregate is one configuration's live summary, JSON-shaped for the
-// /aggregate endpoint.
-type Aggregate struct {
-	Desc     string  `json:"desc"`
-	Key      string  `json:"key"`
-	Protocol string  `json:"protocol"`
-	Speed    float64 `json:"speed"`
-	Reps     int     `json:"reps"`
-
-	Connectivity   Metric `json:"connectivity"`
-	TxRange        Metric `json:"tx_range"`
-	LogicalDegree  Metric `json:"logical_degree"`
-	PhysicalDegree Metric `json:"physical_degree"`
-	HelloTx        Metric `json:"hello_tx"`
-	DataTx         Metric `json:"data_tx"`
-}
-
-// Metric is a Welford summary rendered for JSON.
-type Metric struct {
-	w     stats.Welford
-	N     int     `json:"n"`
-	Mean  float64 `json:"mean"`
-	CI95  float64 `json:"ci95"`
-	RelCI float64 `json:"rel_ci"`
-}
-
-// mergeOne folds one observation into a Metric via the pairwise Welford
-// merge and refreshes the rendered fields.
-func mergeOne(m *Metric, x float64) {
-	var one stats.Welford
-	one.Add(x)
-	m.w.Merge(one)
-	*m = metricOf(m.w)
 }
 
 // subscriber is one /events client.

@@ -44,7 +44,7 @@ func testStore(t *testing.T) *sweep.Store {
 }
 
 // repTasks builds reps repetitions for each of the given speeds (one
-// configuration group per speed).
+// configuration per speed).
 func repTasks(reps int, speeds ...float64) []experiment.Run {
 	var tasks []experiment.Run
 	for rep := 0; rep < reps; rep++ {
@@ -165,7 +165,7 @@ func TestLeaseLifecycle(t *testing.T) {
 		t.Errorf("lease after completion = %+v, want Done", rep)
 	}
 
-	status := c.Status(false)
+	status := c.Status()
 	if !status.Complete || status.Done != 4 || status.Failed != 0 || status.Pending != 0 || status.Leased != 0 {
 		t.Errorf("final status = %+v", status)
 	}
@@ -259,7 +259,7 @@ func TestFailureJournaling(t *testing.T) {
 	if !crep.Done || crep.Accepted != 2 {
 		t.Fatalf("completion = %+v", crep)
 	}
-	status := c.Status(false)
+	status := c.Status()
 	if status.Failed != 1 || status.Done != 1 || !status.Complete {
 		t.Errorf("status = %+v, want 1 failed / 1 done / complete", status)
 	}
@@ -310,7 +310,7 @@ func TestResumeFromStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	status := c2.Status(false)
+	status := c2.Status()
 	if status.Hits != 2 || status.Pending != 2 || status.Done != 2 {
 		t.Errorf("resumed status = %+v, want 2 hits / 2 pending", status)
 	}

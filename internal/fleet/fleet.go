@@ -194,24 +194,6 @@ type Status struct {
 	// Store is the live per-fingerprint record summary, in the same
 	// encoding `sweepctl status -json` emits for an offline store.
 	Store FingerprintSummary `json:"store"`
-	// Configs is the per-configuration breakdown (rep counts and
-	// connectivity), in first-appearance order.
-	Configs []ConfigStatus `json:"configs,omitempty"`
-}
-
-// ConfigStatus is one configuration group's progress and connectivity.
-type ConfigStatus struct {
-	Desc string `json:"desc"`
-	// Key is the configuration substream key (hex, for stable JSON).
-	Key string `json:"key"`
-	// Reps is the group's repetition count in the task set; DoneReps and
-	// FailedReps count journaled outcomes.
-	Reps       int `json:"reps"`
-	DoneReps   int `json:"done_reps"`
-	FailedReps int `json:"failed_reps,omitempty"`
-	// Mean and RelCI summarize connectivity over the journaled reps.
-	Mean  float64 `json:"mean"`
-	RelCI float64 `json:"rel_ci"`
 }
 
 // Event is one NDJSON line of the GET /events stream.

@@ -137,7 +137,7 @@ func TestEndToEndHTTP(t *testing.T) {
 	}
 
 	// /status over HTTP reports completion with the shared encoding.
-	resp, err := http.Get(srv.URL + "/status?configs=1")
+	resp, err := http.Get(srv.URL + "/status")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,44 +152,8 @@ func TestEndToEndHTTP(t *testing.T) {
 	if status.Workers != 2 {
 		t.Errorf("workers = %d, want 2", status.Workers)
 	}
-	if len(status.Configs) != 2 {
-		t.Errorf("configs = %d, want 2 (RNG, MST)", len(status.Configs))
-	}
-	for _, cs := range status.Configs {
-		if cs.Reps != 2 || cs.DoneReps != 2 {
-			t.Errorf("%s: %d/%d reps done, want 2/2", cs.Desc, cs.DoneReps, cs.Reps)
-		}
-	}
 	if status.Store.Runs != len(tasks) || status.Store.Connectivity.N != len(tasks) {
 		t.Errorf("store summary = %+v", status.Store)
-	}
-
-	// /aggregate serves per-configuration Welford folds of the journal.
-	resp, err = http.Get(srv.URL + "/aggregate")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var aggs []Aggregate
-	if err := json.NewDecoder(resp.Body).Decode(&aggs); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(aggs) != 2 {
-		t.Fatalf("aggregates = %d, want 2", len(aggs))
-	}
-	// Groups in first-appearance order: RNG (tasks 0, 1), MST (2, 3).
-	for i, a := range aggs {
-		r := tasks[2*i]
-		if a.Protocol != r.Protocol || a.Speed != r.Speed || a.Desc != r.ConfigDesc() { //lint:ignore float-eq speeds are copied from the task, never computed
-			t.Errorf("aggregate %d = %s %g %q, want %s %g %q",
-				i, a.Protocol, a.Speed, a.Desc, r.Protocol, r.Speed, r.ConfigDesc())
-		}
-		if a.Reps != 2 {
-			t.Errorf("%s: %d reps aggregated, want 2", a.Desc, a.Reps)
-		}
-		if a.Connectivity.Mean < 0 || a.Connectivity.Mean > 1 {
-			t.Errorf("%s: connectivity %v out of range", a.Desc, a.Connectivity.Mean)
-		}
 	}
 
 	// The event stream terminated at "done".
@@ -203,7 +167,7 @@ func TestEndToEndHTTP(t *testing.T) {
 	}
 
 	// The offline summary of the same store matches the daemon's live one.
-	sum, err := SummarizeStore(st)
+	sum, err := SummarizeStore(st, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,8 +178,8 @@ func TestEndToEndHTTP(t *testing.T) {
 	if fp.Fingerprint != status.Fingerprint || fp.Runs != status.Store.Runs {
 		t.Errorf("offline summary %+v != live %+v", fp, status.Store)
 	}
-	// Offline and live folds may merge in different orders, so agree to
-	// within float rounding; N is exact.
+	// The live fold adds in completion order and the offline one in store
+	// order, so they agree to within float rounding; N is exact.
 	if fp.Connectivity.N != status.Store.Connectivity.N ||
 		math.Abs(fp.Connectivity.Mean-status.Store.Connectivity.Mean) > 1e-12 ||
 		math.Abs(fp.Connectivity.CI95-status.Store.Connectivity.CI95) > 1e-12 {
@@ -266,7 +230,7 @@ func TestWorkerRejectsBadEngineKnobs(t *testing.T) {
 			t.Errorf("worker with Domains=%d EngineWorkers=%d ran", knobs[0], knobs[1])
 		}
 	}
-	status := c.Status(false)
+	status := c.Status()
 	if status.Pending != 2 || status.Leased != 0 || status.Failed != 0 || status.Workers != 0 {
 		t.Errorf("status after rejected workers = %+v, want 2 pending and nothing leased, failed or seen", status)
 	}
@@ -303,7 +267,7 @@ func TestSummarizeStoreSurfacesCorruptCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	corruptCheckpoint(t, st)
-	sum, err := SummarizeStore(st)
+	sum, err := SummarizeStore(st, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

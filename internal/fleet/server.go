@@ -40,8 +40,7 @@ func NewServer(c *Coordinator) *http.Server {
 //	POST /lease      LeaseRequest -> LeaseReply
 //	POST /heartbeat  HeartbeatRequest -> 204, or 410 Gone when the lease expired
 //	POST /complete   CompleteRequest -> CompleteReply
-//	GET  /status     Status (?configs=1 adds the per-configuration breakdown)
-//	GET  /aggregate  []Aggregate — live per-configuration figures
+//	GET  /status     Status
 //	GET  /events     NDJSON event stream until the sweep completes
 //
 // Handlers run on net/http's per-connection goroutines; the coordinator
@@ -90,13 +89,7 @@ func (c *Coordinator) Handler() http.Handler {
 		if !method(w, r, http.MethodGet) {
 			return
 		}
-		writeJSON(w, c.Status(r.URL.Query().Get("configs") != ""))
-	})
-	mux.HandleFunc("/aggregate", func(w http.ResponseWriter, r *http.Request) {
-		if !method(w, r, http.MethodGet) {
-			return
-		}
-		writeJSON(w, c.Aggregates())
+		writeJSON(w, c.Status())
 	})
 	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
 		if !method(w, r, http.MethodGet) {

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -46,11 +47,67 @@ func postJSON(t *testing.T, url string, v any) *http.Response {
 
 func statusJSON(t *testing.T, c *Coordinator) string {
 	t.Helper()
-	data, err := json.Marshal(c.Status(true))
+	data, err := json.Marshal(c.Status())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return string(data)
+}
+
+// TestHandlerRoutes: each route Handler documents answers its method, any
+// other method gets 405, and an undocumented path gets 404. Every row runs
+// on a fresh two-task coordinator; /events gets an already-cancelled
+// request so its stream ends at once.
+func TestHandlerRoutes(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		method, path, body string
+		want               int
+	}{
+		{http.MethodGet, "/job", "", http.StatusOK},
+		{http.MethodPost, "/job", "{}", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/lease", `{"worker":"w"}`, http.StatusOK},
+		{http.MethodGet, "/lease", "", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/heartbeat", `{"lease":7}`, http.StatusGone},
+		{http.MethodGet, "/heartbeat", "", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/complete", `{"lease":7,"worker":"w"}`, http.StatusOK},
+		{http.MethodPut, "/complete", `{"lease":7,"worker":"w"}`, http.StatusMethodNotAllowed},
+		{http.MethodGet, "/status", "", http.StatusOK},
+		{http.MethodPost, "/status", "{}", http.StatusMethodNotAllowed},
+		{http.MethodGet, "/events", "", http.StatusOK},
+		{http.MethodPost, "/events", "{}", http.StatusMethodNotAllowed},
+		{http.MethodGet, "/aggregate", "", http.StatusNotFound},
+	} {
+		c, err := New(Config{
+			Options: experiment.DefaultOptions(),
+			Tasks:   repTasks(2, 40),
+			Store:   testStore(t),
+			Clock:   newFakeClock().Now,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		req := httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body)).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		c.Handler().ServeHTTP(rec, req)
+		if rec.Code != tc.want {
+			t.Errorf("%s %s: status %d, want %d (%q)", tc.method, tc.path, rec.Code, tc.want, rec.Body.String())
+		}
+		if tc.path == "/status" && rec.Code == http.StatusOK {
+			var fields map[string]json.RawMessage
+			if err := json.Unmarshal(rec.Body.Bytes(), &fields); err != nil {
+				t.Fatalf("GET /status: %v", err)
+			}
+			if _, ok := fields["store"]; !ok {
+				t.Errorf("GET /status has no store summary: %s", rec.Body.String())
+			}
+			if _, ok := fields["configs"]; ok {
+				t.Errorf("GET /status still has a configs key: %s", rec.Body.String())
+			}
+		}
+	}
 }
 
 // TestCompleteRejectsOversizedBody: a /complete body past the cap is

@@ -8,9 +8,9 @@ import (
 // This file is the shared machine-readable status encoding: `sweepctl
 // status -json` summarizing a store offline and the daemon's GET
 // /status describing the same store live emit the same
-// FingerprintSummary shape, produced by the same Welford fold — so
-// dashboards and scripts parse one format regardless of whether a
-// coordinator is running.
+// FingerprintSummary shape, each folding one Welford.Add per completed
+// record — so dashboards and scripts parse one format regardless of
+// whether a coordinator is running.
 
 // FingerprintSummary summarizes one fingerprint's records.
 type FingerprintSummary struct {
@@ -21,9 +21,16 @@ type FingerprintSummary struct {
 	// records that failed checksum or decode verification.
 	Failed  int `json:"failed,omitempty"`
 	Corrupt int `json:"corrupt,omitempty"`
-	// Connectivity folds every completed record's connectivity through
-	// the pairwise Welford merge.
+	// Connectivity summarizes every completed record's connectivity.
 	Connectivity Metric `json:"connectivity"`
+}
+
+// Metric is a Welford summary rendered for JSON.
+type Metric struct {
+	N     int     `json:"n"`
+	Mean  float64 `json:"mean"`
+	CI95  float64 `json:"ci95"`
+	RelCI float64 `json:"rel_ci"`
 }
 
 // FailureDetail is one exhausted-retry failure surfaced by the summary.
@@ -43,37 +50,37 @@ type StoreSummary struct {
 	// exists but is corrupt (records stay authoritative either way).
 	Checkpoint      *sweep.Checkpoint `json:"checkpoint,omitempty"`
 	CheckpointError string            `json:"checkpoint_error,omitempty"`
-	// Failures details up to maxFailureDetails failure records.
+	// Failures details up to the requested number of failure records
+	// per fingerprint, in scan order; FingerprintSummary.Failed is the
+	// exact count.
 	Failures []FailureDetail `json:"failures,omitempty"`
 }
 
-// maxFailureDetails bounds the failure list in a summary; the count in
-// FingerprintSummary.Failed is always exact.
-const maxFailureDetails = 20
-
 // metricOf renders a Welford accumulator as a wire Metric.
 func metricOf(w stats.Welford) Metric {
-	return Metric{w: w, N: w.N(), Mean: w.Mean(), CI95: w.CI95(), RelCI: w.RelCI()}
+	return Metric{N: w.N(), Mean: w.Mean(), CI95: w.CI95(), RelCI: w.RelCI()}
 }
 
-// SummarizeStore scans a store into its machine-readable summary.
-func SummarizeStore(st *sweep.Store) (StoreSummary, error) {
+// SummarizeStore scans a store into its summary, detailing at most
+// failures failure records per fingerprint.
+func SummarizeStore(st *sweep.Store, failures int) (StoreSummary, error) {
 	sum := StoreSummary{Dir: st.Dir()}
-	byFP := make(map[string]int)
+	var conn []stats.Welford
+	// Scan visits fingerprints in sorted order, so the fold is a
+	// streaming group-by: the current fingerprint is always the last.
 	err := st.Scan(func(info sweep.RecordInfo) error {
-		i, seen := byFP[info.Fingerprint]
-		if !seen {
-			i = len(sum.Fingerprints)
-			byFP[info.Fingerprint] = i
+		if n := len(sum.Fingerprints); n == 0 || sum.Fingerprints[n-1].Fingerprint != info.Fingerprint {
 			sum.Fingerprints = append(sum.Fingerprints, FingerprintSummary{Fingerprint: info.Fingerprint})
+			conn = append(conn, stats.Welford{})
 		}
+		i := len(sum.Fingerprints) - 1
 		fp := &sum.Fingerprints[i]
 		switch {
 		case info.Err != nil:
 			fp.Corrupt++
 		case info.Failed:
 			fp.Failed++
-			if len(sum.Failures) < maxFailureDetails {
+			if fp.Failed <= failures {
 				sum.Failures = append(sum.Failures, FailureDetail{
 					Fingerprint: info.Fingerprint,
 					Desc:        info.Record.Desc,
@@ -83,9 +90,7 @@ func SummarizeStore(st *sweep.Store) (StoreSummary, error) {
 			}
 		default:
 			fp.Runs++
-			var one stats.Welford
-			one.Add(info.Record.Result.Connectivity)
-			fp.Connectivity.w.Merge(one)
+			conn[i].Add(info.Record.Result.Connectivity)
 		}
 		return nil
 	})
@@ -93,7 +98,7 @@ func SummarizeStore(st *sweep.Store) (StoreSummary, error) {
 		return StoreSummary{}, err
 	}
 	for i := range sum.Fingerprints {
-		sum.Fingerprints[i].Connectivity = metricOf(sum.Fingerprints[i].Connectivity.w)
+		sum.Fingerprints[i].Connectivity = metricOf(conn[i])
 	}
 	cp, ok, cperr := st.ReadCheckpoint()
 	if cperr != nil {

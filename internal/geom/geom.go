@@ -94,12 +94,6 @@ func (v Vector) Scale(s float64) Vector { return Vector{v.DX * s, v.DY * s} }
 // Len returns the Euclidean length of v.
 func (v Vector) Len() float64 { return math.Hypot(v.DX, v.DY) }
 
-// Len2 returns the squared length of v.
-func (v Vector) Len2() float64 { return v.DX*v.DX + v.DY*v.DY }
-
-// Dot returns the dot product v·w.
-func (v Vector) Dot(w Vector) float64 { return v.DX*w.DX + v.DY*w.DY }
-
 // Cross returns the z-component of the 3-D cross product v×w. Its sign gives
 // the orientation of the turn from v to w (positive = counter-clockwise).
 func (v Vector) Cross(w Vector) float64 { return v.DX*w.DY - v.DY*w.DX }
@@ -179,20 +173,11 @@ func (r Rect) Extend(p Point) Rect {
 	return r
 }
 
-// Center returns the center point of r.
-func (r Rect) Center() Point { return r.Min.Mid(r.Max) }
-
 // Clamp returns p moved to the nearest point inside r.
 func (r Rect) Clamp(p Point) Point {
 	p.X = math.Max(r.Min.X, math.Min(r.Max.X, p.X))
 	p.Y = math.Max(r.Min.Y, math.Min(r.Max.Y, p.Y))
 	return p
-}
-
-// InDisk reports whether point p lies within (or on) the disk of the given
-// radius centered at c.
-func InDisk(p, c Point, radius float64) bool {
-	return p.Dist2(c) <= radius*radius
 }
 
 // InGabrielDisk reports whether w lies strictly inside the disk whose

@@ -70,12 +70,6 @@ func TestVectorOps(t *testing.T) {
 	if got := v.Len(); !almostEq(got, 5) {
 		t.Errorf("Len = %v, want 5", got)
 	}
-	if got := v.Len2(); !almostEq(got, 25) {
-		t.Errorf("Len2 = %v, want 25", got)
-	}
-	if got := v.Dot(w); !almostEq(got, 0) {
-		t.Errorf("Dot = %v, want 0 (perpendicular)", got)
-	}
 	if got := v.Cross(w); !almostEq(got, 25) {
 		t.Errorf("Cross = %v, want 25", got)
 	}
@@ -123,9 +117,6 @@ func TestRect(t *testing.T) {
 	}
 	if got := r.Area(); got != 150 {
 		t.Errorf("Area = %v, want 150", got)
-	}
-	if got := r.Center(); got != Pt(5, 12.5) {
-		t.Errorf("Center = %v, want (5,12.5)", got)
 	}
 	if !Pt(0, 5).In(r) || !Pt(10, 20).In(r) || !Pt(5, 10).In(r) {
 		t.Error("boundary and interior points should be In the rect")
@@ -218,16 +209,6 @@ func TestSquare(t *testing.T) {
 	r := Square(900)
 	if r.Min != Pt(0, 0) || r.Max != Pt(900, 900) {
 		t.Fatalf("Square(900) = %+v", r)
-	}
-}
-
-func TestInDisk(t *testing.T) {
-	c := Pt(0, 0)
-	if !InDisk(Pt(3, 4), c, 5) {
-		t.Error("point on boundary should be in disk")
-	}
-	if InDisk(Pt(3, 4.0001), c, 5) {
-		t.Error("point outside should not be in disk")
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 // Geometric constructions over a point set. These are the *centralized*
 // (omniscient) versions used as ground truth: on a static network a correct
 // localized protocol must select exactly these edges (RNG, Gabriel) or a
-// superset with identical connectivity (LMST vs. the Euclidean MST).
+// superset with identical connectivity (LMST vs. PrimMST of UnitDisk).
 
 // UnitDisk returns the unit-disk graph: an edge between every pair of points
 // at distance <= r, weighted by Euclidean distance. This models the original
@@ -80,60 +80,4 @@ func GabrielGraph(pts []geom.Point, maxRange float64) *Undirected {
 		}
 	}
 	return g
-}
-
-// YaoGraph returns the undirected closure of the Yao graph with k cones
-// restricted to range maxRange: each node keeps, per cone, its nearest
-// in-range neighbor (ties toward the smaller id); the union of directed
-// selections is returned as an undirected graph. Connected for k >= 6.
-func YaoGraph(pts []geom.Point, maxRange float64, k int) *Undirected {
-	g := NewUndirected(len(pts))
-	r2 := maxRange * maxRange
-	best := make([]int, k)
-	for u := range pts {
-		for c := range best {
-			best[c] = -1
-		}
-		for v := range pts {
-			if v == u {
-				continue
-			}
-			d2 := pts[u].Dist2(pts[v])
-			if d2 > r2 {
-				continue
-			}
-			c := geom.ConeIndex(pts[u], pts[v], k)
-			if best[c] == -1 {
-				best[c] = v
-				continue
-			}
-			bd2 := pts[u].Dist2(pts[best[c]])
-			if d2 < bd2 || (d2 == bd2 && v < best[c]) { //lint:ignore float-eq exact tie-break selects the lowest-id neighbor deterministically
-				best[c] = v
-			}
-		}
-		for _, v := range best {
-			if v != -1 {
-				g.AddEdge(u, v, pts[u].Dist(pts[v]))
-			}
-		}
-	}
-	return g
-}
-
-// EuclideanMST returns the minimum spanning forest of the complete Euclidean
-// graph over pts (Prim on the implicit dense graph, O(n²)).
-func EuclideanMST(pts []geom.Point) []Edge {
-	n := len(pts)
-	if n == 0 {
-		return nil
-	}
-	g := NewUndirected(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			g.AddEdge(i, j, pts[i].Dist(pts[j]))
-		}
-	}
-	edges, _ := PrimMST(g)
-	return edges
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -13,6 +14,13 @@ var arena = geom.Square(900)
 
 func randomPoints(seed uint64, n int) []geom.Point {
 	return mobility.UniformPoints(arena, n, xrand.New(seed))
+}
+
+// euclideanMST is the minimum spanning tree of the complete Euclidean graph
+// over pts: the ground truth a localized MST protocol is compared against.
+func euclideanMST(pts []geom.Point) []Edge {
+	edges, _ := PrimMST(UnitDisk(pts, math.Inf(1)))
+	return edges
 }
 
 func TestUnitDisk(t *testing.T) {
@@ -56,7 +64,7 @@ func TestGraphInclusionChain(t *testing.T) {
 				return false
 			}
 		}
-		for _, e := range EuclideanMST(pts) {
+		for _, e := range euclideanMST(pts) {
 			if !rngG.HasEdge(e.U, e.V) {
 				return false
 			}
@@ -99,49 +107,9 @@ func TestGabrielConnectivityPreserved(t *testing.T) {
 	}
 }
 
-func TestYaoConnectivityPreservedK6(t *testing.T) {
-	// Yao graph with k >= 6 preserves connectivity (Wang et al. 2003).
-	f := func(seed uint64) bool {
-		pts := randomPoints(seed, 100)
-		ud := UnitDisk(pts, 250)
-		if !ud.Connected() {
-			return true
-		}
-		return YaoGraph(pts, 250, 6).Connected()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestYaoDegreeBound(t *testing.T) {
-	// Each node selects at most k outgoing neighbors, so the undirected
-	// Yao closure has average degree <= 2k.
-	pts := randomPoints(9, 100)
-	k := 6
-	g := YaoGraph(pts, 250, k)
-	if g.M() > k*len(pts) {
-		t.Errorf("Yao edges = %d exceeds k*n = %d", g.M(), k*len(pts))
-	}
-}
-
-func TestYaoExample(t *testing.T) {
-	// Apex with two points in the same cone keeps only the nearer one.
-	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(10, 1), geom.Pt(20, 2)}
-	g := YaoGraph(pts, 100, 6)
-	if !g.HasEdge(0, 1) {
-		t.Error("nearest in cone must be kept")
-	}
-	// (0,2) may only exist if 2 selected 0; 2's cone toward 0 also
-	// contains 1 which is nearer, so no (0,2) edge.
-	if g.HasEdge(0, 2) {
-		t.Error("farther same-cone neighbor must not be selected")
-	}
-}
-
 func TestEuclideanMSTIsSpanningAndMinimal(t *testing.T) {
 	pts := randomPoints(3, 60)
-	edges := EuclideanMST(pts)
+	edges := euclideanMST(pts)
 	if len(edges) != len(pts)-1 {
 		t.Fatalf("MST edges = %d, want %d", len(edges), len(pts)-1)
 	}
@@ -173,12 +141,6 @@ func TestEuclideanMSTIsSpanningAndMinimal(t *testing.T) {
 	_ = total
 }
 
-func TestEuclideanMSTEmpty(t *testing.T) {
-	if got := EuclideanMST(nil); got != nil {
-		t.Errorf("empty MST = %v", got)
-	}
-}
-
 func TestMSTSubsetOfRNGRestrictedRange(t *testing.T) {
 	// With range restriction the EMST may not be realizable, but whenever
 	// the unit-disk graph is connected, the MST of the unit-disk graph
@@ -193,7 +155,7 @@ func TestMSTSubsetOfRNGRestrictedRange(t *testing.T) {
 	if !spanning {
 		t.Fatal("unit-disk MST must span when graph connected")
 	}
-	em := EuclideanMST(pts)
+	em := euclideanMST(pts)
 	if weightSum(udMST)-weightSum(em) > 1e-6 {
 		t.Errorf("unit-disk MST weight %v > EMST weight %v", weightSum(udMST), weightSum(em))
 	}

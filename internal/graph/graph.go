@@ -2,11 +2,10 @@
 // framework: weighted undirected graphs, directed reachability, union-find,
 // Prim's MST, Dijkstra's SPT, and connectivity statistics.
 //
-// The geometric constructions (unit-disk, RNG, Gabriel, Yao, Euclidean MST)
-// in geometric.go serve as omniscient ground truth: the localized protocol
-// implementations in package topology are differentially tested against
-// them on static networks, where localized and centralized constructions
-// must agree.
+// The geometric constructions (unit-disk, RNG, Gabriel) in geometric.go
+// serve as omniscient ground truth: the localized protocol implementations
+// in package topology are differentially tested against them on static
+// networks, where localized and centralized constructions must agree.
 package graph
 
 import (

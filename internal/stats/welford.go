@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Welford accumulates scalar observations with Welford's online algorithm:
 // the running mean and the centered sum of squares M2 are updated per
@@ -62,11 +59,6 @@ func (w *Welford) CI95() float64 {
 	return tCrit95(w.n-1) * w.StdDev() / math.Sqrt(float64(w.n))
 }
 
-// String formats mean ± CI95.
-func (w *Welford) String() string {
-	return fmt.Sprintf("%.4f ± %.4f", w.Mean(), w.CI95())
-}
-
 // RelCI returns the relative 95 % confidence-interval half-width
 // CI95/|mean|. It is zero-safe: no spread (n < 2, or zero variance) reads
 // as 0, while spread around an exactly-zero mean reads as +Inf, the one
@@ -81,21 +73,4 @@ func (w *Welford) RelCI() float64 {
 		return math.Inf(1)
 	}
 	return ci / math.Abs(mean)
-}
-
-// Merge folds the observations of o into w (Chan et al.'s pairwise update),
-// preserving the algorithm's numerical behavior across per-worker partials.
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := float64(w.n + o.n)
-	d := o.mean - w.mean
-	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/n
-	w.mean += d * float64(o.n) / n
-	w.n += o.n
 }

@@ -75,30 +75,6 @@ func TestWelfordStableUnderOffset(t *testing.T) {
 	}
 }
 
-func TestWelfordMerge(t *testing.T) {
-	data := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 100, -4}
-	for split := 0; split <= len(data); split++ {
-		var a, b, whole Welford
-		for i, x := range data {
-			whole.Add(x)
-			if i < split {
-				a.Add(x)
-			} else {
-				b.Add(x)
-			}
-		}
-		a.Merge(b)
-		if a.N() != whole.N() {
-			t.Fatalf("split %d: N = %d, want %d", split, a.N(), whole.N())
-		}
-		if math.Abs(a.Mean()-whole.Mean()) > 1e-12 ||
-			math.Abs(a.Variance()-whole.Variance()) > 1e-9 {
-			t.Errorf("split %d: merged mean/var %g/%g, want %g/%g",
-				split, a.Mean(), a.Variance(), whole.Mean(), whole.Variance())
-		}
-	}
-}
-
 func TestWelfordCI95ClosedForm(t *testing.T) {
 	// Four observations {0, 0, 2, 2}: mean 1, variance 4/3, df 3, t = 3.182
 	// → CI = 3.182 · sqrt(4/3) / 2.
